@@ -130,15 +130,30 @@ struct ArenaExecOptions {
 /// running.  Single writer (the instantiating thread), many readers.
 class ArenaStreamFeed {
  public:
+  /// Closes the feed when the producer's scope ends, however it ends.  A
+  /// producer that throws or returns before publishing every base step
+  /// then fails execute_arena_streaming with its closed-before-published
+  /// StateError instead of leaving the executor waiting forever.
+  class ProducerGuard {
+   public:
+    explicit ProducerGuard(ArenaStreamFeed& feed) noexcept : feed_(feed) {}
+    ~ProducerGuard() { feed_.close(); }
+    ProducerGuard(const ProducerGuard&) = delete;
+    ProducerGuard& operator=(const ProducerGuard&) = delete;
+
+   private:
+    ArenaStreamFeed& feed_;
+  };
+
   /// Publish that base steps [0, n_base) are fully appended (their columns,
   /// deps, and reverse deps will not change).  Monotone non-decreasing.
   void publish(std::uint64_t n_base) noexcept {
     published_.store(n_base, std::memory_order_release);
   }
 
-  /// Producer is done: no further publish() calls will follow.  Must be
-  /// called exactly once, after the arena is finalized, or the executor
-  /// spins forever.
+  /// Producer is done: no further publish() calls will follow.  Call it
+  /// after the arena is finalized (a ProducerGuard does), or the executor
+  /// spins forever; calls after the first are no-ops.
   void close() noexcept { closed_.store(true, std::memory_order_release); }
 
   [[nodiscard]] std::uint64_t published() const noexcept {

@@ -2,17 +2,14 @@
 
 #include <algorithm>
 #include <exception>
-#include <iterator>
-#include <memory>
+#include <limits>
 #include <mutex>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "util/check.h"
-#include "util/spsc_queue.h"
 
 namespace car::recovery {
 
@@ -49,34 +46,84 @@ MultiFailureScenario make_multi_failure_onto(
   return scenario;
 }
 
+void RackCounts::add(cluster::RackId rack) {
+  RackCount* entries = size_ > kInline ? spill_.data() : inline_.data();
+  std::size_t at = 0;
+  while (at < size_ && entries[at].rack != rack) ++at;
+  if (at == size_) {
+    if (size_ == kInline) spill_.assign(inline_.begin(), inline_.end());
+    if (size_ >= kInline) {
+      spill_.push_back({});
+      entries = spill_.data();
+    }
+    entries[at] = {static_cast<std::uint32_t>(rack), 0};
+    ++size_;
+  }
+  ++entries[at].count;
+  // The bumped entry can only move towards the front of the ranking.
+  for (; at > 0 && ranks_before(entries[at], entries[at - 1]); --at) {
+    std::swap(entries[at], entries[at - 1]);
+  }
+}
+
 namespace {
 
-/// Serial census core over one contiguous stripe range, appending to `out`.
-void census_range(const cluster::Placement& placement,
-                  const MultiFailureScenario& scenario,
-                  const std::vector<char>& failed, cluster::StripeId begin,
-                  cluster::StripeId end, std::vector<MultiStripeCensus>& out) {
+bool lost_any(std::span<const cluster::NodeId> hosts,
+              const std::vector<char>& failed) {
+  return std::any_of(hosts.begin(), hosts.end(),
+                     [&](cluster::NodeId host) { return failed[host] != 0; });
+}
+
+/// Census of stripe `s`, which lost at least one chunk.
+void fill_census(const cluster::Placement& placement,
+                 const MultiFailureScenario& scenario,
+                 const std::vector<char>& failed, cluster::StripeId s,
+                 MultiStripeCensus& census) {
   const auto& topology = placement.topology();
-  for (cluster::StripeId s = begin; s < end; ++s) {
-    MultiStripeCensus census;
-    census.stripe = s;
-    census.replacement_rack = scenario.replacement_rack;
-    census.k = placement.k();
-    census.surviving.assign(topology.num_racks(), 0);
-    const auto hosts = placement.stripe(s);
-    for (std::size_t c = 0; c < hosts.size(); ++c) {
-      if (failed[hosts[c]] != 0) {
-        census.lost_chunks.push_back(c);
-      } else {
-        ++census.surviving[topology.rack_of(hosts[c])];
-      }
+  const auto hosts = placement.stripe(s);
+  census.stripe = s;
+  census.replacement_rack = scenario.replacement_rack;
+  census.k = placement.k();
+  for (std::size_t c = 0; c < hosts.size(); ++c) {
+    if (failed[hosts[c]] != 0) {
+      census.lost_chunks.push_back(c);
+    } else {
+      census.surviving.add(topology.rack_of(hosts[c]));
     }
-    if (census.lost_chunks.empty()) continue;
-    CAR_CHECK_LE(census.lost_chunks.size(), placement.m(),
-                 "build_multi_censuses: stripe lost more than m chunks — "
-                 "beyond the code's fault tolerance");
-    out.push_back(std::move(census));
   }
+  CAR_CHECK_LE(census.lost_chunks.size(), placement.m(),
+               "build_multi_censuses: stripe lost more than m chunks — "
+               "beyond the code's fault tolerance");
+}
+
+/// Run body(shard) for every shard: shard 0 on the calling thread, the
+/// others on worker threads.  Every thread is joined before the first
+/// exception a shard threw is rethrown.
+template <typename Body>
+void for_each_shard(std::size_t shards, const Body& body) {
+  std::mutex error_mu;
+  std::exception_ptr error;
+  auto run = [&](std::size_t shard) {
+    try {
+      body(shard);
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(error_mu);
+      if (!error) error = std::current_exception();
+    }
+  };
+  std::vector<std::thread> workers;
+  workers.reserve(shards - 1);
+  try {
+    for (std::size_t shard = 1; shard < shards; ++shard) {
+      workers.emplace_back(run, shard);
+    }
+  } catch (...) {
+    for (auto& worker : workers) worker.join();
+    throw;
+  }
+  run(0);
+  for (auto& worker : workers) worker.join();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace
@@ -86,6 +133,9 @@ std::vector<MultiStripeCensus> build_multi_censuses(
     std::size_t shards) {
   CAR_CHECK(shards >= 1, "build_multi_censuses: shards must be >= 1");
   const auto& topology = placement.topology();
+  CAR_CHECK_LE(topology.num_racks(),
+               std::size_t{std::numeric_limits<std::uint32_t>::max()},
+               "build_multi_censuses: too many racks for a 32-bit rack id");
   // Bitset lookup: is_failed() is a linear scan over failed_nodes, and this
   // loop asks it once per chunk — at datacenter scale (1M stripes, a full
   // rack of failed nodes) that linear scan dominates the census.
@@ -96,101 +146,90 @@ std::vector<MultiStripeCensus> build_multi_censuses(
     failed[node] = 1;
   }
   const cluster::StripeId n = placement.num_stripes();
-  if (shards <= 1 || n < 2) {
-    std::vector<MultiStripeCensus> out;
-    census_range(placement, scenario, failed, 0, n, out);
-    return out;
-  }
-  // Contiguous ranges per shard; each worker streams fixed-size census
-  // batches through a bounded SPSC ring (exactly one producer — the
-  // worker — and one consumer — this thread), and the collector drains
-  // the rings in shard order.  Concatenation therefore overlaps the tail
-  // of the scan instead of waiting behind the slowest shard, peak memory
-  // is bounded by the ring capacities instead of a full per-shard copy,
-  // and the output is still the serial scan's verbatim for every shard
-  // count (batches of one range concatenate to that range's output, and
-  // ranges flush in range order).
-  shards = std::min<std::size_t>(shards, n);
-  constexpr cluster::StripeId kBatchStripes = 1 << 14;
-  using Batch = std::vector<MultiStripeCensus>;
-  std::vector<std::unique_ptr<util::SpscQueue<Batch>>> rings;
-  rings.reserve(shards);
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    rings.push_back(std::make_unique<util::SpscQueue<Batch>>(64));
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(shards);
-  std::mutex error_mu;
-  std::exception_ptr error;
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    const cluster::StripeId begin = n * shard / shards;
-    const cluster::StripeId end = n * (shard + 1) / shards;
-    workers.emplace_back([&, shard, begin, end] {
-      const util::SpscProducerToken<Batch> token(*rings[shard]);
-      try {
-        for (cluster::StripeId at = begin; at < end; at += kBatchStripes) {
-          Batch batch;
-          census_range(placement, scenario, failed, at,
-                       std::min<cluster::StripeId>(end, at + kBatchStripes),
-                       batch);
-          if (!batch.empty()) rings[shard]->push(std::move(batch));
-        }
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mu);
-        if (!error) error = std::current_exception();
-      }
-      // Close even on error, or the collector's pop() spins forever.
-      rings[shard]->close();
-    });
-  }
-  std::vector<MultiStripeCensus> out;
-  try {
-    for (std::size_t shard = 0; shard < shards; ++shard) {
-      const util::SpscConsumerToken<Batch> token(*rings[shard]);
-      while (auto batch = rings[shard]->pop()) {
-        std::move(batch->begin(), batch->end(), std::back_inserter(out));
-      }
+  shards = std::min<std::size_t>(shards, std::max<cluster::StripeId>(n, 1));
+  // Two passes over contiguous stripe ranges, one per shard.  The first
+  // lists each range's affected stripes, so the output is allocated once at
+  // its exact size; the second builds every census in its final slot.
+  // Ranges keep stripe order, so the result is the serial scan's verbatim
+  // for every shard count.
+  std::vector<std::vector<cluster::StripeId>> affected(shards);
+  for_each_shard(shards, [&](std::size_t shard) {
+    for (cluster::StripeId s = n * shard / shards;
+         s < n * (shard + 1) / shards; ++s) {
+      if (lost_any(placement.stripe(s), failed)) affected[shard].push_back(s);
     }
-  } catch (...) {
-    // The collector died mid-drain (e.g. bad_alloc growing `out`).
-    // Producers may be spinning in SpscQueue::push with no way to observe
-    // consumer death, and destroying a joinable std::thread terminates the
-    // process — so drain every ring dry (pop() past a closed, empty ring
-    // is a cheap no-op) and join before letting the exception unwind.
-    for (std::size_t shard = 0; shard < shards; ++shard) {
-      const util::SpscConsumerToken<Batch> token(*rings[shard]);
-      while (rings[shard]->pop()) {
-      }
+  });
+  std::vector<std::size_t> first(shards + 1, 0);
+  for (std::size_t shard = 0; shard < shards; ++shard) {
+    first[shard + 1] = first[shard] + affected[shard].size();
+  }
+  std::vector<MultiStripeCensus> out(first.back());
+  for_each_shard(shards, [&](std::size_t shard) {
+    for (std::size_t i = 0; i < affected[shard].size(); ++i) {
+      fill_census(placement, scenario, failed, affected[shard][i],
+                  out[first[shard] + i]);
     }
-    for (auto& worker : workers) worker.join();
-    throw;
-  }
-  for (auto& worker : workers) worker.join();
-  if (error) std::rethrow_exception(error);
-  return out;
-}
-
-std::vector<std::size_t> MultiStripeSolution::all_chunk_indices() const {
-  std::vector<std::size_t> out;
-  for (const auto& pick : picks) {
-    out.insert(out.end(), pick.chunk_indices.begin(),
-               pick.chunk_indices.end());
-  }
+  });
   return out;
 }
 
 namespace {
 
-/// Chunk indices of `stripe` in `rack` that survived (not in lost_chunks).
-std::vector<std::size_t> surviving_in_rack(const cluster::Placement& placement,
-                                           const MultiStripeCensus& census,
-                                           cluster::RackId rack) {
-  auto indices = placement.chunk_indices_in_rack(census.stripe, rack);
-  std::erase_if(indices, [&](std::size_t c) {
-    return std::binary_search(census.lost_chunks.begin(),
-                              census.lost_chunks.end(), c);
-  });
-  return indices;
+/// Fill in `solution` around the valid minimal set already in its
+/// rack_set.  Pick sizes follow from the counts alone: the home rack's
+/// survivors first, then the chosen racks in rank order, and only the last
+/// pick can be trimmed.  That fixes each pick's range of `chunks`, and one
+/// pass over the stripe's hosts drops every survivor into its rack's range
+/// (ascending, so a trimmed pick keeps its lowest chunk indices).
+void fill_picks(const cluster::Placement& placement,
+                const MultiStripeCensus& census,
+                MultiStripeSolution& solution) {
+  const cluster::RackId home = census.replacement_rack;
+  const std::size_t k = census.k;
+  const auto ranked = census.surviving.ranked();
+  solution.stripe = census.stripe;
+  solution.lost_chunks = census.lost_chunks;
+  std::vector<PickRange>& picks = solution.picks;
+  picks.clear();
+  picks.reserve(solution.rack_set.racks.size() + 1);
+
+  std::size_t needed = k;
+  auto open = [&](cluster::RackId rack, std::size_t available) {
+    picks.push_back({rack, static_cast<std::uint32_t>(k - needed), 0});
+    needed -= std::min(available, needed);
+  };
+  for (const RackCount& entry : ranked) {
+    if (entry.rack == home) open(home, entry.count);
+  }
+  for (const RackCount& entry : ranked) {
+    if (entry.rack == home || !solution.rack_set.contains(entry.rack)) {
+      continue;
+    }
+    CAR_CHECK_STATE(needed > 0,
+                    "materialize_multi: chosen rack contributes no chunk");
+    open(entry.rack, entry.count);
+  }
+  CAR_CHECK_STATE(needed == 0, "materialize_multi: could not gather k chunks");
+
+  solution.chunks.resize(k);
+  const auto& topology = placement.topology();
+  const auto hosts = placement.stripe(census.stripe);
+  auto lost = census.lost_chunks.begin();
+  for (std::size_t c = 0; c < hosts.size(); ++c) {
+    if (lost != census.lost_chunks.end() && *lost == c) {
+      ++lost;
+      continue;
+    }
+    const cluster::RackId rack = topology.rack_of(hosts[c]);
+    for (std::size_t p = 0; p < picks.size(); ++p) {
+      if (picks[p].rack != rack) continue;
+      const std::size_t end = p + 1 < picks.size() ? picks[p + 1].first : k;
+      if (picks[p].first + picks[p].count < end) {
+        solution.chunks[picks[p].first + picks[p].count++] = c;
+      }
+      break;
+    }
+  }
 }
 
 }  // namespace
@@ -199,49 +238,12 @@ MultiStripeSolution materialize_multi(const cluster::Placement& placement,
                                       const MultiStripeCensus& census,
                                       const RackSet& set) {
   CAR_CHECK(is_valid_minimal_for(census.k, census.replacement_rack,
-                                 census.surviving, set),
+                                 census.surviving.ranked(), set),
             "materialize_multi: rack set is not a valid minimal solution");
-
   MultiStripeSolution solution;
-  solution.stripe = census.stripe;
-  solution.lost_chunks = census.lost_chunks;
   solution.rack_set = set;
   std::sort(solution.rack_set.racks.begin(), solution.rack_set.racks.end());
-
-  std::size_t needed = census.k;
-
-  // Home rack survivors first (free at the rack level).
-  {
-    auto local =
-        surviving_in_rack(placement, census, census.replacement_rack);
-    if (!local.empty()) {
-      const std::size_t take = std::min(local.size(), needed);
-      local.resize(take);
-      needed -= take;
-      solution.picks.push_back({census.replacement_rack, std::move(local)});
-    }
-  }
-
-  // Chosen racks, largest availability first, trimming the last.
-  std::vector<cluster::RackId> order = set.racks;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](cluster::RackId a, cluster::RackId b) {
-                     return census.surviving[a] > census.surviving[b];
-                   });
-  for (cluster::RackId rack : order) {
-    if (needed == 0) {
-      throw std::logic_error(
-          "materialize_multi: chosen rack contributes no chunk");
-    }
-    auto indices = surviving_in_rack(placement, census, rack);
-    const std::size_t take = std::min(indices.size(), needed);
-    indices.resize(take);
-    needed -= take;
-    solution.picks.push_back({rack, std::move(indices)});
-  }
-  if (needed != 0) {
-    throw std::logic_error("materialize_multi: could not gather k chunks");
-  }
+  fill_picks(placement, census, solution);
   return solution;
 }
 
@@ -267,20 +269,25 @@ MultiBalanceResult balance_multi(
     const std::vector<MultiStripeCensus>& censuses, std::size_t iterations) {
   CAR_CHECK(!censuses.empty(), "balance_multi: no stripes to recover");
   const cluster::RackId home = censuses.front().replacement_rack;
-  const std::size_t num_racks = censuses.front().num_racks();
+  const std::size_t num_racks = placement.topology().num_racks();
 
-  std::vector<RackSet> chosen(censuses.size());
-  std::vector<std::size_t> weight(censuses.size());
+  // Each stripe's chosen set lives in its solution from the start: the
+  // greedy edits it in place and fill_picks completes the solution around
+  // it, so no per-stripe set is built twice.
+  MultiBalanceResult result;
+  result.solutions.resize(censuses.size());
   std::vector<std::size_t> t(num_racks, 0);
   for (std::size_t j = 0; j < censuses.size(); ++j) {
-    chosen[j] = default_rack_set(censuses[j].k, home, censuses[j].surviving);
-    weight[j] = censuses[j].lost_count();
-    for (cluster::RackId rack : chosen[j].racks) t[rack] += weight[j];
+    CAR_CHECK_EQ(censuses[j].replacement_rack, home,
+                 "balance_multi: censuses disagree on the replacement rack");
+    const RackSet& set = result.solutions[j].rack_set =
+        default_rack_set(censuses[j].k, home, censuses[j].surviving.ranked());
+    for (cluster::RackId rack : set.racks) t[rack] += censuses[j].lost_count();
   }
-
-  MultiBalanceResult result;
   result.lambda_trace.push_back(lambda_of(t, home));
 
+  std::vector<cluster::RackId> lighter;
+  lighter.reserve(num_racks);
   for (std::size_t iter = 0; iter < iterations; ++iter) {
     cluster::RackId heaviest = home;
     std::size_t heaviest_t = 0;
@@ -293,7 +300,7 @@ MultiBalanceResult balance_multi(
     }
 
     bool substituted = false;
-    std::vector<cluster::RackId> lighter;
+    lighter.clear();
     for (cluster::RackId i = 0; i < num_racks; ++i) {
       if (i != home && i != heaviest && t[i] < heaviest_t) lighter.push_back(i);
     }
@@ -304,27 +311,31 @@ MultiBalanceResult balance_multi(
 
     for (cluster::RackId target : lighter) {
       for (std::size_t j = 0; j < censuses.size() && !substituted; ++j) {
-        // Moving weight[j] partials must not push the target above the
+        // Moving `weight` partials must not push the target above the
         // (reduced) source: t_l - t_i >= 2 * weight keeps max monotone.
-        if (heaviest_t < t[target] + 2 * weight[j]) continue;
-        if (!chosen[j].contains(heaviest) || chosen[j].contains(target)) {
+        const std::size_t weight = censuses[j].lost_count();
+        if (heaviest_t < t[target] + 2 * weight) continue;
+        auto& racks = result.solutions[j].rack_set.racks;
+        const auto slot = std::find(racks.begin(), racks.end(), heaviest);
+        if (slot == racks.end() ||
+            std::find(racks.begin(), racks.end(), target) != racks.end()) {
           continue;
         }
-        RackSet swapped = chosen[j];
-        std::replace(swapped.racks.begin(), swapped.racks.end(), heaviest,
-                     target);
-        std::sort(swapped.racks.begin(), swapped.racks.end());
-        // Validity is a direct predicate (size d, distinct non-home racks
-        // with survivors, enough chunks) — exactly the membership test in
-        // enumerate_rack_sets' output, without materialising the
+        // Swap in place and undo when the result is not a valid minimal
+        // set.  Validity is a direct predicate (size d, distinct non-home
+        // racks with survivors, enough chunks) — exactly the membership
+        // test in enumerate_rack_sets' output, without materialising the
         // combinatorial candidate list per stripe.
-        if (!is_valid_minimal_for(censuses[j].k, home, censuses[j].surviving,
-                                  swapped)) {
+        *slot = target;
+        if (!is_valid_minimal_for(censuses[j].k, home,
+                                  censuses[j].surviving.ranked(),
+                                  result.solutions[j].rack_set)) {
+          *slot = heaviest;
           continue;
         }
-        chosen[j] = std::move(swapped);
-        t[heaviest] -= weight[j];
-        t[target] += weight[j];
+        std::sort(racks.begin(), racks.end());
+        t[heaviest] -= weight;
+        t[target] += weight;
         substituted = true;
       }
       if (substituted) break;
@@ -334,10 +345,8 @@ MultiBalanceResult balance_multi(
     result.lambda_trace.push_back(lambda_of(t, home));
   }
 
-  result.solutions.reserve(censuses.size());
   for (std::size_t j = 0; j < censuses.size(); ++j) {
-    result.solutions.push_back(
-        materialize_multi(placement, censuses[j], chosen[j]));
+    fill_picks(placement, censuses[j], result.solutions[j]);
   }
   return result;
 }
@@ -431,7 +440,7 @@ RecoveryPlan build_multi_car_plan(
   RepairMemo repair_memo;
 
   for (const auto& solution : solutions) {
-    const auto survivors = solution.all_chunk_indices();
+    const std::span<const std::size_t> survivors = solution.chunks;
     // One canonical coefficient table per lost chunk; the spans survive
     // later coeffs() inserts because unordered_map rehashing never moves
     // mapped values.
@@ -445,11 +454,12 @@ RecoveryPlan build_multi_car_plan(
     std::vector<std::vector<ComputeInput>> final_inputs(ys.size());
     std::vector<std::vector<std::size_t>> final_deps(ys.size());
 
-    for (const auto& pick : solution.picks) {
+    for (const PickRange& pick : solution.picks) {
+      const auto chunks = solution.chunks_of(pick);
       const cluster::NodeId aggregator =
-          placement.node_of(solution.stripe, pick.chunk_indices.front());
+          placement.node_of(solution.stripe, chunks.front());
       std::vector<std::size_t> gather_deps;
-      for (std::size_t chunk : pick.chunk_indices) {
+      for (std::size_t chunk : chunks) {
         const cluster::NodeId host = placement.node_of(solution.stripe, chunk);
         if (host != aggregator) {
           gather_deps.push_back(
@@ -459,8 +469,8 @@ RecoveryPlan build_multi_car_plan(
       }
       for (std::size_t l = 0; l < ys.size(); ++l) {
         std::vector<ComputeInput> inputs;
-        inputs.reserve(pick.chunk_indices.size());
-        for (std::size_t chunk : pick.chunk_indices) {
+        inputs.reserve(chunks.size());
+        for (std::size_t chunk : chunks) {
           inputs.push_back(
               {BufferRef::chunk(solution.stripe, chunk), ys[l][chunk]});
         }

@@ -18,6 +18,8 @@
 // paper's methodology.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -28,7 +30,6 @@
 #include "cluster/types.h"
 #include "recovery/metrics.h"
 #include "recovery/plan.h"
-#include "recovery/planner.h"
 #include "recovery/solutions.h"
 #include "rs/code.h"
 #include "util/rng.h"
@@ -46,17 +47,40 @@ struct MultiFailureScenario {
   [[nodiscard]] bool is_failed(cluster::NodeId node) const noexcept;
 };
 
+/// Sparse census of one stripe's surviving chunks: a RackCount for each rack
+/// holding at least one, kept in rank order (ranks_before) as chunks are
+/// added.  A stripe touches at most k+m racks whatever the cluster size, so
+/// the entries live inline; a stripe spread over more than kInline racks
+/// moves them to the heap.
+class RackCounts {
+ public:
+  static constexpr std::size_t kInline = 16;
+
+  /// Count one more surviving chunk in `rack`.
+  void add(cluster::RackId rack);
+
+  [[nodiscard]] std::span<const RackCount> ranked() const noexcept {
+    return {size_ > kInline ? spill_.data() : inline_.data(), size_};
+  }
+
+  friend bool operator==(const RackCounts& a, const RackCounts& b) noexcept {
+    return std::ranges::equal(a.ranked(), b.ranked());
+  }
+
+ private:
+  std::uint32_t size_ = 0;
+  std::array<RackCount, kInline> inline_{};
+  std::vector<RackCount> spill_;  // every entry, once size_ > kInline
+};
+
 /// Per-stripe state under a multi-failure.
 struct MultiStripeCensus {
   cluster::StripeId stripe = 0;
   std::vector<std::size_t> lost_chunks;  // >= 1 chunk indices, ascending
   cluster::RackId replacement_rack = 0;
   std::size_t k = 0;
-  std::vector<std::size_t> surviving;  // surviving chunks per rack
+  RackCounts surviving;  // racks holding surviving chunks, ranked
 
-  [[nodiscard]] std::size_t num_racks() const noexcept {
-    return surviving.size();
-  }
   [[nodiscard]] std::size_t lost_count() const noexcept {
     return lost_chunks.size();
   }
@@ -85,30 +109,54 @@ MultiFailureScenario make_multi_failure_onto(
 /// Throws std::invalid_argument if any stripe lost more than m chunks
 /// (beyond the code's tolerance — unrecoverable).
 ///
-/// `shards` > 1 splits the scan across that many worker threads, each
-/// covering one contiguous stripe range; the per-range outputs are
-/// concatenated in range order, so the result is bit-identical to the
+/// `shards` > 1 splits the scan across that many threads (the caller's
+/// among them), each covering one contiguous stripe range; every census
+/// lands in its range-ordered slot, so the result is bit-identical to the
 /// serial scan for every shard count.
 std::vector<MultiStripeCensus> build_multi_censuses(
     const cluster::Placement& placement, const MultiFailureScenario& scenario,
     std::size_t shards = 1);
 
-/// A materialised per-stripe multi-failure solution.
+/// One contributing rack of a MultiStripeSolution, which reads the
+/// solution's chunks[first, first + count).
+struct PickRange {
+  cluster::RackId rack = 0;
+  std::uint32_t first = 0;
+  std::uint32_t count = 0;
+
+  friend bool operator==(const PickRange&, const PickRange&) = default;
+};
+
+/// A materialised per-stripe multi-failure solution.  The chunks read are
+/// one flat array with a range per contributing rack, not a vector per
+/// rack: a full-rack failure materialises one of these per affected stripe.
 struct MultiStripeSolution {
   cluster::StripeId stripe = 0;
   std::vector<std::size_t> lost_chunks;
-  RackSet rack_set;             // racks (other than replacement's) accessed
-  std::vector<RackPick> picks;  // chunks read per contributing rack (sum k)
+  RackSet rack_set;  // racks (other than replacement's) accessed
+  /// The k chunks read, grouped by contributing rack in pick order: the
+  /// replacement's rack first when it contributes, then the chosen racks
+  /// in rank order, of which only the last is trimmed.  Ascending within a
+  /// rack.
+  std::vector<std::size_t> chunks;
+  std::vector<PickRange> picks;  // contributing racks, in pick order
 
   /// Cross-rack chunks shipped for this stripe: one partial per accessed
   /// rack per lost chunk.
   [[nodiscard]] std::size_t cross_rack_chunks() const noexcept {
     return rack_set.racks.size() * lost_chunks.size();
   }
-  [[nodiscard]] std::vector<std::size_t> all_chunk_indices() const;
+  /// The chunk indices `pick` reads.
+  [[nodiscard]] std::span<const std::size_t> chunks_of(
+      const PickRange& pick) const noexcept {
+    return std::span<const std::size_t>(chunks).subspan(pick.first,
+                                                        pick.count);
+  }
 };
 
 /// Materialise a valid minimal rack set into chunk picks (k chunks total).
+/// Throws util::CheckError (a std::invalid_argument) when `set` is not a
+/// valid minimal set for the census — an oversized one included.
 MultiStripeSolution materialize_multi(const cluster::Placement& placement,
                                       const MultiStripeCensus& census,
                                       const RackSet& set);

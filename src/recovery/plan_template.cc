@@ -25,9 +25,7 @@ void build_car_key(std::string& key, const MultiStripeSolution& solution) {
   key.push_back(kCarTag);
   append_token(key, solution.lost_chunks.size());
   append_token(key, solution.picks.size());
-  for (const RackPick& pick : solution.picks) {
-    append_token(key, pick.chunk_indices.size());
-  }
+  for (const PickRange& pick : solution.picks) append_token(key, pick.count);
 }
 
 /// RR signature: lost count, fetch count, and the mask of fetch positions
@@ -198,22 +196,16 @@ std::uint64_t skip_mask(const cluster::Placement& placement,
 /// Per-stripe instantiation scratch, reused across every stripe of a
 /// build_multi_*_cached / build_multi_*_arena call.
 struct BindingScratch {
-  std::vector<std::size_t> survivors;
   std::vector<std::span<const std::uint8_t>> coeffs;
 
   StripeBinding bind_car(const rs::Code& code,
                          const MultiStripeSolution& solution,
                          RepairMemo& memo) {
-    survivors.clear();
-    for (const RackPick& pick : solution.picks) {
-      survivors.insert(survivors.end(), pick.chunk_indices.begin(),
-                       pick.chunk_indices.end());
-    }
     coeffs.clear();
     for (const std::size_t lost : solution.lost_chunks) {
-      coeffs.push_back(memo.coeffs(code, lost, survivors));
+      coeffs.push_back(memo.coeffs(code, lost, solution.chunks));
     }
-    return {solution.stripe, survivors, solution.lost_chunks, coeffs};
+    return {solution.stripe, solution.chunks, solution.lost_chunks, coeffs};
   }
 
   StripeBinding bind_rr(const rs::Code& code, const MultiRrSolution& solution,
@@ -243,8 +235,8 @@ PlanTemplate& PlanTemplateCache::car(const MultiStripeSolution& solution) {
   ++stats_.misses;
   std::vector<std::size_t> pick_sizes;
   pick_sizes.reserve(solution.picks.size());
-  for (const RackPick& pick : solution.picks) {
-    pick_sizes.push_back(pick.chunk_indices.size());
+  for (const PickRange& pick : solution.picks) {
+    pick_sizes.push_back(pick.count);
   }
   return cache_
       .emplace(scratch_,

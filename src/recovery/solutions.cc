@@ -1,7 +1,8 @@
 #include "recovery/solutions.h"
 
 #include <algorithm>
-#include <stdexcept>
+#include <limits>
+#include <optional>
 
 #include "util/check.h"
 
@@ -13,41 +14,68 @@ bool RackSet::contains(cluster::RackId rack) const noexcept {
 
 namespace {
 
-/// Non-home racks with at least one available chunk, sorted by descending
-/// availability (ties by ascending rack id — deterministic).
-std::vector<cluster::RackId> ranked_racks(
-    cluster::RackId home, std::span<const std::size_t> available) {
-  std::vector<cluster::RackId> racks;
-  for (cluster::RackId i = 0; i < available.size(); ++i) {
-    if (i != home && available[i] > 0) racks.push_back(i);
+/// Theorem 1 on a sparse census, or nothing when even every rack together
+/// cannot reach `needed`.
+std::optional<std::size_t> racks_needed(
+    std::size_t needed, cluster::RackId home,
+    std::span<const RackCount> ranked) noexcept {
+  std::size_t gathered = 0;
+  for (const RackCount& entry : ranked) {
+    if (entry.rack == home) gathered = entry.count;
   }
-  std::stable_sort(racks.begin(), racks.end(),
-                   [&](cluster::RackId a, cluster::RackId b) {
-                     return available[a] > available[b];
-                   });
-  return racks;
+  std::size_t d = 0;
+  for (const RackCount& entry : ranked) {
+    if (gathered >= needed) break;
+    if (entry.rack == home) continue;
+    gathered += entry.count;
+    ++d;
+  }
+  if (gathered < needed) return std::nullopt;
+  return d;
+}
+
+std::size_t count_in(std::span<const RackCount> ranked,
+                     cluster::RackId rack) noexcept {
+  for (const RackCount& entry : ranked) {
+    if (entry.rack == rack) return entry.count;
+  }
+  return 0;
+}
+
+/// The dense census in sparse rank order (racks with no chunk dropped).
+std::vector<RackCount> rank_dense(std::span<const std::size_t> available) {
+  CAR_CHECK_LE(available.size(),
+               std::size_t{std::numeric_limits<std::uint32_t>::max()},
+               "rack census: too many racks for a 32-bit rack id");
+  std::vector<RackCount> ranked;
+  for (cluster::RackId i = 0; i < available.size(); ++i) {
+    if (available[i] == 0) continue;
+    CAR_CHECK_LE(available[i],
+                 std::size_t{std::numeric_limits<std::uint32_t>::max()},
+                 "rack census: chunk count overflows 32 bits");
+    ranked.push_back({static_cast<std::uint32_t>(i),
+                      static_cast<std::uint32_t>(available[i])});
+  }
+  std::sort(ranked.begin(), ranked.end(), ranks_before);
+  return ranked;
 }
 
 }  // namespace
 
 std::size_t min_racks_for(std::size_t needed, cluster::RackId home,
+                          std::span<const RackCount> ranked) {
+  const auto d = racks_needed(needed, home, ranked);
+  CAR_CHECK(d.has_value(),
+            "min_racks_for: fewer than `needed` chunks available — "
+            "unrecoverable");
+  return *d;
+}
+
+std::size_t min_racks_for(std::size_t needed, cluster::RackId home,
                           std::span<const std::size_t> available) {
   CAR_CHECK_LT(home, available.size(),
                "min_racks_for: home rack out of range");
-  std::size_t total = 0;
-  for (std::size_t a : available) total += a;
-  CAR_CHECK_GE(total, needed,
-               "min_racks_for: fewer than `needed` chunks available — "
-               "unrecoverable");
-  const auto ranked = ranked_racks(home, available);
-  std::size_t gathered = available[home];
-  std::size_t d = 0;
-  while (gathered < needed) {
-    // total >= needed guarantees we never run off the end.
-    gathered += available[ranked[d]];
-    ++d;
-  }
-  return d;
+  return min_racks_for(needed, home, rank_dense(available));
 }
 
 std::vector<RackSet> enumerate_rack_sets(
@@ -87,47 +115,58 @@ std::vector<RackSet> enumerate_rack_sets(
 }
 
 RackSet default_rack_set(std::size_t needed, cluster::RackId home,
-                         std::span<const std::size_t> available) {
-  const std::size_t d = min_racks_for(needed, home, available);
-  const auto ranked = ranked_racks(home, available);
+                         std::span<const RackCount> ranked) {
+  const std::size_t d = min_racks_for(needed, home, ranked);
   RackSet set;
-  set.racks.assign(ranked.begin(),
-                   ranked.begin() + static_cast<std::ptrdiff_t>(d));
+  set.racks.reserve(d);
+  for (const RackCount& entry : ranked) {
+    if (set.racks.size() == d) break;
+    if (entry.rack != home) set.racks.push_back(entry.rack);
+  }
   std::sort(set.racks.begin(), set.racks.end());
   return set;
+}
+
+RackSet default_rack_set(std::size_t needed, cluster::RackId home,
+                         std::span<const std::size_t> available) {
+  CAR_CHECK_LT(home, available.size(),
+               "default_rack_set: home rack out of range");
+  return default_rack_set(needed, home, rank_dense(available));
+}
+
+bool is_valid_minimal_for(std::size_t needed, cluster::RackId home,
+                          std::span<const RackCount> ranked,
+                          const RackSet& set) {
+  const auto d = racks_needed(needed, home, ranked);
+  if (!d.has_value() || set.racks.size() != *d) return false;
+  std::size_t sum = count_in(ranked, home);
+  for (auto it = set.racks.begin(); it != set.racks.end(); ++it) {
+    if (*it == home) return false;
+    if (std::find(set.racks.begin(), it, *it) != it) return false;
+    const std::size_t count = count_in(ranked, *it);
+    if (count == 0) return false;
+    sum += count;
+  }
+  return sum >= needed;
 }
 
 bool is_valid_minimal_for(std::size_t needed, cluster::RackId home,
                           std::span<const std::size_t> available,
                           const RackSet& set) {
-  std::size_t d = 0;
-  try {
-    d = min_racks_for(needed, home, available);
-  } catch (const std::invalid_argument&) {
-    return false;
-  }
-  if (set.racks.size() != d) return false;
-  std::size_t sum = available[home];
-  std::vector<bool> seen(available.size(), false);
-  for (cluster::RackId rack : set.racks) {
-    if (rack >= available.size() || rack == home) return false;
-    if (seen[rack]) return false;
-    seen[rack] = true;
-    if (available[rack] == 0) return false;
-    sum += available[rack];
-  }
-  return sum >= needed;
+  if (home >= available.size()) return false;
+  return is_valid_minimal_for(needed, home, rank_dense(available), set);
 }
 
 // --- Single-failure wrappers (paper Theorem 1 terms) -----------------------
 
 std::size_t min_intact_racks(const StripeCensus& census) {
-  try {
-    return min_racks_for(census.k, census.failed_rack, census.surviving);
-  } catch (const std::invalid_argument&) {
-    CAR_CHECK_FAIL(
-        "min_intact_racks: fewer than k surviving chunks — unrecoverable");
-  }
+  CAR_CHECK_LT(census.failed_rack, census.surviving.size(),
+               "min_intact_racks: failed rack out of range");
+  const auto d =
+      racks_needed(census.k, census.failed_rack, rank_dense(census.surviving));
+  CAR_CHECK(d.has_value(),
+            "min_intact_racks: fewer than k surviving chunks — unrecoverable");
+  return *d;
 }
 
 std::vector<RackSet> enumerate_minimal_solutions(const StripeCensus& census) {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -46,13 +47,37 @@ bool is_valid_minimal(const StripeCensus& census, const RackSet& set);
 
 // ---------------------------------------------------------------------------
 // Generalised core (shared with multi-failure recovery, recovery/multi.h).
-// `available[i]` is how many chunks rack i can contribute; `home` is the
-// rack hosting the replacement node, whose chunks are free at the rack level.
+// `home` is the rack hosting the replacement node, whose chunks are free at
+// the rack level.
+//
+// The core runs on a sparse census: one RackCount per rack that can
+// contribute at least one chunk, in rank order (ranks_before) — at most k+m
+// entries however many racks the cluster has, so every query below is
+// O(k+m).  The dense overloads take `available[i]`, how many chunks rack i
+// can contribute, and rank it into that form.
 // ---------------------------------------------------------------------------
+
+/// One rack of a sparse census: `count` >= 1 chunks available in `rack`.
+struct RackCount {
+  std::uint32_t rack = 0;
+  std::uint32_t count = 0;
+
+  friend bool operator==(const RackCount&, const RackCount&) = default;
+};
+
+/// The one rack ranking: more available chunks first, ties by lower rack
+/// id.  Default rack sets take a prefix of it and materialisation reads
+/// racks in it.
+[[nodiscard]] constexpr bool ranks_before(const RackCount& a,
+                                          const RackCount& b) noexcept {
+  return a.count != b.count ? a.count > b.count : a.rack < b.rack;
+}
 
 /// Minimum number of non-home racks whose available chunks, together with
 /// the home rack's, reach `needed`.  Throws std::invalid_argument when the
 /// total available is below `needed`.
+std::size_t min_racks_for(std::size_t needed, cluster::RackId home,
+                          std::span<const RackCount> ranked);
 std::size_t min_racks_for(std::size_t needed, cluster::RackId home,
                           std::span<const std::size_t> available);
 
@@ -61,11 +86,20 @@ std::vector<RackSet> enumerate_rack_sets(
     std::size_t needed, cluster::RackId home,
     std::span<const std::size_t> available);
 
-/// The default (largest racks first) minimal rack set.
+/// The default minimal rack set: the first min_racks_for non-home racks of
+/// the ranking.
+RackSet default_rack_set(std::size_t needed, cluster::RackId home,
+                         std::span<const RackCount> ranked);
 RackSet default_rack_set(std::size_t needed, cluster::RackId home,
                          std::span<const std::size_t> available);
 
-/// Validity check for the generalised problem.
+/// Validity check for the generalised problem: min_racks_for distinct
+/// non-home racks that each contribute a chunk and reach `needed` together
+/// with the home rack.  False, never a throw, when `needed` is out of
+/// reach.
+bool is_valid_minimal_for(std::size_t needed, cluster::RackId home,
+                          std::span<const RackCount> ranked,
+                          const RackSet& set);
 bool is_valid_minimal_for(std::size_t needed, cluster::RackId home,
                           std::span<const std::size_t> available,
                           const RackSet& set);

@@ -3,11 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
+#include <string>
 
 #include "cluster/configs.h"
 #include "emul/cluster.h"
 #include "recovery/balancer.h"
+#include "util/check.h"
 
 namespace car::recovery {
 namespace {
@@ -41,8 +42,11 @@ TEST(MultiFailure, CensusCountsLostAndSurvivingConsistently) {
   const auto censuses = build_multi_censuses(p, scenario);
   ASSERT_FALSE(censuses.empty());
   for (const auto& census : censuses) {
-    const std::size_t surviving = std::accumulate(
-        census.surviving.begin(), census.surviving.end(), std::size_t{0});
+    std::size_t surviving = 0;
+    for (const RackCount& entry : census.surviving.ranked()) {
+      EXPECT_GT(entry.count, 0u);
+      surviving += entry.count;
+    }
     EXPECT_EQ(surviving + census.lost_chunks.size(), cfg.k + cfg.m);
     EXPECT_GE(census.lost_chunks.size(), 1u);
     EXPECT_LE(census.lost_chunks.size(), 2u);
@@ -52,6 +56,87 @@ TEST(MultiFailure, CensusCountsLostAndSurvivingConsistently) {
       EXPECT_TRUE(scenario.is_failed(p.node_of(census.stripe, c)));
     }
   }
+}
+
+TEST(RackCounts, KeepsRankOrderInlineAndSpilled) {
+  util::Rng rng(5);
+  bool spilled = false;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t racks = 1 + rng.next_below(40);
+    std::vector<std::size_t> dense(racks, 0);
+    RackCounts counts;
+    const std::size_t adds = rng.next_below(80);
+    for (std::size_t i = 0; i < adds; ++i) {
+      const auto rack = static_cast<cluster::RackId>(rng.next_below(racks));
+      ++dense[rack];
+      counts.add(rack);
+    }
+    std::vector<RackCount> want;
+    for (cluster::RackId rack = 0; rack < racks; ++rack) {
+      if (dense[rack] > 0) {
+        want.push_back({static_cast<std::uint32_t>(rack),
+                        static_cast<std::uint32_t>(dense[rack])});
+      }
+    }
+    std::sort(want.begin(), want.end(),
+              [](const RackCount& a, const RackCount& b) {
+                return a.count != b.count ? a.count > b.count
+                                          : a.rack < b.rack;
+              });
+    EXPECT_TRUE(std::ranges::equal(counts.ranked(), want)) << "trial " << trial;
+    spilled |= want.size() > RackCounts::kInline;
+    const RackCounts copy = counts;
+    EXPECT_EQ(copy, counts);
+  }
+  EXPECT_TRUE(spilled);
+}
+
+TEST(MultiFailure, SparseCoreAnswersInfeasibleQueriesWithoutThrowing) {
+  const std::vector<RackCount> ranked = {{2, 2}, {0, 1}, {1, 1}};
+  EXPECT_EQ(min_racks_for(4, 0, ranked), 2u);
+  EXPECT_EQ(default_rack_set(4, 0, ranked), (RackSet{{1, 2}}));
+  EXPECT_TRUE(is_valid_minimal_for(4, 0, ranked, RackSet{{1, 2}}));
+  // Out of reach: a false answer, not an exception.
+  EXPECT_FALSE(is_valid_minimal_for(5, 0, ranked, RackSet{{1, 2}}));
+  EXPECT_THROW(min_racks_for(5, 0, ranked), std::invalid_argument);
+  // A rack the census does not list contributes nothing.
+  EXPECT_FALSE(is_valid_minimal_for(4, 0, ranked, RackSet{{2, 7}}));
+}
+
+TEST(MultiFailure, MaterializeRejectsValidButOversizedRackSet) {
+  const auto cfg = cluster::cfs2();
+  const auto p = make_placement(cfg, 60, 12);
+  const auto scenario = make_multi_failure(p, {0});
+  const auto censuses = build_multi_censuses(p, scenario);
+  bool checked = false;
+  for (const auto& census : censuses) {
+    const auto ranked = census.surviving.ranked();
+    RackSet set = default_rack_set(census.k, census.replacement_rack, ranked);
+    const auto extra = std::find_if(
+        ranked.begin(), ranked.end(), [&](const RackCount& entry) {
+          return entry.rack != census.replacement_rack &&
+                 !set.contains(entry.rack);
+        });
+    if (extra == ranked.end()) continue;
+    const auto minimal = materialize_multi(p, census, set);
+    EXPECT_EQ(minimal.chunks.size(), census.k);
+    // Enough chunks, distinct non-home racks — but one rack too many, so
+    // a pick would read nothing: rejected by the contract check.
+    set.racks.push_back(extra->rack);
+    EXPECT_FALSE(is_valid_minimal_for(census.k, census.replacement_rack,
+                                      ranked, set));
+    try {
+      (void)materialize_multi(p, census, set);
+      ADD_FAILURE() << "oversized rack set accepted";
+    } catch (const util::CheckError& error) {
+      EXPECT_NE(std::string(error.what()).find("not a valid minimal solution"),
+                std::string::npos)
+          << error.what();
+    }
+    checked = true;
+    break;
+  }
+  EXPECT_TRUE(checked) << "no stripe with a spare rack in this placement";
 }
 
 TEST(MultiFailure, SingleFailureIsASpecialCase) {
@@ -81,11 +166,21 @@ TEST(MultiFailure, UnrecoverableStripeThrows) {
   // Force a stripe losing more than m chunks: fail m+1 of its hosts.
   const auto cfg = cluster::cfs1();  // m = 3
   const auto p = make_placement(cfg, 10, 4);
-  const auto hosts = p.stripe(0);
-  std::vector<cluster::NodeId> victims(hosts.begin(),
-                                       hosts.begin() + cfg.m + 1);
-  const auto scenario = make_multi_failure(p, victims);
-  EXPECT_THROW(build_multi_censuses(p, scenario), std::invalid_argument);
+  // The first stripe is scanned on the calling thread, the last one on a
+  // worker thread when sharded; either way every thread is joined and the
+  // error reaches the caller.
+  for (const cluster::StripeId stripe : {cluster::StripeId{0},
+                                         cluster::StripeId{9}}) {
+    const auto hosts = p.stripe(stripe);
+    std::vector<cluster::NodeId> victims(hosts.begin(),
+                                         hosts.begin() + cfg.m + 1);
+    const auto scenario = make_multi_failure(p, victims);
+    for (const std::size_t shards : {1u, 4u}) {
+      EXPECT_THROW(build_multi_censuses(p, scenario, shards),
+                   std::invalid_argument)
+          << "stripe " << stripe << " shards " << shards;
+    }
+  }
 }
 
 class MultiFailureSweep
@@ -116,7 +211,7 @@ TEST_P(MultiFailureSweep, SolutionsAreMinimalAndCompleteAndBalanced) {
   for (std::size_t j = 0; j < censuses.size(); ++j) {
     const auto& solution = result.solutions[j];
     // Exactly k distinct survivors, none of them lost.
-    const auto all = solution.all_chunk_indices();
+    const auto& all = solution.chunks;
     EXPECT_EQ(all.size(), censuses[j].k);
     for (std::size_t c : all) {
       EXPECT_FALSE(std::binary_search(censuses[j].lost_chunks.begin(),
@@ -126,7 +221,7 @@ TEST_P(MultiFailureSweep, SolutionsAreMinimalAndCompleteAndBalanced) {
     // Rack set is a valid minimal selection.
     EXPECT_TRUE(is_valid_minimal_for(censuses[j].k,
                                      censuses[j].replacement_rack,
-                                     censuses[j].surviving,
+                                     censuses[j].surviving.ranked(),
                                      solution.rack_set));
   }
 
@@ -234,7 +329,7 @@ TEST(MultiFailure, WholeRackFailureIsAlwaysRecoverable) {
       ASSERT_EQ(balanced.solutions.size(), censuses.size());
       for (std::size_t j = 0; j < censuses.size(); ++j) {
         EXPECT_LE(censuses[j].lost_chunks.size(), cfg.m);
-        EXPECT_EQ(balanced.solutions[j].all_chunk_indices().size(), cfg.k);
+        EXPECT_EQ(balanced.solutions[j].chunks.size(), cfg.k);
       }
     }
   }

@@ -11,6 +11,8 @@
 #include <exception>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "recovery/plan_arena.h"
 #include "recovery/plan_template.h"
 #include "rs/code.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace car {
@@ -110,6 +113,7 @@ emul::ExecutionReport run_streamed(
   emul::ArenaStreamFeed feed;
   std::exception_ptr produce_error;
   std::thread producer([&] {
+    const emul::ArenaStreamFeed::ProducerGuard close_feed(feed);
     try {
       recovery::stream_multi_car_arena(
           build, fx.placement, fx.code, solutions, cache,
@@ -117,7 +121,6 @@ emul::ExecutionReport run_streamed(
     } catch (...) {
       produce_error = std::current_exception();
     }
-    feed.close();
   });
   emul::ExecutionReport report;
   try {
@@ -417,6 +420,57 @@ TEST(ReplayEngine, TemplateRdepReleaseResealsOnCacheReuse) {
   // Every template resolves from the cache the second time around.
   EXPECT_GT(cache.stats().hits, hits_after_first);
   expect_slice_plans_equal(first, second);
+}
+
+// A producer that dies mid-append must fail the run, not hang it: its
+// ProducerGuard closes the feed while the exception unwinds, and the
+// executor reports the short watermark.  ctest's per-test timeout turns a
+// regression (a feed nobody closes) into a failure instead of a stuck job.
+TEST(ReplayEngine, ThrowingStreamProducerFailsTheRunInsteadOfHanging) {
+  const auto fx = make_fixture(1, 47, /*stripes=*/30);
+  const auto balanced = recovery::balance_multi(fx.placement, fx.censuses);
+  ASSERT_GE(balanced.solutions.size(), 3u);
+  emul::Cluster cluster(fx.placement.topology(), emul_config());
+  for (const auto node : fx.scenario.failed_nodes) cluster.erase_node(node);
+
+  PlanTemplateCache cache;
+  auto build = recovery::reserve_multi_car_arena(
+      fx.placement, balanced.solutions, kChunk, 16 * 1024,
+      fx.scenario.replacement, cache);
+  emul::ArenaStreamFeed feed;
+  std::exception_ptr produce_error;
+  std::thread producer([&] {
+    try {
+      const emul::ArenaStreamFeed::ProducerGuard close_feed(feed);
+      std::size_t appended = 0;
+      recovery::stream_multi_car_arena(
+          build, fx.placement, fx.code, balanced.solutions, cache,
+          [&](std::uint64_t rows) {
+            feed.publish(rows);
+            if (++appended == 2) {
+              throw std::runtime_error("producer died mid-append");
+            }
+          });
+    } catch (...) {
+      produce_error = std::current_exception();
+    }
+  });
+  emul::ArenaExecOptions options;
+  options.shards = 2;
+  options.replay_shards = 2;
+  options.metadata_only = true;
+  std::string message;
+  try {
+    (void)cluster.execute_arena_streaming(build.arena, options, feed);
+  } catch (const util::StateError& error) {
+    message = error.what();
+  }
+  producer.join();
+  EXPECT_NE(message.find("producer closed before publishing every base step"),
+            std::string::npos)
+      << "executor error: " << message;
+  ASSERT_TRUE(produce_error);
+  EXPECT_THROW(std::rethrow_exception(produce_error), std::runtime_error);
 }
 
 // --- safe-window stress --------------------------------------------------

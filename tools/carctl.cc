@@ -405,6 +405,10 @@ int cmd_emulate_scale(const util::Flags& flags) {
     std::exception_ptr produce_error;
     double append_s = 0.0;
     std::thread producer([&] {
+      // Closes the feed on every exit, so the executor's ingest loop
+      // terminates (its closed-before-published check turns an early close
+      // into a failure there).
+      const emul::ArenaStreamFeed::ProducerGuard close_feed(feed);
       const auto p0 = phase_clock();
       try {
         const auto publish = [&feed](std::uint64_t rows) {
@@ -420,10 +424,6 @@ int cmd_emulate_scale(const util::Flags& flags) {
       } catch (...) {
         produce_error = std::current_exception();
       }
-      // Close even on error so the executor's ingest loop terminates (its
-      // closed-before-published check turns the early close into a
-      // failure there).
-      feed.close();
       append_s = phase_s(p0, phase_clock());
     });
     t = phase_clock();
