@@ -45,8 +45,8 @@
 // drain heap, so they still pop before everything in the rung.
 //
 // Not thread-safe: each replay shard owns one queue (see the epoch-based
-// safe-window protocol in emul/cluster.cc); the sequential engines in
-// inject/runtime.cc and rebuild/driver.cc own theirs outright.
+// safe-window protocol in emul/cluster.cc); the fault-aware step loop in
+// inject/driver.cc owns its queue outright.
 #pragma once
 
 #include <cstddef>

@@ -603,7 +603,7 @@ ExecutionReport Cluster::execute(const recovery::SlicePlan& plan) {
     // "computation time" is the decoding arithmetic, not buffer management
     // (staging comes from the pool, outside the window).  The step contract
     // and the fused combine live in the shared helper, which
-    // inject/runtime.cc executes identically.  The output is staged in a
+    // inject/driver.cc executes identically.  The output is staged in a
     // lease (the kernels' combine output may not alias its inputs) and then
     // assembled into the base step's output buffer.
     util::BufferLease out = impl_->pool.acquire(

@@ -19,15 +19,6 @@ constexpr std::array<const char*, 22> kKindNames = {
     "stripes-requeued",
 };
 
-/// Fixed-precision timestamp: virtual times are exact doubles from
-/// deterministic arithmetic, and %.9f (nanosecond grain) renders them
-/// identically on every run and platform.
-std::string format_time(double t) {
-  std::array<char, 64> buf{};
-  std::snprintf(buf.data(), buf.size(), "%.9f", t);
-  return {buf.data()};
-}
-
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
 std::string escape(const std::string& s) {
   std::string out;
@@ -62,6 +53,12 @@ std::string escape(const std::string& s) {
 
 }  // namespace
 
+std::string format_seconds(double t) {
+  std::array<char, 64> buf{};
+  std::snprintf(buf.data(), buf.size(), "%.9f", t);
+  return {buf.data()};
+}
+
 const char* to_string(EventKind kind) noexcept {
   const auto index = static_cast<std::size_t>(kind);
   return index < kKindNames.size() ? kKindNames[index] : "?";
@@ -95,7 +92,7 @@ std::string EventLog::to_json() const {
   for (std::size_t i = 0; i < events_.size(); ++i) {
     const Event& e = events_[i];
     out += "  {\"seq\":" + std::to_string(e.seq) + ",\"t\":\"" +
-           format_time(e.t) + "\",\"kind\":\"" + to_string(e.kind) +
+           format_seconds(e.t) + "\",\"kind\":\"" + to_string(e.kind) +
            "\",\"step\":" + std::to_string(e.step) +
            ",\"attempt\":" + std::to_string(e.attempt) +
            ",\"node\":" + std::to_string(e.node) +

@@ -43,6 +43,12 @@ enum class EventKind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(EventKind kind) noexcept;
 
+/// Fixed-precision seconds ("%.9f"): virtual times are exact doubles from
+/// deterministic arithmetic, and nanosecond grain renders them identically
+/// on every run and platform.  The JSON timestamps and every time quoted in
+/// an event detail use it.
+[[nodiscard]] std::string format_seconds(double t);
+
 /// One timestamped occurrence.  Unused numeric fields stay -1 (bytes: 0);
 /// the JSON always serialises every field so the byte layout of a log is a
 /// pure function of the event sequence.

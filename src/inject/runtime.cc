@@ -1,20 +1,12 @@
 #include "inject/runtime.h"
 
 #include <algorithm>
-#include <array>
-#include <cstdio>
-#include <cstring>
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
 
-#include "emul/calendar_queue.h"
-#include "recovery/compute.h"
 #include "recovery/multi.h"
-#include "recovery/scheduler.h"
-#include "recovery/slice.h"
-#include "util/buffer_pool.h"
+#include "recovery/plan_template.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -22,45 +14,7 @@ namespace car::inject {
 
 namespace {
 
-using recovery::BufferRef;
-using recovery::PlanStep;
 using recovery::RecoveryPlan;
-using recovery::SliceInfo;
-using recovery::SlicePlan;
-using recovery::StepKind;
-
-std::string fmt_s(double t) {
-  std::array<char, 64> buf{};
-  std::snprintf(buf.data(), buf.size(), "%.9f", t);
-  return {buf.data()};
-}
-
-std::string fmt_hex(std::uint64_t v) {
-  std::array<char, 32> buf{};
-  std::snprintf(buf.data(), buf.size(), "%016llx",
-                static_cast<unsigned long long>(v));
-  return {buf.data()};
-}
-
-/// FNV-1a over a (slice of a) payload — the emulated transfer checksum.
-/// Only used to produce a deterministic, human-checkable mismatch in
-/// corrupt events.
-std::uint64_t fnv64(std::span<const std::uint8_t> data) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t b : data) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::string describe(const BufferRef& ref) {
-  if (ref.kind == BufferRef::Kind::kChunk) {
-    return "chunk s" + std::to_string(ref.stripe) + "#" +
-           std::to_string(ref.chunk_index);
-  }
-  return "step-output #" + std::to_string(ref.step_id);
-}
 
 std::string describe_nodes(const std::vector<cluster::NodeId>& nodes) {
   std::string out = "{";
@@ -71,599 +25,200 @@ std::string describe_nodes(const std::vector<cluster::NodeId>& nodes) {
   return out + "}";
 }
 
-/// Releases the cluster's replacement guard no matter how execute() exits.
-/// Guards are counted per node (emul::Cluster::add_replacement_guard), so
-/// this composes with guards held by outer runtimes or other generations.
-class GuardScope {
- public:
-  GuardScope(emul::Cluster& cluster, cluster::NodeId replacement)
-      : cluster_(cluster), replacement_(replacement) {
-    cluster_.add_replacement_guard(replacement_);
-  }
-  ~GuardScope() { cluster_.remove_replacement_guard(replacement_); }
-  GuardScope(const GuardScope&) = delete;
-  GuardScope& operator=(const GuardScope&) = delete;
+double completion_ratio(std::size_t completed, std::size_t total) {
+  return total == 0 ? 1.0
+                    : static_cast<double>(completed) /
+                          static_cast<double>(total);
+}
 
- private:
-  emul::Cluster& cluster_;
-  cluster::NodeId replacement_;
-};
+/// The fewest completed steps whose completion ratio reaches `fraction`
+/// (in [0, 1], so `total` always does).
+std::size_t steps_to_reach(double fraction, std::size_t total) {
+  std::size_t k = 0;
+  while (k < total && completion_ratio(k, total) < fraction) ++k;
+  return k;
+}
 
-/// The sequential virtual-time engine behind ResilientRuntime::execute.
-/// One instance spans the whole run, including crash escalations: the
-/// timeline (`now`), stats, and log carry across re-plans.
-class Engine {
+/// One execute() call: a single-batch BatchDriver plus the crash
+/// bookkeeping, which both live across re-plans — the timeline, stats, and
+/// log carry over.
+class Run {
  public:
-  Engine(emul::Cluster& cluster, const FaultPlan& faults,
-         const RetryPolicy& policy, std::uint64_t seed,
-         std::uint64_t slice_bytes, const ReplanContext& ctx,
-         DataPolicy data)
+  Run(emul::Cluster& cluster, const FaultPlan& faults,
+      const RetryPolicy& policy, std::uint64_t seed,
+      std::uint64_t slice_bytes, const ReplanContext& ctx, DataPolicy data)
       : cluster_(cluster),
         faults_(faults),
-        policy_(policy),
         seed_(seed),
-        slice_bytes_(slice_bytes),
         ctx_(ctx),
-        data_(std::move(data)),
-        backoff_rng_(seed ^ 0x8badf00ddeadbeefULL),
         replan_rng_(seed ^ 0x5bd1e9955bd1e995ULL),
         crash_fired_(faults.node_crashes.size(), false),
+        failed_nodes_(ctx.failed_nodes),
         t0_(cluster.clock().now()),
-        now_(t0_) {
-    std::sort(data_.sampled_stripes.begin(), data_.sampled_stripes.end());
-    result_.report.per_rack_cross_bytes.assign(
-        cluster_.topology().num_racks(), 0);
-  }
+        driver_(cluster, without_crashes(faults), policy, seed, slice_bytes,
+                std::move(data), result_.log, LogFraming::kClient) {}
 
   RunResult run(const RecoveryPlan& plan) {
-    // Lower onto the slice grid up front (degenerate when slice_bytes_
-    // covers the chunk — one slice per step with identical ids and bytes,
-    // so a chunk-granular run and its log are reproduced byte for byte).
-    SlicePlan sliced = recovery::slice_plan(plan, slice_bytes_);
-    std::string start_detail = std::to_string(plan.steps.size()) +
-                               " steps, " +
-                               std::to_string(plan.outputs.size()) +
-                               " outputs, seed " + std::to_string(seed_);
-    if (sliced.num_slices > 1) {
-      start_detail += ", sliced " + std::to_string(sliced.slice_size) +
-                      " B x" + std::to_string(sliced.num_slices) + " (" +
-                      std::to_string(sliced.steps.size()) + " slice steps)";
-    }
-    result_.log.record(now_, EventKind::kRunStart, -1, -1, plan.replacement,
-                       0, start_detail);
-    arm_link_faults(cluster_, faults_, t0_);
-    for (const auto& fault : faults_.link_faults) {
-      result_.log.record(
-          now_, EventKind::kLinkFaultArmed, -1, -1,
-          static_cast<std::int64_t>(fault.id), 0,
-          std::string(to_string(fault.side)) + " #" +
-              std::to_string(fault.id) + " x" + fmt_s(fault.factor) + " [" +
-              fmt_s(fault.start_s) + ", " + fmt_s(fault.end_s) + ")");
-    }
+    const recovery::SlicePlan& lowered = driver_.admit(0, plan);
+    std::size_t total = lowered.steps.size();
+    result_.log.record(t0_, EventKind::kRunStart, -1, -1,
+                       static_cast<std::int64_t>(plan.replacement), 0,
+                       std::to_string(plan.steps.size()) + " steps, " +
+                           std::to_string(plan.outputs.size()) +
+                           " outputs, seed " + std::to_string(seed_) +
+                           slicing_note(lowered));
+    log_link_faults(result_.log, faults_, t0_);
 
     RecoveryPlan current = plan;
     for (;;) {
-      auto next = run_plan(current, sliced);
-      if (!next) break;
-      current = std::move(*next);
-      // Crash escalations re-plan at chunk granularity; re-lower the fresh
-      // plan onto the same slice grid before resuming.
-      sliced = recovery::slice_plan(current, slice_bytes_);
+      const auto [crash, tc] = run_to_crash(total);
+      if (!crash) break;
+      current = escalate(*crash, tc, current);
+      // Crash escalations re-plan at chunk granularity; the driver lowers
+      // the fresh plan onto the same slice grid.
+      total = driver_.admit(0, current).steps.size();
     }
-    publish_outputs(current, nullptr, sliced.num_slices);
-    result_.report.wall_s = now_ - t0_;
-    result_.log.record(now_, EventKind::kRunComplete, -1, -1, -1, 0,
-                       "wall " + fmt_s(result_.report.wall_s) + "s, " +
-                           std::to_string(result_.stats.attempts) +
+
+    result_.report = driver_.report();
+    result_.report.wall_s = driver_.now() - t0_;
+    result_.stats = driver_.stats();
+    result_.stats.replans = replans_;
+    result_.log.record(driver_.now(), EventKind::kRunComplete, -1, -1, -1, 0,
+                       "wall " + format_seconds(result_.report.wall_s) +
+                           "s, " + std::to_string(result_.stats.attempts) +
                            " transfer attempts, " +
-                           std::to_string(result_.stats.replans) +
-                           " re-plans");
+                           std::to_string(replans_) + " re-plans");
     result_.final_plan = std::move(current);
     return std::move(result_);
   }
 
  private:
-  // (ready time, step id, 1-based attempt) — ties break on the lowest step
-  // id, then attempt, so the pop order is a pure function of the plan.
-  // The id/attempt pair packs into a calendar-queue key as
-  // id(48) | attempt(16), so (time, key) lexicographic order is exactly
-  // the old tuple order; pushes honour the queue's monotone-insertion
-  // discipline (dependents finish no earlier than their producer and have
-  // larger ids; retries back off to a later time or a larger attempt).
-  static std::uint64_t pack_event(std::size_t id, std::size_t attempt) {
-    CAR_CHECK_LT(id, std::size_t{1} << 48,
-                 "inject: slice step id exceeds the 48-bit event key field");
-    CAR_CHECK_LT(attempt, std::size_t{1} << 16,
-                 "inject: attempt exceeds the 16-bit event key field");
-    return (static_cast<std::uint64_t>(id) << 16) |
-           static_cast<std::uint64_t>(attempt);
+  static FaultPlan without_crashes(FaultPlan faults) {
+    faults.node_crashes.clear();
+    return faults;
   }
 
-  /// Execute one slice-lowered plan until it completes (returns nullopt) or
-  /// a node crash escalates into a re-plan (returns the validated next
-  /// *chunk-granular* plan; the caller re-lowers it).  `plan` is the base
-  /// plan `sliced` was lowered from — the re-plan needs its metadata.
-  std::optional<RecoveryPlan> run_plan(const RecoveryPlan& plan,
-                                       const SlicePlan& sliced) {
-    const std::size_t n = sliced.steps.size();
-    auto indegrees = recovery::step_indegrees(
-        std::span<const PlanStep>(sliced.steps));
-    const auto dependents = recovery::step_dependents(
-        std::span<const PlanStep>(sliced.steps));
-    std::vector<char> done(n, 0);
-    std::vector<double> ready_at(n, now_);
-    std::size_t completed = 0;
-
-    emul::CalendarQueue heap(n);
-    for (std::size_t id = 0; id < n; ++id) {
-      if (indegrees[id] == 0) heap.push(now_, pack_event(id, 1));
-    }
-
-    // A fraction trigger can already be satisfied at plan start (e.g.
-    // at_fraction == 0, or a re-plan entered with the trigger pending).
-    if (const auto crash = pending_fraction_crash(completed, n)) {
-      return escalate(*crash, now_, plan, sliced, done, completed);
-    }
-
-    while (!heap.empty()) {
-      const emul::CalendarQueue::Entry event = heap.pop();
-      const double t = event.time;
-      const auto id = static_cast<std::size_t>(event.key >> 16);
-      const auto attempt = static_cast<std::size_t>(event.key & 0xFFFFull);
-
-      // Time-triggered crashes fire the moment the timeline would pass
-      // them, before the event that exposed them runs.
-      if (const auto crash = pending_time_crash(t)) {
-        const double tc =
-            t0_ + *faults_.node_crashes[*crash].at_time_s;
-        return escalate(*crash, std::max(tc, now_), plan, sliced, done,
-                        completed);
+  /// Run the admitted plan (`total` slice steps) until it completes
+  /// (returns no crash) or a crash trigger fires (returns the crash and its
+  /// virtual time).  A time trigger fires the moment the timeline would
+  /// pass it, before the event that exposed it runs; a fraction trigger
+  /// fires right after the completion that reaches it — before the final
+  /// publish when that completion was the last.
+  std::pair<std::optional<std::size_t>, double> run_to_crash(
+      std::size_t total) {
+    const std::size_t base = driver_.completed_steps();
+    std::optional<std::size_t> steps;
+    std::optional<double> deadline;
+    for (std::size_t i = 0; i < faults_.node_crashes.size(); ++i) {
+      const NodeCrash& crash = faults_.node_crashes[i];
+      if (crash_fired_[i]) continue;
+      if (crash.at_fraction) {
+        const std::size_t k = steps_to_reach(*crash.at_fraction, total);
+        steps = std::min(steps.value_or(k), k);
+      } else if (crash.at_time_s) {
+        const double at = t0_ + *crash.at_time_s;
+        deadline = std::min(deadline.value_or(at), at);
       }
+    }
+    // A fraction trigger can already be satisfied at plan start
+    // (at_fraction == 0).
+    if (steps == 0) return {due_fraction_crash(0, total), driver_.now()};
 
-      advance(t);
-      const PlanStep& step = sliced.steps[id];
-      const SliceInfo& slice = sliced.info[id];
-      double finish = 0.0;
-      if (step.kind == StepKind::kCompute) {
-        finish = run_compute(sliced, step, slice, t);
-      } else {
-        const auto attempt_finish =
-            run_transfer_attempt(sliced, step, slice, t, attempt, heap);
-        if (!attempt_finish) continue;  // failed; retry already queued
-        finish = *attempt_finish;
-      }
-
-      done[id] = 1;
-      ++completed;
-      advance(finish);
-      for (const std::size_t dep : dependents[id]) {
-        ready_at[dep] = std::max(ready_at[dep], finish);
-        if (--indegrees[dep] == 0) {
-          heap.push(ready_at[dep], pack_event(dep, 1));
+    const RunOutcome outcome = driver_.run_until(
+        deadline, steps ? std::optional(base + *steps) : std::nullopt);
+    if (outcome.stop == StopReason::kStepLimit) {
+      return {due_fraction_crash(driver_.completed_steps() - base, total),
+              driver_.now()};
+    }
+    if (outcome.stop == StopReason::kDeadline) {
+      for (std::size_t i = 0; i < faults_.node_crashes.size(); ++i) {
+        const NodeCrash& crash = faults_.node_crashes[i];
+        if (crash_fired_[i] || !crash.at_time_s) continue;
+        const double at = t0_ + *crash.at_time_s;
+        if (at <= outcome.next_event_s) {
+          return {i, std::max(at, driver_.now())};
         }
       }
-      if (const auto crash = pending_fraction_crash(completed, n)) {
-        return escalate(*crash, finish, plan, sliced, done, completed);
-      }
     }
-    return std::nullopt;
+    CAR_CHECK_STATE(outcome.stop == StopReason::kBatchDone,
+                    "inject: the step loop stopped without finishing the "
+                    "plan or firing a crash");
+    return {std::nullopt, driver_.now()};
   }
 
-  /// True when this stripe's payload actually moves (every stripe in a
-  /// real-byte run; only the sampled ones in a metadata-only run).
-  [[nodiscard]] bool is_real(cluster::StripeId stripe) const {
-    return !data_.metadata_only ||
-           std::binary_search(data_.sampled_stripes.begin(),
-                              data_.sampled_stripes.end(), stripe);
-  }
-
-  /// Log-detail suffix identifying the slice; empty for degenerate
-  /// lowerings so chunk-granular logs stay byte-identical to the
-  /// pre-slicing engine's.
-  static std::string slice_suffix(const SlicePlan& sp, const SliceInfo& sl) {
-    if (sp.num_slices <= 1) return {};
-    return ", slice " + std::to_string(sl.slice + 1) + "/" +
-           std::to_string(sp.num_slices) + " @" + std::to_string(sl.offset);
-  }
-
-  /// Compute steps run the real GF kernels immediately; only their *timing*
-  /// is modelled (step.bytes / virtual_gf_bps, same charge as the
-  /// emulator's virtual timing pass — slice charges sum to the base
-  /// step's).  The output slice is staged in a pooled lease and assembled
-  /// into the base step's output buffer in place.
-  double run_compute(const SlicePlan& sliced, const PlanStep& step,
-                     const SliceInfo& slice, double t) {
-    if (is_real(step.stripe)) {
-      std::vector<const rs::Chunk*> inputs;
-      inputs.reserve(step.inputs.size());
-      for (const auto& in : step.inputs) {
-        const rs::Chunk* buf = cluster_.find_buffer(step.node, in.buffer);
-        CAR_CHECK_STATE(buf != nullptr,
-                        "inject: compute input " + describe(in.buffer) +
-                            " missing on node " + std::to_string(step.node));
-        inputs.push_back(buf);
-      }
-      // Step contract checks and the fused GF combine are shared with the
-      // emulator (recovery/compute.h), so both runtimes execute compute
-      // steps bit-identically.
-      util::BufferLease out = cluster_.buffer_pool().acquire(
-          static_cast<std::size_t>(slice.length));
-      recovery::execute_compute_slice(step, inputs, sliced.chunk_size,
-                                      slice.offset, {out.data(), out.size()},
-                                      "inject");
-      cluster_.write_buffer_range(step.node, BufferRef::step(slice.base_step),
-                                  sliced.chunk_size, slice.offset,
-                                  {out.data(), out.size()});
-    }
-
-    const double dt =
-        static_cast<double>(step.bytes) / cluster_.config().virtual_gf_bps;
-    const double finish = t + dt;
-    result_.report.compute_s += dt;
-    if (step.node == sliced.replacement) {
-      result_.report.replacement_compute_s += dt;
-    }
-    result_.log.record(finish, EventKind::kComputeComplete,
-                       static_cast<std::int64_t>(step.id), -1,
-                       static_cast<std::int64_t>(step.node), step.bytes,
-                       std::to_string(step.inputs.size()) + " inputs" +
-                           slice_suffix(sliced, slice));
-    return finish;
-  }
-
-  /// One transfer attempt of one slice.  Returns the delivery time on
-  /// success; on timeout/drop/corruption returns nullopt after queueing the
-  /// retry (or throws once the attempt budget is spent).
-  std::optional<double> run_transfer_attempt(const SlicePlan& sliced,
-                                             const PlanStep& step,
-                                             const SliceInfo& slice, double t,
-                                             std::size_t attempt,
-                                             emul::CalendarQueue& heap) {
-    ++result_.stats.attempts;
-    if (attempt > 1) ++result_.stats.retries;
-
-    const bool real = is_real(step.stripe);
-    std::span<const std::uint8_t> wire;
-    if (real) {
-      const rs::Chunk* payload = cluster_.find_buffer(step.src, step.payload);
-      CAR_CHECK_STATE(payload != nullptr,
-                      "inject: transfer payload " + describe(step.payload) +
-                          " missing on node " + std::to_string(step.src));
-      CAR_CHECK_STATE(payload->size() == sliced.chunk_size,
-                      "inject: transfer bytes do not match stored payload");
-      wire = {payload->data() + slice.offset,
-              static_cast<std::size_t>(slice.length)};
-    }
-
-    result_.log.record(t, EventKind::kTransferAttempt,
-                       static_cast<std::int64_t>(step.id),
-                       static_cast<std::int64_t>(attempt),
-                       static_cast<std::int64_t>(step.src), step.bytes,
-                       "-> " + std::to_string(step.dst) + ", " +
-                           describe(step.payload) +
-                           slice_suffix(sliced, slice));
-
-    if (step.src == step.dst) {
-      // Loopback never touches a link or a fault.  Stage the slice through
-      // a pooled lease so the (self-)write is well-defined.
-      if (real) {
-        util::BufferLease staged =
-            cluster_.buffer_pool().acquire(wire.size());
-        std::memcpy(staged.data(), wire.data(), wire.size());
-        cluster_.write_buffer_range(step.dst, step.payload, sliced.chunk_size,
-                                    slice.offset,
-                                    {staged.data(), staged.size()});
-      }
-      result_.log.record(t, EventKind::kTransferComplete,
-                         static_cast<std::int64_t>(step.id),
-                         static_cast<std::int64_t>(attempt),
-                         static_cast<std::int64_t>(step.dst), 0,
-                         "loopback" + slice_suffix(sliced, slice));
-      return t;
-    }
-
-    // The first declared fault that matches this (step, attempt) decides
-    // its fate; the decision is order-independent (see fault.h).
-    const TransferFault* fault = nullptr;
-    std::size_t fault_index = 0;
-    for (std::size_t i = 0; i < faults_.transfer_faults.size(); ++i) {
-      if (transfer_fault_applies(faults_.transfer_faults[i], i, step.id,
-                                 attempt, seed_)) {
-        fault = &faults_.transfer_faults[i];
-        fault_index = i;
-        break;
-      }
-    }
-
-    const std::uint64_t page = cluster_.config().page_bytes;
-    emul::LinkPath path = cluster_.path(step.src, step.dst);
-    const double deadline = t + policy_.transfer_timeout_s;
-    const double projected = path.preview(t, step.bytes, page);
-
-    double failed_at = 0.0;
-    if (projected > deadline) {
-      // The sender gives up at the deadline without committing the link:
-      // an abandoned attempt occupies no wire in this model.
-      ++result_.stats.timeouts;
-      failed_at = deadline;
-      result_.log.record(deadline, EventKind::kTransferTimeout,
-                         static_cast<std::int64_t>(step.id),
-                         static_cast<std::int64_t>(attempt),
-                         static_cast<std::int64_t>(step.src), step.bytes,
-                         "projected finish " + fmt_s(projected) +
-                             " past deadline " + fmt_s(deadline));
-    } else if (fault != nullptr &&
-               fault->kind == TransferFault::Kind::kDrop) {
-      // The bytes burn wire all the way, the receiver never sees them, and
-      // the sender only learns at the ack deadline.
-      const double finish = path.reserve(t, step.bytes, page);
-      ++result_.stats.drops;
-      result_.stats.wasted_wire_bytes += step.bytes;
-      failed_at = deadline;
-      result_.log.record(finish, EventKind::kTransferDrop,
-                         static_cast<std::int64_t>(step.id),
-                         static_cast<std::int64_t>(attempt),
-                         static_cast<std::int64_t>(step.src), step.bytes,
-                         "fault #" + std::to_string(fault_index) +
-                             ", ack deadline " + fmt_s(deadline));
-    } else if (fault != nullptr) {  // kCorrupt
-      const double finish = path.reserve(t, step.bytes, page);
-      std::string checksums;
-      if (real) {
-        // Garble one byte of the slice in a pooled staging copy — the
-        // stored payload stays pristine for the retry.  For a degenerate
-        // lowering the staged slice is the whole chunk and the garbled
-        // index matches the chunk-granular engine's, so logs stay
-        // byte-identical.
-        util::BufferLease staged =
-            cluster_.buffer_pool().acquire(wire.size());
-        std::memcpy(staged.data(), wire.data(), wire.size());
-        staged.data()[(step.id * 1315423911ULL + attempt) % staged.size()] ^=
-            0xA5;
-        checksums = ", checksum sent=" + fmt_hex(fnv64(wire)) + " got=" +
-                    fmt_hex(fnv64({staged.data(), staged.size()}));
-      } else {
-        // No payload to checksum — see DataPolicy's corrupt caveat.
-        checksums = ", checksum unavailable (metadata-only stripe)";
-      }
-      ++result_.stats.corruptions;
-      result_.stats.wasted_wire_bytes += step.bytes;
-      failed_at = finish;  // checksum mismatch is detected on delivery
-      result_.log.record(finish, EventKind::kTransferCorrupt,
-                         static_cast<std::int64_t>(step.id),
-                         static_cast<std::int64_t>(attempt),
-                         static_cast<std::int64_t>(step.dst), step.bytes,
-                         "fault #" + std::to_string(fault_index) + checksums +
-                             slice_suffix(sliced, slice));
-    } else {
-      const double finish = path.reserve(t, step.bytes, page);
-      if (real) {
-        cluster_.write_buffer_range(step.dst, step.payload, sliced.chunk_size,
-                                    slice.offset, wire);
-      }
-      // At-most-once accounting: slice bytes land in the report here and
-      // only here — failed attempts never reach this branch.  A transfer's
-      // slices partition the chunk, so the delivered total per base step is
-      // exactly chunk_size no matter the grid.
-      if (step.cross_rack) {
-        result_.report.cross_rack_bytes += step.bytes;
-        result_.report
-            .per_rack_cross_bytes[cluster_.topology().rack_of(step.src)] +=
-            step.bytes;
-      } else {
-        result_.report.intra_rack_bytes += step.bytes;
-      }
-      result_.log.record(finish, EventKind::kTransferComplete,
-                         static_cast<std::int64_t>(step.id),
-                         static_cast<std::int64_t>(attempt),
-                         static_cast<std::int64_t>(step.dst), step.bytes,
-                         (step.cross_rack ? std::string("cross-rack")
-                                          : std::string("intra-rack")) +
-                             slice_suffix(sliced, slice));
-      return finish;
-    }
-
-    CAR_CHECK_STATE(attempt < policy_.max_attempts,
-                    "inject: transfer step " + std::to_string(step.id) +
-                        " permanently failed after " +
-                        std::to_string(attempt) + " attempts");
-    const double delay = policy_.backoff.delay(attempt, backoff_rng_);
-    const double retry_at = failed_at + delay;
-    result_.log.record(failed_at, EventKind::kRetryScheduled,
-                       static_cast<std::int64_t>(step.id),
-                       static_cast<std::int64_t>(attempt + 1),
-                       static_cast<std::int64_t>(step.src), 0,
-                       "backoff " + fmt_s(delay) + "s, retry at " +
-                           fmt_s(retry_at));
-    heap.push(retry_at, pack_event(step.id, attempt + 1));
-    return std::nullopt;
-  }
-
-  /// First unfired fraction-triggered crash satisfied by the completion
-  /// ratio, if any.
-  std::optional<std::size_t> pending_fraction_crash(std::size_t completed,
-                                                    std::size_t total) const {
+  /// First unfired fraction-triggered crash (declaration order) that the
+  /// completion ratio satisfies.
+  std::optional<std::size_t> due_fraction_crash(std::size_t completed,
+                                                std::size_t total) const {
     for (std::size_t i = 0; i < faults_.node_crashes.size(); ++i) {
-      const auto& crash = faults_.node_crashes[i];
+      const NodeCrash& crash = faults_.node_crashes[i];
       if (crash_fired_[i] || !crash.at_fraction) continue;
-      const double ratio =
-          total == 0 ? 1.0
-                     : static_cast<double>(completed) /
-                           static_cast<double>(total);
-      if (ratio >= *crash.at_fraction) return i;
+      if (completion_ratio(completed, total) >= *crash.at_fraction) return i;
     }
     return std::nullopt;
   }
 
-  /// First unfired time-triggered crash whose deadline the timeline would
-  /// pass by processing an event at `t`, if any.
-  std::optional<std::size_t> pending_time_crash(double t) const {
-    for (std::size_t i = 0; i < faults_.node_crashes.size(); ++i) {
-      const auto& crash = faults_.node_crashes[i];
-      if (crash_fired_[i] || !crash.at_time_s) continue;
-      if (t0_ + *crash.at_time_s <= t) return i;
-    }
-    return std::nullopt;
-  }
-
-  /// Crash escalation: publish what finished, cancel the rest, drop the
-  /// node, re-plan the (now multi-)failure, validate, and hand back the
-  /// plan to resume with.  `done` and `completed` are at slice granularity;
-  /// an output counts as finished only when *every* slice of its producing
-  /// step delivered.
+  /// Crash escalation: log the crash, cancel the plan (publishing every
+  /// output whose producing step delivered all slices), drop the node,
+  /// re-plan the (now multi-)failure, validate, and return the plan to
+  /// resume with.
   RecoveryPlan escalate(std::size_t crash_index, double tc,
-                        const RecoveryPlan& plan, const SlicePlan& sliced,
-                        const std::vector<char>& done,
-                        std::size_t completed) {
+                        const RecoveryPlan& plan) {
     const NodeCrash& crash = faults_.node_crashes[crash_index];
     crash_fired_[crash_index] = true;
-    advance(tc);
-
-    CAR_CHECK_STATE(ctx_.placement != nullptr && ctx_.code != nullptr,
-                    "inject: node crash fired but ReplanContext has no "
-                    "placement/code to re-plan with");
+    driver_.advance_to(tc);
+    const double now = driver_.now();
 
     result_.log.record(
-        now_, EventKind::kNodeCrash, -1, -1,
+        now, EventKind::kNodeCrash, -1, -1,
         static_cast<std::int64_t>(crash.node), 0,
         crash.at_fraction
-            ? "at completion fraction " + fmt_s(*crash.at_fraction)
-            : "at scheduled time " + fmt_s(*crash.at_time_s));
-    const std::size_t cancelled = sliced.steps.size() - completed;
-    result_.stats.cancelled_steps += cancelled;
-    result_.log.record(now_, EventKind::kStepsCancelled, -1, -1, -1, 0,
-                       std::to_string(cancelled) + " of " +
-                           std::to_string(sliced.steps.size()) + " steps");
-
-    // Durability first: recovered chunks whose final step completed are
-    // already correct — promote them to regular replicas before the step
-    // outputs are wiped.  (The re-plan recomputes every lost chunk anyway;
-    // published replicas are simply overwritten with identical bytes.)
-    publish_outputs(plan, &done, sliced.num_slices);
-
+            ? "at completion fraction " + format_seconds(*crash.at_fraction)
+            : "at scheduled time " +
+                  format_seconds(crash.at_time_s.value_or(0.0)));
+    driver_.cancel_all();
     cluster_.drop_node(crash.node);  // CheckError if it is the replacement
-    cluster_.clear_step_outputs();
-    crashed_nodes_.push_back(crash.node);
-
-    recovery::MultiFailureScenario scenario;
-    scenario.failed_nodes = ctx_.failed_nodes;
-    for (const cluster::NodeId node : crashed_nodes_) {
-      scenario.failed_nodes.push_back(node);
-    }
-    scenario.replacement = plan.replacement;
-    scenario.replacement_rack =
-        cluster_.topology().rack_of(plan.replacement);
-
-    const bool car = ctx_.strategy == ReplanStrategy::kCar;
-    result_.log.record(now_, EventKind::kReplanStart, -1, -1,
+    failed_nodes_.push_back(crash.node);
+    result_.log.record(now, EventKind::kReplanStart, -1, -1,
                        static_cast<std::int64_t>(crash.node), 0,
                        std::string("multi-failure re-plan (") +
-                           (car ? "car" : "rr") + "), failed nodes " +
-                           describe_nodes(scenario.failed_nodes));
+                           recovery::to_string(ctx_.strategy) +
+                           "), failed nodes " + describe_nodes(failed_nodes_));
 
-    const auto censuses =
-        recovery::build_multi_censuses(*ctx_.placement, scenario);
-    RecoveryPlan next;
-    recovery::ValidateOptions options;
-    options.placement = ctx_.placement;
-    if (car) {
-      const auto balanced =
-          recovery::balance_multi(*ctx_.placement, censuses);
-      next = recovery::build_multi_car_plan(*ctx_.placement, *ctx_.code,
-                                            balanced.solutions,
-                                            plan.chunk_size,
-                                            plan.replacement);
-      options.expected_cross_rack_chunks = recovery::claimed_cross_rack_chunks(
-          balanced.solutions, scenario.replacement_rack);
-    } else {
-      const auto solutions =
-          recovery::plan_multi_rr(*ctx_.placement, censuses, replan_rng_);
-      next = recovery::build_multi_rr_plan(*ctx_.placement, *ctx_.code,
-                                           solutions, plan.chunk_size,
-                                           plan.replacement);
-    }
-
-    auto report = recovery::validate_plan(next, cluster_.topology(), options);
-    CAR_CHECK_STATE(report.ok(), "inject: re-plan failed validation:\n" +
-                                     report.to_string());
-    result_.log.record(now_, EventKind::kReplanValidated, -1, -1, -1, 0,
-                       std::to_string(next.steps.size()) + " steps, " +
-                           std::to_string(next.outputs.size()) +
+    const auto scenario = recovery::make_multi_failure_onto(
+        *ctx_.placement, failed_nodes_, plan.replacement);
+    recovery::MultiReplan next = recovery::plan_multi_failure(
+        *ctx_.placement, *ctx_.code,
+        recovery::build_multi_censuses(*ctx_.placement, scenario),
+        ctx_.strategy, plan.chunk_size, plan.replacement, replan_rng_,
+        template_cache_);
+    result_.log.record(now, EventKind::kReplanValidated, -1, -1, -1, 0,
+                       std::to_string(next.plan.steps.size()) + " steps, " +
+                           std::to_string(next.plan.outputs.size()) +
                            " outputs, 0 errors");
-    result_.log.record(now_, EventKind::kResume, -1, -1,
+    result_.log.record(now, EventKind::kResume, -1, -1,
                        static_cast<std::int64_t>(plan.replacement), 0,
                        "resuming recovery on the re-planned DAG");
 
-    ++result_.stats.replans;
+    ++replans_;
     result_.replanned = true;
-    result_.replan_validation = std::move(report);
-    return next;
-  }
-
-  /// Promote recovered chunks to regular replicas on the replacement.
-  /// `done` (slice-granular, over the `num_slices` grid) restricts to
-  /// outputs whose producing step delivered *every* slice; nullptr
-  /// publishes all.
-  void publish_outputs(const RecoveryPlan& plan,
-                       const std::vector<char>* done,
-                       std::uint64_t num_slices) {
-    std::size_t published = 0;
-    for (const auto& out : plan.outputs) {
-      if (done != nullptr) {
-        bool whole = true;
-        for (std::uint64_t s = 0; s < num_slices; ++s) {
-          if ((*done)[recovery::sliced_id(out.step_id, num_slices, s)] == 0) {
-            whole = false;
-            break;
-          }
-        }
-        if (!whole) continue;
-      }
-      // Metadata-only stripes count as published (their recovery is
-      // accounted, and the log must stay byte-identical to a real run)
-      // but have no bytes to store.
-      if (is_real(out.stripe)) {
-        const rs::Chunk* buf =
-            cluster_.find_step_output(plan.replacement, out.step_id);
-        CAR_CHECK_STATE(buf != nullptr,
-                        "inject: completed output of step " +
-                            std::to_string(out.step_id) +
-                            " missing on the replacement");
-        cluster_.store_chunk(plan.replacement, out.stripe, out.chunk_index,
-                             *buf);
-      }
-      ++published;
-    }
-    if (published > 0 || done == nullptr) {
-      result_.log.record(now_, EventKind::kOutputsPublished, -1, -1,
-                         static_cast<std::int64_t>(plan.replacement),
-                         static_cast<std::uint64_t>(published) *
-                             plan.chunk_size,
-                         std::to_string(published) + " of " +
-                             std::to_string(plan.outputs.size()) +
-                             " recovered chunks");
-    }
-  }
-
-  void advance(double t) {
-    now_ = std::max(now_, t);
-    cluster_.clock().advance_to(now_);
+    result_.replan_validation = std::move(next.validation);
+    return std::move(next.plan);
   }
 
   emul::Cluster& cluster_;
   const FaultPlan& faults_;
-  const RetryPolicy& policy_;
   std::uint64_t seed_;
-  std::uint64_t slice_bytes_;
   const ReplanContext& ctx_;
-  DataPolicy data_;
-  util::Rng backoff_rng_;
   util::Rng replan_rng_;
+  recovery::PlanTemplateCache template_cache_;
   std::vector<bool> crash_fired_;
-  std::vector<cluster::NodeId> crashed_nodes_;
+  /// The original failures, then every crashed node in firing order.
+  std::vector<cluster::NodeId> failed_nodes_;
+  std::size_t replans_ = 0;
   double t0_;
-  double now_;
   RunResult result_;
+  BatchDriver driver_;  // after result_: it logs into result_.log
 };
 
 }  // namespace
@@ -685,16 +240,11 @@ RunResult ResilientRuntime::execute(const recovery::RecoveryPlan& plan,
 
 RunResult ResilientRuntime::execute_sliced(const recovery::RecoveryPlan& plan,
                                            std::uint64_t slice_bytes,
-                                           const ReplanContext& context) {
-  return execute_sliced(plan, slice_bytes, context, DataPolicy{});
-}
-
-RunResult ResilientRuntime::execute_sliced(const recovery::RecoveryPlan& plan,
-                                           std::uint64_t slice_bytes,
                                            const ReplanContext& context,
                                            const DataPolicy& data) {
   cluster_.clock().require_virtual("inject::ResilientRuntime");
   CAR_CHECK(slice_bytes > 0, "inject: slice_bytes must be positive");
+  CAR_CHECK(!plan.steps.empty(), "inject: empty plan — nothing to recover");
   faults_.validate(cluster_.topology());
   for (const auto& crash : faults_.node_crashes) {
     CAR_CHECK(crash.node != plan.replacement,
@@ -707,10 +257,17 @@ RunResult ResilientRuntime::execute_sliced(const recovery::RecoveryPlan& plan,
               "placement and code");
   }
 
-  GuardScope guard(cluster_, plan.replacement);
-  Engine engine(cluster_, faults_, policy_, seed_, slice_bytes, context,
-                data);
-  return engine.run(plan);
+  // Guards are counted per node (emul::Cluster::add_replacement_guard), so
+  // this composes with guards held by outer runtimes; released on every
+  // exit path.
+  cluster_.add_replacement_guard(plan.replacement);
+  struct Release {
+    emul::Cluster& cluster;
+    cluster::NodeId node;
+    ~Release() { cluster.remove_replacement_guard(node); }
+  } release{cluster_, plan.replacement};
+  Run run(cluster_, faults_, policy_, seed_, slice_bytes, context, data);
+  return run.run(plan);
 }
 
 }  // namespace car::inject

@@ -460,12 +460,13 @@ std::vector<std::string> canned_scenario_names() {
 }
 
 Scenario canned_scenario(const std::string& name) {
+  std::string have;
   for (const auto& entry : kCanned) {
     if (name == entry.name) return parse_scenario(entry.spec);
+    have += (have.empty() ? "" : ", ") + std::string(entry.name);
   }
   throw std::invalid_argument("unknown canned scenario \"" + name +
-                              "\" (have: link-flap, mid-recovery-crash, "
-                              "slow-straggler-rack, degraded-core)");
+                              "\" (have: " + have + ")");
 }
 
 ScenarioOutcome run_scenario(const Scenario& scenario) {
@@ -567,7 +568,7 @@ ScenarioOutcome run_scenario(const Scenario& scenario) {
   context.placement = &placement;
   context.code = &code;
   context.failed_nodes = {failure.failed_node};
-  context.strategy = car ? ReplanStrategy::kCar : ReplanStrategy::kRr;
+  context.strategy = car ? recovery::Strategy::kCar : recovery::Strategy::kRr;
   outcome.run = runtime.execute_sliced(
       plan,
       scenario.slice_bytes > 0 ? scenario.slice_bytes

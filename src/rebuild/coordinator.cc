@@ -8,14 +8,15 @@
 #include <utility>
 
 #include "recovery/multi.h"
-#include "recovery/validate.h"
 #include "util/check.h"
 
 namespace car::rebuild {
 
 namespace {
 
+using inject::BatchDriver;
 using inject::EventKind;
+using inject::PublishedChunk;
 
 /// Host seconds since `since` (planning-path instrumentation only; every
 /// scheduling decision stays on the virtual clock).
@@ -35,10 +36,6 @@ std::string join_nodes(const std::vector<cluster::NodeId>& nodes) {
 }
 
 }  // namespace
-
-const char* to_string(Strategy strategy) noexcept {
-  return strategy == Strategy::kCar ? "car" : "rr";
-}
 
 RebuildCoordinator::RebuildCoordinator(emul::Cluster& cluster,
                                        const cluster::Placement& placement,
@@ -83,7 +80,6 @@ RebuildResult RebuildCoordinator::run(std::span<const FailureEvent> events) {
   ran_ = true;
 
   replacement_ = events.front().node;
-  replacement_rack_ = placement_.topology().rack_of(replacement_);
   const double t0 = cluster_.clock().now();
 
   BatchDriver driver(cluster_, options_.faults, options_.retry, options_.seed,
@@ -117,7 +113,7 @@ RebuildResult RebuildCoordinator::run(std::span<const FailureEvent> events) {
 
     const auto cancelled = driver.cancel_all();
     std::size_t requeued = 0;
-    for (const CancelledBatch& batch : cancelled) {
+    for (const inject::CancelledBatch& batch : cancelled) {
       const auto it = inflight_batches_.find(batch.batch);
       CAR_CHECK_STATE(it != inflight_batches_.end(),
                       "rebuild: cancelled batch was never dispatched");
@@ -255,35 +251,15 @@ bool RebuildCoordinator::dispatch_one(BatchDriver& driver) {
                   "rebuild: batch scan census does not cover every queued "
                   "stripe of the batch signature");
 
-  recovery::RecoveryPlan plan;
-  recovery::ValidateOptions vopts;
-  vopts.placement = &placement_;
+  // The validation gate inside plan_multi_failure: no plan reaches the
+  // driver unchecked.
   const auto plan_start = std::chrono::steady_clock::now();
-  if (options_.strategy == Strategy::kCar) {
-    const recovery::MultiBalanceResult balanced =
-        recovery::balance_multi(placement_, censuses);
-    plan = recovery::build_multi_car_plan_cached(
-        placement_, code_,
-        std::span<const recovery::MultiStripeSolution>(balanced.solutions),
-        options_.chunk_bytes, replacement_, template_cache_);
-    vopts.expected_cross_rack_chunks = recovery::claimed_cross_rack_chunks(
-        std::span<const recovery::MultiStripeSolution>(balanced.solutions),
-        replacement_rack_);
-  } else {
-    const std::vector<recovery::MultiRrSolution> solutions =
-        recovery::plan_multi_rr(placement_, censuses, rr_rng_);
-    plan = recovery::build_multi_rr_plan_cached(
-        placement_, code_,
-        std::span<const recovery::MultiRrSolution>(solutions),
-        options_.chunk_bytes, replacement_, template_cache_);
-    vopts.require_single_aggregator_per_rack = false;
-  }
+  const recovery::RecoveryPlan plan =
+      recovery::plan_multi_failure(placement_, code_, censuses,
+                                   options_.strategy, options_.chunk_bytes,
+                                   replacement_, rr_rng_, template_cache_)
+          .plan;
   result_.metrics.plan_host_s += host_seconds_since(plan_start);
-  // The validation gate: no plan reaches the driver unchecked.
-  const recovery::ValidationReport report =
-      recovery::validate_plan(plan, placement_.topology(), vopts);
-  CAR_CHECK_STATE(report.ok(), "rebuild: batch plan failed validation:\n" +
-                                   report.to_string());
 
   for (const auto& out : plan.outputs) {
     outputs.push_back({out.stripe, out.chunk_index});
@@ -320,12 +296,12 @@ void RebuildCoordinator::pump(BatchDriver& driver,
   while (true) {
     while (driver.inflight() < options_.max_inflight && dispatch_one(driver)) {
     }
-    const RunOutcome outcome = driver.run_until(deadline);
-    if (outcome.stop == StopReason::kDeadline) return;
+    const inject::RunOutcome outcome = driver.run_until(deadline);
+    if (outcome.stop == inject::StopReason::kDeadline) return;
     for (const std::size_t id : outcome.finished) {
       on_batch_complete(driver, id);
     }
-    if (outcome.stop == StopReason::kBatchDone) continue;
+    if (outcome.stop == inject::StopReason::kBatchDone) continue;
     if (queue_.empty()) return;  // kIdle with nothing left to dispatch
   }
 }

@@ -18,9 +18,11 @@
 //      id), so a second failure that turns a queued fresh-degraded stripe
 //      into a most-exposed one preempts everything behind it.
 //   4. Overlap — up to max_inflight same-signature batches run concurrently
-//      on one BatchDriver timeline; each batch is planned by recovery/multi
-//      (CAR partial decoding or the RR baseline), statically gated by
-//      recovery/validate, and admitted only when the gate passes.
+//      on one inject::BatchDriver timeline (the fault-aware step loop the
+//      resilient runtime also runs on); each batch is planned and
+//      statically gated by recovery/replan (CAR partial decoding or the RR
+//      baseline, then recovery/validate), and admitted only when the gate
+//      passes.
 //   5. Re-plan — when a failure lands mid-rebuild the driver cancels every
 //      in-flight batch, publishes the outputs that fully delivered, and the
 //      coordinator re-scans and re-dispatches the remainder at the new
@@ -42,13 +44,13 @@
 #include "cluster/placement.h"
 #include "cluster/types.h"
 #include "emul/cluster.h"
+#include "inject/driver.h"
 #include "inject/event_log.h"
 #include "inject/fault.h"
-#include "inject/runtime.h"
-#include "rebuild/driver.h"
 #include "rebuild/queue.h"
 #include "recovery/exposure.h"
 #include "recovery/plan_template.h"
+#include "recovery/replan.h"
 #include "rs/code.h"
 #include "util/attributes.h"
 #include "util/mutex.h"
@@ -58,12 +60,7 @@
 namespace car::rebuild {
 
 /// Recovery planner family for every batch of a run.
-enum class Strategy : std::uint8_t {
-  kCar,  // rack selection + partial decoding + balancing (recovery/multi)
-  kRr,   // ship k survivors to the replacement and decode there
-};
-
-[[nodiscard]] const char* to_string(Strategy strategy) noexcept;
+using Strategy = recovery::Strategy;
 
 /// One membership event: `node` fails `at_s` virtual seconds after the
 /// run starts.  The first event's node doubles as the rebuild target.
@@ -125,8 +122,8 @@ struct RebuildMetrics {
   std::size_t stripes_requeued = 0;
   /// Planning-path host time (std::chrono, NOT virtual seconds — the only
   /// host-clock numbers in the result): metadata scans (exposure census +
-  /// per-batch multi census) and plan construction (balancing + the
-  /// template-cached plan build).
+  /// per-batch multi census) and plan construction (balancing, the
+  /// template-cached plan build, and its validation).
   double scan_host_s = 0.0;
   double plan_host_s = 0.0;
   /// Plan-template cache counters across every batch of the run
@@ -144,7 +141,7 @@ struct RebuildResult {
   inject::RunStats stats;
   RebuildMetrics metrics;
   /// Every chunk recovered onto the replacement, sorted by (stripe, chunk).
-  std::vector<PublishedChunk> recovered;
+  std::vector<inject::PublishedChunk> recovered;
   std::vector<BatchRecord> batches;  // dispatch order
 };
 
@@ -168,20 +165,20 @@ class RebuildCoordinator {
   struct DispatchedBatch {
     std::vector<cluster::StripeId> stripes;
     std::size_t record_index = 0;  // into result_.batches
-    std::vector<PublishedChunk> outputs;
+    std::vector<inject::PublishedChunk> outputs;
   };
 
   /// Re-scan at a membership epoch: census -> windows -> queue.reset.
   void scan_epoch(std::size_t epoch) CAR_EXCLUDES(state_mu_);
   /// Pop one batch, plan it, validate it, admit it.  False when the queue
   /// is empty.
-  bool dispatch_one(BatchDriver& driver) CAR_EXCLUDES(state_mu_);
+  bool dispatch_one(inject::BatchDriver& driver) CAR_EXCLUDES(state_mu_);
   /// Drive the loop until the deadline (or drained, with nullopt),
   /// refilling batch slots as they free up.
-  void pump(BatchDriver& driver, std::optional<double> deadline)
+  void pump(inject::BatchDriver& driver, std::optional<double> deadline)
       CAR_EXCLUDES(state_mu_);
-  void on_batch_complete(const BatchDriver& driver, std::size_t batch_id)
-      CAR_EXCLUDES(state_mu_);
+  void on_batch_complete(const inject::BatchDriver& driver,
+                         std::size_t batch_id) CAR_EXCLUDES(state_mu_);
   /// Close the exposure/at-risk windows of stripes that are now fully
   /// re-protected.
   void close_windows(std::span<const cluster::StripeId> stripes, double now)
@@ -203,7 +200,6 @@ class RebuildCoordinator {
   bool ran_ = false;
   std::vector<cluster::NodeId> failed_;
   cluster::NodeId replacement_ = 0;
-  cluster::RackId replacement_rack_ = 0;
   std::size_t next_batch_id_ = 0;
   std::unordered_map<std::size_t, DispatchedBatch> inflight_batches_;
   RebuildResult result_;

@@ -209,7 +209,7 @@ RebuildScenarioOutcome run_rebuild_scenario(const inject::Scenario& scenario,
   // Completeness: every chunk that lived on a crashed node must have been
   // recovered, whether or not its stripe carried real bytes.
   std::unordered_set<std::uint64_t> recovered;
-  for (const PublishedChunk& chunk : outcome.result.recovered) {
+  for (const inject::PublishedChunk& chunk : outcome.result.recovered) {
     recovered.insert(chunk_key(chunk.stripe, chunk.chunk_index));
   }
   for (const FailureEvent& event : events) {
@@ -226,7 +226,7 @@ RebuildScenarioOutcome run_rebuild_scenario(const inject::Scenario& scenario,
   // original encoding byte for byte.
   const std::unordered_set<cluster::StripeId> real(materialise.begin(),
                                                    materialise.end());
-  for (const PublishedChunk& chunk : outcome.result.recovered) {
+  for (const inject::PublishedChunk& chunk : outcome.result.recovered) {
     if (!real.contains(chunk.stripe)) continue;
     ++outcome.chunks_expected;
     const rs::Chunk* got = cluster.find_chunk(

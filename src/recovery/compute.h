@@ -1,7 +1,7 @@
 // Shared execution of a compute PlanStep's linear combination.
 //
-// The emulator (emul/cluster.cc) and the resilient runtime
-// (inject/runtime.cc) both execute compute steps over real chunk buffers;
+// The emulator (emul/cluster.cc) and the fault-aware step loop
+// (inject/driver.cc) both execute compute steps over real chunk buffers;
 // this helper is the single implementation of the step contract they used to
 // duplicate: every gathered input has the same size, the step's declared
 // compute volume equals |inputs| * chunk size, and the output is the fused

@@ -14,7 +14,7 @@
 //     but unless its placement host IS the replacement the planner cannot
 //     see the replica, so it stays in plan_chunks and is simply recomputed
 //     — the same recompute-identical-bytes policy the crash-escalation
-//     runtime uses (inject/runtime.cc).
+//     runtime uses (inject/runtime.h).
 //
 // The census is a pure function of (placement, failed set, recovered set):
 // no cluster state is read, so the control plane can re-scan on every

@@ -18,12 +18,12 @@
 #include "cluster/placement.h"
 #include "cluster/topology.h"
 #include "emul/cluster.h"
+#include "inject/driver.h"
 #include "inject/event_log.h"
 #include "inject/fault.h"
 #include "inject/runtime.h"
 #include "inject/scenario.h"
 #include "rebuild/coordinator.h"
-#include "rebuild/driver.h"
 #include "rebuild/queue.h"
 #include "recovery/balancer.h"
 #include "recovery/census.h"
@@ -287,17 +287,17 @@ TEST(BatchDriver, AdmitAfterDeadlinePauseExecutesBeforeFarFutureRetry) {
   policy.backoff = util::BackoffSchedule(kRetryDelay, 1.0, kRetryDelay, 0.0);
 
   inject::EventLog log;
-  BatchDriver driver(cluster, faults, policy, 7, 0, {}, log);
+  inject::BatchDriver driver(cluster, faults, policy, 7, 0, {}, log);
   driver.admit(0, plan_a);
   const auto paused = driver.run_until(100.0);
-  ASSERT_EQ(paused.stop, StopReason::kDeadline);
+  ASSERT_EQ(paused.stop, inject::StopReason::kDeadline);
   ASSERT_LT(driver.now(), 100.0);
   driver.admit(1, plan_b);
   std::vector<std::size_t> finished;
   for (;;) {
     const auto outcome = driver.run_until(std::nullopt);
-    if (outcome.stop == StopReason::kIdle) break;
-    ASSERT_EQ(outcome.stop, StopReason::kBatchDone);
+    if (outcome.stop == inject::StopReason::kIdle) break;
+    ASSERT_EQ(outcome.stop, inject::StopReason::kBatchDone);
     finished.insert(finished.end(), outcome.finished.begin(),
                     outcome.finished.end());
   }
