@@ -1,7 +1,9 @@
 // Microbenchmarks for the CAR planning path itself, verifying the paper's
 // §IV-D complexity claim: Algorithm 2 runs in O(e * r * s), i.e. planning is
 // cheap relative to the recovery it optimises — plus the slice-pipelining
-// makespan study on the fig9 fabric.
+// makespan study on the fig9 fabric and a metadata-only scale sweep of the
+// arena pipeline (census scan, solve, template-cached build, and the one
+// sequential calendar-queue timing replay).
 //
 // Usage:
 //   micro_recovery [--json <path>] [google-benchmark flags]
@@ -210,25 +212,14 @@ struct ScaleSweepRow {
   double classic_plan_s = 0.0;
   double classic_lower_s = 0.0;
   double arena_s = 0.0;
-  // Replay phase, new default configuration: calendar-queue engine with a
-  // serial drain (replay_shards 1).
+  // Replay phase: the stripe-sharded payload pass plus the sequential
+  // calendar-queue timing replay.
   double replay_s = 0.0;
-  // Replay phase, predecessor configuration: binary-heap engine with the
-  // replay sharded `shards` ways (what this sweep ran before the calendar
-  // engine landed), on an identically prepared cluster in the same
-  // process.
-  double replay_heap_s = 0.0;
   double end_to_end_s = 0.0;  // scan + solve + cached build + replay
   std::size_t template_cache_misses = 0;
 
   [[nodiscard]] double plan_speedup() const {
     return arena_s > 0.0 ? (classic_plan_s + classic_lower_s) / arena_s : 0.0;
-  }
-  /// Predecessor replay over current replay — the whole replay-path win,
-  /// engine and drain configuration together.  A within-run host-time
-  /// ratio, so machine speed divides out (like plan_speedup).
-  [[nodiscard]] double replay_speedup() const {
-    return replay_s > 0.0 ? replay_heap_s / replay_s : 0.0;
   }
 };
 
@@ -329,31 +320,9 @@ ScaleSweepRow measure_scale_point(ScaleSweepRow row) {
 
   emul::ArenaExecOptions options;
   options.shards = row.shards;
-  // Serial replay drain: the safe window admits one drainer at a time, so
-  // replay_shards == 1 is the fast configuration.  Sharded replay is the
-  // bit-identity verification mode (tests/replay_engine_test.cc and the CI
-  // scale smoke cover it).
-  options.replay_shards = 1;
   options.metadata_only = true;
   options.sampled_stripes = sampled;
 
-  // Predecessor-configuration reference replay (binary heap, replay
-  // sharded `shards` ways) on an identically prepared cluster; the in-run
-  // ratio over the calendar run below is what replay_speedup() reports.
-  {
-    emul::Cluster heap_cluster(cfg.topology(), fig9_emul(1.0));
-    (void)heap_cluster.populate_sampled(placement, code, kChunk, kSeed,
-                                        sampled);
-    for (const auto node : mf.failed_nodes) heap_cluster.erase_node(node);
-    auto heap_options = options;
-    heap_options.replay_engine = emul::ReplayEngine::kHeap;
-    heap_options.replay_shards = row.shards;
-    t = tick();
-    (void)heap_cluster.execute_arena(arena, heap_options);
-    row.replay_heap_s = secs(t, tick());
-  }
-
-  options.replay_engine = emul::ReplayEngine::kCalendar;
   t = tick();
   const auto report = cluster.execute_arena(arena, options);
   row.replay_s = secs(t, tick());
@@ -696,8 +665,6 @@ void write_json(const std::string& path, const std::vector<Fig9Point>& points,
        << ", \"classic_plan_s\": " << r.classic_plan_s
        << ", \"classic_lower_s\": " << r.classic_lower_s
        << ", \"arena_s\": " << r.arena_s << ", \"replay_s\": " << r.replay_s
-       << ", \"replay_heap_s\": " << r.replay_heap_s
-       << ", \"replay_speedup\": " << r.replay_speedup()
        << ", \"end_to_end_s\": " << r.end_to_end_s
        << ", \"plan_speedup\": " << r.plan_speedup()
        << ", \"template_cache_misses\": " << r.template_cache_misses << "}"
@@ -755,11 +722,10 @@ void print_scale_table(const std::vector<ScaleSweepRow>& sweep) {
   for (const ScaleSweepRow& r : sweep) {
     std::printf("  %7zu stripes  %4zu nodes  %-11s  shards %zu  affected "
                 "%6zu  steps %7zu  makespan %9.3f s  end-to-end %6.3f s  "
-                "replay %.2fx  verified %zu/%zu\n",
+                "verified %zu/%zu\n",
                 r.stripes, r.num_racks * r.rack_size, r.failure.c_str(),
                 r.shards, r.affected_stripes, r.plan_steps, r.makespan_s,
-                r.end_to_end_s, r.replay_speedup(), r.verified_outputs,
-                r.expected_outputs);
+                r.end_to_end_s, r.verified_outputs, r.expected_outputs);
   }
 }
 

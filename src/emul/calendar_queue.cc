@@ -49,7 +49,7 @@ std::size_t CalendarQueue::bucket_index(double time) const noexcept {
   // far-future overflow — rung_start_ becomes the overflow minimum, which
   // can sit well past the drain frontier — and the caller then pushes a
   // still-monotone event into that gap (e.g. the rebuild control plane
-  // admitting a batch after a deadline pause, or a streamed replay shard
+  // admitting a batch after a deadline pause, or the streamed arena replay
   // ingesting t_start seeds after draining ahead of the feed).  push()
   // diverts bucket 0 (always <= cursor_) into the live drain heap, which
   // restores exact (time, key) order; rewindow()'s re-bucketing never

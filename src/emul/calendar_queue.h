@@ -39,14 +39,14 @@
 // Monotone insertion does NOT imply inserts land inside the active rung: a
 // rewindow driven by a lone far-future event raises rung_start past the
 // drain frontier, and a later push may legally fall in that gap (the
-// rebuild control plane admits batches at the paused `now`, and streamed
-// replay shards ingest t_start seeds after running ahead of the feed).
+// rebuild control plane admits batches at the paused `now`, and the streamed
+// arena replay ingests t_start seeds after running ahead of the feed).
 // Such sub-rung times clamp to bucket 0, which push() merges into the live
 // drain heap, so they still pop before everything in the rung.
 //
-// Not thread-safe: each replay shard owns one queue (see the epoch-based
-// safe-window protocol in emul/cluster.cc); the fault-aware step loop in
-// inject/driver.cc owns its queue outright.
+// Not thread-safe: the arena replay in emul/cluster.cc and the fault-aware
+// step loop in inject/driver.cc each own their queue outright and drain it
+// on one thread.
 #pragma once
 
 #include <cstddef>

@@ -73,20 +73,6 @@ struct EmulConfig {
   double virtual_gf_bps = 1.9e10;
 };
 
-/// Which event-queue engine drives the phase-2 timing replay.  Both engines
-/// pop in the identical global (time, id) order, so every reported number
-/// is bit-identical between them — kHeap is kept as the reference
-/// implementation the differential tests and the CI scale-smoke diff
-/// compare against.
-enum class ReplayEngine : std::uint8_t {
-  /// Per-shard bucketed calendar queues (emul/calendar_queue.h) merged by
-  /// the lock-free epoch-based safe-window protocol.  The default.
-  kCalendar,
-  /// The PR-9 engine: per-shard binary heaps merged under a global mutex
-  /// with condvar handoffs.
-  kHeap,
-};
-
 /// Options for Cluster::execute_arena.
 struct ArenaExecOptions {
   /// Stripe shards for the payload pass: base steps are partitioned by
@@ -95,15 +81,10 @@ struct ArenaExecOptions {
   /// add cross-stripe deps and must run with shards == 1.
   std::size_t shards = 1;
 
-  /// Stripe shards for the timing replay (phase 2).  replay_shards > 1
-  /// partitions stripes by stripe % replay_shards onto per-shard event
-  /// heaps and merges them with the owner-advances safe-window protocol
-  /// (see docs/architecture.md): link reservations and floating-point
-  /// accumulation commit in exactly the sequential walk's global
-  /// (time, id) order, so the reported timeline — makespan, compute_s,
-  /// per-link byte totals — is bit-identical to replay_shards == 1 for
-  /// every shard count.  Requires a stripe-closed arena (cross-stripe
-  /// deps would couple the per-shard streams).
+  /// Compatibility field: must be 1 (any other value is a
+  /// util::CheckError).  The timing replay is one sequential drain on the
+  /// calling thread; the field stays only while the e2e benchmark still
+  /// sets it, and goes with the benchmark change that drops that line.
   std::size_t replay_shards = 1;
 
   /// Metadata-only mode: steps of unsampled stripes move no payload and
@@ -117,17 +98,13 @@ struct ArenaExecOptions {
   /// irrelevant).  Ignored — every stripe is real — when metadata_only is
   /// false.
   std::vector<cluster::StripeId> sampled_stripes;
-
-  /// Event-queue engine for the timing replay.  Purely a performance
-  /// choice: results are bit-identical either way.
-  ReplayEngine replay_engine = ReplayEngine::kCalendar;
 };
 
 /// Producer-side watermark for Cluster::execute_arena_streaming: the plan
 /// builder appends stripes into a pre-reserved arena and publishes how many
-/// base steps are complete; the executor's payload shards and replay shards
-/// consume rows strictly below the watermark while instantiation is still
-/// running.  Single writer (the instantiating thread), many readers.
+/// base steps are complete; the executor's payload shards and its timing
+/// replay consume rows strictly below the watermark while instantiation is
+/// still running.  Single writer (the instantiating thread), many readers.
 class ArenaStreamFeed {
  public:
   /// Closes the feed when the producer's scope ends, however it ends.  A
@@ -336,7 +313,8 @@ class Cluster {
   /// both as step outputs and as regular chunks.  Throws std::runtime_error
   /// when a referenced buffer is missing, a transfer's declared size
   /// disagrees with the stored payload, a step touches a dropped node, or a
-  /// node is dropped mid-execution (abort), and std::invalid_argument on a
+  /// node is dropped mid-execution (abort), util::CheckError when a step
+  /// names a node outside the topology, and std::invalid_argument on a
   /// malformed DAG (unknown dependency or cycle).  Internally lowers the
   /// plan onto a degenerate one-slice-per-step grid and runs the sliced
   /// core below — the identical computation, byte for byte.
@@ -357,15 +335,18 @@ class Cluster {
   ///      concurrent workers; real bytes move (and real GF kernels run)
   ///      only for stripes the options mark real, byte accounting always;
   ///   2. a sequential deterministic timing replay over the sliced id grid
-  ///      — the identical (start time, id) min-heap walk execute() uses, so
-  ///      for the same plan the reported timeline, per-link occupancies,
-  ///      and byte totals are bit-identical to execute(slice_plan(...))
-  ///      and invariant in both the shard count and metadata mode.
+  ///      on the calling thread — the identical (start time, id) walk
+  ///      execute() uses, drained from one calendar queue, so for the same
+  ///      plan the reported timeline, per-link occupancies, and byte totals
+  ///      are bit-identical to execute(slice_plan(...)) and invariant in
+  ///      both the shard count and metadata mode.
   ///
   /// Requires ClockMode::kVirtual (throws util::StateError otherwise — a
   /// wall-clock pass cannot skip payloads without changing what it
-  /// measures) and, for shards > 1, a stripe-closed arena
-  /// (util::CheckError).  Other failure modes match execute().
+  /// measures), options.replay_shards == 1, and, for shards > 1, a
+  /// stripe-closed arena (both util::CheckError).  A step naming a node
+  /// outside the topology is a util::CheckError.  Other failure modes
+  /// match execute().
   ExecutionReport execute_arena(const recovery::PlanArena& plan,
                                 const ArenaExecOptions& options = {});
 
@@ -374,7 +355,7 @@ class Cluster {
   /// (so no column ever reallocates); the producer appends stripes,
   /// publishes its progress through `feed`, finalizes the arena, and calls
   /// feed.close().  Payload shards process base steps as they are
-  /// published, and the replay shards drain the t_start event frontier of
+  /// published, and the replay drains the t_start event frontier of
   /// published stripes immediately — everything later than t_start is
   /// globally ordered after rows still being appended, so it waits for
   /// close().  Every reported number is bit-identical to the barrier

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "cluster/configs.h"
@@ -483,6 +484,48 @@ TEST(ClusterExecute, PlanTouchingDroppedNodeRaises) {
   cluster.add_replacement_guard(1);
   EXPECT_THROW(cluster.drop_node(1), util::CheckError);
   cluster.remove_replacement_guard(1);
+}
+
+// A plan naming a node the cluster does not have is rejected at the
+// boundary, before any per-node store, liveness slot or link is indexed
+// with it, by every entry point: the sequential execute(), the barrier
+// arena run, and the streamed arena run (whose replay can reach a row
+// before its payload pass does).
+TEST(ClusterExecute, PlanEndpointOutsideTheTopologyIsRejected) {
+  const auto plan = one_transfer_plan(0, 40, 1024);  // 2x2 = nodes 0..3
+  auto expect_rejected = [](const auto& run) {
+    try {
+      run();
+      ADD_FAILURE() << "a plan naming node 40 was accepted";
+    } catch (const util::CheckError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("step 0"), std::string::npos) << what;
+      EXPECT_NE(what.find("node 40"), std::string::npos) << what;
+    }
+  };
+  {
+    SCOPED_TRACE("execute");
+    Cluster cluster(Topology({2, 2}), fast_config());
+    cluster.store_chunk(0, 0, 0, rs::Chunk(1024, 7));
+    expect_rejected([&] { (void)cluster.execute(plan); });
+  }
+  const auto arena = recovery::PlanArena::build(plan, 1024);
+  {
+    SCOPED_TRACE("execute_arena");
+    Cluster cluster(Topology({2, 2}), virtual_config());
+    cluster.store_chunk(0, 0, 0, rs::Chunk(1024, 7));
+    expect_rejected([&] { (void)cluster.execute_arena(arena); });
+  }
+  {
+    SCOPED_TRACE("execute_arena_streaming");
+    Cluster cluster(Topology({2, 2}), virtual_config());
+    cluster.store_chunk(0, 0, 0, rs::Chunk(1024, 7));
+    ArenaStreamFeed feed;
+    feed.publish(arena.num_base_steps());
+    feed.close();
+    expect_rejected(
+        [&] { (void)cluster.execute_arena_streaming(arena, {}, feed); });
+  }
 }
 
 TEST(Cluster, ClearStepOutputsKeepsChunks) {

@@ -1,9 +1,9 @@
-// Replay-engine differentials: the calendar-queue replay, the sharded
-// safe-window replay, and the streaming (overlapped build/execute) pipeline
-// are pure performance choices — every observable (makespan, compute time,
-// per-rack byte totals, recovered bytes) must be bit-identical to the
-// sequential heap replay, and the two-phase streamed arena build must be
-// bit-equal to the one-shot barrier build.
+// Arena replay differentials: the calendar-queue arena replay, in barrier
+// and in streaming (overlapped build/execute) mode, must be observationally
+// identical to the sequential replay execute(arena.to_slice_plan()) runs —
+// every observable (makespan, compute time, per-rack byte totals,
+// recovered bytes) bit for bit — and the two-phase streamed arena build
+// must be bit-equal to the one-shot barrier build.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -93,6 +93,18 @@ emul::ExecutionReport run_barrier(const Fixture& fx, const PlanArena& arena,
   return cluster.execute_arena(arena, options);
 }
 
+/// Same cluster setup, but through the sequential SlicePlan replay — the
+/// reference every arena run is compared against.
+emul::ExecutionReport run_slice_reference(const Fixture& fx,
+                                          const PlanArena& arena) {
+  emul::Cluster cluster(fx.placement.topology(), emul_config());
+  std::vector<cluster::StripeId> all(fx.placement.num_stripes());
+  std::iota(all.begin(), all.end(), cluster::StripeId{0});
+  (void)cluster.populate_sampled(fx.placement, fx.code, kChunk, 7, all);
+  for (const auto node : fx.scenario.failed_nodes) cluster.erase_node(node);
+  return cluster.execute(arena.to_slice_plan());
+}
+
 /// Same cluster setup, but through the streaming path: reserve the arena,
 /// append stripes on a producer thread that publishes per-stripe
 /// watermarks, and run the executor concurrently against the feed.
@@ -169,38 +181,46 @@ void expect_slice_plans_equal(const PlanArena& a, const PlanArena& b) {
   }
 }
 
-// --- engine equality -----------------------------------------------------
+// --- replay equality -----------------------------------------------------
 
-// Heap vs calendar, across replay shard counts: one timeline, bit for bit.
-TEST(ReplayEngine, HeapAndCalendarBitIdenticalAcrossReplayShards) {
+// The barrier and the streamed arena replay both reproduce the sequential
+// SlicePlan replay's timeline, bit for bit.
+TEST(ReplayEngine, BarrierAndStreamedMatchSlicePlanReplay) {
   const auto fx = make_fixture(0, 61, /*stripes=*/24);
   const auto balanced = recovery::balance_multi(fx.placement, fx.censuses);
   PlanTemplateCache cache;
   const auto arena = recovery::build_multi_car_arena(
       fx.placement, fx.code, balanced.solutions, kChunk, 16 * 1024,
       fx.scenario.replacement, cache);
-
-  emul::ArenaExecOptions base;
-  base.shards = 2;
-  base.replay_shards = 1;
-  base.replay_engine = emul::ReplayEngine::kHeap;
-  const auto reference = run_barrier(fx, arena, base);
+  const auto reference = run_slice_reference(fx, arena);
   ASSERT_GT(reference.wall_s, 0.0);
 
-  for (const auto engine :
-       {emul::ReplayEngine::kHeap, emul::ReplayEngine::kCalendar}) {
-    for (const std::size_t replay_shards : {1u, 2u, 8u}) {
-      auto options = base;
-      options.replay_engine = engine;
-      options.replay_shards = replay_shards;
-      const auto report = run_barrier(fx, arena, options);
-      expect_reports_identical(reference, report);
-      ASSERT_FALSE(::testing::Test::HasFailure())
-          << "engine " << (engine == emul::ReplayEngine::kHeap ? "heap"
-                                                               : "calendar")
-          << " replay_shards " << replay_shards;
-    }
+  emul::ArenaExecOptions options;
+  options.shards = 2;
+  {
+    SCOPED_TRACE("barrier");
+    expect_reports_identical(reference, run_barrier(fx, arena, options));
   }
+  {
+    SCOPED_TRACE("streamed");
+    expect_reports_identical(
+        reference, run_streamed(fx, balanced.solutions, options, nullptr));
+  }
+}
+
+// replay_shards is a compatibility field: the replay is one sequential
+// drain, and any other value is rejected before a step runs.
+TEST(ReplayEngine, ReplayShardsOtherThanOneAreRejected) {
+  const auto fx = make_fixture(0, 61, /*stripes=*/8);
+  const auto balanced = recovery::balance_multi(fx.placement, fx.censuses);
+  PlanTemplateCache cache;
+  const auto arena = recovery::build_multi_car_arena(
+      fx.placement, fx.code, balanced.solutions, kChunk, 16 * 1024,
+      fx.scenario.replacement, cache);
+  emul::Cluster cluster(fx.placement.topology(), emul_config());
+  emul::ArenaExecOptions options;
+  options.replay_shards = 2;
+  EXPECT_THROW((void)cluster.execute_arena(arena, options), util::CheckError);
 }
 
 // The streamed pipeline (producer appends while the executor replays) must
@@ -216,7 +236,6 @@ TEST(ReplayEngine, StreamedPipelineMatchesBarrierBitExactly) {
 
   emul::ArenaExecOptions options;
   options.shards = 2;
-  options.replay_shards = 2;
   const auto reference = run_barrier(fx, arena, options);
 
   PlanArena streamed;
@@ -226,7 +245,7 @@ TEST(ReplayEngine, StreamedPipelineMatchesBarrierBitExactly) {
   expect_slice_plans_equal(arena, streamed);
 }
 
-// Recovered bytes decode bit-exactly through the calendar-sharded replay.
+// Recovered bytes decode bit-exactly through the payload-sharded arena run.
 TEST(ReplayEngine, CalendarShardedReplayDecodesBitExact) {
   const auto fx = make_fixture(0, 29, /*stripes=*/18);
   const auto balanced = recovery::balance_multi(fx.placement, fx.censuses);
@@ -244,8 +263,6 @@ TEST(ReplayEngine, CalendarShardedReplayDecodesBitExact) {
 
   emul::ArenaExecOptions options;
   options.shards = 2;
-  options.replay_shards = 8;
-  options.replay_engine = emul::ReplayEngine::kCalendar;
   (void)cluster.execute_arena(arena, options);
 
   std::size_t verified = 0;
@@ -266,14 +283,13 @@ TEST(ReplayEngine, CalendarShardedReplayDecodesBitExact) {
 // Regression for the calendar-queue rewindow gap in the streamed pipeline:
 // with links slow enough that every dependent lands thousands of virtual
 // seconds past t_start — far beyond the initial all-equal-times rung span
-// (64 unit-width buckets) — a shard that drains its published t_start
+// (64 unit-width buckets) — a replay that drains its published t_start
 // seeds before the feed closes rewindows onto those far-future dependents
-// in the publish-step top(), and the NEXT ingestion batch then pushes
-// (t_start, sid) seeds BELOW the rewindowed rung start.  Before the
-// bucket_index fix the misroute made the shard's published frontier
-// non-monotone (breaking the safe-window mutual exclusion) and diverged
-// from the heap engine; the streamed run must stay bit-identical.  The
-// producer is throttled so ingestion batches genuinely interleave with
+// in the watermark-cap top(), and the NEXT ingestion batch then pushes
+// (t_start, sid) seeds BELOW the rewindowed rung start.  Without the
+// bucket_index clamp the misroute pops events out of (time, id) order; the
+// streamed run must stay bit-identical to the sequential SlicePlan replay.
+// The producer is throttled so ingestion batches genuinely interleave with
 // drains instead of arriving in one lump.
 TEST(ReplayEngine, StreamedSlowLinksRewindowGapBitIdentical) {
   const auto fx = make_fixture(0, 53, /*stripes=*/16);
@@ -292,8 +308,8 @@ TEST(ReplayEngine, StreamedSlowLinksRewindowGapBitIdentical) {
 
   // Slow enough that every dependent — transfers and computes alike, one
   // 16 KiB slice ~327,680 virtual seconds — lands far beyond the 64-unit
-  // rung the all-equal t_start rewindow spans, so the per-shard queues
-  // genuinely go rung-empty between ticks.
+  // rung the all-equal t_start rewindow spans, so the replay's queue
+  // genuinely goes rung-empty between ticks.
   auto slow = emul_config();
   slow.node_bps = 0.05;
   slow.virtual_gf_bps = 0.05;
@@ -311,19 +327,12 @@ TEST(ReplayEngine, StreamedSlowLinksRewindowGapBitIdentical) {
     return cluster;
   };
 
-  emul::ExecutionReport reference;
-  {
-    emul::ArenaExecOptions heap_options;
-    heap_options.shards = 2;
-    heap_options.replay_shards = 1;
-    heap_options.replay_engine = emul::ReplayEngine::kHeap;
-    reference = make_cluster()->execute_arena(arena, heap_options);
-    ASSERT_GT(reference.wall_s, 0.0);
-  }
+  const auto reference = make_cluster()->execute(arena.to_slice_plan());
+  ASSERT_GT(reference.wall_s, 0.0);
 
   // Hand-drive the feed over the fully built arena: publish one stripe per
-  // tick, pausing long enough that the replay shards provably drain the
-  // published t_start seeds — and the publish-step top() rewindows onto
+  // tick, pausing long enough that the replay provably drains the
+  // published t_start seeds — and the watermark-cap top() rewindows onto
   // the far-future dependents — before the next stripe's seeds land below
   // the rewindowed rung.  (A real producer builds rows between publishes;
   // pre-building the arena only makes the watermark more conservative.)
@@ -345,8 +354,6 @@ TEST(ReplayEngine, StreamedSlowLinksRewindowGapBitIdentical) {
   });
   emul::ArenaExecOptions options;
   options.shards = 2;
-  options.replay_shards = 2;
-  options.replay_engine = emul::ReplayEngine::kCalendar;
   emul::ExecutionReport report;
   auto cluster = make_cluster();
   try {
@@ -457,7 +464,6 @@ TEST(ReplayEngine, ThrowingStreamProducerFailsTheRunInsteadOfHanging) {
   });
   emul::ArenaExecOptions options;
   options.shards = 2;
-  options.replay_shards = 2;
   options.metadata_only = true;
   std::string message;
   try {
@@ -471,45 +477,6 @@ TEST(ReplayEngine, ThrowingStreamProducerFailsTheRunInsteadOfHanging) {
       << "executor error: " << message;
   ASSERT_TRUE(produce_error);
   EXPECT_THROW(std::rethrow_exception(produce_error), std::runtime_error);
-}
-
-// --- safe-window stress --------------------------------------------------
-
-// Metadata-only, many stripes, 8 replay shards with a skewed per-shard
-// load: the lock-free safe-window slots see heavy contention (this is the
-// TSan target in CI), and the timeline must still match the serial drain.
-TEST(ReplayEngine, SafeWindowStressSkewedShardsBitIdentical) {
-  const auto fx = make_fixture(0, 5, /*stripes=*/400);
-  const auto balanced = recovery::balance_multi(fx.placement, fx.censuses);
-  PlanTemplateCache cache;
-  const auto arena = recovery::build_multi_car_arena(
-      fx.placement, fx.code, balanced.solutions, kChunk, 16 * 1024,
-      fx.scenario.replacement, cache);
-
-  std::vector<cluster::StripeId> sampled;
-  for (cluster::StripeId s = 0; s < 8; ++s) sampled.push_back(s);
-
-  emul::ExecutionReport reference;
-  for (const std::size_t replay_shards : {1u, 8u}) {
-    emul::Cluster cluster(fx.placement.topology(), emul_config());
-    (void)cluster.populate_sampled(fx.placement, fx.code, kChunk, 7,
-                                   sampled);
-    for (const auto node : fx.scenario.failed_nodes) {
-      cluster.erase_node(node);
-    }
-    emul::ArenaExecOptions options;
-    options.shards = 4;
-    options.replay_shards = replay_shards;
-    options.metadata_only = true;
-    options.sampled_stripes = sampled;
-    const auto report = cluster.execute_arena(arena, options);
-    if (replay_shards == 1) {
-      reference = report;
-      ASSERT_GT(reference.wall_s, 0.0);
-    } else {
-      expect_reports_identical(reference, report);
-    }
-  }
 }
 
 }  // namespace

@@ -25,14 +25,11 @@ legitimately move when the planner or emulator changes; the only value
 checks are directional: every default-fabric (core_scale == 1) point must
 keep speedup >= --min-speedup (default 1.3, the acceptance bar), every
 scale_sweep row must report a positive makespan and step count (and a
-positive end_to_end_s when it carries one), every full-rack scale_sweep
+positive end_to_end_s when it carries one), and every full-rack scale_sweep
 row that carries the template-cache timing columns must keep plan_speedup
 (classic plan+lowering over template-cached arena build, a within-run
 host-time ratio that divides out the machine) >= --min-plan-speedup
-(default 5, the acceptance bar), and every full-rack row that carries the
-replay-engine timing columns must keep replay_speedup (binary-heap replay
-over calendar-queue replay, the same kind of within-run ratio) >=
---min-replay-speedup (default 2, the acceptance bar).
+(default 5, the acceptance bar).
 
 Malformed input is a diagnostic, not a traceback: a missing section, a row
 without its key fields, or a zero makespan in a speedup ratio all produce a
@@ -40,7 +37,7 @@ clear message and a nonzero exit instead of KeyError/ZeroDivisionError.
 
 Usage:
   bench_schema_diff.py BASELINE CANDIDATE [--min-speedup 1.3]
-      [--min-plan-speedup 5.0] [--min-replay-speedup 2.0]
+      [--min-plan-speedup 5.0]
 
 Exits 0 when the candidate matches, 1 with a report on stderr otherwise,
 2 when an input file cannot be read or parsed at all.
@@ -141,8 +138,7 @@ def diff_section(base_rows, cand_rows, key_fields, fields, section, errors):
     return base, cand
 
 
-def diff(baseline, candidate, min_speedup, min_plan_speedup,
-         min_replay_speedup):
+def diff(baseline, candidate, min_speedup, min_plan_speedup):
     errors = []
 
     for field in ("schema", "fabric", "workload"):
@@ -209,18 +205,6 @@ def diff(baseline, candidate, min_speedup, min_plan_speedup,
                     f"misses for {affected} affected stripes — the "
                     "signature space is exploding instead of collapsing"
                 )
-        # Calendar-queue acceptance: full-rack rows replay hundreds of
-        # thousands to millions of events, where the bucketed queue must
-        # beat the global binary heap by the bar.  Same within-run
-        # host-ratio construction as plan_speedup.
-        if row.get("failure") == "full-rack" and "replay_speedup" in row:
-            replay_speedup = row.get("replay_speedup") or 0
-            if replay_speedup < min_replay_speedup:
-                errors.append(
-                    f"scale_sweep row {key}: replay_speedup "
-                    f"{replay_speedup:.3f} fell below the "
-                    f"{min_replay_speedup}x calendar-queue acceptance bar"
-                )
 
     # Like the scale sweep, the rebuild section is required exactly when
     # the baseline carries one.
@@ -274,7 +258,6 @@ def main():
     parser.add_argument("candidate")
     parser.add_argument("--min-speedup", type=float, default=1.3)
     parser.add_argument("--min-plan-speedup", type=float, default=5.0)
-    parser.add_argument("--min-replay-speedup", type=float, default=2.0)
     args = parser.parse_args()
 
     baseline = load(args.baseline)
@@ -284,8 +267,7 @@ def main():
             sys.exit(f"bench_schema_diff: {which} JSON is not an object")
 
     errors = diff(
-        baseline, candidate, args.min_speedup, args.min_plan_speedup,
-        args.min_replay_speedup
+        baseline, candidate, args.min_speedup, args.min_plan_speedup
     )
     if errors:
         print(f"bench_schema_diff: {len(errors)} mismatch(es):", file=sys.stderr)
