@@ -121,9 +121,13 @@ void CalendarQueue::rewindow() {
     // inserts distributed instead of degenerating to a single heap.
     width_ = 1.0;
   }
-  CAR_CHECK_STATE(width_ > 0.0 && std::isfinite(width_),
-                  "CalendarQueue: non-finite bucket width (event times must "
-                  "be finite)");
+  // An all-infinite overflow would give rung_start_ = inf, where every
+  // offset is NaN and routes back to the overflow: prepare() would then
+  // rewindow forever instead of failing.
+  CAR_CHECK_STATE(std::isfinite(rung_start_) && width_ > 0.0 &&
+                      std::isfinite(width_),
+                  "CalendarQueue: non-finite rung start or bucket width "
+                  "(event times must be finite)");
   cursor_ = 0;
   // Re-bucket in place: events inside the new rung move to their buckets
   // (index 0 holds at least every event at `lo`, so each rewindow makes

@@ -1,6 +1,7 @@
 #include "inject/scenario.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <numeric>
 #include <optional>
@@ -354,6 +355,9 @@ Scenario parse_scenario(const std::string& text) {
           have_node = true;
         } else if (k == "at") {
           const double at = parse_f64(line, v);
+          if (!std::isfinite(at)) {
+            bad_spec(line, "crash time must be finite, got \"" + v + "\"");
+          }
           if (at < 0) bad_spec(line, "crash time must be >= 0");
           crash.at_time_s = at;
           have_at = true;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <utility>
 
 #include "recovery/multi.h"
@@ -65,6 +65,11 @@ RebuildResult RebuildCoordinator::run(std::span<const FailureEvent> events) {
     CAR_CHECK_LT(events[i].node, num_nodes,
                  "RebuildCoordinator::run: failure event names an unknown "
                  "node");
+    // A non-finite time would put every later batch at t = inf, where the
+    // calendar queue can never bucket an event (inf - inf is NaN).
+    CAR_CHECK(std::isfinite(events[i].at_s),
+              "RebuildCoordinator::run: failure event " + std::to_string(i) +
+                  " has a non-finite time " + std::to_string(events[i].at_s));
     CAR_CHECK_GE(events[i].at_s, 0.0,
                  "RebuildCoordinator::run: failure time must be >= 0");
     if (i > 0) {
@@ -230,22 +235,22 @@ bool RebuildCoordinator::dispatch_one(BatchDriver& driver) {
   const std::size_t tier = batch.front().tolerance_left;
   const std::vector<cluster::NodeId>& signature = batch.front().plan_hosts;
 
-  std::unordered_set<cluster::StripeId> want;
+  // `stripes` stays in queue order: close_windows sums floating-point
+  // exposure windows in that order.  The census takes the same stripes
+  // sorted, and costs O(batch) — never a scan of the whole placement.
   std::vector<cluster::StripeId> stripes;
   std::vector<PublishedChunk> outputs;
   for (const recovery::StripeExposure& entry : batch) {
-    want.insert(entry.stripe);
     stripes.push_back(entry.stripe);
   }
+  std::vector<cluster::StripeId> sorted = stripes;
+  std::sort(sorted.begin(), sorted.end());
 
   const recovery::MultiFailureScenario scenario =
       recovery::make_multi_failure_onto(placement_, signature, replacement_);
   const auto scan_start = std::chrono::steady_clock::now();
-  std::vector<recovery::MultiStripeCensus> censuses;
-  for (auto& census : recovery::build_multi_censuses(placement_, scenario,
-                                                     options_.scan_shards)) {
-    if (want.contains(census.stripe)) censuses.push_back(std::move(census));
-  }
+  const std::vector<recovery::MultiStripeCensus> censuses =
+      recovery::build_multi_censuses(placement_, scenario, sorted);
   result_.metrics.scan_host_s += host_seconds_since(scan_start);
   CAR_CHECK_STATE(censuses.size() == batch.size(),
                   "rebuild: batch scan census does not cover every queued "

@@ -22,7 +22,10 @@
 //      resilient runtime also runs on); each batch is planned and
 //      statically gated by recovery/replan (CAR partial decoding or the RR
 //      baseline, then recovery/validate), and admitted only when the gate
-//      passes.
+//      passes.  A batch's multi-failure census covers only the batch's own
+//      stripes (recovery::build_multi_censuses' stripe-list form), so the
+//      whole placement is scanned once per epoch, never once per batch —
+//      DAOS's scan-once-then-pull split.
 //   5. Re-plan — when a failure lands mid-rebuild the driver cancels every
 //      in-flight batch, publishes the outputs that fully delivered, and the
 //      coordinator re-scans and re-dispatches the remainder at the new
@@ -79,10 +82,11 @@ struct RebuildOptions {
   /// Concurrent in-flight batches on the shared timeline.
   std::size_t max_inflight = 2;
   std::uint64_t seed = 7;
-  /// Worker threads for the metadata scans (exposure census at each epoch,
-  /// per-batch multi-failure census).  Sharded scans are bit-identical to
-  /// serial ones for every count (recovery/exposure.h, recovery/multi.h),
-  /// so this is purely a host-time knob.
+  /// Worker threads for the per-epoch exposure census, the one scan of the
+  /// whole placement.  A sharded scan is bit-identical to a serial one for
+  /// every count (recovery/exposure.h), so this is purely a host-time knob.
+  /// The per-batch census covers only the batch's stripes and always runs
+  /// on the calling thread.
   std::size_t scan_shards = 1;
   inject::RetryPolicy retry;
   /// Link/transfer adversity for the driver.  Node crashes are NOT allowed
@@ -121,9 +125,10 @@ struct RebuildMetrics {
   /// Stripes whose batch was cancelled and that re-entered the queue.
   std::size_t stripes_requeued = 0;
   /// Planning-path host time (std::chrono, NOT virtual seconds — the only
-  /// host-clock numbers in the result): metadata scans (exposure census +
-  /// per-batch multi census) and plan construction (balancing, the
-  /// template-cached plan build, and its validation).
+  /// host-clock numbers in the result): metadata scans (one exposure census
+  /// of the whole placement per epoch, plus each batch's census of its own
+  /// stripes) and plan construction (balancing, the template-cached plan
+  /// build, and its validation).
   double scan_host_s = 0.0;
   double plan_host_s = 0.0;
   /// Plan-template cache counters across every batch of the run
@@ -154,8 +159,8 @@ class RebuildCoordinator {
                      RebuildOptions options);
 
   /// Execute the failure schedule to a fully rebuilt cluster.  Events must
-  /// be non-empty, time-ordered (non-decreasing), and name distinct live
-  /// nodes; an event targeting the replacement (the first event's node)
+  /// be non-empty, at finite non-negative times, time-ordered
+  /// (non-decreasing), and name distinct live nodes; an event targeting the replacement (the first event's node)
   /// propagates the cluster's replacement-guard CAR_CHECK.  Throws
   /// util::StateError when a batch plan fails static validation or a
   /// transfer exhausts its retries.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -13,6 +12,7 @@
 #include "emul/cluster.h"
 #include "rs/code.h"
 #include "util/check.h"
+#include "util/for_each_shard.h"
 #include "util/rng.h"
 
 namespace car::rebuild {
@@ -156,30 +156,21 @@ RebuildScenarioOutcome run_rebuild_scenario(const inject::Scenario& scenario,
     }
   }
 
-  std::unordered_map<cluster::StripeId, std::vector<rs::Chunk>> originals;
-  if (populate_shards <= 1) {
-    originals = cluster.populate_sampled(placement, code, scenario.chunk_bytes,
-                                         scenario.seed, materialise);
-  } else {
-    std::vector<std::vector<cluster::StripeId>> subsets(populate_shards);
-    for (std::size_t i = 0; i < materialise.size(); ++i) {
-      subsets[i % populate_shards].push_back(materialise[i]);
-    }
-    std::vector<std::unordered_map<cluster::StripeId, std::vector<rs::Chunk>>>
-        partials(populate_shards);
-    std::vector<std::thread> workers;
-    workers.reserve(populate_shards);
-    for (std::size_t shard = 0; shard < populate_shards; ++shard) {
-      workers.emplace_back([&, shard] {
-        partials[shard] =
-            cluster.populate_sampled(placement, code, scenario.chunk_bytes,
-                                     scenario.seed, subsets[shard]);
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-    for (auto& partial : partials) {
-      originals.merge(partial);
-    }
+  std::vector<std::vector<cluster::StripeId>> subsets(populate_shards);
+  for (std::size_t i = 0; i < materialise.size(); ++i) {
+    subsets[i % populate_shards].push_back(materialise[i]);
+  }
+  std::vector<std::unordered_map<cluster::StripeId, std::vector<rs::Chunk>>>
+      partials(populate_shards);
+  util::for_each_shard(populate_shards, [&](std::size_t shard) {
+    partials[shard] =
+        cluster.populate_sampled(placement, code, scenario.chunk_bytes,
+                                 scenario.seed, subsets[shard]);
+  });
+  std::unordered_map<cluster::StripeId, std::vector<rs::Chunk>> originals =
+      std::move(partials.front());
+  for (std::size_t shard = 1; shard < populate_shards; ++shard) {
+    originals.merge(partials[shard]);
   }
 
   RebuildOptions options;

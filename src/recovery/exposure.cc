@@ -1,13 +1,11 @@
 #include "recovery/exposure.h"
 
 #include <algorithm>
-#include <exception>
 #include <iterator>
-#include <mutex>
-#include <thread>
 
 #include "recovery/solutions.h"
 #include "util/check.h"
+#include "util/for_each_shard.h"
 
 namespace car::recovery {
 
@@ -106,35 +104,16 @@ std::vector<StripeExposure> build_exposure_census(
     failed[node] = 1;
   }
 
-  const cluster::StripeId n = placement.num_stripes();
-  if (shards <= 1 || n < 2) {
-    std::vector<StripeExposure> out;
-    exposure_range(placement, failed, replacement, recovered, 0, n, out);
-    return out;
-  }
   // Contiguous ranges concatenated in range order — bit-identical to the
   // serial scan for every shard count (RecoveredSet reads are const).
-  shards = std::min<std::size_t>(shards, n);
+  const cluster::StripeId n = placement.num_stripes();
+  shards = std::min<std::size_t>(shards, std::max<cluster::StripeId>(n, 1));
   std::vector<std::vector<StripeExposure>> parts(shards);
-  std::vector<std::thread> workers;
-  workers.reserve(shards);
-  std::mutex error_mu;
-  std::exception_ptr error;
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    const cluster::StripeId begin = n * shard / shards;
-    const cluster::StripeId end = n * (shard + 1) / shards;
-    workers.emplace_back([&, shard, begin, end] {
-      try {
-        exposure_range(placement, failed, replacement, recovered, begin, end,
-                       parts[shard]);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mu);
-        if (!error) error = std::current_exception();
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
-  if (error) std::rethrow_exception(error);
+  util::for_each_shard(shards, [&](std::size_t shard) {
+    exposure_range(placement, failed, replacement, recovered,
+                   n * shard / shards, n * (shard + 1) / shards, parts[shard]);
+  });
+  if (shards == 1) return std::move(parts.front());
   std::size_t total = 0;
   for (const auto& part : parts) total += part.size();
   std::vector<StripeExposure> out;

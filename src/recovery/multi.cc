@@ -1,15 +1,13 @@
 #include "recovery/multi.h"
 
 #include <algorithm>
-#include <exception>
 #include <limits>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "util/check.h"
+#include "util/for_each_shard.h"
 
 namespace car::recovery {
 
@@ -92,38 +90,40 @@ void fill_census(const cluster::Placement& placement,
     }
   }
   CAR_CHECK_LE(census.lost_chunks.size(), placement.m(),
-               "build_multi_censuses: stripe lost more than m chunks — "
-               "beyond the code's fault tolerance");
+               "build_multi_censuses: stripe " + std::to_string(s) +
+                   " lost more than m chunks — beyond the code's fault "
+                   "tolerance");
 }
 
-/// Run body(shard) for every shard: shard 0 on the calling thread, the
-/// others on worker threads.  Every thread is joined before the first
-/// exception a shard threw is rethrown.
-template <typename Body>
-void for_each_shard(std::size_t shards, const Body& body) {
-  std::mutex error_mu;
-  std::exception_ptr error;
-  auto run = [&](std::size_t shard) {
-    try {
-      body(shard);
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(error_mu);
-      if (!error) error = std::current_exception();
-    }
-  };
-  std::vector<std::thread> workers;
-  workers.reserve(shards - 1);
-  try {
-    for (std::size_t shard = 1; shard < shards; ++shard) {
-      workers.emplace_back(run, shard);
-    }
-  } catch (...) {
-    for (auto& worker : workers) worker.join();
-    throw;
+/// Failed-node bitset for `scenario`: is_failed() is a linear scan over
+/// failed_nodes, and a census asks once per chunk — at datacenter scale (1M
+/// stripes, a full rack of failed nodes) that linear scan dominates.
+std::vector<char> failed_bitset(const cluster::Placement& placement,
+                                const MultiFailureScenario& scenario) {
+  const auto& topology = placement.topology();
+  CAR_CHECK_LE(topology.num_racks(),
+               std::size_t{std::numeric_limits<std::uint32_t>::max()},
+               "build_multi_censuses: too many racks for a 32-bit rack id");
+  std::vector<char> failed(topology.num_nodes(), 0);
+  for (cluster::NodeId node : scenario.failed_nodes) {
+    CAR_CHECK_LT(node, topology.num_nodes(),
+                 "build_multi_censuses: failed node id out of range");
+    failed[node] = 1;
   }
-  run(0);
-  for (auto& worker : workers) worker.join();
-  if (error) std::rethrow_exception(error);
+  return failed;
+}
+
+/// Census of each stripe in `stripes` (every one lost at least one chunk)
+/// into the matching slot of `out` — the pass both census entry points end
+/// in, so the per-stripe census and its <= m check live in one place.
+void fill_censuses(const cluster::Placement& placement,
+                   const MultiFailureScenario& scenario,
+                   const std::vector<char>& failed,
+                   std::span<const cluster::StripeId> stripes,
+                   std::span<MultiStripeCensus> out) {
+  for (std::size_t i = 0; i < stripes.size(); ++i) {
+    fill_census(placement, scenario, failed, stripes[i], out[i]);
+  }
 }
 
 }  // namespace
@@ -132,19 +132,7 @@ std::vector<MultiStripeCensus> build_multi_censuses(
     const cluster::Placement& placement, const MultiFailureScenario& scenario,
     std::size_t shards) {
   CAR_CHECK(shards >= 1, "build_multi_censuses: shards must be >= 1");
-  const auto& topology = placement.topology();
-  CAR_CHECK_LE(topology.num_racks(),
-               std::size_t{std::numeric_limits<std::uint32_t>::max()},
-               "build_multi_censuses: too many racks for a 32-bit rack id");
-  // Bitset lookup: is_failed() is a linear scan over failed_nodes, and this
-  // loop asks it once per chunk — at datacenter scale (1M stripes, a full
-  // rack of failed nodes) that linear scan dominates the census.
-  std::vector<char> failed(topology.num_nodes(), 0);
-  for (cluster::NodeId node : scenario.failed_nodes) {
-    CAR_CHECK_LT(node, topology.num_nodes(),
-                 "build_multi_censuses: failed node id out of range");
-    failed[node] = 1;
-  }
+  const std::vector<char> failed = failed_bitset(placement, scenario);
   const cluster::StripeId n = placement.num_stripes();
   shards = std::min<std::size_t>(shards, std::max<cluster::StripeId>(n, 1));
   // Two passes over contiguous stripe ranges, one per shard.  The first
@@ -153,7 +141,7 @@ std::vector<MultiStripeCensus> build_multi_censuses(
   // Ranges keep stripe order, so the result is the serial scan's verbatim
   // for every shard count.
   std::vector<std::vector<cluster::StripeId>> affected(shards);
-  for_each_shard(shards, [&](std::size_t shard) {
+  util::for_each_shard(shards, [&](std::size_t shard) {
     for (cluster::StripeId s = n * shard / shards;
          s < n * (shard + 1) / shards; ++s) {
       if (lost_any(placement.stripe(s), failed)) affected[shard].push_back(s);
@@ -164,12 +152,34 @@ std::vector<MultiStripeCensus> build_multi_censuses(
     first[shard + 1] = first[shard] + affected[shard].size();
   }
   std::vector<MultiStripeCensus> out(first.back());
-  for_each_shard(shards, [&](std::size_t shard) {
-    for (std::size_t i = 0; i < affected[shard].size(); ++i) {
-      fill_census(placement, scenario, failed, affected[shard][i],
-                  out[first[shard] + i]);
-    }
+  util::for_each_shard(shards, [&](std::size_t shard) {
+    fill_censuses(placement, scenario, failed, affected[shard],
+                  std::span(out).subspan(first[shard], affected[shard].size()));
   });
+  return out;
+}
+
+std::vector<MultiStripeCensus> build_multi_censuses(
+    const cluster::Placement& placement, const MultiFailureScenario& scenario,
+    std::span<const cluster::StripeId> stripes) {
+  const std::vector<char> failed = failed_bitset(placement, scenario);
+  for (std::size_t i = 0; i < stripes.size(); ++i) {
+    const cluster::StripeId s = stripes[i];
+    CAR_CHECK(i == 0 || stripes[i - 1] < s,
+              "build_multi_censuses: stripe list must be strictly ascending, "
+              "but stripe " + std::to_string(s) + " follows stripe " +
+                  std::to_string(stripes[i - 1]));
+    CAR_CHECK(s < placement.num_stripes(),
+              "build_multi_censuses: stripe " + std::to_string(s) +
+                  " is out of range for a " +
+                  std::to_string(placement.num_stripes()) +
+                  "-stripe placement");
+    CAR_CHECK(lost_any(placement.stripe(s), failed),
+              "build_multi_censuses: stripe " + std::to_string(s) +
+                  " loses no chunk under the scenario");
+  }
+  std::vector<MultiStripeCensus> out(stripes.size());
+  fill_censuses(placement, scenario, failed, stripes, out);
   return out;
 }
 

@@ -117,6 +117,18 @@ std::vector<MultiStripeCensus> build_multi_censuses(
     const cluster::Placement& placement, const MultiFailureScenario& scenario,
     std::size_t shards = 1);
 
+/// Censuses for the listed stripes only — O(list), not O(placement): the
+/// rebuild coordinator's per-batch census, where a batch is a few dozen
+/// stripes of a cluster-sized placement.  `stripes` must be strictly
+/// ascending, in range, and every listed stripe must lose at least one
+/// chunk under `scenario`; a violation throws util::CheckError naming the
+/// stripe (as does a stripe that lost more than m chunks).  The result is
+/// the full census above filtered to the listed stripes, entry for entry;
+/// an empty list yields an empty result.  Runs on the calling thread.
+std::vector<MultiStripeCensus> build_multi_censuses(
+    const cluster::Placement& placement, const MultiFailureScenario& scenario,
+    std::span<const cluster::StripeId> stripes);
+
 /// One contributing rack of a MultiStripeSolution, which reads the
 /// solution's chunks[first, first + count).
 struct PickRange {

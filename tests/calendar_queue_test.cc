@@ -8,11 +8,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <queue>
 #include <utility>
 #include <vector>
 
 #include "emul/calendar_queue.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace car {
@@ -161,6 +163,16 @@ TEST(CalendarQueue, AllEqualOverflowFallsBackToUnitWidth) {
     ref.emplace(1e9, key);
   }
   drain_both(queue, ref);
+}
+
+// An overflow holding only infinite times has no finite rung to build
+// (inf - inf is NaN, so every event routes back to the overflow).  The
+// rewindow must fail loudly instead of leaving prepare() to loop forever —
+// the shape a rebuild schedule with a failure at t = inf used to reach.
+TEST(CalendarQueue, InfiniteEventTimeFailsInsteadOfSpinning) {
+  CalendarQueue queue(64);
+  queue.push(std::numeric_limits<double>::infinity(), 1);
+  EXPECT_THROW(static_cast<void>(queue.top()), util::StateError);
 }
 
 // Regression: a rewindow driven by a lone far-future event (a scheduled

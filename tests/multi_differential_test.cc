@@ -3,15 +3,20 @@
 // ranking loop the sparse core replaced, kept here so the two can never
 // drift apart.  Rack sets, picks, the λ trace and the substitution count
 // must be identical on randomized placements, rack sizes and failures.
+// The stripe-list census is checked against the filtered full census the
+// same way.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "cluster/placement.h"
 #include "cluster/topology.h"
 #include "recovery/multi.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace car::recovery {
@@ -293,6 +298,96 @@ TEST(SparseBalanceDifferential, BalanceMatchesDenseReference) {
   }
   EXPECT_GE(compared, 100);
   EXPECT_TRUE(spilled) << "no case exercised the spilled census";
+}
+
+// --- stripe-list census ------------------------------------------------------
+
+void expect_same_census(const MultiStripeCensus& got,
+                        const MultiStripeCensus& want, int trial) {
+  EXPECT_EQ(got.stripe, want.stripe) << "trial " << trial;
+  EXPECT_EQ(got.lost_chunks, want.lost_chunks)
+      << "trial " << trial << " stripe " << got.stripe;
+  EXPECT_EQ(got.replacement_rack, want.replacement_rack)
+      << "trial " << trial << " stripe " << got.stripe;
+  EXPECT_EQ(got.k, want.k) << "trial " << trial << " stripe " << got.stripe;
+  EXPECT_TRUE(
+      std::ranges::equal(got.surviving.ranked(), want.surviving.ranked()))
+      << "trial " << trial << " stripe " << got.stripe;
+}
+
+// The per-batch census of the rebuild coordinator: for random placements,
+// failures and subsets of the affected stripes (empty and complete ones
+// included), the list census is the full census filtered to the list, at
+// every full-census shard count.
+TEST(ListCensusDifferential, EqualsFilteredFullCensus) {
+  util::Rng rng(9090);
+  int compared = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const Case c = make_case(rng, trial);
+    const auto full =
+        build_multi_censuses(c.placement, c.scenario, 1 + trial % 3);
+    // Keep each affected stripe with probability keep/4: 0 gives the empty
+    // list, 4 the whole affected set.
+    const std::size_t keep = trial % 5;
+    std::vector<cluster::StripeId> list;
+    std::vector<const MultiStripeCensus*> want;
+    for (const MultiStripeCensus& census : full) {
+      if (rng.next_below(4) < keep) {
+        list.push_back(census.stripe);
+        want.push_back(&census);
+      }
+    }
+    const auto got = build_multi_censuses(c.placement, c.scenario,
+                                          std::span<const cluster::StripeId>(
+                                              list));
+    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      expect_same_census(got[i], *want[i], trial);
+      ++compared;
+    }
+  }
+  EXPECT_GE(compared, 500);
+}
+
+TEST(ListCensus, RejectsMalformedListsNamingTheStripe) {
+  const cluster::Topology topology({3, 3, 3, 3});
+  util::Rng rng(5);
+  const Placement placement = Placement::random(topology, 3, 2, 60, rng);
+  const MultiFailureScenario scenario = make_multi_failure(placement, {0});
+  const auto full = build_multi_censuses(placement, scenario);
+  ASSERT_GE(full.size(), 2u);
+  const cluster::StripeId a = full[0].stripe;
+  const cluster::StripeId b = full[1].stripe;
+  cluster::StripeId untouched = 0;
+  while (untouched == a || untouched == b ||
+         std::ranges::any_of(full, [&](const MultiStripeCensus& census) {
+           return census.stripe == untouched;
+         })) {
+    ++untouched;
+  }
+  ASSERT_LT(untouched, placement.num_stripes());
+
+  const auto expect_rejected = [&](std::vector<cluster::StripeId> list,
+                                   const std::string& needle) {
+    try {
+      build_multi_censuses(placement, scenario,
+                           std::span<const cluster::StripeId>(list));
+      ADD_FAILURE() << "expected CheckError mentioning \"" << needle << "\"";
+    } catch (const util::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected({b, a}, "stripe " + std::to_string(a) + " follows stripe " +
+                              std::to_string(b));
+  expect_rejected({a, a}, "stripe " + std::to_string(a) + " follows stripe " +
+                              std::to_string(a));
+  expect_rejected({a, 60}, "stripe 60 is out of range");
+  expect_rejected({untouched},
+                  "stripe " + std::to_string(untouched) + " loses no chunk");
+  EXPECT_TRUE(build_multi_censuses(placement, scenario,
+                                   std::span<const cluster::StripeId>())
+                  .empty());
 }
 
 }  // namespace

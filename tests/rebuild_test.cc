@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -190,6 +191,24 @@ TEST(ParseScenario, OutOfOrderCrashTimesRejected) {
   }
 }
 
+// A non-finite failure time used to parse, and the rebuild then spun
+// forever in the calendar queue's rewindow loop at t = inf.
+TEST(ParseScenario, NonFiniteCrashTimeNamesTheOffendingLine) {
+  for (const std::string at : {"inf", "-inf", "nan", "infinity"}) {
+    const std::string line = "crash node=4 at=" + at;
+    try {
+      inject::parse_scenario("crash node=3 at=0\n" + line + "\n");
+      FAIL() << "expected invalid_argument for at=" << at;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("must be finite"),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ParseScenario, FailNodeConflictingWithCrashRejected) {
   EXPECT_THROW(
       inject::parse_scenario("crash node=3 at=1\nfail-node 3\n"),
@@ -224,6 +243,32 @@ TEST(Coordinator, RejectsMalformedFailureSchedules) {
   RebuildOptions with_crash;
   with_crash.faults.node_crashes.push_back({2, std::nullopt, 0.1});
   EXPECT_THROW(run_events({{1, 0.0}}, with_crash), util::CheckError);
+}
+
+TEST(Coordinator, NonFiniteFailureTimeNamesTheEvent) {
+  const cluster::Topology topology({3, 3, 3});
+  const rs::Code code(3, 2);
+  util::Rng rng(1);
+  const auto placement = cluster::Placement::random(topology, 3, 2, 4, rng);
+  emul::EmulConfig config;
+  config.clock_mode = emul::ClockMode::kVirtual;
+  for (const double at : {std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    emul::Cluster cluster(topology, config);
+    RebuildOptions options;
+    options.data.metadata_only = true;
+    RebuildCoordinator coordinator(cluster, placement, code, options);
+    const std::vector<FailureEvent> events = {{1, 0.0}, {4, at}};
+    try {
+      coordinator.run(events);
+      FAIL() << "expected CheckError for at_s = " << at;
+    } catch (const util::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("failure event 1 has a "
+                                           "non-finite time"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // Regression for the calendar-queue rewindow gap, at the control-plane

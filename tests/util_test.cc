@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "util/bytes.h"
+#include "util/for_each_shard.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -207,6 +212,43 @@ TEST(Bytes, FormatsHumanReadableSizes) {
   EXPECT_EQ(format_rate(125e6), "125.0 MB/s");
   EXPECT_EQ(format_rate(2.5e9), "2.50 GB/s");
   EXPECT_EQ(format_rate(500.0), "0.5 KB/s");
+}
+
+TEST(ForEachShard, RunsEveryShardOnceWithShardZeroOnTheCaller) {
+  std::vector<int> runs(5, 0);
+  std::vector<std::thread::id> ran_on(5);
+  for_each_shard(5, [&](std::size_t shard) {
+    ++runs[shard];
+    ran_on[shard] = std::this_thread::get_id();
+  });
+  EXPECT_EQ(runs, std::vector<int>(5, 1));
+  EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+  for (std::size_t shard = 1; shard < 5; ++shard) {
+    EXPECT_NE(ran_on[shard], std::this_thread::get_id()) << shard;
+  }
+  for_each_shard(0, [&](std::size_t) { FAIL() << "zero shards ran a body"; });
+}
+
+// A shard that throws — on a worker or on the calling thread — must not
+// let the caller unwind while another shard is still running: the slower
+// shard's write is visible once the catch block runs.
+TEST(ForEachShard, JoinsEveryShardBeforeRethrowing) {
+  for (const std::size_t thrower : {std::size_t{0}, std::size_t{1}}) {
+    bool slow_finished = false;
+    try {
+      for_each_shard(3, [&](std::size_t shard) {
+        if (shard == thrower) throw std::runtime_error("shard failed");
+        if (shard == 2) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          slow_finished = true;
+        }
+      });
+      FAIL() << "expected the shard's error to propagate";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "shard failed");
+      EXPECT_TRUE(slow_finished) << "thrower " << thrower;
+    }
+  }
 }
 
 }  // namespace
