@@ -81,7 +81,6 @@ int main() {
           placement, code, car.solutions, kVerifyChunk, scenario.failed_node);
 
       emul::EmulConfig emul_cfg;
-      emul_cfg.clock_mode = emul::ClockMode::kVirtual;
       emul::Cluster cluster(cfg.topology(), emul_cfg);
       util::Rng data_rng(0xF1610001ULL);
       cluster.populate(placement, code, kVerifyChunk, data_rng);

@@ -113,7 +113,6 @@ int main() {
       emul::EmulConfig emul_cfg;
       emul_cfg.node_bps = 125e6;
       emul_cfg.oversubscription = 5.0;
-      emul_cfg.clock_mode = emul::ClockMode::kVirtual;
 
       auto recover = [&](const recovery::RecoveryPlan& plan) {
         emul::Cluster cluster(cfg.topology(), emul_cfg);

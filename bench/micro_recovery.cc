@@ -134,7 +134,6 @@ struct Fig9Point {
 
 emul::EmulConfig fig9_emul(double core_scale) {
   emul::EmulConfig cfg;
-  cfg.clock_mode = emul::ClockMode::kVirtual;
   cfg.node_bps = 125e6;        // 1 GbE
   // Scaling oversubscription scales every rack uplink proportionally, which
   // keeps cfs3's heterogeneous racks {6,4,5,3,2} heterogeneous.
@@ -528,7 +527,6 @@ void BM_EmulateCarPlan_VirtualClock(benchmark::State& state) {
       s.placement, code, balanced.solutions, 4096, s.failure.failed_node);
 
   emul::EmulConfig cfg;
-  cfg.clock_mode = emul::ClockMode::kVirtual;
   emul::Cluster cluster(s.placement.topology(), cfg);
   util::Rng data_rng(48);
   cluster.populate(s.placement, code, 4096, data_rng);

@@ -1,17 +1,13 @@
 // Full recovery on the in-process emulated cluster: real bytes move through
 // rate-limited links and real GF(2^8) arithmetic reconstructs the lost
-// chunks.  Prints wall-clock recovery time and the transmission/computation
+// chunks.  Prints the recovery time and the transmission/computation
 // breakdown for CAR vs RR on CFS2 (the Google-Colossus-like configuration).
+// Times are on the emulator's virtual clock: nothing sleeps, and the
+// reported numbers are deterministic.
 //
 // Build & run:  ./build/examples/emulated_cluster [stripes] [chunk_KiB]
-//                                                 [virtual]
-// Passing "virtual" as the third argument switches the emulator to the
-// virtual clock: nothing sleeps, recovery times are modelled on the same
-// link reservations, and the reported numbers are deterministic — use it
-// for large stripe counts.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "cluster/configs.h"
 #include "emul/cluster.h"
@@ -20,11 +16,14 @@
 
 int main(int argc, char** argv) {
   using namespace car;
+  if (argc > 3) {
+    std::fprintf(stderr, "usage: %s [stripes] [chunk_KiB]\n", argv[0]);
+    return 2;
+  }
   const std::size_t stripes =
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20;
   const std::uint64_t chunk_size =
       (argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 256) * 1024;
-  const bool use_virtual = argc > 3 && std::strcmp(argv[3], "virtual") == 0;
 
   const auto cfg = cluster::cfs2();
   const rs::Code code(cfg.k, cfg.m);
@@ -35,8 +34,6 @@ int main(int argc, char** argv) {
   emul::EmulConfig emul_cfg;
   emul_cfg.node_bps = 400e6;       // scaled-down fabric so this runs fast
   emul_cfg.oversubscription = 5.0;  // cross-rack is the scarce resource
-  emul_cfg.clock_mode =
-      use_virtual ? emul::ClockMode::kVirtual : emul::ClockMode::kReal;
 
   auto run = [&](bool use_car) {
     emul::Cluster cluster(cfg.topology(), emul_cfg);
@@ -81,10 +78,9 @@ int main(int argc, char** argv) {
     return report;
   };
 
-  std::printf("CFS2 %s, RS(%zu,%zu), %zu stripes, %s chunks, %s clock\n",
+  std::printf("CFS2 %s, RS(%zu,%zu), %zu stripes, %s chunks, virtual clock\n",
               cfg.topology().to_string().c_str(), cfg.k, cfg.m, stripes,
-              util::format_bytes(chunk_size).c_str(),
-              use_virtual ? "virtual" : "real");
+              util::format_bytes(chunk_size).c_str());
   const auto rr = run(false);
   const auto car = run(true);
   std::printf("\nCAR vs RR: %.1f%% less cross-rack traffic, %.1f%% faster\n",

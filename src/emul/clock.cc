@@ -1,46 +1,15 @@
 #include "emul/clock.h"
 
-#include <string>
-#include <thread>
-
-#include "util/check.h"
-
 namespace car::emul {
 
-EmulClock::EmulClock(ClockMode mode)
-    : mode_(mode), epoch_(std::chrono::steady_clock::now()) {}
-
 double EmulClock::now() const {
-  if (mode_ == ClockMode::kReal) {
-    const std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - epoch_;
-    return dt.count();
-  }
   util::MutexLock lock(mu_);
-  return virtual_now_;
-}
-
-void EmulClock::sleep_until(double t) {
-  if (mode_ == ClockMode::kReal) {
-    std::this_thread::sleep_until(
-        epoch_ + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                     std::chrono::duration<double>(t)));
-    return;
-  }
-  advance_to(t);
+  return now_;
 }
 
 void EmulClock::advance_to(double t) {
-  if (mode_ == ClockMode::kReal) return;
   util::MutexLock lock(mu_);
-  if (t > virtual_now_) virtual_now_ = t;
-}
-
-void EmulClock::require_virtual(const char* who) const {
-  CAR_CHECK_STATE(mode_ == ClockMode::kVirtual,
-                  std::string(who) +
-                      ": requires ClockMode::kVirtual (wall-clock timelines "
-                      "are not reproducible)");
+  if (t > now_) now_ = t;
 }
 
 }  // namespace car::emul

@@ -1,63 +1,37 @@
-// Time source abstraction for the cluster emulator.
+// Virtual time source for the cluster emulator.
 //
 // The emulator expresses all link occupancy and step completion times as
-// seconds on a single monotonic *timeline*.  An EmulClock maps that timeline
-// onto one of two modes:
-//
-//   * kReal    — timeline second t is wall-clock `epoch + t`; sleep_until
-//                really blocks.  Recovery time is *measured*, including the
-//                genuine GF(2^8) compute on real buffers.
-//   * kVirtual — the timeline is a simulated clock held in memory;
-//                sleep_until merely advances it.  Nothing blocks, so a
-//                thousand-stripe recovery "takes" milliseconds of host time,
-//                and — because the timing pass that drives it is
-//                deterministic — the reported times are bit-identical across
-//                runs.
+// seconds on a single monotonic *timeline*, held in memory by an EmulClock.
+// Nothing ever blocks on it: the timing passes that drive it reserve links
+// and advance the clock, so a thousand-stripe recovery "takes" milliseconds
+// of host time, and — because those passes are deterministic — the reported
+// times are bit-identical across runs.
 //
 // The clock is shared by every link and step of one emul::Cluster and
 // persists across execute() calls, so back-to-back plans on one cluster see
-// a continuous timeline in both modes.
+// a continuous timeline.
 #pragma once
 
-#include <chrono>
-
-#include "util/attributes.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
 namespace car::emul {
 
-enum class ClockMode { kReal, kVirtual };
+/// Compatibility enum: virtual time is the only clock.  EmulConfig keeps a
+/// field of this type only while the e2e benchmark still assigns it.
+enum class ClockMode { kVirtual };
 
 class EmulClock {
  public:
-  explicit EmulClock(ClockMode mode);
-
-  [[nodiscard]] ClockMode mode() const noexcept { return mode_; }
-
-  /// Current time in timeline seconds.  Real mode: wall seconds elapsed
-  /// since construction.  Virtual mode: the simulated clock's position.
+  /// Current position of the timeline, in seconds.
   [[nodiscard]] double now() const CAR_EXCLUDES(mu_);
 
-  /// Block until timeline second `t` (real mode) or advance the simulated
-  /// clock to `t` (virtual mode).  Times in the past are a no-op.
-  void sleep_until(double t) CAR_EXCLUDES(mu_);
-
-  /// Raise the simulated clock to at least `t`.  No-op in real mode (the
-  /// wall clock advances itself) and for `t` in the past.
+  /// Raise the timeline to at least `t`.  Times in the past are a no-op.
   void advance_to(double t) CAR_EXCLUDES(mu_);
 
-  /// Contract helper for deterministic consumers (the fault-injection
-  /// runtime): throws util::StateError naming `who` unless the clock is
-  /// virtual.  Wall-clock timelines cannot reproduce an EventLog
-  /// byte-for-byte, so such consumers refuse them up front.
-  void require_virtual(const char* who) const CAR_BOUNDARY;
-
  private:
-  ClockMode mode_;
-  std::chrono::steady_clock::time_point epoch_;
   mutable util::Mutex mu_;
-  double virtual_now_ CAR_GUARDED_BY(mu_) = 0.0;
+  double now_ CAR_GUARDED_BY(mu_) = 0.0;
 };
 
 }  // namespace car::emul

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <exception>
 #include <queue>
@@ -13,7 +12,6 @@
 #include <utility>
 
 #include "emul/calendar_queue.h"
-#include "emul/executor.h"
 #include "recovery/compute.h"
 #include "recovery/scheduler.h"
 #include "recovery/slice.h"
@@ -110,6 +108,29 @@ inline void relax_cpu(std::size_t idle) noexcept {
 #endif
   (void)idle;
   std::this_thread::yield();
+}
+
+/// Kahn's algorithm over a plan DAG: every step once, each after all of its
+/// dependencies (breadth-first from the roots).  A cycle leaves steps
+/// unreached, which is a util::CheckError.
+std::vector<std::size_t> topological_order(
+    std::vector<std::size_t> pending,
+    const std::vector<std::vector<std::size_t>>& dependents) {
+  std::vector<std::size_t> order;
+  order.reserve(pending.size());
+  for (std::size_t id = 0; id < pending.size(); ++id) {
+    if (pending[id] == 0) order.push_back(id);
+  }
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (const std::size_t dep : dependents[order[head]]) {
+      if (--pending[dep] == 0) order.push_back(dep);
+    }
+  }
+  CAR_CHECK(order.size() == pending.size(),
+            "Cluster::execute: dependency cycle in the plan DAG (" +
+                std::to_string(pending.size() - order.size()) +
+                " steps unreachable)");
+  return order;
 }
 
 // ---- Arena timing replay -------------------------------------------------
@@ -276,15 +297,13 @@ struct Cluster::Impl {
     std::unordered_map<std::uint64_t, rs::Chunk> buffers CAR_GUARDED_BY(mu);
   };
 
-  explicit Impl(ClockMode mode) : clock(mode) {}
-
   EmulClock clock;
   std::vector<NodeStore> stores;
   std::vector<std::unique_ptr<SerialLink>> node_up;
   std::vector<std::unique_ptr<SerialLink>> node_down;
   std::vector<std::unique_ptr<SerialLink>> rack_up;
   std::vector<std::unique_ptr<SerialLink>> rack_down;
-  std::vector<util::Mutex> cpu;  // serialises compute per emulated node
+  std::vector<util::Mutex> cpu;  // serialises arena compute per node
 
   // Liveness state: which nodes have been dropped (dead for the run), the
   // guarded recovery destinations (counted per node so guards nest, with a
@@ -332,8 +351,9 @@ struct Cluster::Impl {
   /// The store lock serialises writers of one buffer; distinct slices touch
   /// disjoint ranges, so the plan's slice coverage assembles the chunk
   /// exactly.  Once a buffer is established at full_size it is never
-  /// re-materialised, which keeps concurrent readers' pointers valid
-  /// (unordered_map references are stable; see the compute gather below).
+  /// re-materialised, so concurrent readers' pointers stay valid
+  /// (unordered_map references are stable); the arena payload shards rely
+  /// on this when one gathers inputs while another writes.
   void write_range(cluster::NodeId node, std::uint64_t key,
                    std::uint64_t full_size, std::uint64_t offset,
                    std::span<const std::uint8_t> data) {
@@ -372,15 +392,13 @@ struct Cluster::Impl {
 };
 
 Cluster::Cluster(cluster::Topology topology, EmulConfig config)
-    : impl_(std::make_unique<Impl>(config.clock_mode)),
+    : impl_(std::make_unique<Impl>()),
       topology_(std::move(topology)),
       config_(config) {
   CAR_CHECK(config_.node_bps > 0, "EmulConfig: node_bps must be positive");
   CAR_CHECK(config_.oversubscription > 0,
             "EmulConfig: oversubscription must be positive");
   CAR_CHECK(config_.page_bytes > 0, "EmulConfig: page_bytes must be > 0");
-  CAR_CHECK(config_.max_parallel_steps > 0,
-            "EmulConfig: max_parallel_steps must be > 0");
   CAR_CHECK(config_.virtual_gf_bps > 0,
             "EmulConfig: virtual_gf_bps must be positive");
   const std::size_t n = topology_.num_nodes();
@@ -663,9 +681,9 @@ ExecutionReport Cluster::execute(const recovery::SlicePlan& plan) {
       recovery::step_indegrees(std::span<const PlanStep>(plan.steps));
   const auto dependents =
       recovery::step_dependents(std::span<const PlanStep>(plan.steps));
-  const bool virtual_time = config_.clock_mode == ClockMode::kVirtual;
+  const std::vector<std::size_t> order =
+      topological_order(indegrees, dependents);
   EmulClock& clock = impl_->clock;
-  util::Mutex report_mu;
 
   // The recovery destination must outlive the plan: guard it so a
   // concurrent drop_node(replacement) fails loudly instead of racing the
@@ -695,32 +713,19 @@ ExecutionReport Cluster::execute(const recovery::SlicePlan& plan) {
                         std::to_string(plan.chunk_size) +
                         " bytes but payload holds " +
                         std::to_string(src_buf->size()));
-    // Stage the slice through a pooled lease — the wire payload.  Reading
-    // slice s here is safe against concurrent writers: they only touch
-    // other slices' (disjoint) ranges, and a buffer is never re-materialised
-    // once established at full size (see Impl::write_range).
+    // Stage the slice through a pooled lease — the wire payload.  The
+    // staged copy also makes a loopback self-write well-defined.
     util::BufferLease wire = impl_->pool.acquire(
         static_cast<std::size_t>(slice.length));
     std::memcpy(wire.data(), src_buf->data() + slice.offset, slice.length);
-    if (step.src == step.dst) {
-      // Loopback: the buffer never leaves the node, so no link is reserved
-      // and no traffic is reported.  The staged copy makes the self-write
-      // well-defined.
-      impl_->write_range(step.dst, key_of(step.payload), plan.chunk_size,
-                         slice.offset, {wire.data(), wire.size()});
-      return;
-    }
-    if (!virtual_time) {
-      clock.sleep_until(path(step.src, step.dst)
-                            .reserve(clock.now(), step.bytes,
-                                     config_.page_bytes));
-    }
     impl_->write_range(step.dst, key_of(step.payload), plan.chunk_size,
                        slice.offset, {wire.data(), wire.size()});
+    // Loopback: the buffer never leaves the node, so no traffic is
+    // reported (and the timing pass reserves no link).
+    if (step.src == step.dst) return;
 
     const std::uint64_t moved = slice.length;  // == step.bytes by the grid
     const auto src_rack = topology_.rack_of(step.src);
-    util::MutexLock lock(report_mu);
     if (src_rack != topology_.rack_of(step.dst)) {
       report.cross_rack_bytes += moved;
       report.per_rack_cross_bytes[src_rack] += moved;
@@ -731,11 +736,6 @@ ExecutionReport Cluster::execute(const recovery::SlicePlan& plan) {
 
   auto run_compute = [&](const PlanStep& step, const SliceInfo& slice) {
     impl_->check_alive(step.node, "Cluster::execute: compute node");
-    util::MutexLock cpu_lock(impl_->cpu[step.node]);
-
-    // Gather input buffers.  unordered_map references are stable under
-    // concurrent inserts of other keys (guarded by the store mutex inside
-    // find), and nothing erases or re-materialises buffers during execution.
     std::vector<const rs::Chunk*> inputs;
     inputs.reserve(step.inputs.size());
     for (const auto& in : step.inputs) {
@@ -744,103 +744,77 @@ ExecutionReport Cluster::execute(const recovery::SlicePlan& plan) {
                       "Cluster::execute: compute input missing on node");
       inputs.push_back(buf);
     }
-    // The measured window covers the finite-field work — the paper's
-    // "computation time" is the decoding arithmetic, not buffer management
-    // (staging comes from the pool, outside the window).  The step contract
-    // and the fused combine live in the shared helper, which
-    // inject/driver.cc executes identically.  The output is staged in a
-    // lease (the kernels' combine output may not alias its inputs) and then
-    // assembled into the base step's output buffer.
+    // The step contract and the fused combine live in the shared helper,
+    // which inject/driver.cc executes identically.  The output is staged in
+    // a lease (the kernels' combine output may not alias its inputs) and
+    // then assembled into the base step's output buffer.
     util::BufferLease out = impl_->pool.acquire(
         static_cast<std::size_t>(slice.length));
-    const auto t0 = std::chrono::steady_clock::now();
     recovery::execute_compute_slice(step, inputs, plan.chunk_size,
                                     slice.offset, {out.data(), out.size()},
                                     "Cluster::execute");
-    const std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - t0;
     impl_->write_range(step.node, step_key(slice.base_step), plan.chunk_size,
                        slice.offset, {out.data(), out.size()});
-
-    // Virtual mode charges modelled compute time in the timing pass instead
-    // of the (nondeterministic) measured duration.
-    if (virtual_time) return;
-    util::MutexLock lock(report_mu);
-    report.compute_s += dt.count();
-    if (step.node == plan.replacement) {
-      report.replacement_compute_s += dt.count();
-    }
   };
 
-  // Pass 1 — execute the DAG on the bounded worker pool: real bytes move,
-  // real GF kernels run.  In real-time mode transfers also reserve links
-  // and sleep, so this pass *is* the measurement; in virtual mode nothing
-  // sleeps and timing is replayed deterministically below.  A node dropped
-  // mid-execution bumps the drop epoch; the pool notices before issuing the
-  // next step and aborts.
-  Executor executor(config_.max_parallel_steps);
+  // Pass 1 — payload: walk the DAG in topological order; real bytes move,
+  // real GF kernels run, and bytes are accounted.  No link is reserved and
+  // the clock does not move, so a plan that throws here leaves the
+  // timeline untouched.  A node dropped mid-execution bumps the drop
+  // epoch, polled before every step.
   const std::uint64_t epoch_at_start =
       impl_->drop_epoch.load(std::memory_order_acquire);
   const double t_start = clock.now();
-  executor.run(
-      n_steps, indegrees, dependents,
-      [&](std::size_t id) {
-        const PlanStep& step = plan.steps[id];
-        const SliceInfo& slice = plan.info[id];
-        if (step.kind == StepKind::kTransfer) {
-          run_transfer(step, slice);
-        } else {
-          run_compute(step, slice);
-        }
-      },
-      [&] {
-        return impl_->drop_epoch.load(std::memory_order_acquire) !=
-               epoch_at_start;
-      });
-
-  if (virtual_time) {
-    // Pass 2 — deterministic timing replay.  Steps are processed in
-    // (virtual start time, id) order from a min-heap, so link reservations
-    // happen in a reproducible sequence regardless of how the worker pool
-    // interleaved the byte movement above.  Transfers reserve the same
-    // page-wise path as real-time mode; computes are charged
-    // step.bytes / virtual_gf_bps.
-    auto pending = indegrees;
-    std::vector<double> start_at(n_steps, t_start);
-    using Entry = std::pair<double, std::size_t>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> ready;
-    for (std::size_t id = 0; id < n_steps; ++id) {
-      if (pending[id] == 0) ready.emplace(t_start, id);
+  for (const std::size_t id : order) {
+    CAR_CHECK_STATE(impl_->drop_epoch.load(std::memory_order_acquire) ==
+                        epoch_at_start,
+                    "Cluster::execute: node dropped mid-execution; aborting "
+                    "plan");
+    const PlanStep& step = plan.steps[id];
+    if (step.kind == StepKind::kTransfer) {
+      run_transfer(step, plan.info[id]);
+    } else {
+      run_compute(step, plan.info[id]);
     }
-    double end = t_start;
-    while (!ready.empty()) {
-      const auto [at, id] = ready.top();
-      ready.pop();
-      const PlanStep& step = plan.steps[id];
-      double finish = at;
-      if (step.kind == StepKind::kTransfer) {
-        if (step.src != step.dst) {
-          finish = path(step.src, step.dst)
-                       .reserve(at, step.bytes, config_.page_bytes);
-        }
-      } else {
-        const double dt =
-            static_cast<double>(step.bytes) / config_.virtual_gf_bps;
-        finish = at + dt;
-        report.compute_s += dt;
-        if (step.node == plan.replacement) report.replacement_compute_s += dt;
-      }
-      end = std::max(end, finish);
-      for (const std::size_t dep : dependents[id]) {
-        start_at[dep] = std::max(start_at[dep], finish);
-        if (--pending[dep] == 0) ready.emplace(start_at[dep], dep);
-      }
-    }
-    clock.advance_to(end);
-    report.wall_s = end - t_start;
-  } else {
-    report.wall_s = clock.now() - t_start;
   }
+
+  // Pass 2 — deterministic timing replay.  Steps are processed in (virtual
+  // start time, id) order from a min-heap, so link reservations happen in a
+  // reproducible sequence.  Transfers reserve their page-wise path;
+  // computes are charged step.bytes / virtual_gf_bps.
+  auto pending = indegrees;
+  std::vector<double> start_at(n_steps, t_start);
+  using Entry = std::pair<double, std::size_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> ready;
+  for (std::size_t id = 0; id < n_steps; ++id) {
+    if (pending[id] == 0) ready.emplace(t_start, id);
+  }
+  double end = t_start;
+  while (!ready.empty()) {
+    const auto [at, id] = ready.top();
+    ready.pop();
+    const PlanStep& step = plan.steps[id];
+    double finish = at;
+    if (step.kind == StepKind::kTransfer) {
+      if (step.src != step.dst) {
+        finish = path(step.src, step.dst)
+                     .reserve(at, step.bytes, config_.page_bytes);
+      }
+    } else {
+      const double dt =
+          static_cast<double>(step.bytes) / config_.virtual_gf_bps;
+      finish = at + dt;
+      report.compute_s += dt;
+      if (step.node == plan.replacement) report.replacement_compute_s += dt;
+    }
+    end = std::max(end, finish);
+    for (const std::size_t dep : dependents[id]) {
+      start_at[dep] = std::max(start_at[dep], finish);
+      if (--pending[dep] == 0) ready.emplace(start_at[dep], dep);
+    }
+  }
+  clock.advance_to(end);
+  report.wall_s = end - t_start;
 
   // Publish recovered chunks as regular chunk replicas on the replacement.
   // Output ids are *base* step ids — all slices of the producing step have
@@ -872,10 +846,6 @@ ExecutionReport Cluster::execute_arena_streaming(
 ExecutionReport Cluster::execute_arena_impl(const recovery::PlanArena& plan,
                                             const ArenaExecOptions& options,
                                             ArenaStreamFeed* feed) {
-  // A wall-clock pass cannot skip payload movement without changing what it
-  // measures, and the sharded payload pass relies on the timing replay for
-  // determinism — so the arena path is virtual-clock only.
-  impl_->clock.require_virtual("Cluster::execute_arena");
   CAR_CHECK(options.shards >= 1,
             "Cluster::execute_arena: shards must be >= 1");
   CAR_CHECK(options.replay_shards == 1,
@@ -920,7 +890,7 @@ ExecutionReport Cluster::execute_arena_impl(const recovery::PlanArena& plan,
 
   // Liveness snapshot: shards check it lock-free per step; a node dropped
   // *during* execution bumps the drop epoch instead, which aborts the run
-  // exactly like execute()'s pool cancellation.
+  // exactly like execute()'s per-step poll.
   std::vector<char> dead;
   {
     util::MutexLock lock(impl_->state_mu);

@@ -2,11 +2,13 @@
 //
 // This is the repository's stand-in for the paper's 20-machine testbed: one
 // emulated node per "machine", each owning real chunk buffers; transfers
-// move real bytes through rate-limited links (node access links and
+// move real bytes and reserve rate-limited links (node access links and
 // oversubscribed rack core links, see emul/link.h); compute steps run the
-// real GF(2^8) kernels.  Executing a RecoveryPlan therefore measures real
-// wall-clock recovery time with a genuine transmission/computation split —
-// the quantities behind the paper's Fig. 9 and Fig. 10.
+// real GF(2^8) kernels.  Time is virtual (emul/clock.h): a deterministic
+// timing pass charges each transfer its link reservations and each compute
+// step a modelled decode time, so executing a RecoveryPlan reports a
+// reproducible recovery time with a transmission/computation split — the
+// quantities behind the paper's Fig. 9 and Fig. 10.
 //
 // Node liveness: erase_node wipes a node's buffers but leaves the slot
 // usable (the single-failure methodology — the replacement machine takes
@@ -50,23 +52,17 @@ struct EmulConfig {
   double oversubscription = 5.0;
   std::optional<double> rack_link_bps;
 
-  /// Transfers are paged so concurrent flows interleave on shared links.
+  /// Page size of link reservations (see LinkPath): each hop is charged
+  /// page by page, so the size is part of the modelled timeline.
   std::uint64_t page_bytes = 128 * 1024;
 
-  /// Upper bound on concurrently executing plan steps.  The worker pool is
-  /// additionally capped by hardware_concurrency — see Cluster::execute.
-  std::size_t max_parallel_steps = 512;
-
-  /// kReal: link reservations map to the wall clock and recovery time is
-  /// measured (including real GF compute durations).  kVirtual: nothing
-  /// sleeps — reservations advance a simulated clock, compute time is
-  /// modelled at virtual_gf_bps, and the reported times are deterministic
-  /// (bit-identical across runs), so thousand-stripe sweeps finish in
-  /// milliseconds.  Both modes move and verify real bytes.
-  ClockMode clock_mode = ClockMode::kReal;
+  /// Compatibility field: ClockMode has the single value kVirtual.  It stays
+  /// only while the e2e benchmark still assigns it, and goes with the
+  /// benchmark change that drops that line.
+  ClockMode clock_mode = ClockMode::kVirtual;
 
   /// Modelled GF(2^8) multiply-accumulate throughput charged per compute
-  /// step in virtual-clock mode, bytes/second of input processed.
+  /// step, bytes/second of input processed.
   /// Calibrated against the dispatched SIMD kernels (BENCH_gf.json:
   /// mul_region_acc at 1 MiB, ~1.92e10 B/s on an AVX2 host); re-derive with
   /// `bench/micro_gf --json` when hardware or kernels change.
@@ -147,15 +143,15 @@ class ArenaStreamFeed {
 
 /// Outcome of executing one recovery plan.
 struct ExecutionReport {
-  double wall_s = 0.0;              // end-to-end makespan
-  double compute_s = 0.0;           // summed measured compute durations
-  double replacement_compute_s = 0.0;  // compute measured at the replacement
+  double wall_s = 0.0;              // end-to-end virtual makespan
+  double compute_s = 0.0;           // summed modelled compute durations
+  double replacement_compute_s = 0.0;  // modelled compute at the replacement
   std::uint64_t cross_rack_bytes = 0;
   std::uint64_t intra_rack_bytes = 0;
   std::vector<std::uint64_t> per_rack_cross_bytes;  // indexed by rack
 
-  /// The paper's transmission-time proxy: wall time minus the replacement
-  /// node's computation time.
+  /// The paper's transmission-time proxy: the makespan minus the
+  /// replacement node's computation time.
   [[nodiscard]] double transmission_s() const noexcept {
     return wall_s - replacement_compute_s;
   }
@@ -303,21 +299,22 @@ class Cluster {
                    std::uint64_t chunk_size, std::uint64_t seed,
                    std::span<const cluster::StripeId> stripes);
 
-  /// Execute a recovery plan: run every transfer through the emulated links
-  /// and every compute step on real buffers.  Steps run on a bounded worker
-  /// pool — never more than min(max_parallel_steps, hardware_concurrency)
-  /// threads regardless of plan size (see emul/executor.h); under
-  /// ClockMode::kVirtual timing is additionally replayed by a deterministic
-  /// sequential pass so reported times are bit-identical across runs.
-  /// After success the recovered chunks are stored on the replacement node
-  /// both as step outputs and as regular chunks.  Throws std::runtime_error
-  /// when a referenced buffer is missing, a transfer's declared size
-  /// disagrees with the stored payload, a step touches a dropped node, or a
-  /// node is dropped mid-execution (abort), util::CheckError when a step
-  /// names a node outside the topology, and std::invalid_argument on a
-  /// malformed DAG (unknown dependency or cycle).  Internally lowers the
-  /// plan onto a degenerate one-slice-per-step grid and runs the sliced
-  /// core below — the identical computation, byte for byte.
+  /// Execute a recovery plan: move every transfer's bytes and run every
+  /// compute step on real buffers, then replay the timing.  Both passes run
+  /// on the calling thread: the payload pass walks the DAG in a topological
+  /// order, and a deterministic (virtual start time, id) replay reserves
+  /// the links and charges modelled compute, so reported times are
+  /// bit-identical across runs.  A plan that fails in the payload pass
+  /// reserves no link time and leaves the clock where it was.  After
+  /// success the recovered chunks are stored on the replacement node both
+  /// as step outputs and as regular chunks.  Throws std::runtime_error when
+  /// a referenced buffer is missing, a transfer's declared size disagrees
+  /// with the stored payload, a step touches a dropped node, or a node is
+  /// dropped mid-execution (abort), and util::CheckError
+  /// (std::invalid_argument) when a step names a node outside the topology
+  /// or the DAG is malformed (unknown dependency or cycle).  Internally
+  /// lowers the plan onto a degenerate one-slice-per-step grid and runs the
+  /// sliced core below — the identical computation, byte for byte.
   ExecutionReport execute(const recovery::RecoveryPlan& plan);
 
   /// Execute a slice-lowered plan (recovery/slice.h): same semantics as
@@ -341,9 +338,7 @@ class Cluster {
   ///      are bit-identical to execute(slice_plan(...)) and invariant in
   ///      both the shard count and metadata mode.
   ///
-  /// Requires ClockMode::kVirtual (throws util::StateError otherwise — a
-  /// wall-clock pass cannot skip payloads without changing what it
-  /// measures), options.replay_shards == 1, and, for shards > 1, a
+  /// Requires options.replay_shards == 1 and, for shards > 1, a
   /// stripe-closed arena (both util::CheckError).  A step naming a node
   /// outside the topology is a util::CheckError.  Other failure modes
   /// match execute().

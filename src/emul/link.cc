@@ -4,15 +4,13 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "util/check.h"
 
 namespace car::emul {
 
-SerialLink::SerialLink(double bytes_per_second)
-    : rate_(bytes_per_second), epoch_(std::chrono::steady_clock::now()) {
+SerialLink::SerialLink(double bytes_per_second) : rate_(bytes_per_second) {
   CAR_CHECK(bytes_per_second > 0, "SerialLink: rate must be positive");
 }
 
@@ -120,15 +118,6 @@ double SerialLink::preview(double start, std::uint64_t bytes) const {
   return drain_locked(std::max(next_free_, start), bytes);
 }
 
-void SerialLink::transmit(std::uint64_t bytes) {
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - epoch_;
-  const double finish = reserve(elapsed.count(), bytes);
-  std::this_thread::sleep_until(
-      epoch_ + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(finish)));
-}
-
 double SerialLink::next_free() const {
   util::MutexLock lock(mu_);
   return next_free_;
@@ -149,14 +138,14 @@ LinkPath::LinkPath(std::vector<SerialLink*> hops) : hops_(std::move(hops)) {
 double LinkPath::reserve(double start, std::uint64_t bytes,
                          std::uint64_t page_bytes) {
   CAR_CHECK(page_bytes > 0, "LinkPath::reserve: page_bytes must be > 0");
+  // Hop-major: every hop commits its whole page sequence at once.  Hop
+  // states are independent, so this is the per-hop page sequence a
+  // page-major walk would commit, and each hop's page finishes are
+  // monotone, so the max of the per-hop last finishes is the max over every
+  // (hop, page) reservation.
   double finish = start;
-  std::uint64_t remaining = bytes;
-  while (remaining > 0) {
-    const std::uint64_t page = std::min(remaining, page_bytes);
-    for (SerialLink* hop : hops_) {
-      finish = std::max(finish, hop->reserve(start, page));
-    }
-    remaining -= page;
+  for (SerialLink* hop : hops_) {
+    finish = std::max(finish, hop->reserve_pages(start, bytes, page_bytes));
   }
   return finish;
 }

@@ -1,16 +1,13 @@
 // Serial link emulation for the in-process cluster emulator.
 //
 // A SerialLink models a store-and-forward network link of a fixed base rate.
-// Each transmission *reserves* link occupancy on an abstract timeline
-// (seconds since the owning cluster's epoch), so concurrent transfers
-// through a shared (e.g. oversubscribed rack) link really contend with each
-// other.  Reservations are non-blocking and clock-agnostic: the caller
-// supplies the earliest start time and decides what the returned finish time
-// means — the real-time executor sleeps until it on the wall clock, the
-// virtual-clock timing pass simply advances the simulated clock (see
-// emul/clock.h).  Either way a multi-hop transfer pipelines across its
-// links: it completes when the slowest hop drains, not after the sum of
-// hops.
+// Each transmission *reserves* link occupancy on the owning cluster's virtual
+// timeline (emul/clock.h), so transfers through a shared (e.g.
+// oversubscribed rack) link queue behind each other in the order the timing
+// pass commits them.  Reservations never block: the caller supplies the
+// earliest start time and advances the clock to the returned finish time.  A
+// multi-hop transfer pipelines across its links: it completes when the
+// slowest hop drains, not after the sum of hops.
 //
 // Fault windows (inject/): a link may carry *rate windows* — intervals
 // during which its effective rate is scaled by a factor (0 = blackout,
@@ -19,7 +16,6 @@
 // Overlapping windows multiply.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -57,10 +53,10 @@ class SerialLink {
   /// `bytes`, returning the last page's finish (== `start` when bytes is 0,
   /// matching a zero-iteration paging loop).  Bit-identical to the caller
   /// paging by hand — the per-page math is the same code — but one
-  /// lock/unlock instead of ceil(bytes / page_bytes).  The timing replay's
-  /// hot path (emul/cluster.cc) uses this; it is safe there because replay
-  /// commits reservations in a globally serialised order, so batching a
-  /// transfer's pages cannot change how concurrent flows interleave.
+  /// lock/unlock instead of ceil(bytes / page_bytes).  LinkPath::reserve and
+  /// the arena replay (emul/cluster.cc) reserve through this; every timing
+  /// pass commits reservations in one serialised order, so batching a
+  /// transfer's pages cannot reorder them against another transfer's.
   double reserve_pages(double start, std::uint64_t bytes,
                        std::uint64_t page_bytes) CAR_EXCLUDES(mu_)
       CAR_BOUNDARY CAR_HOT;
@@ -77,11 +73,6 @@ class SerialLink {
   [[nodiscard]] double drain_from(double busy_until, double start,
                                   std::uint64_t bytes) const CAR_EXCLUDES(mu_)
       CAR_HOT;
-
-  /// Wall-clock convenience for standalone use (tests, demos): reserve
-  /// against real elapsed time since construction and block until the bytes
-  /// have traversed.
-  void transmit(std::uint64_t bytes);
 
   [[nodiscard]] double rate() const noexcept { return rate_; }
 
@@ -103,7 +94,6 @@ class SerialLink {
       CAR_REQUIRES(mu_);
 
   double rate_;
-  std::chrono::steady_clock::time_point epoch_;  // transmit() only
   mutable util::Mutex mu_;
   double next_free_ CAR_GUARDED_BY(mu_) = 0.0;  // timeline seconds
   std::uint64_t total_bytes_ CAR_GUARDED_BY(mu_) = 0;
@@ -112,9 +102,13 @@ class SerialLink {
 
 /// The ordered hop list of one transfer path (src access link, core links
 /// when crossing racks, dst access link).  An empty path is a loopback:
-/// reservations are no-ops completing instantly.  reserve/preview page the
-/// transfer so concurrent flows interleave fairly on shared links while the
-/// hops of one transfer pipeline (finish = slowest hop, not sum of hops).
+/// reservations are no-ops completing instantly.  Every hop of a transfer
+/// queues from the same start, so the hops pipeline: the transfer finishes
+/// when the slowest hop drains, not after the sum of hops.  reserve/preview
+/// charge each hop page by page; no other flow's pages land in between
+/// (every timing pass commits whole transfers in one serialised order), so
+/// paging only fixes the floating-point sequence each hop accumulates, and
+/// page_bytes stays part of the modelled result.
 class LinkPath {
  public:
   /// Longest physical path the topology can produce: src access link, up to
@@ -127,7 +121,8 @@ class LinkPath {
   explicit LinkPath(std::vector<SerialLink*> hops);
 
   /// Commit page-wise reservations on every hop starting no earlier than
-  /// `start`; returns the finish time of the last page on the slowest hop.
+  /// `start` (SerialLink::reserve_pages per hop); returns the finish time of
+  /// the last page on the slowest hop, or `start` for zero bytes.
   double reserve(double start, std::uint64_t bytes, std::uint64_t page_bytes)
       CAR_BOUNDARY CAR_HOT;
 

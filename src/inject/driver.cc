@@ -98,7 +98,6 @@ BatchDriver::BatchDriver(emul::Cluster& cluster, const FaultPlan& faults,
       backoff_rng_(seed ^ 0x8badf00ddeadbeefULL),
       t0_(cluster.clock().now()),
       now_(t0_) {
-  cluster_.clock().require_virtual("inject::BatchDriver");
   CAR_CHECK(faults_.node_crashes.empty(),
             "BatchDriver: node crashes are handled by the driver's client, "
             "not the step loop — strip them from the driver's FaultPlan");

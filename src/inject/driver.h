@@ -147,9 +147,8 @@ class BatchDriver {
  public:
   /// `faults` must contain no node crashes (util::CheckError otherwise) —
   /// link and transfer faults only; link fault windows are armed relative
-  /// to the cluster clock's time at construction.  The cluster must use
-  /// ClockMode::kVirtual.  `slice_bytes` == 0 means chunk-granular (one
-  /// slice per step).
+  /// to the cluster clock's time at construction.  `slice_bytes` == 0 means
+  /// chunk-granular (one slice per step).
   BatchDriver(emul::Cluster& cluster, const FaultPlan& faults,
               const RetryPolicy& policy, std::uint64_t seed,
               std::uint64_t slice_bytes, DataPolicy data, EventLog& log,

@@ -242,7 +242,6 @@ RunResult ResilientRuntime::execute_sliced(const recovery::RecoveryPlan& plan,
                                            std::uint64_t slice_bytes,
                                            const ReplanContext& context,
                                            const DataPolicy& data) {
-  cluster_.clock().require_virtual("inject::ResilientRuntime");
   CAR_CHECK(slice_bytes > 0, "inject: slice_bytes must be positive");
   CAR_CHECK(!plan.steps.empty(), "inject: empty plan — nothing to recover");
   faults_.validate(cluster_.topology());

@@ -15,10 +15,10 @@
 // adds is its own: the replacement guard, the crash triggers (a
 // time-triggered crash is a run_until deadline, a fraction-triggered one a
 // step limit), the escalation, and the run's framing in the EventLog.
-// With a virtual-clock cluster a run is a pure function of (plan,
-// FaultPlan, seed): the EventLog two identical runs produce is
-// byte-identical.  Real bytes still move and the real GF kernels still run
-// — recovered chunks are bit-exact, not simulated.
+// A run is a pure function of (plan, FaultPlan, seed): the EventLog two
+// identical runs produce is byte-identical.  Real bytes still move and the
+// real GF kernels still run — recovered chunks are bit-exact, not
+// simulated.
 //
 // Accounting is at-most-once: ExecutionReport traffic counts a transfer's
 // payload exactly once, no matter how many attempts it took (failed
@@ -68,9 +68,7 @@ struct RunResult {
 
 class ResilientRuntime {
  public:
-  /// The cluster must use ClockMode::kVirtual (util::StateError otherwise —
-  /// wall clocks cannot reproduce an EventLog byte-for-byte).  `faults` is
-  /// validated against the cluster topology on execute().
+  /// `faults` is validated against the cluster topology on execute().
   ResilientRuntime(emul::Cluster& cluster, FaultPlan faults,
                    RetryPolicy policy, std::uint64_t seed);
 

@@ -483,7 +483,6 @@ ScenarioOutcome run_scenario(const Scenario& scenario) {
   config.node_bps = scenario.node_bps;
   config.oversubscription = scenario.oversubscription;
   config.page_bytes = scenario.page_bytes;
-  config.clock_mode = emul::ClockMode::kVirtual;
   emul::Cluster cluster(topology, config);
 
   const bool seeded_data = scenario.data_mode.has_value();

@@ -125,7 +125,6 @@ RebuildScenarioOutcome run_rebuild_scenario(const inject::Scenario& scenario,
   config.node_bps = scenario.node_bps;
   config.oversubscription = scenario.oversubscription;
   config.page_bytes = scenario.page_bytes;
-  config.clock_mode = emul::ClockMode::kVirtual;
   emul::Cluster cluster(topology, config);
 
   util::Rng rng(scenario.seed);

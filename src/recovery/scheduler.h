@@ -31,8 +31,8 @@ RecoveryPlan schedule_windowed(const RecoveryPlan& plan, std::size_t window);
 /// plans it equals the stripe count.
 std::size_t max_inflight_stripes(const RecoveryPlan& plan);
 
-/// Readiness surface consumed by DAG executors (emul::Executor and the
-/// emulator's virtual-clock timing pass): per-step count of unfinished
+/// Readiness surface consumed by DAG executors (emul::Cluster::execute's
+/// payload and timing passes): per-step count of unfinished
 /// prerequisites.  Steps with indegree 0 are immediately runnable.
 /// Throws std::invalid_argument when a step references an unknown
 /// dependency id.  The span overloads serve sliced step sequences

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/check.h"
@@ -75,6 +76,34 @@ bool Flags::get_bool(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+void Flags::check(std::string_view command,
+                  std::span<const std::string_view> known,
+                  std::span<const std::string_view> non_negative) const {
+  const auto listed = [](std::span<const std::string_view> names,
+                         const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  const std::string who(command);
+  for (const auto& [name, value] : values_) {
+    if (!listed(known, name)) {
+      throw std::invalid_argument(who + ": unknown flag --" + name);
+    }
+    if (!listed(non_negative, name)) continue;
+    double number = 0.0;
+    try {
+      number = get_double(name, 0.0);
+    } catch (const std::invalid_argument&) {
+      number = -1.0;  // reported below with the flag's own text
+    }
+    // `!(x >= 0)` also rejects NaN.
+    if (!(number >= 0.0)) {
+      throw std::invalid_argument(who + ": --" + name +
+                                  " must be a non-negative number, got '" +
+                                  value + "'");
+    }
+  }
 }
 
 std::vector<std::size_t> Flags::get_size_list(

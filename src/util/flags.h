@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace car::util {
@@ -36,6 +38,13 @@ class Flags {
   /// Boolean switch: present with no value (or "true"/"1") -> true.
   [[nodiscard]] bool get_bool(const std::string& name,
                               bool fallback = false) const;
+
+  /// Boundary check for a command's flags, run before the command does any
+  /// work.  Throws std::invalid_argument naming `command` and the flag when
+  /// a flag is not in `known`, or when a flag in `non_negative` (counts and
+  /// sizes) is not a number >= 0.
+  void check(std::string_view command, std::span<const std::string_view> known,
+             std::span<const std::string_view> non_negative) const;
 
   /// Comma-separated list of non-negative integers ("4,3,3").
   [[nodiscard]] std::vector<std::size_t> get_size_list(

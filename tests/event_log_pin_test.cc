@@ -239,7 +239,6 @@ struct Stage {
     config.node_bps = 100e6;
     config.oversubscription = 5.0;
     config.page_bytes = 4 * 1024;
-    config.clock_mode = emul::ClockMode::kVirtual;
     cluster = std::make_unique<emul::Cluster>(topology, config);
     util::Rng rng(7);
     placement =

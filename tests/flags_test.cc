@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <string_view>
+
 namespace car::util {
 namespace {
 
@@ -65,6 +69,48 @@ TEST(Flags, SizeListParsing) {
             (std::vector<std::size_t>{4, 3, 3}));
   const auto bad = parse({"--racks", "4,x"});
   EXPECT_THROW(bad.get_size_list("racks", {}), std::invalid_argument);
+}
+
+constexpr std::string_view kKnown[] = {"cfs", "stripes", "chunk-mib", "csv"};
+constexpr std::string_view kCounts[] = {"stripes", "chunk-mib"};
+
+/// The message check() throws, or "" when it accepts.
+std::string check_error(const Flags& f) {
+  try {
+    f.check("emulate", kKnown, kCounts);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Flags, CheckAcceptsKnownFlagsAndValidCounts) {
+  EXPECT_EQ(check_error(parse({})), "");
+  EXPECT_EQ(check_error(parse({"--cfs", "2", "--stripes", "0", "--chunk-mib",
+                               "0.25", "--csv"})),
+            "");
+}
+
+TEST(Flags, CheckRejectsUnknownFlagNamingCommandAndFlag) {
+  EXPECT_EQ(check_error(parse({"--cfs", "2", "--bogus", "1"})),
+            "emulate: unknown flag --bogus");
+  // A retired switch is unknown too, not silently ignored.
+  EXPECT_EQ(check_error(parse({"--virtual"})),
+            "emulate: unknown flag --virtual");
+}
+
+TEST(Flags, CheckRejectsNegativeOrNonNumericCounts) {
+  EXPECT_EQ(check_error(parse({"--stripes", "-1"})),
+            "emulate: --stripes must be a non-negative number, got '-1'");
+  EXPECT_EQ(check_error(parse({"--chunk-mib=-0.5"})),
+            "emulate: --chunk-mib must be a non-negative number, got "
+            "'-0.5'");
+  EXPECT_EQ(check_error(parse({"--stripes", "nan"})),
+            "emulate: --stripes must be a non-negative number, got 'nan'");
+  EXPECT_EQ(check_error(parse({"--stripes", "many"})),
+            "emulate: --stripes must be a non-negative number, got 'many'");
+  // Only the listed counts are range-checked.
+  EXPECT_EQ(check_error(parse({"--cfs", "-3"})), "");
 }
 
 TEST(Flags, BareDoubleDashRejected) {

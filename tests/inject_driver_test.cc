@@ -39,7 +39,6 @@ TEST(BatchDriverCausality, StepsStartAfterEveryDependencyFinishes) {
   config.node_bps = 100e6;
   config.oversubscription = 5.0;
   config.page_bytes = 4 * 1024;
-  config.clock_mode = emul::ClockMode::kVirtual;
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
   std::size_t violations = 0;

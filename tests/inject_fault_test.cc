@@ -110,7 +110,6 @@ TEST(TransferFaultApplies, ProbabilisticDecisionIsAPureFunction) {
 
 TEST(ArmLinkFaults, InstallsRateWindowsOnTheRightLink) {
   emul::EmulConfig config;
-  config.clock_mode = emul::ClockMode::kVirtual;
   emul::Cluster cluster(topo(), config);
   FaultPlan plan;
   plan.link_faults.push_back({LinkSide::kRackUp, 1, 0.5, 1.5, 0.25});

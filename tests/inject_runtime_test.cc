@@ -36,13 +36,11 @@ struct Env {
   cluster::FailureScenario failure;
   recovery::RecoveryPlan plan;
 
-  explicit Env(std::uint64_t seed = 7,
-               emul::ClockMode mode = emul::ClockMode::kVirtual) {
+  explicit Env(std::uint64_t seed = 7) {
     emul::EmulConfig config;
     config.node_bps = 100e6;
     config.oversubscription = 5.0;
     config.page_bytes = 4 * 1024;
-    config.clock_mode = mode;
     cluster = std::make_unique<emul::Cluster>(topology, config);
     util::Rng rng(seed);
     placement =
@@ -93,12 +91,6 @@ TEST(ResilientRuntime, FaultFreeRunRecoversBitExactly) {
   EXPECT_EQ(result.log.count(EventKind::kRunComplete), 1u);
   EXPECT_EQ(result.log.count(EventKind::kComputeComplete),
             env.plan.num_computes());
-}
-
-TEST(ResilientRuntime, RefusesWallClockClusters) {
-  Env env(7, emul::ClockMode::kReal);
-  ResilientRuntime runtime(*env.cluster, {}, {}, 7);
-  EXPECT_THROW(runtime.execute(env.plan, env.context()), util::StateError);
 }
 
 TEST(ResilientRuntime, DroppedFirstAttemptsAreRetriedAndCountedOnce) {

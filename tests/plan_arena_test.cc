@@ -26,7 +26,6 @@ namespace car {
 namespace {
 
 using emul::ArenaExecOptions;
-using emul::ClockMode;
 using emul::Cluster;
 using emul::EmulConfig;
 using emul::ExecutionReport;
@@ -39,7 +38,6 @@ EmulConfig virtual_config() {
   cfg.node_bps = 200e6;
   cfg.oversubscription = 4.0;
   cfg.page_bytes = 16 * 1024;
-  cfg.clock_mode = ClockMode::kVirtual;
   return cfg;
 }
 

@@ -374,7 +374,6 @@ TEST(PlanTemplateCache, RealBytesDecodeBitExactFromTemplatedArena) {
   config.node_bps = 200e6;
   config.oversubscription = 4.0;
   config.page_bytes = 16 * 1024;
-  config.clock_mode = emul::ClockMode::kVirtual;
   emul::Cluster cluster(fx.placement.topology(), config);
   std::vector<cluster::StripeId> all(fx.placement.num_stripes());
   std::iota(all.begin(), all.end(), cluster::StripeId{0});

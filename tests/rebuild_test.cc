@@ -224,7 +224,6 @@ TEST(Coordinator, RejectsMalformedFailureSchedules) {
   util::Rng rng(1);
   const auto placement = cluster::Placement::random(topology, 3, 2, 4, rng);
   emul::EmulConfig config;
-  config.clock_mode = emul::ClockMode::kVirtual;
 
   const auto run_events = [&](std::vector<FailureEvent> events,
                               RebuildOptions options = {}) {
@@ -251,7 +250,6 @@ TEST(Coordinator, NonFiniteFailureTimeNamesTheEvent) {
   util::Rng rng(1);
   const auto placement = cluster::Placement::random(topology, 3, 2, 4, rng);
   emul::EmulConfig config;
-  config.clock_mode = emul::ClockMode::kVirtual;
   for (const double at : {std::numeric_limits<double>::infinity(),
                           std::numeric_limits<double>::quiet_NaN()}) {
     emul::Cluster cluster(topology, config);
@@ -288,7 +286,6 @@ TEST(BatchDriver, AdmitAfterDeadlinePauseExecutesBeforeFarFutureRetry) {
   config.node_bps = 100e6;
   config.oversubscription = 5.0;
   config.page_bytes = 4 * 1024;
-  config.clock_mode = emul::ClockMode::kVirtual;
   emul::Cluster cluster(topology, config);
   util::Rng rng(7);
   const auto placement =

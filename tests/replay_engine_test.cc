@@ -66,7 +66,6 @@ emul::EmulConfig emul_config() {
   config.node_bps = 200e6;
   config.oversubscription = 4.0;
   config.page_bytes = 16 * 1024;
-  config.clock_mode = emul::ClockMode::kVirtual;
   return config;
 }
 

@@ -20,7 +20,6 @@
 namespace car {
 namespace {
 
-using emul::ClockMode;
 using emul::Cluster;
 using emul::EmulConfig;
 using emul::ExecutionReport;
@@ -32,7 +31,6 @@ EmulConfig virtual_config() {
   cfg.node_bps = 200e6;
   cfg.oversubscription = 4.0;
   cfg.page_bytes = 16 * 1024;
-  cfg.clock_mode = ClockMode::kVirtual;
   return cfg;
 }
 

@@ -53,8 +53,8 @@ void NoRawVirtualTimeArithmeticCheck::check(
   if (File.contains("/emul/")) return;
   diag(Time->getOperatorLoc(),
        "raw arithmetic on EmulClock::now(); virtual-time math outside "
-       "src/emul must go through the clock/link helpers (sleep_until, "
-       "advance_to, SerialLink::reserve/preview)");
+       "src/emul must go through the clock/link helpers (advance_to, "
+       "SerialLink::reserve/preview)");
 }
 
 }  // namespace clang::tidy::car

@@ -11,10 +11,10 @@
 //     mul-plus-add by hand bypasses the check (the PR-6 bug class).
 //
 //   * raw virtual-time arithmetic on EmulClock::now() outside the emulator
-//     layer: consumers must go through the clock/link helpers (sleep_until,
-//     advance_to, SerialLink::reserve/preview) so the timeline stays
-//     monotonic and reproducible; src/emul/ itself — the layer that
-//     implements those helpers — is exempt.
+//     layer: consumers must go through the clock/link helpers (advance_to,
+//     SerialLink::reserve/preview) so the timeline stays monotonic and
+//     reproducible; src/emul/ itself — the layer that implements those
+//     helpers — is exempt.
 //
 // Flagged shapes:
 //   <x> * <...num_slices...> + <y>   (outside a function named sliced_id)

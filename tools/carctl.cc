@@ -36,6 +36,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -255,9 +256,6 @@ int cmd_emulate_scale(const util::Flags& flags) {
   emul::EmulConfig emul_cfg;
   emul_cfg.node_bps = flags.get_double("node-mbps", 400.0) * 1e6;
   emul_cfg.oversubscription = flags.get_double("oversub", 5.0);
-  // The arena engine replays timing deterministically, which needs the
-  // virtual clock; wall-clock pacing is meaningless at this scale anyway.
-  emul_cfg.clock_mode = emul::ClockMode::kVirtual;
 
   const auto host_start = std::chrono::steady_clock::now();
   emul::Cluster cluster(cfg.topology(), emul_cfg);
@@ -513,10 +511,6 @@ int cmd_emulate_scale(const util::Flags& flags) {
 }
 
 int cmd_emulate(const util::Flags& flags) {
-  if (flags.has("metadata-only") || flags.has("shards") ||
-      flags.has("fail-rack")) {
-    return cmd_emulate_scale(flags);
-  }
   const auto cfg = config_from(flags);
   const auto stripes = static_cast<std::size_t>(flags.get_int("stripes", 20));
   const std::uint64_t chunk = static_cast<std::uint64_t>(
@@ -530,11 +524,6 @@ int cmd_emulate(const util::Flags& flags) {
   emul::EmulConfig emul_cfg;
   emul_cfg.node_bps = flags.get_double("node-mbps", 400.0) * 1e6;
   emul_cfg.oversubscription = flags.get_double("oversub", 5.0);
-  // --virtual reports the deterministic simulated makespan instead of
-  // host wall time, which is what makes pipelining wins reproducible.
-  if (flags.get_bool("virtual", false)) {
-    emul_cfg.clock_mode = emul::ClockMode::kVirtual;
-  }
 
   auto run = [&](bool use_car) {
     emul::Cluster cluster(cfg.topology(), emul_cfg);
@@ -1010,7 +999,7 @@ void usage() {
       "--num-racks R --rack-size N\n"
       "  --stripes N --runs N --seed S --chunk-mib N --csv\n"
       "  simulate: --node-gbps G --oversub X --hop-latency-us U\n"
-      "  emulate:  --node-mbps M --oversub X --window W --slice-kib S --virtual\n"
+      "  emulate:  --node-mbps M --oversub X --window W --slice-kib S\n"
       "            scale path (arena engine): --metadata-only --sample N\n"
       "            --shards N --fail-rack --iterations I\n"
       "            --strategy car|rr --stream --json\n"
@@ -1028,6 +1017,74 @@ void usage() {
       "              --concurrency N --shards N --json --log-out PATH");
 }
 
+/// One subcommand: its handler and every flag it reads.  Flags outside the
+/// list are rejected before the handler runs, so a mistyped or retired flag
+/// fails loudly instead of being ignored.
+struct Command {
+  std::string_view name;
+  int (*run)(const util::Flags&);
+  std::vector<std::string_view> flags;
+};
+
+/// Counts and sizes: a negative value is rejected up front rather than
+/// wrapping when cast to an unsigned type.
+constexpr std::string_view kNonNegativeFlags[] = {
+    "stripes",   "runs",      "chunk-mib", "iterations",    "failures",
+    "window",    "slice-kib", "shards",    "sample",        "k",
+    "m",         "num-racks", "rack-size", "batch-stripes", "concurrency"};
+
+/// `flags` plus the cluster-shape flags config_from reads.
+std::vector<std::string_view> with_cluster_flags(
+    std::vector<std::string_view> flags) {
+  flags.insert(flags.end(),
+               {"cfs", "racks", "k", "m", "num-racks", "rack-size"});
+  return flags;
+}
+
+/// The subcommand `name` names, or nullptr.  `emulate` has two entries:
+/// its scale path runs when a scale-only switch is present.
+const Command* find_command(std::string_view name, const util::Flags& flags) {
+  static const std::vector<Command> commands = {
+      {"traffic", cmd_traffic,
+       with_cluster_flags({"stripes", "runs", "chunk-mib", "seed", "csv"})},
+      {"balance", cmd_balance,
+       with_cluster_flags({"stripes", "iterations", "seed", "csv"})},
+      {"simulate", cmd_simulate,
+       with_cluster_flags({"stripes", "runs", "chunk-mib", "seed", "csv",
+                           "node-gbps", "oversub", "hop-latency-us"})},
+      {"emulate", cmd_emulate,
+       with_cluster_flags({"stripes", "chunk-mib", "seed", "window",
+                           "slice-kib", "node-mbps", "oversub"})},
+      {"emulate", cmd_emulate_scale,
+       with_cluster_flags({"stripes", "chunk-mib", "seed", "shards",
+                           "metadata-only", "sample", "fail-rack", "json",
+                           "iterations", "slice-kib", "strategy", "stream",
+                           "node-mbps", "oversub"})},
+      {"trace", cmd_trace,
+       with_cluster_flags(
+           {"stripes", "failures", "chunk-mib", "seed", "csv"})},
+      {"validate", cmd_validate,
+       with_cluster_flags({"stripes", "chunk-mib", "seed", "window",
+                           "slice-kib", "strategy", "inject", "csv"})},
+      {"inject-run", cmd_inject_run,
+       {"list", "spec", "scenario", "strategy", "seed", "slice-kib",
+        "log-out", "json"}},
+      {"rebuild-run", cmd_rebuild_run,
+       {"list", "spec", "scenario", "strategy", "seed", "slice-kib",
+        "batch-stripes", "concurrency", "shards", "log-out", "json"}},
+  };
+  const bool scale = flags.has("metadata-only") || flags.has("shards") ||
+                     flags.has("fail-rack");
+  for (const Command& command : commands) {
+    if (command.name != name) continue;
+    if (name == "emulate" && (command.run == cmd_emulate_scale) != scale) {
+      continue;
+    }
+    return &command;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1035,19 +1092,16 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  const std::string command = argv[1];
+  const std::string name = argv[1];
   try {
     const auto flags = util::Flags::parse(argc - 2, argv + 2);
-    if (command == "traffic") return cmd_traffic(flags);
-    if (command == "balance") return cmd_balance(flags);
-    if (command == "simulate") return cmd_simulate(flags);
-    if (command == "emulate") return cmd_emulate(flags);
-    if (command == "trace") return cmd_trace(flags);
-    if (command == "validate") return cmd_validate(flags);
-    if (command == "inject-run") return cmd_inject_run(flags);
-    if (command == "rebuild-run") return cmd_rebuild_run(flags);
-    usage();
-    return 2;
+    const Command* command = find_command(name, flags);
+    if (command == nullptr) {
+      usage();
+      return 2;
+    }
+    flags.check(name, command->flags, kNonNegativeFlags);
+    return command->run(flags);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "carctl: %s\n", error.what());
     return 1;
