@@ -11,7 +11,9 @@
 #include <cstdio>
 
 #include "cluster/configs.h"
+#include "cluster/failure.h"
 #include "recovery/balancer.h"
+#include "recovery/multi.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -37,38 +39,40 @@ int main() {
       const auto placement = cluster::Placement::random(
           cfg.topology(), cfg.k, cfg.m, kStripes, rng);
       const auto scenario = cluster::inject_random_failure(placement, rng);
-      const auto censuses = recovery::build_censuses(placement, scenario);
+      const auto censuses = recovery::build_multi_censuses(
+          placement,
+          recovery::make_multi_failure(placement, {scenario.failed_node}));
       const auto racks = placement.topology().num_racks();
 
       // RR.
-      const auto rr = recovery::plan_rr(placement, censuses, rng);
+      const auto rr = recovery::plan_multi_rr(placement, censuses, rng);
       const auto rr_sum =
-          recovery::rr_traffic(placement, rr, scenario.failed_rack);
+          recovery::multi_rr_traffic(placement, rr, scenario.failed_rack);
       rr_traffic_stat.add(static_cast<double>(rr_sum.total_chunks()));
       rr_lambda.add(rr_sum.lambda());
 
-      // MIN-RACK without aggregation: same rack choices as CAR's default,
-      // but every picked chunk in an intact rack crosses the core raw.
-      const auto initial = recovery::plan_car_initial(placement, censuses);
+      // MIN-RACK without aggregation: same rack choices as CAR's default
+      // (Algorithm 2 with no substitution), but every picked chunk in an
+      // intact rack crosses the core raw.
+      const auto initial =
+          recovery::balance_multi(placement, censuses, 0).solutions;
       std::size_t raw_cross = 0;
       for (const auto& solution : initial) {
         for (const auto& pick : solution.picks) {
-          if (pick.rack != scenario.failed_rack) {
-            raw_cross += pick.chunk_indices.size();
-          }
+          if (pick.rack != scenario.failed_rack) raw_cross += pick.count;
         }
       }
       minrack_traffic.add(static_cast<double>(raw_cross));
 
       // +AGGREGATION (CAR without balancing).
       const auto unbalanced_sum =
-          recovery::car_traffic(initial, racks, scenario.failed_rack);
+          recovery::multi_traffic(initial, racks, scenario.failed_rack);
       unbalanced_lambda.add(unbalanced_sum.lambda());
 
       // +BALANCING (full CAR).
-      const auto balanced = recovery::balance_greedy(placement, censuses, {50});
-      const auto car_sum = recovery::car_traffic(balanced.solutions, racks,
-                                                 scenario.failed_rack);
+      const auto balanced = recovery::balance_multi(placement, censuses, 50);
+      const auto car_sum = recovery::multi_traffic(balanced.solutions, racks,
+                                                   scenario.failed_rack);
       car_traffic_stat.add(static_cast<double>(car_sum.total_chunks()));
       car_lambda.add(car_sum.lambda());
     }
@@ -98,10 +102,13 @@ int main() {
     const auto placement =
         cluster::Placement::random(cfg.topology(), cfg.k, cfg.m, 8, rng);
     const auto scenario = cluster::inject_random_failure(placement, rng);
-    const auto censuses = recovery::build_censuses(placement, scenario);
-    const auto greedy = recovery::balance_greedy(placement, censuses, {200});
-    const auto exact = recovery::balance_exhaustive(censuses, 5'000'000);
-    const auto summary = recovery::car_traffic(
+    const auto censuses = recovery::build_multi_censuses(
+        placement,
+        recovery::make_multi_failure(placement, {scenario.failed_node}));
+    const auto greedy = recovery::balance_multi(placement, censuses, 200);
+    const auto exact = recovery::balance_exhaustive(placement, censuses,
+                                                      5'000'000);
+    const auto summary = recovery::multi_traffic(
         greedy.solutions, placement.topology().num_racks(),
         scenario.failed_rack);
     opt.add_row({std::to_string(seed),

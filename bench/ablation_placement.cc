@@ -11,7 +11,8 @@
 #include <cstdio>
 
 #include "cluster/configs.h"
-#include "recovery/balancer.h"
+#include "cluster/failure.h"
+#include "recovery/multi.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -48,15 +49,17 @@ int main() {
         const auto placement =
             factory(cfg.topology(), cfg.k, cfg.m, kStripes, rng);
         const auto scenario = cluster::inject_random_failure(placement, rng);
-        const auto censuses = recovery::build_censuses(placement, scenario);
+        const auto censuses = recovery::build_multi_censuses(
+            placement,
+            recovery::make_multi_failure(placement, {scenario.failed_node}));
 
-        const auto rr = recovery::plan_rr(placement, censuses, rng);
+        const auto rr = recovery::plan_multi_rr(placement, censuses, rng);
         rr_chunks.add(static_cast<double>(
-            recovery::rr_traffic(placement, rr, scenario.failed_rack)
+            recovery::multi_rr_traffic(placement, rr, scenario.failed_rack)
                 .total_chunks()));
 
-        const auto car = recovery::balance_greedy(placement, censuses, {50});
-        const auto summary = recovery::car_traffic(
+        const auto car = recovery::balance_multi(placement, censuses, 50);
+        const auto summary = recovery::multi_traffic(
             car.solutions, placement.topology().num_racks(),
             scenario.failed_rack);
         car_chunks.add(static_cast<double>(summary.total_chunks()));

@@ -8,7 +8,8 @@
 #include <cstdio>
 
 #include "cluster/configs.h"
-#include "recovery/balancer.h"
+#include "cluster/failure.h"
+#include "recovery/multi.h"
 #include "recovery/scheduler.h"
 #include "simnet/flowsim.h"
 #include "util/bytes.h"
@@ -32,10 +33,12 @@ int main() {
     const auto placement = cluster::Placement::random(
         cfg.topology(), cfg.k, cfg.m, kStripes, rng);
     const auto scenario = cluster::inject_random_failure(placement, rng);
-    const auto censuses = recovery::build_censuses(placement, scenario);
+    const auto censuses = recovery::build_multi_censuses(
+        placement,
+        recovery::make_multi_failure(placement, {scenario.failed_node}));
     const rs::Code code(cfg.k, cfg.m);
-    const auto balanced = recovery::balance_greedy(placement, censuses, {50});
-    const auto plan = recovery::build_car_plan(
+    const auto balanced = recovery::balance_multi(placement, censuses, 50);
+    const auto plan = recovery::build_multi_car_plan(
         placement, code, balanced.solutions, kChunkSize,
         scenario.failed_node);
 

@@ -15,8 +15,9 @@
 #include <cstdio>
 
 #include "cluster/configs.h"
+#include "cluster/failure.h"
 #include "emul/cluster.h"
-#include "recovery/balancer.h"
+#include "recovery/multi.h"
 #include "util/bytes.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -57,7 +58,9 @@ Breakdown run_serialised(const car::cluster::CfsConfig& cfg,
   cluster.populate(placement, code, kChunkSize, data_rng);
   const auto scenario = cluster::inject_random_failure(placement, rng);
   cluster.erase_node(scenario.failed_node);
-  const auto censuses = recovery::build_censuses(placement, scenario);
+  const auto censuses = recovery::build_multi_censuses(
+      placement,
+      recovery::make_multi_failure(placement, {scenario.failed_node}));
 
   Breakdown total;
   for (const auto& census : censuses) {
@@ -92,20 +95,24 @@ int main() {
           cfg, seed,
           [](const auto& placement, const auto& code, const auto& census,
              const auto& scenario, util::Rng& rng) {
-            const auto solution =
-                recovery::random_recovery(placement, census, rng);
-            return recovery::build_rr_plan(placement, code, {&solution, 1},
-                                           kChunkSize, scenario.failed_node);
+            const auto solutions =
+                recovery::plan_multi_rr(placement, {&census, 1}, rng);
+            return recovery::build_multi_rr_plan(placement, code, solutions,
+                                                 kChunkSize,
+                                                 scenario.failed_node);
           });
 
       const auto car = run_serialised(
           cfg, seed,
           [](const auto& placement, const auto& code, const auto& census,
              const auto& scenario, util::Rng&) {
-            const auto solution = recovery::materialize(
-                placement, census, recovery::default_solution(census));
-            return recovery::build_car_plan(placement, code, {&solution, 1},
-                                            kChunkSize, scenario.failed_node);
+            const auto solution = recovery::materialize_multi(
+                placement, census,
+                recovery::default_rack_set(census.k, census.replacement_rack,
+                                           census.surviving.ranked()));
+            return recovery::build_multi_car_plan(placement, code,
+                                                  {&solution, 1}, kChunkSize,
+                                                  scenario.failed_node);
           });
 
       rr_ratio.add(rr.compute_s / rr.wall_s);

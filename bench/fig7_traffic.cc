@@ -7,8 +7,9 @@
 #include <cstdio>
 
 #include "cluster/configs.h"
+#include "cluster/failure.h"
 #include "emul/cluster.h"
-#include "recovery/balancer.h"
+#include "recovery/multi.h"
 #include "util/bytes.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -38,16 +39,18 @@ int main() {
         const auto placement = cluster::Placement::random(
             cfg.topology(), cfg.k, cfg.m, kStripes, rng);
         const auto scenario = cluster::inject_random_failure(placement, rng);
-        const auto censuses = recovery::build_censuses(placement, scenario);
+        const auto censuses = recovery::build_multi_censuses(
+            placement,
+            recovery::make_multi_failure(placement, {scenario.failed_node}));
 
-        const auto rr = recovery::plan_rr(placement, censuses, rng);
+        const auto rr = recovery::plan_multi_rr(placement, censuses, rng);
         const auto rr_sum =
-            recovery::rr_traffic(placement, rr, scenario.failed_rack);
+            recovery::multi_rr_traffic(placement, rr, scenario.failed_rack);
         rr_mib.add(static_cast<double>(rr_sum.total_bytes(chunk_size)) /
                    static_cast<double>(util::kMiB));
 
-        const auto car = recovery::balance_greedy(placement, censuses, {50});
-        const auto car_sum = recovery::car_traffic(
+        const auto car = recovery::balance_multi(placement, censuses, 50);
+        const auto car_sum = recovery::multi_traffic(
             car.solutions, placement.topology().num_racks(),
             scenario.failed_rack);
         car_mib.add(static_cast<double>(car_sum.total_bytes(chunk_size)) /
@@ -74,10 +77,12 @@ int main() {
       const auto placement = cluster::Placement::random(
           cfg.topology(), cfg.k, cfg.m, kStripes, rng);
       const auto scenario = cluster::inject_random_failure(placement, rng);
-      const auto censuses = recovery::build_censuses(placement, scenario);
+      const auto censuses = recovery::build_multi_censuses(
+          placement,
+          recovery::make_multi_failure(placement, {scenario.failed_node}));
       const rs::Code code(cfg.k, cfg.m);
-      const auto car = recovery::balance_greedy(placement, censuses, {50});
-      const auto plan = recovery::build_car_plan(
+      const auto car = recovery::balance_multi(placement, censuses, 50);
+      const auto plan = recovery::build_multi_car_plan(
           placement, code, car.solutions, kVerifyChunk, scenario.failed_node);
 
       emul::EmulConfig emul_cfg;

@@ -7,7 +7,8 @@
 #include <cstdio>
 
 #include "cluster/configs.h"
-#include "recovery/balancer.h"
+#include "cluster/failure.h"
+#include "recovery/multi.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -35,9 +36,11 @@ int main() {
       const auto placement = cluster::Placement::random(
           cfg.topology(), cfg.k, cfg.m, kStripes, rng);
       const auto scenario = cluster::inject_random_failure(placement, rng);
-      const auto censuses = recovery::build_censuses(placement, scenario);
+      const auto censuses = recovery::build_multi_censuses(
+          placement,
+          recovery::make_multi_failure(placement, {scenario.failed_node}));
       const auto result =
-          recovery::balance_greedy(placement, censuses, {kMaxIterations});
+          recovery::balance_multi(placement, censuses, kMaxIterations);
 
       for (std::size_t i = 0; i < 6; ++i) {
         // Once converged, lambda stays at its final value.

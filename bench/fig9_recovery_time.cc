@@ -9,8 +9,9 @@
 #include <cstdio>
 
 #include "cluster/configs.h"
+#include "cluster/failure.h"
 #include "emul/cluster.h"
-#include "recovery/balancer.h"
+#include "recovery/multi.h"
 #include "simnet/flowsim.h"
 #include "util/bytes.h"
 #include "util/stats.h"
@@ -65,20 +66,22 @@ int main() {
         const auto placement = cluster::Placement::random(
             cfg.topology(), cfg.k, cfg.m, kStripes, rng);
         const auto scenario = cluster::inject_random_failure(placement, rng);
-        const auto censuses = recovery::build_censuses(placement, scenario);
+        const auto censuses = recovery::build_multi_censuses(
+            placement,
+            recovery::make_multi_failure(placement, {scenario.failed_node}));
         const rs::Code code(cfg.k, cfg.m);
         const double lost = static_cast<double>(scenario.lost.size());
 
-        const auto rr = recovery::plan_rr(placement, censuses, rng);
-        const auto rr_plan = recovery::build_rr_plan(
+        const auto rr = recovery::plan_multi_rr(placement, censuses, rng);
+        const auto rr_plan = recovery::build_multi_rr_plan(
             placement, code, rr, chunk_size, scenario.failed_node);
         rr_time.add(
             simnet::simulate_plan(placement.topology(), rr_plan, net)
                 .makespan_s / lost);
 
         const auto balanced =
-            recovery::balance_greedy(placement, censuses, {50});
-        const auto car_plan = recovery::build_car_plan(
+            recovery::balance_multi(placement, censuses, 50);
+        const auto car_plan = recovery::build_multi_car_plan(
             placement, code, balanced.solutions, chunk_size,
             scenario.failed_node);
         car_time.add(
@@ -107,7 +110,9 @@ int main() {
       const auto placement = cluster::Placement::random(
           cfg.topology(), cfg.k, cfg.m, kStripes, rng);
       const auto scenario = cluster::inject_random_failure(placement, rng);
-      const auto censuses = recovery::build_censuses(placement, scenario);
+      const auto censuses = recovery::build_multi_censuses(
+          placement,
+          recovery::make_multi_failure(placement, {scenario.failed_node}));
       const rs::Code code(cfg.k, cfg.m);
 
       emul::EmulConfig emul_cfg;
@@ -122,12 +127,11 @@ int main() {
         return cluster.execute(plan).wall_s;
       };
 
-      const auto rr = recovery::plan_rr(placement, censuses, rng);
-      const double rr_s = recover(recovery::build_rr_plan(
+      const auto rr = recovery::plan_multi_rr(placement, censuses, rng);
+      const double rr_s = recover(recovery::build_multi_rr_plan(
           placement, code, rr, kEmulChunk, scenario.failed_node));
-      const auto balanced = recovery::balance_greedy(placement, censuses,
-                                                     {50});
-      const double car_s = recover(recovery::build_car_plan(
+      const auto balanced = recovery::balance_multi(placement, censuses, 50);
+      const double car_s = recover(recovery::build_multi_car_plan(
           placement, code, balanced.solutions, kEmulChunk,
           scenario.failed_node));
       emul_speedup.add(1.0 - car_s / rr_s);

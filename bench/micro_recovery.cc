@@ -28,9 +28,10 @@
 #include <vector>
 
 #include "cluster/configs.h"
+#include "cluster/failure.h"
 #include "emul/cluster.h"
 #include "rebuild/scenario.h"
-#include "recovery/balancer.h"
+#include "recovery/multi.h"
 #include "recovery/multi.h"
 #include "recovery/plan_arena.h"
 #include "recovery/plan_template.h"
@@ -46,7 +47,7 @@ using namespace car;
 struct Scenario {
   cluster::Placement placement;
   cluster::FailureScenario failure;
-  std::vector<recovery::StripeCensus> censuses;
+  std::vector<recovery::MultiStripeCensus> censuses;
 };
 
 Scenario make_scenario(const cluster::CfsConfig& cfg, std::size_t stripes,
@@ -55,7 +56,9 @@ Scenario make_scenario(const cluster::CfsConfig& cfg, std::size_t stripes,
   auto placement =
       cluster::Placement::random(cfg.topology(), cfg.k, cfg.m, stripes, rng);
   auto failure = cluster::inject_random_failure(placement, rng);
-  auto censuses = recovery::build_censuses(placement, failure);
+  auto censuses = recovery::build_multi_censuses(
+      placement,
+      recovery::make_multi_failure(placement, {failure.failed_node}));
   return {std::move(placement), std::move(failure), std::move(censuses)};
 }
 
@@ -146,10 +149,10 @@ Fig9Point measure_fig9_point(std::size_t cfg_index, double core_scale) {
   const auto cfg = cluster::paper_configs()[cfg_index];
   const auto s = make_scenario(cfg, kFig9Stripes, 0xF19 + cfg_index);
   const rs::Code code(cfg.k, cfg.m);
-  const auto balanced = recovery::balance_greedy(s.placement, s.censuses, {50});
+  const auto balanced = recovery::balance_multi(s.placement, s.censuses, 50);
   const auto plan = recovery::schedule_windowed(
-      recovery::build_car_plan(s.placement, code, balanced.solutions,
-                               kFig9Chunk, s.failure.failed_node),
+      recovery::build_multi_car_plan(s.placement, code, balanced.solutions,
+                                     kFig9Chunk, s.failure.failed_node),
       kFig9Window);
 
   emul::Cluster cluster(s.placement.topology(), fig9_emul(core_scale));
@@ -439,7 +442,7 @@ void BM_BalanceGreedy_Stripes(benchmark::State& state) {
   const auto stripes = static_cast<std::size_t>(state.range(0));
   const auto s = make_scenario(cluster::cfs3(), stripes, 17);
   for (auto _ : state) {
-    auto result = recovery::balance_greedy(s.placement, s.censuses, {50});
+    auto result = recovery::balance_multi(s.placement, s.censuses, 50);
     benchmark::DoNotOptimize(result.solutions.data());
   }
   state.SetComplexityN(static_cast<std::int64_t>(stripes));
@@ -455,7 +458,7 @@ void BM_BalanceGreedy_Iterations(benchmark::State& state) {
   const auto s = make_scenario(cluster::cfs3(), 400, 23);
   for (auto _ : state) {
     auto result =
-        recovery::balance_greedy(s.placement, s.censuses, {iterations});
+        recovery::balance_multi(s.placement, s.censuses, iterations);
     benchmark::DoNotOptimize(result.solutions.data());
   }
 }
@@ -465,8 +468,9 @@ void BM_EnumerateMinimalSolutions(benchmark::State& state) {
   const auto s = make_scenario(cluster::cfs3(), 100, 29);
   std::size_t i = 0;
   for (auto _ : state) {
-    auto sets =
-        recovery::enumerate_minimal_solutions(s.censuses[i % s.censuses.size()]);
+    const auto& census = s.censuses[i % s.censuses.size()];
+    auto sets = recovery::enumerate_rack_sets(
+        census.k, census.replacement_rack, census.surviving.ranked());
     benchmark::DoNotOptimize(sets.data());
     ++i;
   }
@@ -476,10 +480,11 @@ BENCHMARK(BM_EnumerateMinimalSolutions);
 void BM_BuildCarPlan(benchmark::State& state) {
   const auto s = make_scenario(cluster::cfs3(), 100, 31);
   const rs::Code code(10, 4);
-  const auto balanced = recovery::balance_greedy(s.placement, s.censuses, {50});
+  const auto balanced = recovery::balance_multi(s.placement, s.censuses, 50);
   for (auto _ : state) {
-    auto plan = recovery::build_car_plan(s.placement, code, balanced.solutions,
-                                         1 << 22, s.failure.failed_node);
+    auto plan =
+        recovery::build_multi_car_plan(s.placement, code, balanced.solutions,
+                                       1 << 22, s.failure.failed_node);
     benchmark::DoNotOptimize(plan.steps.data());
   }
 }
@@ -490,8 +495,8 @@ void BM_SliceCarPlan(benchmark::State& state) {
   // next to the execution it pipelines.
   const auto s = make_scenario(cluster::cfs3(), 100, 31);
   const rs::Code code(10, 4);
-  const auto balanced = recovery::balance_greedy(s.placement, s.censuses, {50});
-  const auto plan = recovery::build_car_plan(
+  const auto balanced = recovery::balance_multi(s.placement, s.censuses, 50);
+  const auto plan = recovery::build_multi_car_plan(
       s.placement, code, balanced.solutions, 1 << 22, s.failure.failed_node);
   for (auto _ : state) {
     auto sliced = recovery::slice_plan(plan, 64 * util::kKiB);
@@ -503,8 +508,8 @@ BENCHMARK(BM_SliceCarPlan);
 void BM_SimulateCarPlan(benchmark::State& state) {
   const auto s = make_scenario(cluster::cfs3(), 100, 37);
   const rs::Code code(10, 4);
-  const auto balanced = recovery::balance_greedy(s.placement, s.censuses, {50});
-  const auto plan = recovery::build_car_plan(
+  const auto balanced = recovery::balance_multi(s.placement, s.censuses, 50);
+  const auto plan = recovery::build_multi_car_plan(
       s.placement, code, balanced.solutions, 1 << 22, s.failure.failed_node);
   const simnet::NetConfig net;
   for (auto _ : state) {
@@ -522,8 +527,8 @@ void BM_EmulateCarPlan_VirtualClock(benchmark::State& state) {
   const auto stripes = static_cast<std::size_t>(state.range(0));
   const auto s = make_scenario(cluster::cfs3(), stripes, 47);
   const rs::Code code(10, 4);
-  const auto balanced = recovery::balance_greedy(s.placement, s.censuses, {50});
-  const auto plan = recovery::build_car_plan(
+  const auto balanced = recovery::balance_multi(s.placement, s.censuses, 50);
+  const auto plan = recovery::build_multi_car_plan(
       s.placement, code, balanced.solutions, 4096, s.failure.failed_node);
 
   emul::EmulConfig cfg;
@@ -546,9 +551,9 @@ void BM_SimulateRrPlan(benchmark::State& state) {
   auto s = make_scenario(cluster::cfs3(), 100, 41);
   const rs::Code code(10, 4);
   util::Rng rng(43);
-  const auto rr = recovery::plan_rr(s.placement, s.censuses, rng);
-  const auto plan = recovery::build_rr_plan(s.placement, code, rr, 1 << 22,
-                                            s.failure.failed_node);
+  const auto rr = recovery::plan_multi_rr(s.placement, s.censuses, rng);
+  const auto plan = recovery::build_multi_rr_plan(
+      s.placement, code, rr, 1 << 22, s.failure.failed_node);
   const simnet::NetConfig net;
   for (auto _ : state) {
     auto result = simnet::simulate_plan(s.placement.topology(), plan, net);
@@ -577,10 +582,10 @@ void register_fig9_exec_benches() {
       const auto s = make_scenario(cfg, kFig9Stripes, 0xF19 + 1);
       const rs::Code code(cfg.k, cfg.m);
       const auto balanced =
-          recovery::balance_greedy(s.placement, s.censuses, {50});
+          recovery::balance_multi(s.placement, s.censuses, 50);
       const auto plan = recovery::schedule_windowed(
-          recovery::build_car_plan(s.placement, code, balanced.solutions,
-                                   kFig9Chunk, s.failure.failed_node),
+          recovery::build_multi_car_plan(s.placement, code, balanced.solutions,
+                                         kFig9Chunk, s.failure.failed_node),
           kFig9Window);
       emul::Cluster cluster(s.placement.topology(), fig9_emul(1.0));
       util::Rng data_rng(0xDA7A + 1);

@@ -11,7 +11,8 @@
 #include <cstdlib>
 
 #include "cluster/configs.h"
-#include "recovery/balancer.h"
+#include "cluster/failure.h"
+#include "recovery/multi.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
@@ -28,14 +29,16 @@ int main(int argc, char** argv) {
     const auto placement =
         cluster::Placement::random(cfg.topology(), cfg.k, cfg.m, kStripes, rng);
     const auto scenario = cluster::inject_random_failure(placement, rng);
-    const auto censuses = recovery::build_censuses(placement, scenario);
+    const auto censuses = recovery::build_multi_censuses(
+        placement,
+        recovery::make_multi_failure(placement, {scenario.failed_node}));
 
-    const auto rr = recovery::plan_rr(placement, censuses, rng);
+    const auto rr = recovery::plan_multi_rr(placement, censuses, rng);
     const auto rr_sum =
-        recovery::rr_traffic(placement, rr, scenario.failed_rack);
+        recovery::multi_rr_traffic(placement, rr, scenario.failed_rack);
 
-    const auto car = recovery::balance_greedy(placement, censuses, {50});
-    const auto car_sum = recovery::car_traffic(
+    const auto car = recovery::balance_multi(placement, censuses, 50);
+    const auto car_sum = recovery::multi_traffic(
         car.solutions, placement.topology().num_racks(), scenario.failed_rack);
 
     const double saving =

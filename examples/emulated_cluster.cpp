@@ -10,8 +10,9 @@
 #include <cstdlib>
 
 #include "cluster/configs.h"
+#include "cluster/failure.h"
 #include "emul/cluster.h"
-#include "recovery/balancer.h"
+#include "recovery/multi.h"
 #include "util/bytes.h"
 
 int main(int argc, char** argv) {
@@ -43,18 +44,20 @@ int main(int argc, char** argv) {
     util::Rng fail_rng(9);
     const auto scenario = cluster::inject_random_failure(placement, fail_rng);
     cluster.erase_node(scenario.failed_node);
-    const auto censuses = recovery::build_censuses(placement, scenario);
+    const auto censuses = recovery::build_multi_censuses(
+        placement,
+        recovery::make_multi_failure(placement, {scenario.failed_node}));
 
     recovery::RecoveryPlan plan;
     if (use_car) {
-      const auto balanced = recovery::balance_greedy(placement, censuses, {50});
-      plan = recovery::build_car_plan(placement, code, balanced.solutions,
-                                      chunk_size, scenario.failed_node);
+      const auto balanced = recovery::balance_multi(placement, censuses, 50);
+      plan = recovery::build_multi_car_plan(placement, code, balanced.solutions,
+                                            chunk_size, scenario.failed_node);
     } else {
       util::Rng rr_rng(11);
-      const auto rr = recovery::plan_rr(placement, censuses, rr_rng);
-      plan = recovery::build_rr_plan(placement, code, rr, chunk_size,
-                                     scenario.failed_node);
+      const auto rr = recovery::plan_multi_rr(placement, censuses, rr_rng);
+      plan = recovery::build_multi_rr_plan(placement, code, rr, chunk_size,
+                                           scenario.failed_node);
     }
     const auto report = cluster.execute(plan);
 

@@ -15,11 +15,10 @@
 #include "cluster/placement.h"
 #include "cluster/topology.h"
 #include "emul/cluster.h"
-#include "recovery/balancer.h"
-#include "recovery/census.h"
+#include "recovery/multi.h"
 #include "recovery/plan.h"
-#include "recovery/random_recovery.h"
-#include "recovery/validate.h"
+#include "recovery/plan_template.h"
+#include "recovery/replan.h"
 #include "rs/code.h"
 #include "util/bytes.h"
 #include "util/check.h"
@@ -513,31 +512,21 @@ ScenarioOutcome run_scenario(const Scenario& scenario) {
           : cluster::inject_random_failure(placement, rng);
   if (!seeded_data) cluster.erase_node(failure.failed_node);
 
-  const auto censuses = recovery::build_censuses(placement, failure);
   const bool car = scenario.strategy == "car";
-  recovery::RecoveryPlan plan;
-  recovery::ValidateOptions options;
-  options.placement = &placement;
-  if (car) {
-    const auto balanced = recovery::balance_greedy(placement, censuses, {50});
-    plan = recovery::build_car_plan(placement, code, balanced.solutions,
-                                    scenario.chunk_bytes,
-                                    failure.failed_node);
-    options.expected_cross_rack_chunks = recovery::claimed_cross_rack_chunks(
-        balanced.solutions, failure.failed_rack);
-  } else {
-    util::Rng rr_rng(scenario.seed + 1);
-    const auto solutions = recovery::plan_rr(placement, censuses, rr_rng);
-    plan = recovery::build_rr_plan(placement, code, solutions,
-                                   scenario.chunk_bytes, failure.failed_node);
-  }
+  util::Rng rr_rng(scenario.seed + 1);
+  recovery::PlanTemplateCache template_cache;
+  recovery::MultiReplan initial = recovery::plan_multi_failure(
+      placement, code,
+      recovery::build_multi_censuses(
+          placement,
+          recovery::make_multi_failure(placement, {failure.failed_node})),
+      car ? recovery::Strategy::kCar : recovery::Strategy::kRr,
+      scenario.chunk_bytes, failure.failed_node, rr_rng, template_cache);
+  const recovery::RecoveryPlan& plan = initial.plan;
 
   ScenarioOutcome outcome;
   outcome.failed_node = failure.failed_node;
-  outcome.initial_validation = recovery::validate_plan(plan, topology, options);
-  CAR_CHECK_STATE(outcome.initial_validation.ok(),
-                  "run_scenario: initial plan failed validation:\n" +
-                      outcome.initial_validation.to_string());
+  outcome.initial_validation = std::move(initial.validation);
 
   DataPolicy data;
   if (seeded_data) {

@@ -2,123 +2,24 @@
 
 #include <algorithm>
 #include <limits>
-#include <stdexcept>
 
 #include "util/check.h"
 
 namespace car::recovery {
 
-namespace {
-
-/// λ from per-rack chunk counts.
-double lambda_of(const std::vector<std::size_t>& t,
-                 cluster::RackId failed_rack) {
-  std::size_t total = 0;
-  std::size_t max = 0;
-  for (cluster::RackId i = 0; i < t.size(); ++i) {
-    total += t[i];
-    if (i != failed_rack) max = std::max(max, t[i]);
-  }
-  if (total == 0 || t.size() < 2) return 1.0;
-  const double avg =
-      static_cast<double>(total) / static_cast<double>(t.size() - 1);
-  return static_cast<double>(max) / avg;
-}
-
-}  // namespace
-
-BalanceResult balance_greedy(const cluster::Placement& placement,
-                             const std::vector<StripeCensus>& censuses,
-                             const BalanceOptions& options) {
-  CAR_CHECK(!censuses.empty(), "balance_greedy: no stripes to recover");
-  const cluster::RackId failed_rack = censuses.front().failed_rack;
-  const std::size_t num_racks = censuses.front().num_racks();
-
-  // Precompute all valid minimal rack sets per stripe (candidates for
-  // substitution) and pick the paper's default as the starting point.
-  std::vector<std::vector<RackSet>> candidates(censuses.size());
-  std::vector<RackSet> chosen(censuses.size());
-  std::vector<std::size_t> t(num_racks, 0);
-  for (std::size_t j = 0; j < censuses.size(); ++j) {
-    candidates[j] = enumerate_minimal_solutions(censuses[j]);
-    chosen[j] = default_solution(censuses[j]);
-    for (cluster::RackId rack : chosen[j].racks) ++t[rack];
-  }
-
-  BalanceResult result;
-  result.lambda_trace.push_back(lambda_of(t, failed_rack));
-
-  for (std::size_t iter = 0; iter < options.iterations; ++iter) {
-    // Step 5: the intact rack with the highest cross-rack traffic.
-    cluster::RackId heaviest = failed_rack;
-    std::size_t heaviest_t = 0;
-    for (cluster::RackId i = 0; i < num_racks; ++i) {
-      if (i == failed_rack) continue;
-      if (heaviest == failed_rack || t[i] > heaviest_t) {
-        heaviest = i;
-        heaviest_t = t[i];
-      }
-    }
-
-    // Steps 6-11: scan lighter racks (lightest first for fastest descent)
-    // and look for a stripe whose solution can swap heaviest -> lighter.
-    bool substituted = false;
-    std::vector<cluster::RackId> lighter;
-    for (cluster::RackId i = 0; i < num_racks; ++i) {
-      if (i != failed_rack && i != heaviest && heaviest_t >= t[i] + 2) {
-        lighter.push_back(i);
-      }
-    }
-    std::stable_sort(lighter.begin(), lighter.end(),
-                     [&](cluster::RackId a, cluster::RackId b) {
-                       return t[a] < t[b];
-                     });
-
-    for (cluster::RackId target : lighter) {
-      for (std::size_t j = 0; j < censuses.size() && !substituted; ++j) {
-        if (!chosen[j].contains(heaviest) || chosen[j].contains(target)) {
-          continue;
-        }
-        RackSet swapped = chosen[j];
-        std::replace(swapped.racks.begin(), swapped.racks.end(), heaviest,
-                     target);
-        std::sort(swapped.racks.begin(), swapped.racks.end());
-        const bool valid =
-            std::find(candidates[j].begin(), candidates[j].end(), swapped) !=
-            candidates[j].end();
-        if (!valid) continue;
-        chosen[j] = std::move(swapped);
-        --t[heaviest];
-        ++t[target];
-        substituted = true;
-      }
-      if (substituted) break;
-    }
-
-    if (!substituted) break;  // step 12: converged
-    ++result.substitutions;
-    ++result.iterations_run;
-    result.lambda_trace.push_back(lambda_of(t, failed_rack));
-  }
-
-  result.solutions.reserve(censuses.size());
-  for (std::size_t j = 0; j < censuses.size(); ++j) {
-    result.solutions.push_back(materialize(placement, censuses[j], chosen[j]));
-  }
-  return result;
-}
-
 std::optional<ExhaustiveResult> balance_exhaustive(
-    const std::vector<StripeCensus>& censuses, std::uint64_t max_nodes) {
+    const cluster::Placement& placement,
+    const std::vector<MultiStripeCensus>& censuses, std::uint64_t max_nodes) {
   CAR_CHECK(!censuses.empty(), "balance_exhaustive: no stripes");
-  const cluster::RackId failed_rack = censuses.front().failed_rack;
-  const std::size_t num_racks = censuses.front().num_racks();
+  const std::size_t num_racks = placement.topology().num_racks();
 
   std::vector<std::vector<RackSet>> candidates(censuses.size());
   std::size_t total_traffic = 0;
   for (std::size_t j = 0; j < censuses.size(); ++j) {
-    candidates[j] = enumerate_minimal_solutions(censuses[j]);
-    total_traffic += candidates[j].front().racks.size();
+    const MultiStripeCensus& census = censuses[j];
+    candidates[j] = enumerate_rack_sets(census.k, census.replacement_rack,
+                                        census.surviving.ranked());
+    total_traffic += candidates[j].front().racks.size() * census.lost_count();
   }
 
   ExhaustiveResult best;
@@ -143,14 +44,15 @@ std::optional<ExhaustiveResult> balance_exhaustive(
       }
       return;
     }
+    const std::size_t weight = censuses[j].lost_count();
     for (std::size_t c = 0; c < candidates[j].size(); ++c) {
       std::size_t new_max = running_max;
       for (cluster::RackId rack : candidates[j][c].racks) {
-        new_max = std::max(new_max, ++t[rack]);
+        new_max = std::max(new_max, t[rack] += weight);
       }
       pick[j] = c;
       self(self, j + 1, new_max);
-      for (cluster::RackId rack : candidates[j][c].racks) --t[rack];
+      for (cluster::RackId rack : candidates[j][c].racks) t[rack] -= weight;
       if (aborted) return;
     }
   };
@@ -165,7 +67,6 @@ std::optional<ExhaustiveResult> balance_exhaustive(
                        static_cast<double>(num_racks - 1);
     best.lambda = static_cast<double>(best.max_rack_chunks) / avg;
   }
-  (void)failed_rack;
   return best;
 }
 

@@ -1,53 +1,20 @@
-// Multi-stripe load balancing of cross-rack repair traffic.
+// The exhaustive optimum of Algorithm 2's objective (ablation).
 //
-// Algorithm 2 of the paper: start from the default per-stripe solutions,
-// then greedily substitute single rack accesses (move one partial-chunk
-// transmission from the most-loaded intact rack A_l to a rack A_i with
-// t_{l,f} - t_{i,f} >= 2) for at most e iterations.  Total cross-rack
-// traffic is invariant (every substitution swaps one rack for another), so
-// the greedy pass minimises λ subject to minimum traffic.
-//
-// An exhaustive branch-and-bound optimiser is also provided to measure how
-// close the greedy pass gets to the true optimum (ablation).
+// balance_multi (recovery/multi.h) is the paper's greedy Algorithm 2.  This
+// module searches every combination of valid minimal per-stripe rack sets
+// by branch and bound, to measure how close the greedy pass gets to the
+// true optimum.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "cluster/placement.h"
-#include "recovery/census.h"
-#include "recovery/metrics.h"
-#include "recovery/planner.h"
+#include "recovery/multi.h"
 #include "recovery/solutions.h"
 
 namespace car::recovery {
-
-struct BalanceOptions {
-  /// Maximum substitution iterations (the paper's e).
-  std::size_t iterations = 50;
-};
-
-struct BalanceResult {
-  std::vector<PerStripeSolution> solutions;
-  /// λ after each iteration; index 0 is the initial (unbalanced) λ, so the
-  /// vector has iterations_run + 1 entries.  When the algorithm converges
-  /// before `iterations`, the trace simply ends early.
-  std::vector<double> lambda_trace;
-  std::size_t substitutions = 0;
-  std::size_t iterations_run = 0;
-
-  [[nodiscard]] double initial_lambda() const {
-    return lambda_trace.front();
-  }
-  [[nodiscard]] double final_lambda() const { return lambda_trace.back(); }
-};
-
-/// Algorithm 2: greedy multi-stripe balancing.
-BalanceResult balance_greedy(const cluster::Placement& placement,
-                             const std::vector<StripeCensus>& censuses,
-                             const BalanceOptions& options = {});
 
 struct ExhaustiveResult {
   double lambda = 0.0;
@@ -57,10 +24,13 @@ struct ExhaustiveResult {
 };
 
 /// Exhaustive branch-and-bound over all combinations of valid minimal
-/// per-stripe solutions; returns std::nullopt when the search would exceed
-/// `max_nodes` explored states.  Total traffic is identical across all
-/// combinations, so this minimises max_i t_{i,f} (equivalently λ).
+/// per-stripe rack sets (enumerate_rack_sets), each accessed rack carrying
+/// the stripe's lost-chunk count; returns std::nullopt when the search
+/// would exceed `max_nodes` explored states.  Total traffic is identical
+/// across all combinations, so this minimises max_i t_{i,f} (equivalently
+/// λ).
 std::optional<ExhaustiveResult> balance_exhaustive(
-    const std::vector<StripeCensus>& censuses, std::uint64_t max_nodes);
+    const cluster::Placement& placement,
+    const std::vector<MultiStripeCensus>& censuses, std::uint64_t max_nodes);
 
 }  // namespace car::recovery

@@ -12,8 +12,8 @@
 
 #include "cluster/placement.h"
 #include "cluster/types.h"
+#include "recovery/multi.h"
 #include "recovery/plan.h"
-#include "recovery/solutions.h"
 #include "rs/code.h"
 #include "util/rng.h"
 
@@ -25,21 +25,18 @@ struct DegradedReadRequest {
   cluster::NodeId reader = 0;    // node that must end up with the bytes
 };
 
-/// Rack-level view of a degraded read: how many survivors each rack offers,
-/// anchored at the reader's rack.
-struct DegradedReadCensus {
-  cluster::StripeId stripe = 0;
-  std::size_t chunk_index = 0;
-  cluster::RackId reader_rack = 0;
-  std::size_t k = 0;
-  std::vector<std::size_t> surviving;  // per rack, excluding the read chunk
-};
-
-DegradedReadCensus build_degraded_census(const cluster::Placement& placement,
-                                         const DegradedReadRequest& request);
+/// Rack-level view of a degraded read: the census of the one-node failure
+/// of the read chunk's host, with the reader as replacement — survivors
+/// counted per rack, anchored at the reader's rack.  Throws
+/// std::invalid_argument on an out-of-range stripe, chunk or reader.
+MultiStripeCensus build_degraded_census(const cluster::Placement& placement,
+                                        const DegradedReadRequest& request);
 
 /// CAR-style degraded read: minimum racks + partial decoding, reconstructing
-/// at the reader.  Cross-rack traffic = number of non-reader racks accessed.
+/// at the reader — the chunk picks are materialize_multi's default solution
+/// for the census above.  Cross-rack traffic = number of non-reader racks
+/// accessed: unlike a rebuild plan, a reader that aggregates its own rack
+/// ships nothing to itself.
 RecoveryPlan plan_degraded_read_car(const cluster::Placement& placement,
                                     const rs::Code& code,
                                     const DegradedReadRequest& request,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 
+#include "recovery/multi.h"
 #include "recovery/solutions.h"
 #include "util/check.h"
 #include "util/for_each_shard.h"
@@ -41,18 +42,14 @@ void exposure_range(const cluster::Placement& placement,
                     std::vector<StripeExposure>& out) {
   const auto& topology = placement.topology();
   const cluster::RackId home = topology.rack_of(replacement);
-  std::vector<std::size_t> available(topology.num_racks(), 0);
   for (cluster::StripeId s = begin; s < end; ++s) {
     StripeExposure exposure;
     exposure.stripe = s;
-    std::fill(available.begin(), available.end(), 0);
+    std::size_t replicas_on_replacement = 0;
     const auto hosts = placement.stripe(s);
     for (std::size_t c = 0; c < hosts.size(); ++c) {
       const cluster::NodeId host = hosts[c];
-      if (failed[host] == 0) {
-        ++available[topology.rack_of(host)];
-        continue;
-      }
+      if (failed[host] == 0) continue;
       const bool safe = recovered.contains(s, c);
       if (!safe) exposure.exposed_chunks.push_back(c);
       // A replica published on the replacement is only visible to the
@@ -60,7 +57,7 @@ void exposure_range(const cluster::Placement& placement,
       // other recovered chunk is recomputed (identical bytes) by the next
       // plan that touches the stripe.
       if (safe && host == replacement) {
-        ++available[home];
+        ++replicas_on_replacement;
       } else {
         exposure.plan_chunks.push_back(c);
         exposure.plan_hosts.push_back(host);
@@ -81,7 +78,16 @@ void exposure_range(const cluster::Placement& placement,
     exposure.plan_hosts.erase(
         std::unique(exposure.plan_hosts.begin(), exposure.plan_hosts.end()),
         exposure.plan_hosts.end());
-    exposure.min_racks = min_racks_for(placement.k(), home, available);
+    // Theorem 1 over the live chunks plus the replicas the planner sees,
+    // counted only for the stripes that need a plan.
+    RackCounts available;
+    for (const cluster::NodeId host : hosts) {
+      if (failed[host] == 0) available.add(topology.rack_of(host));
+    }
+    for (std::size_t i = 0; i < replicas_on_replacement; ++i) {
+      available.add(home);
+    }
+    exposure.min_racks = min_racks_for(placement.k(), home, available.ranked());
     out.push_back(std::move(exposure));
   }
 }

@@ -23,35 +23,4 @@ double TrafficSummary::lambda() const noexcept {
   return static_cast<double>(max) / avg;
 }
 
-TrafficSummary car_traffic(const std::vector<PerStripeSolution>& solutions,
-                           std::size_t num_racks,
-                           cluster::RackId failed_rack) {
-  TrafficSummary summary;
-  summary.failed_rack = failed_rack;
-  summary.per_rack_chunks.assign(num_racks, 0);
-  for (const auto& solution : solutions) {
-    // One partially decoded chunk crosses the core per accessed intact rack.
-    for (cluster::RackId rack : solution.rack_set.racks) {
-      ++summary.per_rack_chunks[rack];
-    }
-  }
-  return summary;
-}
-
-TrafficSummary rr_traffic(const cluster::Placement& placement,
-                          const std::vector<RrSolution>& solutions,
-                          cluster::RackId failed_rack) {
-  TrafficSummary summary;
-  summary.failed_rack = failed_rack;
-  summary.per_rack_chunks.assign(placement.topology().num_racks(), 0);
-  for (const auto& solution : solutions) {
-    for (std::size_t chunk : solution.chunk_indices) {
-      const cluster::NodeId host = placement.node_of(solution.stripe, chunk);
-      const cluster::RackId rack = placement.topology().rack_of(host);
-      if (rack != failed_rack) ++summary.per_rack_chunks[rack];
-    }
-  }
-  return summary;
-}
-
 }  // namespace car::recovery

@@ -3,18 +3,17 @@
 //
 // t_{i,f} counts chunk-sized units sent from rack A_i across the core toward
 // the replacement (which lives in the failed rack A_f):
-//   * CAR: one partially decoded chunk per accessed intact rack per stripe;
-//   * RR : one chunk per fetched survivor hosted outside A_f.
+//   * CAR: one partially decoded chunk per accessed intact rack per lost
+//     chunk (multi_traffic, recovery/multi.h);
+//   * RR : one chunk per fetched survivor hosted outside A_f
+//     (multi_rr_traffic).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "cluster/placement.h"
 #include "cluster/types.h"
-#include "recovery/planner.h"
-#include "recovery/random_recovery.h"
 
 namespace car::recovery {
 
@@ -36,17 +35,5 @@ struct TrafficSummary {
   /// Returns 1.0 when there is no cross-rack traffic at all.
   [[nodiscard]] double lambda() const noexcept;
 };
-
-/// Traffic of a CAR multi-stripe solution.
-TrafficSummary car_traffic(const std::vector<PerStripeSolution>& solutions,
-                           std::size_t num_racks,
-                           cluster::RackId failed_rack);
-
-/// Traffic of an RR multi-stripe solution.  Chunks are fetched from their
-/// host nodes directly, so each chunk outside the failed rack counts once
-/// against its host rack.
-TrafficSummary rr_traffic(const cluster::Placement& placement,
-                          const std::vector<RrSolution>& solutions,
-                          cluster::RackId failed_rack);
 
 }  // namespace car::recovery

@@ -408,41 +408,10 @@ RecoveryPlan build_multi_car_plan(
     cluster::NodeId replacement) {
   CAR_CHECK(chunk_size > 0, "build_multi_car_plan: chunk_size must be > 0");
   const auto& topology = placement.topology();
-  RecoveryPlan plan;
-  plan.replacement = replacement;
-  plan.replacement_rack = topology.rack_of(replacement);
-  plan.chunk_size = chunk_size;
-
-  auto add_transfer = [&](cluster::StripeId stripe, cluster::NodeId src,
-                          cluster::NodeId dst, BufferRef payload,
-                          std::vector<std::size_t> deps) {
-    PlanStep step;
-    step.id = plan.steps.size();
-    step.kind = StepKind::kTransfer;
-    step.stripe = stripe;
-    step.src = src;
-    step.dst = dst;
-    step.payload = payload;
-    step.cross_rack = topology.rack_of(src) != topology.rack_of(dst);
-    step.bytes = chunk_size;
-    step.deps = std::move(deps);
-    plan.steps.push_back(std::move(step));
-    return plan.steps.back().id;
-  };
-  auto add_compute = [&](cluster::StripeId stripe, cluster::NodeId node,
-                         std::vector<ComputeInput> inputs,
-                         std::vector<std::size_t> deps) {
-    PlanStep step;
-    step.id = plan.steps.size();
-    step.kind = StepKind::kCompute;
-    step.stripe = stripe;
-    step.node = node;
-    step.bytes = chunk_size * inputs.size();
-    step.inputs = std::move(inputs);
-    step.deps = std::move(deps);
-    plan.steps.push_back(std::move(step));
-    return plan.steps.back().id;
-  };
+  PlanBuilder b{{}, topology};
+  b.plan.replacement = replacement;
+  b.plan.replacement_rack = topology.rack_of(replacement);
+  b.plan.chunk_size = chunk_size;
 
   // repair_vector solves a k x k system; at scale most stripes share the
   // same (lost chunk, survivor set) shape, so memoise on a packed integer
@@ -473,8 +442,8 @@ RecoveryPlan build_multi_car_plan(
         const cluster::NodeId host = placement.node_of(solution.stripe, chunk);
         if (host != aggregator) {
           gather_deps.push_back(
-              add_transfer(solution.stripe, host, aggregator,
-                           BufferRef::chunk(solution.stripe, chunk), {}));
+              b.add_transfer(solution.stripe, host, aggregator,
+                             BufferRef::chunk(solution.stripe, chunk), {}));
         }
       }
       for (std::size_t l = 0; l < ys.size(); ++l) {
@@ -484,30 +453,30 @@ RecoveryPlan build_multi_car_plan(
           inputs.push_back(
               {BufferRef::chunk(solution.stripe, chunk), ys[l][chunk]});
         }
-        const std::size_t partial = add_compute(solution.stripe, aggregator,
-                                                std::move(inputs), gather_deps);
+        const std::size_t partial = b.add_compute(
+            solution.stripe, aggregator, std::move(inputs), gather_deps);
         const std::size_t ship =
-            add_transfer(solution.stripe, aggregator, replacement,
-                         BufferRef::step(partial), {partial});
+            b.add_transfer(solution.stripe, aggregator, replacement,
+                           BufferRef::step(partial), {partial});
         final_inputs[l].push_back({BufferRef::step(partial), 1});
         final_deps[l].push_back(ship);
       }
     }
 
     for (std::size_t l = 0; l < ys.size(); ++l) {
-      const std::size_t final_step =
-          add_compute(solution.stripe, replacement, std::move(final_inputs[l]),
-                      std::move(final_deps[l]));
-      plan.outputs.push_back(
+      const std::size_t final_step = b.add_compute(
+          solution.stripe, replacement, std::move(final_inputs[l]),
+          std::move(final_deps[l]));
+      b.plan.outputs.push_back(
           {solution.stripe, solution.lost_chunks[l], final_step});
     }
   }
-  return plan;
+  return std::move(b.plan);
 }
 
 std::vector<MultiRrSolution> plan_multi_rr(
     const cluster::Placement& placement,
-    const std::vector<MultiStripeCensus>& censuses, util::Rng& rng) {
+    std::span<const MultiStripeCensus> censuses, util::Rng& rng) {
   std::vector<MultiRrSolution> out;
   out.reserve(censuses.size());
   for (const auto& census : censuses) {
@@ -551,10 +520,10 @@ RecoveryPlan build_multi_rr_plan(const cluster::Placement& placement,
                                  cluster::NodeId replacement) {
   CAR_CHECK(chunk_size > 0, "build_multi_rr_plan: chunk_size must be > 0");
   const auto& topology = placement.topology();
-  RecoveryPlan plan;
-  plan.replacement = replacement;
-  plan.replacement_rack = topology.rack_of(replacement);
-  plan.chunk_size = chunk_size;
+  PlanBuilder b{{}, topology};
+  b.plan.replacement = replacement;
+  b.plan.replacement_rack = topology.rack_of(replacement);
+  b.plan.chunk_size = chunk_size;
 
   RepairMemo repair_memo;
   for (const auto& solution : solutions) {
@@ -562,37 +531,24 @@ RecoveryPlan build_multi_rr_plan(const cluster::Placement& placement,
     for (std::size_t chunk : solution.chunk_indices) {
       const cluster::NodeId host = placement.node_of(solution.stripe, chunk);
       if (host == replacement) continue;
-      PlanStep step;
-      step.id = plan.steps.size();
-      step.kind = StepKind::kTransfer;
-      step.stripe = solution.stripe;
-      step.src = host;
-      step.dst = replacement;
-      step.payload = BufferRef::chunk(solution.stripe, chunk);
-      step.cross_rack =
-          topology.rack_of(host) != topology.rack_of(replacement);
-      step.bytes = chunk_size;
-      plan.steps.push_back(std::move(step));
-      deps.push_back(plan.steps.back().id);
+      deps.push_back(b.add_transfer(solution.stripe, host, replacement,
+                                    BufferRef::chunk(solution.stripe, chunk),
+                                    {}));
     }
     for (std::size_t lost : solution.lost_chunks) {
       const auto y = repair_memo.coeffs(code, lost, solution.chunk_indices);
-      PlanStep step;
-      step.id = plan.steps.size();
-      step.kind = StepKind::kCompute;
-      step.stripe = solution.stripe;
-      step.node = replacement;
-      step.bytes = chunk_size * solution.chunk_indices.size();
+      std::vector<ComputeInput> inputs;
+      inputs.reserve(solution.chunk_indices.size());
       for (std::size_t chunk : solution.chunk_indices) {
-        step.inputs.push_back(
-            {BufferRef::chunk(solution.stripe, chunk), y[chunk]});
+        inputs.push_back({BufferRef::chunk(solution.stripe, chunk), y[chunk]});
       }
-      step.deps = deps;
-      plan.steps.push_back(std::move(step));
-      plan.outputs.push_back({solution.stripe, lost, plan.steps.back().id});
+      b.plan.outputs.push_back(
+          {solution.stripe, lost,
+           b.add_compute(solution.stripe, replacement, std::move(inputs),
+                         deps)});
     }
   }
-  return plan;
+  return std::move(b.plan);
 }
 
 }  // namespace car::recovery

@@ -1,18 +1,22 @@
-// Multi-failure cross-rack-aware recovery.
+// Cross-rack-aware recovery (CAR) for one or several failed nodes.
 //
-// The paper scopes CAR to single node failures; this module generalises the
-// three techniques to concurrent failures of several nodes (up to the code's
-// tolerance of m lost chunks per stripe):
+// The paper specifies CAR for a single failed node; this module is that
+// planner, stated for a concurrent failure of several nodes (up to the
+// code's tolerance of m lost chunks per stripe).  A single failure is the
+// one-node case, make_multi_failure(placement, {node}), and every caller
+// plans through here:
 //
 //  * Rack selection — per stripe, gather k chunks from the minimum number of
-//    racks other than the replacement's (Theorem 1 with generalised
-//    surviving counts; reuses recovery/solutions.h's core).
+//    racks other than the replacement's (Theorem 1 on the surviving counts,
+//    recovery/solutions.h).
 //  * Partial decoding — with L lost chunks in a stripe, the repair matrix
 //    Y = G_lost · X has L rows, and each contributing rack aggregates one
 //    partially decoded chunk *per lost chunk*: cross-rack traffic is
 //    L x (#racks accessed) chunks instead of L x k.
-//  * Load balancing — the greedy substitution pass now moves weight L_j (the
-//    stripe's lost-chunk count) between racks, preserving minimum traffic.
+//  * Load balancing — Algorithm 2's greedy substitution pass, each
+//    substitution moving weight L_j (the stripe's lost-chunk count) between
+//    racks while keeping minimum traffic.  With one failed node L_j = 1 and
+//    the pass is the paper's Algorithm 2 exactly.
 //
 // All lost chunks are rebuilt on a single replacement node, mirroring the
 // paper's methodology.
@@ -231,7 +235,7 @@ struct MultiRrSolution {
 };
 std::vector<MultiRrSolution> plan_multi_rr(
     const cluster::Placement& placement,
-    const std::vector<MultiStripeCensus>& censuses, util::Rng& rng);
+    std::span<const MultiStripeCensus> censuses, util::Rng& rng);
 TrafficSummary multi_rr_traffic(const cluster::Placement& placement,
                                 const std::vector<MultiRrSolution>& solutions,
                                 cluster::RackId replacement_rack);

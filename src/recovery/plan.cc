@@ -76,155 +76,54 @@ std::uint64_t RecoveryPlan::compute_bytes() const noexcept {
 
 namespace {
 
-struct PlanBuilder {
-  RecoveryPlan plan;
-  const cluster::Topology& topology;
-
-  // Plan-DAG well-formedness: every appended step may only depend on steps
-  // that already exist, which keeps the DAG acyclic by construction.
-  void check_deps(std::size_t id, const std::vector<std::size_t>& deps) const {
-    for (const std::size_t dep : deps) {
-      CAR_CHECK_LT(dep, id, "PlanBuilder: dependency on a future step");
-    }
+// Plan-DAG well-formedness: every appended step may only depend on steps
+// that already exist, which keeps the DAG acyclic by construction.
+void check_deps(std::size_t id, const std::vector<std::size_t>& deps) {
+  for (const std::size_t dep : deps) {
+    CAR_CHECK_LT(dep, id, "PlanBuilder: dependency on a future step");
   }
-
-  std::size_t add_transfer(cluster::StripeId stripe, cluster::NodeId src,
-                           cluster::NodeId dst, BufferRef payload,
-                           std::vector<std::size_t> deps) {
-    CAR_CHECK_LT(src, topology.num_nodes(), "PlanBuilder: bad src node");
-    CAR_CHECK_LT(dst, topology.num_nodes(), "PlanBuilder: bad dst node");
-    PlanStep step;
-    step.id = plan.steps.size();
-    check_deps(step.id, deps);
-    step.kind = StepKind::kTransfer;
-    step.stripe = stripe;
-    step.src = src;
-    step.dst = dst;
-    step.payload = payload;
-    step.cross_rack = topology.rack_of(src) != topology.rack_of(dst);
-    step.bytes = plan.chunk_size;
-    step.deps = std::move(deps);
-    plan.steps.push_back(std::move(step));
-    return plan.steps.back().id;
-  }
-
-  std::size_t add_compute(cluster::StripeId stripe, cluster::NodeId node,
-                          std::vector<ComputeInput> inputs,
-                          std::vector<std::size_t> deps) {
-    CAR_CHECK_LT(node, topology.num_nodes(), "PlanBuilder: bad compute node");
-    CAR_CHECK(!inputs.empty(), "PlanBuilder: compute without inputs");
-    PlanStep step;
-    step.id = plan.steps.size();
-    check_deps(step.id, deps);
-    step.kind = StepKind::kCompute;
-    step.stripe = stripe;
-    step.node = node;
-    step.bytes = plan.chunk_size * inputs.size();
-    step.inputs = std::move(inputs);
-    step.deps = std::move(deps);
-    plan.steps.push_back(std::move(step));
-    return plan.steps.back().id;
-  }
-};
+}
 
 }  // namespace
 
-RecoveryPlan build_car_plan(const cluster::Placement& placement,
-                            const rs::Code& code,
-                            std::span<const PerStripeSolution> solutions,
-                            std::uint64_t chunk_size,
-                            cluster::NodeId replacement) {
-  CAR_CHECK(chunk_size > 0, "build_car_plan: chunk_size must be > 0");
-  const auto& topology = placement.topology();
-  PlanBuilder b{{}, topology};
-  b.plan.replacement = replacement;
-  b.plan.replacement_rack = topology.rack_of(replacement);
-  b.plan.chunk_size = chunk_size;
-
-  for (const auto& solution : solutions) {
-    const auto survivors = solution.all_chunk_indices();
-    const auto y = code.repair_vector(solution.lost_chunk, survivors);
-    CAR_CHECK_EQ(y.size(), survivors.size(),
-                 "build_car_plan: repair vector arity");
-
-    std::size_t position = 0;  // index into survivors / y, follows pick order
-    std::vector<std::size_t> partial_transfer_ids;
-    std::vector<ComputeInput> final_inputs;
-
-    for (const auto& pick : solution.picks) {
-      // The host of the first picked chunk aggregates for this rack.
-      const cluster::NodeId aggregator =
-          placement.node_of(solution.stripe, pick.chunk_indices.front());
-
-      std::vector<ComputeInput> inputs;
-      std::vector<std::size_t> deps;
-      for (std::size_t chunk : pick.chunk_indices) {
-        const cluster::NodeId host = placement.node_of(solution.stripe, chunk);
-        const auto buf = BufferRef::chunk(solution.stripe, chunk);
-        if (host != aggregator) {
-          deps.push_back(b.add_transfer(solution.stripe, host, aggregator,
-                                        buf, {}));
-        }
-        inputs.push_back({buf, y[position]});
-        ++position;
-      }
-      const std::size_t partial = b.add_compute(
-          solution.stripe, aggregator, std::move(inputs), std::move(deps));
-      const std::size_t ship =
-          b.add_transfer(solution.stripe, aggregator, replacement,
-                         BufferRef::step(partial), {partial});
-      partial_transfer_ids.push_back(ship);
-      final_inputs.push_back({BufferRef::step(partial), 1});
-    }
-
-    // Partial-decoding sum: the per-rack partials must cover every survivor
-    // term exactly once to reconstruct H_i.
-    CAR_CHECK_EQ(position, survivors.size(),
-                 "build_car_plan: picks do not cover the survivor set");
-
-    const std::size_t final_step =
-        b.add_compute(solution.stripe, replacement, std::move(final_inputs),
-                      std::move(partial_transfer_ids));
-    b.plan.outputs.push_back(
-        {solution.stripe, solution.lost_chunk, final_step});
-  }
-  return std::move(b.plan);
+std::size_t PlanBuilder::add_transfer(cluster::StripeId stripe,
+                                      cluster::NodeId src, cluster::NodeId dst,
+                                      BufferRef payload,
+                                      std::vector<std::size_t> deps) {
+  CAR_CHECK_LT(src, topology.num_nodes(), "PlanBuilder: bad src node");
+  CAR_CHECK_LT(dst, topology.num_nodes(), "PlanBuilder: bad dst node");
+  PlanStep step;
+  step.id = plan.steps.size();
+  check_deps(step.id, deps);
+  step.kind = StepKind::kTransfer;
+  step.stripe = stripe;
+  step.src = src;
+  step.dst = dst;
+  step.payload = payload;
+  step.cross_rack = topology.rack_of(src) != topology.rack_of(dst);
+  step.bytes = plan.chunk_size;
+  step.deps = std::move(deps);
+  plan.steps.push_back(std::move(step));
+  return plan.steps.back().id;
 }
 
-RecoveryPlan build_rr_plan(const cluster::Placement& placement,
-                           const rs::Code& code,
-                           std::span<const RrSolution> solutions,
-                           std::uint64_t chunk_size,
-                           cluster::NodeId replacement) {
-  CAR_CHECK(chunk_size > 0, "build_rr_plan: chunk_size must be > 0");
-  const auto& topology = placement.topology();
-  PlanBuilder b{{}, topology};
-  b.plan.replacement = replacement;
-  b.plan.replacement_rack = topology.rack_of(replacement);
-  b.plan.chunk_size = chunk_size;
-
-  for (const auto& solution : solutions) {
-    const auto y =
-        code.repair_vector(solution.lost_chunk, solution.chunk_indices);
-
-    std::vector<std::size_t> deps;
-    std::vector<ComputeInput> inputs;
-    for (std::size_t pos = 0; pos < solution.chunk_indices.size(); ++pos) {
-      const std::size_t chunk = solution.chunk_indices[pos];
-      const cluster::NodeId host = placement.node_of(solution.stripe, chunk);
-      const auto buf = BufferRef::chunk(solution.stripe, chunk);
-      if (host != replacement) {
-        deps.push_back(
-            b.add_transfer(solution.stripe, host, replacement, buf, {}));
-      }
-      inputs.push_back({buf, y[pos]});
-    }
-    const std::size_t final_step = b.add_compute(
-        solution.stripe, replacement, std::move(inputs), std::move(deps));
-    b.plan.outputs.push_back(
-        {solution.stripe, solution.lost_chunk, final_step});
-  }
-  return std::move(b.plan);
+std::size_t PlanBuilder::add_compute(cluster::StripeId stripe,
+                                     cluster::NodeId node,
+                                     std::vector<ComputeInput> inputs,
+                                     std::vector<std::size_t> deps) {
+  CAR_CHECK_LT(node, topology.num_nodes(), "PlanBuilder: bad compute node");
+  CAR_CHECK(!inputs.empty(), "PlanBuilder: compute without inputs");
+  PlanStep step;
+  step.id = plan.steps.size();
+  check_deps(step.id, deps);
+  step.kind = StepKind::kCompute;
+  step.stripe = stripe;
+  step.node = node;
+  step.bytes = plan.chunk_size * inputs.size();
+  step.inputs = std::move(inputs);
+  step.deps = std::move(deps);
+  plan.steps.push_back(std::move(step));
+  return plan.steps.back().id;
 }
 
 }  // namespace car::recovery

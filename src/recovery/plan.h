@@ -1,11 +1,14 @@
 // Executable recovery plans.
 //
 // A RecoveryPlan is a DAG of transfer and compute steps that fully describes
-// a multi-stripe single-failure recovery — which node sends which buffer to
-// whom, and which linear combinations are evaluated where.  The same plan is
-// consumed by three back-ends:
-//   * recovery/metrics.h-style counting (traffic accounting, tested against
-//     the analytic summaries),
+// a multi-stripe recovery — which node sends which buffer to whom, and which
+// linear combinations are evaluated where.  The planners compile into it:
+// build_multi_car_plan and build_multi_rr_plan (recovery/multi.h; their
+// template-cached twins in recovery/plan_template.h) for node failures, the
+// degraded-read builders (recovery/degraded.h) for reads.  Each appends its
+// steps through PlanBuilder, which checks every step as it is added.  The
+// same plan is consumed by three back-ends:
+//   * byte accounting (cross_rack_bytes and friends below),
 //   * simnet::simulate_plan (flow-level timing model),
 //   * emul::Cluster::execute (real bytes through rate-limited links).
 // Keeping one artifact guarantees the back-ends agree on *what* happens.
@@ -16,12 +19,8 @@
 #include <span>
 #include <vector>
 
-#include "cluster/failure.h"
 #include "cluster/placement.h"
 #include "cluster/types.h"
-#include "recovery/planner.h"
-#include "recovery/random_recovery.h"
-#include "rs/code.h"
 
 namespace car::recovery {
 
@@ -108,22 +107,21 @@ struct RecoveryPlan {
 [[nodiscard]] std::vector<std::uint64_t> per_rack_cross_bytes(
     std::span<const PlanStep> steps, const cluster::Topology& topology);
 
-/// Compile a CAR multi-stripe solution into an executable plan.  Each
-/// contributing rack designates the host of its first picked chunk as
-/// aggregator; aggregators partially decode and forward one chunk to the
-/// replacement, which XOR-combines the partials (paper Algorithm 1).
-RecoveryPlan build_car_plan(const cluster::Placement& placement,
-                            const rs::Code& code,
-                            std::span<const PerStripeSolution> solutions,
-                            std::uint64_t chunk_size,
-                            cluster::NodeId replacement);
+/// Appends checked steps to `plan`: ids are dense, a step depends only on
+/// steps already appended (so the DAG is acyclic by construction), node ids
+/// are in range, and a compute has at least one input.  A transfer moves
+/// plan.chunk_size bytes; a compute touches chunk_size per input.  Set
+/// plan.chunk_size before adding steps.
+struct PlanBuilder {
+  RecoveryPlan plan;
+  const cluster::Topology& topology;
 
-/// Compile an RR multi-stripe solution: every fetched survivor is shipped
-/// directly to the replacement, which runs the full decode.
-RecoveryPlan build_rr_plan(const cluster::Placement& placement,
-                           const rs::Code& code,
-                           std::span<const RrSolution> solutions,
-                           std::uint64_t chunk_size,
-                           cluster::NodeId replacement);
+  std::size_t add_transfer(cluster::StripeId stripe, cluster::NodeId src,
+                           cluster::NodeId dst, BufferRef payload,
+                           std::vector<std::size_t> deps);
+  std::size_t add_compute(cluster::StripeId stripe, cluster::NodeId node,
+                          std::vector<ComputeInput> inputs,
+                          std::vector<std::size_t> deps);
+};
 
 }  // namespace car::recovery

@@ -1,7 +1,6 @@
 #include "recovery/solutions.h"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 
 #include "util/check.h"
@@ -42,24 +41,6 @@ std::size_t count_in(std::span<const RackCount> ranked,
   return 0;
 }
 
-/// The dense census in sparse rank order (racks with no chunk dropped).
-std::vector<RackCount> rank_dense(std::span<const std::size_t> available) {
-  CAR_CHECK_LE(available.size(),
-               std::size_t{std::numeric_limits<std::uint32_t>::max()},
-               "rack census: too many racks for a 32-bit rack id");
-  std::vector<RackCount> ranked;
-  for (cluster::RackId i = 0; i < available.size(); ++i) {
-    if (available[i] == 0) continue;
-    CAR_CHECK_LE(available[i],
-                 std::size_t{std::numeric_limits<std::uint32_t>::max()},
-                 "rack census: chunk count overflows 32 bits");
-    ranked.push_back({static_cast<std::uint32_t>(i),
-                      static_cast<std::uint32_t>(available[i])});
-  }
-  std::sort(ranked.begin(), ranked.end(), ranks_before);
-  return ranked;
-}
-
 }  // namespace
 
 std::size_t min_racks_for(std::size_t needed, cluster::RackId home,
@@ -71,29 +52,28 @@ std::size_t min_racks_for(std::size_t needed, cluster::RackId home,
   return *d;
 }
 
-std::size_t min_racks_for(std::size_t needed, cluster::RackId home,
-                          std::span<const std::size_t> available) {
-  CAR_CHECK_LT(home, available.size(),
-               "min_racks_for: home rack out of range");
-  return min_racks_for(needed, home, rank_dense(available));
-}
-
-std::vector<RackSet> enumerate_rack_sets(
-    std::size_t needed, cluster::RackId home,
-    std::span<const std::size_t> available) {
-  const std::size_t d = min_racks_for(needed, home, available);
-  std::vector<cluster::RackId> candidates;
-  for (cluster::RackId i = 0; i < available.size(); ++i) {
-    if (i != home && available[i] > 0) candidates.push_back(i);
-  }
-
+std::vector<RackSet> enumerate_rack_sets(std::size_t needed,
+                                         cluster::RackId home,
+                                         std::span<const RackCount> ranked) {
+  const std::size_t d = min_racks_for(needed, home, ranked);
   std::vector<RackSet> out;
   if (d == 0) {
     out.push_back(RackSet{});  // the home rack alone suffices
     return out;
   }
 
-  const std::size_t local = available[home];
+  // Non-home racks by ascending id, so the sets come out sorted and in
+  // lexicographic order.
+  std::vector<RackCount> candidates;
+  for (const RackCount& entry : ranked) {
+    if (entry.rack != home) candidates.push_back(entry);
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const RackCount& a, const RackCount& b) {
+              return a.rack < b.rack;
+            });
+
+  const std::size_t local = count_in(ranked, home);
   std::vector<cluster::RackId> pick;
   pick.reserve(d);
   // Depth-first enumeration of all d-subsets of the candidate racks that
@@ -105,8 +85,8 @@ std::vector<RackSet> enumerate_rack_sets(
     }
     const std::size_t remaining = d - pick.size();
     for (std::size_t i = next; i + remaining <= candidates.size(); ++i) {
-      pick.push_back(candidates[i]);
-      self(self, i + 1, sum + available[candidates[i]]);
+      pick.push_back(candidates[i].rack);
+      self(self, i + 1, sum + candidates[i].count);
       pick.pop_back();
     }
   };
@@ -127,13 +107,6 @@ RackSet default_rack_set(std::size_t needed, cluster::RackId home,
   return set;
 }
 
-RackSet default_rack_set(std::size_t needed, cluster::RackId home,
-                         std::span<const std::size_t> available) {
-  CAR_CHECK_LT(home, available.size(),
-               "default_rack_set: home rack out of range");
-  return default_rack_set(needed, home, rank_dense(available));
-}
-
 bool is_valid_minimal_for(std::size_t needed, cluster::RackId home,
                           std::span<const RackCount> ranked,
                           const RackSet& set) {
@@ -148,38 +121,6 @@ bool is_valid_minimal_for(std::size_t needed, cluster::RackId home,
     sum += count;
   }
   return sum >= needed;
-}
-
-bool is_valid_minimal_for(std::size_t needed, cluster::RackId home,
-                          std::span<const std::size_t> available,
-                          const RackSet& set) {
-  if (home >= available.size()) return false;
-  return is_valid_minimal_for(needed, home, rank_dense(available), set);
-}
-
-// --- Single-failure wrappers (paper Theorem 1 terms) -----------------------
-
-std::size_t min_intact_racks(const StripeCensus& census) {
-  CAR_CHECK_LT(census.failed_rack, census.surviving.size(),
-               "min_intact_racks: failed rack out of range");
-  const auto d =
-      racks_needed(census.k, census.failed_rack, rank_dense(census.surviving));
-  CAR_CHECK(d.has_value(),
-            "min_intact_racks: fewer than k surviving chunks — unrecoverable");
-  return *d;
-}
-
-std::vector<RackSet> enumerate_minimal_solutions(const StripeCensus& census) {
-  return enumerate_rack_sets(census.k, census.failed_rack, census.surviving);
-}
-
-RackSet default_solution(const StripeCensus& census) {
-  return default_rack_set(census.k, census.failed_rack, census.surviving);
-}
-
-bool is_valid_minimal(const StripeCensus& census, const RackSet& set) {
-  return is_valid_minimal_for(census.k, census.failed_rack, census.surviving,
-                              set);
 }
 
 }  // namespace car::recovery

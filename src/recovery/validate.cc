@@ -535,18 +535,6 @@ ValidationReport validate_sliced_plan(const SlicePlan& sliced,
 }
 
 std::uint64_t claimed_cross_rack_chunks(
-    std::span<const PerStripeSolution> solutions,
-    cluster::RackId replacement_rack) {
-  std::uint64_t total = 0;
-  for (const PerStripeSolution& solution : solutions) {
-    for (const cluster::RackId rack : solution.rack_set.racks) {
-      total += rack != replacement_rack;
-    }
-  }
-  return total;
-}
-
-std::uint64_t claimed_cross_rack_chunks(
     std::span<const MultiStripeSolution> solutions,
     cluster::RackId replacement_rack) {
   std::uint64_t total = 0;

@@ -31,7 +31,6 @@
 #include "cluster/topology.h"
 #include "recovery/multi.h"
 #include "recovery/plan.h"
-#include "recovery/planner.h"
 #include "recovery/slice.h"
 
 namespace car::recovery {
@@ -81,15 +80,10 @@ ValidationReport validate_sliced_plan(const SlicePlan& sliced,
                                       const RecoveryPlan& base,
                                       const cluster::Topology& topology);
 
-/// The planner's claimed cross-rack chunk count for CAR solutions:
-/// Σ_j |{racks in stripe j's rack set other than the replacement's}|
-/// (each contributes exactly one partially decoded chunk).
-std::uint64_t claimed_cross_rack_chunks(
-    std::span<const PerStripeSolution> solutions,
-    cluster::RackId replacement_rack);
-
-/// Multi-failure variant: each accessed rack ships one partial per lost
-/// chunk of the stripe.
+/// The planner's claimed cross-rack chunk count for CAR solutions: each
+/// rack of a stripe's rack set other than the replacement's ships one
+/// partially decoded chunk per lost chunk of the stripe (Theorem 1's
+/// Σ_j d_j under a single failure).
 std::uint64_t claimed_cross_rack_chunks(
     std::span<const MultiStripeSolution> solutions,
     cluster::RackId replacement_rack);

@@ -80,7 +80,8 @@ bool Flags::get_bool(const std::string& name, bool fallback) const {
 
 void Flags::check(std::string_view command,
                   std::span<const std::string_view> known,
-                  std::span<const std::string_view> non_negative) const {
+                  std::span<const std::string_view> non_negative,
+                  std::span<const std::string_view> nonzero) const {
   const auto listed = [](std::span<const std::string_view> names,
                          const std::string& name) {
     return std::find(names.begin(), names.end(), name) != names.end();
@@ -102,6 +103,10 @@ void Flags::check(std::string_view command,
       throw std::invalid_argument(who + ": --" + name +
                                   " must be a non-negative number, got '" +
                                   value + "'");
+    }
+    if (number < 1.0 && listed(nonzero, name)) {
+      throw std::invalid_argument(who + ": --" + name +
+                                  " must be at least 1, got '" + value + "'");
     }
   }
 }

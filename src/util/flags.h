@@ -41,10 +41,13 @@ class Flags {
 
   /// Boundary check for a command's flags, run before the command does any
   /// work.  Throws std::invalid_argument naming `command` and the flag when
-  /// a flag is not in `known`, or when a flag in `non_negative` (counts and
-  /// sizes) is not a number >= 0.
+  /// a flag is not in `known`, when a flag in `non_negative` (counts and
+  /// sizes) is not a number >= 0, or when such a flag is also in `nonzero`
+  /// (counts a command cannot do without, such as a run or stripe count)
+  /// and is 0.
   void check(std::string_view command, std::span<const std::string_view> known,
-             std::span<const std::string_view> non_negative) const;
+             std::span<const std::string_view> non_negative,
+             std::span<const std::string_view> nonzero = {}) const;
 
   /// Comma-separated list of non-negative integers ("4,3,3").
   [[nodiscard]] std::vector<std::size_t> get_size_list(

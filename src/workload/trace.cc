@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "recovery/balancer.h"
-#include "recovery/metrics.h"
-#include "recovery/plan.h"
+#include "recovery/multi.h"
 #include "rs/code.h"
 #include "simnet/flowsim.h"
 #include "util/check.h"
@@ -40,35 +38,33 @@ TraceReport run_failure_trace(const cluster::Placement& placement,
   TraceReport report;
   std::vector<std::size_t> per_rack(placement.topology().num_racks(), 0);
   std::size_t total_cross_chunks = 0;
-  cluster::RackId any_failed_rack = 0;
 
   for (const FailureEvent& event : events) {
-    const auto scenario =
-        cluster::inject_node_failure(placement, event.node);
-    if (scenario.lost.empty()) continue;
-    const auto censuses = recovery::build_censuses(placement, scenario);
+    const auto failure = recovery::make_multi_failure(placement, {event.node});
+    const auto censuses = recovery::build_multi_censuses(placement, failure);
+    if (censuses.empty()) continue;
 
     recovery::RecoveryPlan plan;
     recovery::TrafficSummary summary;
     if (strategy == Strategy::kCar) {
-      const auto balanced = recovery::balance_greedy(placement, censuses,
-                                                     {50});
-      summary = recovery::car_traffic(balanced.solutions,
-                                      placement.topology().num_racks(),
-                                      scenario.failed_rack);
-      plan = recovery::build_car_plan(placement, code, balanced.solutions,
-                                      chunk_size, scenario.failed_node);
+      const auto balanced = recovery::balance_multi(placement, censuses, 50);
+      summary = recovery::multi_traffic(balanced.solutions,
+                                        placement.topology().num_racks(),
+                                        failure.replacement_rack);
+      plan = recovery::build_multi_car_plan(placement, code, balanced.solutions,
+                                            chunk_size, event.node);
     } else {
-      const auto rr = recovery::plan_rr(placement, censuses, rng);
-      summary = recovery::rr_traffic(placement, rr, scenario.failed_rack);
-      plan = recovery::build_rr_plan(placement, code, rr, chunk_size,
-                                     scenario.failed_node);
+      const auto rr = recovery::plan_multi_rr(placement, censuses, rng);
+      summary =
+          recovery::multi_rr_traffic(placement, rr, failure.replacement_rack);
+      plan = recovery::build_multi_rr_plan(placement, code, rr, chunk_size,
+                                           event.node);
     }
 
     const auto sim = simnet::simulate_plan(placement.topology(), plan, net);
 
     ++report.failures_processed;
-    report.chunks_rebuilt += scenario.lost.size();
+    report.chunks_rebuilt += censuses.size();
     report.cross_rack_bytes += plan.cross_rack_bytes();
     report.total_recovery_s += sim.makespan_s;
     report.max_recovery_s = std::max(report.max_recovery_s, sim.makespan_s);
@@ -76,7 +72,6 @@ TraceReport run_failure_trace(const cluster::Placement& placement,
       per_rack[i] += summary.per_rack_chunks[i];
       total_cross_chunks += summary.per_rack_chunks[i];
     }
-    any_failed_rack = scenario.failed_rack;
   }
 
   // Aggregate lambda over the whole trace.  Every rack hosts failures at
@@ -88,7 +83,6 @@ TraceReport run_failure_trace(const cluster::Placement& placement,
                        static_cast<double>(per_rack.size());
     report.aggregate_lambda = static_cast<double>(max) / avg;
   }
-  (void)any_failed_rack;
   return report;
 }
 

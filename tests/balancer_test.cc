@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "cluster/configs.h"
+#include "cluster/failure.h"
+#include "recovery/multi.h"
 
 namespace car::recovery {
 namespace {
@@ -13,7 +15,7 @@ using cluster::Topology;
 struct Scenario {
   Placement placement;
   cluster::FailureScenario failure;
-  std::vector<StripeCensus> censuses;
+  std::vector<MultiStripeCensus> censuses;
 };
 
 Scenario make_scenario(const cluster::CfsConfig& cfg, std::size_t stripes,
@@ -22,7 +24,8 @@ Scenario make_scenario(const cluster::CfsConfig& cfg, std::size_t stripes,
   auto placement =
       Placement::random(cfg.topology(), cfg.k, cfg.m, stripes, rng);
   auto failure = cluster::inject_random_failure(placement, rng);
-  auto censuses = build_censuses(placement, failure);
+  auto censuses = build_multi_censuses(
+      placement, make_multi_failure(placement, {failure.failed_node}));
   return {std::move(placement), std::move(failure), std::move(censuses)};
 }
 
@@ -32,26 +35,26 @@ class BalancerSweep
 TEST_P(BalancerSweep, LambdaTraceIsMonotonicallyNonIncreasing) {
   const auto cfg = cluster::paper_configs()[std::get<0>(GetParam())];
   auto s = make_scenario(cfg, 100, std::get<1>(GetParam()));
-  const auto result = balance_greedy(s.placement, s.censuses, {50});
+  const auto result = balance_multi(s.placement, s.censuses, 50);
   ASSERT_FALSE(result.lambda_trace.empty());
   for (std::size_t i = 1; i < result.lambda_trace.size(); ++i) {
     EXPECT_LE(result.lambda_trace[i], result.lambda_trace[i - 1] + 1e-12)
         << "iteration " << i;
   }
-  EXPECT_GE(result.final_lambda(), 1.0 - 1e-12);
+  EXPECT_GE(result.lambda_trace.back(), 1.0 - 1e-12);
 }
 
 TEST_P(BalancerSweep, TotalTrafficIsInvariantUnderBalancing) {
   const auto cfg = cluster::paper_configs()[std::get<0>(GetParam())];
   auto s = make_scenario(cfg, 100, std::get<1>(GetParam()));
 
-  const auto initial = plan_car_initial(s.placement, s.censuses);
-  const auto balanced = balance_greedy(s.placement, s.censuses, {50});
+  const auto initial = balance_multi(s.placement, s.censuses, 0).solutions;
+  const auto balanced = balance_multi(s.placement, s.censuses, 50);
 
   const auto racks = s.placement.topology().num_racks();
-  const auto t0 = car_traffic(initial, racks, s.failure.failed_rack);
+  const auto t0 = multi_traffic(initial, racks, s.failure.failed_rack);
   const auto t1 =
-      car_traffic(balanced.solutions, racks, s.failure.failed_rack);
+      multi_traffic(balanced.solutions, racks, s.failure.failed_rack);
   EXPECT_EQ(t0.total_chunks(), t1.total_chunks())
       << "balancing must never add cross-rack traffic";
   EXPECT_LE(t1.lambda(), t0.lambda() + 1e-12);
@@ -60,10 +63,13 @@ TEST_P(BalancerSweep, TotalTrafficIsInvariantUnderBalancing) {
 TEST_P(BalancerSweep, EverySolutionRemainsValidMinimal) {
   const auto cfg = cluster::paper_configs()[std::get<0>(GetParam())];
   auto s = make_scenario(cfg, 80, std::get<1>(GetParam()) + 17);
-  const auto result = balance_greedy(s.placement, s.censuses, {50});
+  const auto result = balance_multi(s.placement, s.censuses, 50);
   ASSERT_EQ(result.solutions.size(), s.censuses.size());
   for (std::size_t j = 0; j < s.censuses.size(); ++j) {
-    EXPECT_TRUE(is_valid_minimal(s.censuses[j], result.solutions[j].rack_set));
+    const auto& census = s.censuses[j];
+    EXPECT_TRUE(is_valid_minimal_for(census.k, census.replacement_rack,
+                                     census.surviving.ranked(),
+                                     result.solutions[j].rack_set));
   }
 }
 
@@ -86,15 +92,16 @@ TEST(Balancer, PaperFigure6StyleSubstitutionReducesLambda) {
   p.add_stripe({0, 3, 4, 5});  // A1=1, A2=1, A3=2
   const auto scenario = cluster::inject_node_failure(p, 0);
   ASSERT_EQ(scenario.lost.size(), 4u);
-  const auto censuses = build_censuses(p, scenario);
+  const auto censuses =
+      build_multi_censuses(p, make_multi_failure(p, {scenario.failed_node}));
 
   // Default picks the largest intact rack for each stripe: A2, A2, A3, A3 ->
   // perfectly balanced already (t = {0, 2, 2}).  Force imbalance by checking
   // the greedy cannot do worse.
-  const auto result = balance_greedy(p, censuses, {50});
-  EXPECT_LE(result.final_lambda(), result.initial_lambda());
+  const auto result = balance_multi(p, censuses, 50);
+  EXPECT_LE(result.lambda_trace.back(), result.lambda_trace.front());
   const auto traffic =
-      car_traffic(result.solutions, 3, scenario.failed_rack);
+      multi_traffic(result.solutions, 3, scenario.failed_rack);
   EXPECT_EQ(traffic.total_chunks(), 4u);
   EXPECT_NEAR(traffic.lambda(), 1.0, 1e-9);
 }
@@ -104,17 +111,17 @@ TEST(Balancer, ConvergesAndStopsEarlyWhenNoSubstitutionExists) {
   Placement p(Topology({2, 2, 2}), 2, 2);
   p.add_stripe({0, 2, 3, 4});
   const auto scenario = cluster::inject_node_failure(p, 0);
-  const auto censuses = build_censuses(p, scenario);
-  const auto result = balance_greedy(p, censuses, {50});
+  const auto censuses =
+      build_multi_censuses(p, make_multi_failure(p, {scenario.failed_node}));
+  const auto result = balance_multi(p, censuses, 50);
   EXPECT_EQ(result.substitutions, 0u);
-  EXPECT_EQ(result.iterations_run, 0u);
   EXPECT_EQ(result.lambda_trace.size(), 1u);
 }
 
 TEST(Balancer, EmptyCensusListThrows) {
   Placement p(Topology({2, 2, 2}), 2, 2);
-  EXPECT_THROW(balance_greedy(p, {}, {10}), std::invalid_argument);
-  EXPECT_THROW(balance_exhaustive({}, 1000), std::invalid_argument);
+  EXPECT_THROW(balance_multi(p, {}, 10), std::invalid_argument);
+  EXPECT_THROW(balance_exhaustive(p, {}, 1000), std::invalid_argument);
 }
 
 TEST(Balancer, GreedyMatchesExhaustiveOnSmallInstances) {
@@ -123,13 +130,13 @@ TEST(Balancer, GreedyMatchesExhaustiveOnSmallInstances) {
   for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
     const auto cfg = cluster::cfs1();
     auto s = make_scenario(cfg, 8, seed);
-    const auto greedy = balance_greedy(s.placement, s.censuses, {200});
-    const auto exact = balance_exhaustive(s.censuses, 5'000'000);
+    const auto greedy = balance_multi(s.placement, s.censuses, 200);
+    const auto exact = balance_exhaustive(s.placement, s.censuses, 5'000'000);
     ASSERT_TRUE(exact.has_value()) << "seed " << seed;
 
-    const auto traffic = car_traffic(greedy.solutions,
-                                     s.placement.topology().num_racks(),
-                                     s.failure.failed_rack);
+    const auto traffic = multi_traffic(greedy.solutions,
+                                       s.placement.topology().num_racks(),
+                                       s.failure.failed_rack);
     std::size_t greedy_max = 0;
     for (cluster::RackId i = 0; i < traffic.per_rack_chunks.size(); ++i) {
       if (i != s.failure.failed_rack) {
@@ -145,7 +152,7 @@ TEST(Balancer, ExhaustiveRespectsNodeBudget) {
   const auto cfg = cluster::cfs3();
   auto s = make_scenario(cfg, 40, 77);
   // A tiny node budget must abort and return nullopt rather than hang.
-  EXPECT_EQ(balance_exhaustive(s.censuses, 10), std::nullopt);
+  EXPECT_EQ(balance_exhaustive(s.placement, s.censuses, 10), std::nullopt);
 }
 
 }  // namespace

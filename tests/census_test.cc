@@ -1,8 +1,10 @@
-#include "recovery/census.h"
-
+// Per-stripe rack census of a single-node failure (paper §IV-B), built as
+// the one-node case of a multi-failure.
 #include <gtest/gtest.h>
 
 #include "cluster/configs.h"
+#include "cluster/failure.h"
+#include "recovery/multi.h"
 
 namespace car::recovery {
 namespace {
@@ -26,18 +28,37 @@ Placement figure4_placement() {
   return p;
 }
 
+/// Censuses of the failure of `node` alone.
+std::vector<MultiStripeCensus> single_failure(const Placement& p,
+                                              cluster::NodeId node) {
+  return build_multi_censuses(p, make_multi_failure(p, {node}));
+}
+
+/// c'_{i,j} per rack, from the sparse census.
+std::vector<std::size_t> dense(const MultiStripeCensus& census,
+                               std::size_t num_racks) {
+  std::vector<std::size_t> out(num_racks, 0);
+  for (const RackCount& entry : census.surviving.ranked()) {
+    out[entry.rack] = entry.count;
+  }
+  return out;
+}
+
 TEST(Census, Figure4CountsMatchThePaper) {
   const auto p = figure4_placement();
-  const auto scenario = cluster::inject_node_failure(p, 0);
-  ASSERT_EQ(scenario.lost.size(), 1u);
+  const auto censuses = single_failure(p, 0);
+  ASSERT_EQ(censuses.size(), 1u);
 
-  const auto census = build_census(p, scenario, scenario.lost[0]);
+  const auto& census = censuses[0];
   EXPECT_EQ(census.k, 8u);
-  EXPECT_EQ(census.failed_rack, 0u);
-  EXPECT_EQ(census.chunks, (std::vector<std::size_t>{4, 1, 3, 2, 4}));
-  EXPECT_EQ(census.surviving, (std::vector<std::size_t>{3, 1, 3, 2, 4}));
-  EXPECT_EQ(census.surviving_in_failed_rack(), 3u);
-  EXPECT_EQ(census.total_surviving(), 13u);
+  EXPECT_EQ(census.replacement_rack, 0u);
+  EXPECT_EQ(census.lost_chunks, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(p.rack_census(0), (std::vector<std::size_t>{4, 1, 3, 2, 4}));
+  EXPECT_EQ(dense(census, 5), (std::vector<std::size_t>{3, 1, 3, 2, 4}));
+  // Ranked: more chunks first, ties by lower rack id.
+  const auto ranked = census.surviving.ranked();
+  EXPECT_EQ(std::vector<RackCount>(ranked.begin(), ranked.end()),
+            (std::vector<RackCount>{{4, 4}, {0, 3}, {2, 3}, {3, 2}, {1, 1}}));
 }
 
 TEST(Census, BuildCensusesCoversEveryLostChunk) {
@@ -45,17 +66,19 @@ TEST(Census, BuildCensusesCoversEveryLostChunk) {
   const auto cfg = cluster::cfs2();
   const auto p = Placement::random(cfg.topology(), cfg.k, cfg.m, 30, rng);
   const auto scenario = cluster::inject_random_failure(p, rng);
-  const auto censuses = build_censuses(p, scenario);
+  const auto censuses = single_failure(p, scenario.failed_node);
   ASSERT_EQ(censuses.size(), scenario.lost.size());
   for (std::size_t i = 0; i < censuses.size(); ++i) {
     EXPECT_EQ(censuses[i].stripe, scenario.lost[i].stripe);
-    EXPECT_EQ(censuses[i].lost_chunk, scenario.lost[i].chunk_index);
-    EXPECT_EQ(censuses[i].failed_rack, scenario.failed_rack);
-    // Sum of census equals stripe width; surviving = chunks - 1 overall.
+    EXPECT_EQ(censuses[i].lost_chunks,
+              (std::vector<std::size_t>{scenario.lost[i].chunk_index}));
+    EXPECT_EQ(censuses[i].replacement_rack, scenario.failed_rack);
+    // Every chunk but the lost one survives.
     std::size_t total = 0;
-    for (auto c : censuses[i].chunks) total += c;
-    EXPECT_EQ(total, cfg.k + cfg.m);
-    EXPECT_EQ(censuses[i].total_surviving(), total - 1);
+    for (const RackCount& entry : censuses[i].surviving.ranked()) {
+      total += entry.count;
+    }
+    EXPECT_EQ(total, cfg.k + cfg.m - 1);
   }
 }
 
@@ -64,27 +87,31 @@ TEST(Census, SurvivingDecrementsOnlyTheFailedRack) {
   const auto cfg = cluster::cfs3();
   const auto p = Placement::random(cfg.topology(), cfg.k, cfg.m, 50, rng);
   const auto scenario = cluster::inject_random_failure(p, rng);
-  for (const auto& census : build_censuses(p, scenario)) {
-    for (cluster::RackId r = 0; r < census.num_racks(); ++r) {
-      if (r == census.failed_rack) {
-        EXPECT_EQ(census.surviving[r] + 1, census.chunks[r]);
+  const auto racks = p.topology().num_racks();
+  for (const auto& census : single_failure(p, scenario.failed_node)) {
+    const auto chunks = p.rack_census(census.stripe);
+    const auto surviving = dense(census, racks);
+    for (cluster::RackId r = 0; r < racks; ++r) {
+      if (r == census.replacement_rack) {
+        EXPECT_EQ(surviving[r] + 1, chunks[r]);
       } else {
-        EXPECT_EQ(census.surviving[r], census.chunks[r]);
+        EXPECT_EQ(surviving[r], chunks[r]);
       }
     }
   }
 }
 
 TEST(Census, ScenarioClaimingALossInAnEmptyRackThrows) {
-  // Rack 7 (nodes 14, 15) hosts no chunk of the stripe, so a scenario that
-  // claims a chunk was lost there is inconsistent.
+  // Rack 7 (nodes 14, 15) hosts no chunk of the stripe, so a census of the
+  // stripe under the failure of node 14 is inconsistent.
   Placement wide(Topology({2, 2, 2, 2, 2, 2, 2, 2}), 8, 6);
   wide.add_stripe({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13});
-  cluster::FailureScenario lie;
-  lie.failed_node = 14;
-  lie.failed_rack = 7;
-  cluster::LostChunk lost{0, 0};
-  EXPECT_THROW(build_census(wide, lie, lost), std::logic_error);
+  const cluster::StripeId stripe = 0;
+  EXPECT_THROW(build_multi_censuses(wide, make_multi_failure(wide, {14}),
+                                    std::span<const cluster::StripeId>(
+                                        &stripe, 1)),
+               std::logic_error);
+  EXPECT_TRUE(single_failure(wide, 14).empty());
 }
 
 }  // namespace

@@ -5,8 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "cluster/configs.h"
+#include "cluster/failure.h"
 #include "emul/cluster.h"
-#include "recovery/balancer.h"
+#include "recovery/multi.h"
 #include "simnet/flowsim.h"
 
 namespace car {
@@ -17,7 +18,7 @@ struct Scenario {
   cluster::Placement placement;
   rs::Code code;
   cluster::FailureScenario failure;
-  std::vector<recovery::StripeCensus> censuses;
+  std::vector<recovery::MultiStripeCensus> censuses;
 
   Scenario(int cfg_index, std::uint64_t seed, std::size_t stripes)
       : cfg(cluster::paper_configs()[cfg_index]),
@@ -25,7 +26,9 @@ struct Scenario {
         code(cfg.k, cfg.m) {
     util::Rng rng(seed + 1);
     failure = cluster::inject_random_failure(placement, rng);
-    censuses = recovery::build_censuses(placement, failure);
+    censuses = recovery::build_multi_censuses(
+        placement,
+        recovery::make_multi_failure(placement, {failure.failed_node}));
   }
 
   static cluster::Placement make(const cluster::CfsConfig& cfg,
@@ -42,9 +45,8 @@ class CrossBackend
 TEST_P(CrossBackend, SimulatedMakespanRespectsBandwidthLowerBounds) {
   Scenario s(std::get<0>(GetParam()), std::get<1>(GetParam()), 40);
   constexpr std::uint64_t kChunk = 8ull << 20;
-  const auto balanced = recovery::balance_greedy(s.placement, s.censuses,
-                                                 {50});
-  const auto plan = recovery::build_car_plan(
+  const auto balanced = recovery::balance_multi(s.placement, s.censuses, 50);
+  const auto plan = recovery::build_multi_car_plan(
       s.placement, s.code, balanced.solutions, kChunk, s.failure.failed_node);
 
   simnet::NetConfig net;
@@ -89,13 +91,12 @@ TEST_P(CrossBackend, SimulatedMakespanRespectsBandwidthLowerBounds) {
 TEST_P(CrossBackend, CountingSimulationAndEmulationAgreeOnBytes) {
   Scenario s(std::get<0>(GetParam()), std::get<1>(GetParam()), 10);
   constexpr std::uint64_t kChunk = 16 * 1024;
-  const auto balanced = recovery::balance_greedy(s.placement, s.censuses,
-                                                 {50});
-  const auto plan = recovery::build_car_plan(
+  const auto balanced = recovery::balance_multi(s.placement, s.censuses, 50);
+  const auto plan = recovery::build_multi_car_plan(
       s.placement, s.code, balanced.solutions, kChunk, s.failure.failed_node);
 
   // Counting back-end.
-  const auto summary = recovery::car_traffic(
+  const auto summary = recovery::multi_traffic(
       balanced.solutions, s.placement.topology().num_racks(),
       s.failure.failed_rack);
   ASSERT_EQ(plan.cross_rack_bytes(), summary.total_bytes(kChunk));
@@ -126,35 +127,34 @@ TEST_P(CrossBackend, EmulatedRecoveryMatchesCodecGroundTruth) {
                                           data_rng);
   cluster.erase_node(s.failure.failed_node);
 
-  const auto balanced = recovery::balance_greedy(s.placement, s.censuses,
-                                                 {50});
-  const auto plan = recovery::build_car_plan(
+  const auto balanced = recovery::balance_multi(s.placement, s.censuses, 50);
+  const auto plan = recovery::build_multi_car_plan(
       s.placement, s.code, balanced.solutions, kChunk, s.failure.failed_node);
   cluster.execute(plan);
 
   // Ground truth via the codec directly, using each solution's survivors.
   for (const auto& solution : balanced.solutions) {
-    const auto survivors = solution.all_chunk_indices();
+    const auto& survivors = solution.chunks;
     std::vector<rs::ChunkView> views;
     for (std::size_t c : survivors) {
       views.push_back(originals[solution.stripe][c]);
     }
-    const auto expected =
-        s.code.reconstruct(solution.lost_chunk, survivors, views);
-    const auto* emulated = cluster.find_chunk(
-        s.failure.failed_node, solution.stripe, solution.lost_chunk);
+    ASSERT_EQ(solution.lost_chunks.size(), 1u);
+    const std::size_t lost = solution.lost_chunks.front();
+    const auto expected = s.code.reconstruct(lost, survivors, views);
+    const auto* emulated =
+        cluster.find_chunk(s.failure.failed_node, solution.stripe, lost);
     ASSERT_NE(emulated, nullptr);
     EXPECT_EQ(*emulated, expected);
-    EXPECT_EQ(expected, originals[solution.stripe][solution.lost_chunk]);
+    EXPECT_EQ(expected, originals[solution.stripe][lost]);
   }
 }
 
 TEST_P(CrossBackend, BackgroundLoadSlowsRecoveryProportionally) {
   Scenario s(std::get<0>(GetParam()), std::get<1>(GetParam()), 30);
   constexpr std::uint64_t kChunk = 4ull << 20;
-  const auto balanced = recovery::balance_greedy(s.placement, s.censuses,
-                                                 {50});
-  const auto plan = recovery::build_car_plan(
+  const auto balanced = recovery::balance_multi(s.placement, s.censuses, 50);
+  const auto plan = recovery::build_multi_car_plan(
       s.placement, s.code, balanced.solutions, kChunk, s.failure.failed_node);
 
   simnet::NetConfig idle;

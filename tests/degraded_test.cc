@@ -21,10 +21,14 @@ TEST(DegradedRead, CensusAnchorsAtTheReaderRack) {
   const auto p = make_placement(cfg, 10, 1);
   const DegradedReadRequest request{3, 2, /*reader=*/9};
   const auto census = build_degraded_census(p, request);
-  EXPECT_EQ(census.reader_rack, p.topology().rack_of(9));
+  EXPECT_EQ(census.stripe, 3u);
+  EXPECT_EQ(census.lost_chunks, (std::vector<std::size_t>{2}));
+  EXPECT_EQ(census.replacement_rack, p.topology().rack_of(9));
   EXPECT_EQ(census.k, cfg.k);
   std::size_t total = 0;
-  for (auto c : census.surviving) total += c;
+  for (const RackCount& entry : census.surviving.ranked()) {
+    total += entry.count;
+  }
   EXPECT_EQ(total, cfg.k + cfg.m - 1);  // all chunks except the read one
   EXPECT_THROW(build_degraded_census(p, {0, 99, 0}), std::invalid_argument);
 }

@@ -6,8 +6,9 @@
 #include <string>
 
 #include "cluster/configs.h"
+#include "cluster/failure.h"
 #include "emul/link.h"
-#include "recovery/balancer.h"
+#include "recovery/multi.h"
 #include "recovery/scheduler.h"
 #include "util/check.h"
 
@@ -98,7 +99,7 @@ struct RecoveryFixture {
   Cluster cluster;
   std::vector<std::vector<rs::Chunk>> originals;
   cluster::FailureScenario scenario;
-  std::vector<recovery::StripeCensus> censuses;
+  std::vector<recovery::MultiStripeCensus> censuses;
 
   RecoveryFixture(int cfg_index, std::uint64_t seed, std::size_t stripes,
                   std::uint64_t chunk_size, EmulConfig emul = fast_config())
@@ -110,7 +111,9 @@ struct RecoveryFixture {
     originals = cluster.populate(placement, code, chunk_size, rng);
     scenario = cluster::inject_random_failure(placement, rng);
     cluster.erase_node(scenario.failed_node);
-    censuses = recovery::build_censuses(placement, scenario);
+    censuses = recovery::build_multi_censuses(
+        placement,
+        recovery::make_multi_failure(placement, {scenario.failed_node}));
   }
 
   static cluster::Placement make_placement(const cluster::CfsConfig& cfg,
@@ -134,8 +137,8 @@ struct RecoveryFixture {
 
 TEST(ClusterExecute, CarPlanRecoversEveryLostChunkBitExactly) {
   RecoveryFixture f(0, 101, 12, 64 * 1024);
-  const auto balanced = recovery::balance_greedy(f.placement, f.censuses, {50});
-  const auto plan = recovery::build_car_plan(
+  const auto balanced = recovery::balance_multi(f.placement, f.censuses, 50);
+  const auto plan = recovery::build_multi_car_plan(
       f.placement, f.code, balanced.solutions, 64 * 1024,
       f.scenario.failed_node);
   const auto report = f.cluster.execute(plan);
@@ -151,9 +154,9 @@ TEST(ClusterExecute, CarPlanRecoversEveryLostChunkBitExactly) {
 TEST(ClusterExecute, RrPlanRecoversEveryLostChunkBitExactly) {
   RecoveryFixture f(1, 202, 10, 64 * 1024);
   util::Rng rng(7);
-  const auto rr = recovery::plan_rr(f.placement, f.censuses, rng);
-  const auto plan = recovery::build_rr_plan(f.placement, f.code, rr, 64 * 1024,
-                                            f.scenario.failed_node);
+  const auto rr = recovery::plan_multi_rr(f.placement, f.censuses, rng);
+  const auto plan = recovery::build_multi_rr_plan(f.placement, f.code, rr, 64 * 1024,
+                                                  f.scenario.failed_node);
   const auto report = f.cluster.execute(plan);
   f.verify_recovered();
   EXPECT_EQ(report.cross_rack_bytes, plan.cross_rack_bytes());
@@ -161,8 +164,8 @@ TEST(ClusterExecute, RrPlanRecoversEveryLostChunkBitExactly) {
 
 TEST(ClusterExecute, Cfs3CarAndRrAgreeOnRecoveredBytes) {
   RecoveryFixture f(2, 303, 8, 32 * 1024);
-  const auto balanced = recovery::balance_greedy(f.placement, f.censuses, {50});
-  const auto plan = recovery::build_car_plan(
+  const auto balanced = recovery::balance_multi(f.placement, f.censuses, 50);
+  const auto plan = recovery::build_multi_car_plan(
       f.placement, f.code, balanced.solutions, 32 * 1024,
       f.scenario.failed_node);
   f.cluster.execute(plan);
@@ -171,8 +174,8 @@ TEST(ClusterExecute, Cfs3CarAndRrAgreeOnRecoveredBytes) {
 
 TEST(ClusterExecute, MissingBufferRaises) {
   RecoveryFixture f(0, 404, 4, 4 * 1024);
-  const auto solutions = recovery::plan_car_initial(f.placement, f.censuses);
-  const auto plan = recovery::build_car_plan(
+  const auto solutions = recovery::balance_multi(f.placement, f.censuses, 0).solutions;
+  const auto plan = recovery::build_multi_car_plan(
       f.placement, f.code, solutions, 4 * 1024, f.scenario.failed_node);
   // Erase a node that still hosts survivor chunks referenced by the plan:
   // pick the first aggregator (source of the first transfer or compute).
@@ -260,8 +263,8 @@ TEST(ClusterExecute, VirtualClockRecoversBitExactlyAndDeterministically) {
   auto run = [] {
     RecoveryFixture f(0, 101, 12, 64 * 1024, virtual_config());
     const auto balanced =
-        recovery::balance_greedy(f.placement, f.censuses, {50});
-    const auto plan = recovery::build_car_plan(
+        recovery::balance_multi(f.placement, f.censuses, 50);
+    const auto plan = recovery::build_multi_car_plan(
         f.placement, f.code, balanced.solutions, 64 * 1024,
         f.scenario.failed_node);
     const auto report = f.cluster.execute(plan);
@@ -289,9 +292,8 @@ TEST(ClusterExecute, VirtualClockThousandStripeSweepIsFast) {
   // and sleep through emulated transfer times; on the virtual clock it
   // completes in host milliseconds.
   RecoveryFixture f(1, 707, 1000, 1024, virtual_config());
-  const auto balanced = recovery::balance_greedy(f.placement, f.censuses,
-                                                 {50});
-  const auto plan = recovery::build_car_plan(
+  const auto balanced = recovery::balance_multi(f.placement, f.censuses, 50);
+  const auto plan = recovery::build_multi_car_plan(
       f.placement, f.code, balanced.solutions, 1024, f.scenario.failed_node);
   const auto t0 = std::chrono::steady_clock::now();
   const auto report = f.cluster.execute(plan);
@@ -307,9 +309,8 @@ TEST(ClusterExecute, WindowedVirtualPlanNeverBeatsUnwindowed) {
   // Bounding in-flight stripes can only lengthen (or keep) the virtual
   // makespan, and traffic must be unchanged.
   RecoveryFixture f(0, 515, 16, 32 * 1024, virtual_config());
-  const auto balanced = recovery::balance_greedy(f.placement, f.censuses,
-                                                 {50});
-  const auto plan = recovery::build_car_plan(
+  const auto balanced = recovery::balance_multi(f.placement, f.censuses, 50);
+  const auto plan = recovery::build_multi_car_plan(
       f.placement, f.code, balanced.solutions, 32 * 1024,
       f.scenario.failed_node);
   RecoveryFixture g(0, 515, 16, 32 * 1024, virtual_config());
@@ -326,8 +327,8 @@ TEST(ClusterExecute, DefaultConfigIsDeterministic) {
   auto run = [] {
     RecoveryFixture f(0, 101, 12, 64 * 1024, EmulConfig{});
     const auto balanced =
-        recovery::balance_greedy(f.placement, f.censuses, {50});
-    const auto plan = recovery::build_car_plan(
+        recovery::balance_multi(f.placement, f.censuses, 50);
+    const auto plan = recovery::build_multi_car_plan(
         f.placement, f.code, balanced.solutions, 64 * 1024,
         f.scenario.failed_node);
     const auto report = f.cluster.execute(plan);

@@ -28,8 +28,7 @@
 #include "inject/runtime.h"
 #include "inject/scenario.h"
 #include "rebuild/scenario.h"
-#include "recovery/balancer.h"
-#include "recovery/census.h"
+#include "recovery/multi.h"
 #include "recovery/plan.h"
 #include "util/rng.h"
 
@@ -246,10 +245,12 @@ struct Stage {
     originals = cluster->populate(*placement, code, kChunk, rng);
     const auto failure = cluster::inject_node_failure(*placement, kFailed);
     cluster->erase_node(kFailed);
-    const auto censuses = recovery::build_censuses(*placement, failure);
-    const auto balanced = recovery::balance_greedy(*placement, censuses, {50});
-    plan = recovery::build_car_plan(*placement, code, balanced.solutions,
-                                    kChunk, kFailed);
+    const auto censuses = recovery::build_multi_censuses(
+        *placement,
+        recovery::make_multi_failure(*placement, {failure.failed_node}));
+    const auto balanced = recovery::balance_multi(*placement, censuses, 50);
+    plan = recovery::build_multi_car_plan(*placement, code, balanced.solutions,
+                                          kChunk, kFailed);
   }
 
   void run(const std::string& key, const inject::NodeCrash& crash,

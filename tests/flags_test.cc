@@ -113,6 +113,28 @@ TEST(Flags, CheckRejectsNegativeOrNonNumericCounts) {
   EXPECT_EQ(check_error(parse({"--cfs", "-3"})), "");
 }
 
+TEST(Flags, CheckRejectsZeroForNonZeroCounts) {
+  constexpr std::string_view kNonZero[] = {"stripes"};
+  const auto error = [&](const Flags& f) -> std::string {
+    try {
+      f.check("balance", kKnown, kCounts, kNonZero);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(error(parse({"--stripes", "0"})),
+            "balance: --stripes must be at least 1, got '0'");
+  EXPECT_EQ(error(parse({"--stripes=0.5"})),
+            "balance: --stripes must be at least 1, got '0.5'");
+  EXPECT_EQ(error(parse({"--stripes", "1"})), "");
+  // A negative count keeps the non-negative diagnostic.
+  EXPECT_EQ(error(parse({"--stripes", "-1"})),
+            "balance: --stripes must be a non-negative number, got '-1'");
+  // Zero stays valid for counts outside the non-zero list.
+  EXPECT_EQ(error(parse({"--chunk-mib", "0"})), "");
+}
+
 TEST(Flags, BareDoubleDashRejected) {
   EXPECT_THROW(parse({"--"}), std::invalid_argument);
 }

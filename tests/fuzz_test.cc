@@ -6,7 +6,8 @@
 
 #include <numeric>
 
-#include "recovery/balancer.h"
+#include "cluster/failure.h"
+#include "recovery/multi.h"
 #include "recovery/scheduler.h"
 #include "simnet/flowsim.h"
 
@@ -44,18 +45,23 @@ RandomCluster draw_cluster(util::Rng& rng, std::size_t stripes) {
 }
 
 /// Brute-force minimum rack count for one census (reference for Theorem 1).
-std::size_t brute_force_min_racks(const recovery::StripeCensus& census) {
+std::size_t brute_force_min_racks(const recovery::MultiStripeCensus& census,
+                                  std::size_t num_racks) {
+  std::vector<std::size_t> surviving(num_racks, 0);
+  for (const auto& entry : census.surviving.ranked()) {
+    surviving[entry.rack] = entry.count;
+  }
   std::vector<cluster::RackId> intact;
-  for (cluster::RackId i = 0; i < census.num_racks(); ++i) {
-    if (i != census.failed_rack) intact.push_back(i);
+  for (cluster::RackId i = 0; i < num_racks; ++i) {
+    if (i != census.replacement_rack) intact.push_back(i);
   }
   std::size_t best = intact.size() + 1;
   for (std::size_t mask = 0; mask < (1u << intact.size()); ++mask) {
-    std::size_t sum = census.surviving_in_failed_rack();
+    std::size_t sum = surviving[census.replacement_rack];
     std::size_t bits = 0;
     for (std::size_t b = 0; b < intact.size(); ++b) {
       if (mask & (1u << b)) {
-        sum += census.surviving[intact[b]];
+        sum += surviving[intact[b]];
         ++bits;
       }
     }
@@ -71,38 +77,41 @@ TEST_P(PipelineFuzz, InvariantsHoldOnRandomClusters) {
   for (int round = 0; round < 12; ++round) {
     const auto rc = draw_cluster(rng, 8 + rng.next_below(25));
     const auto scenario = cluster::inject_random_failure(rc.placement, rng);
-    const auto censuses = recovery::build_censuses(rc.placement, scenario);
+    const auto censuses = recovery::build_multi_censuses(
+        rc.placement,
+        recovery::make_multi_failure(rc.placement, {scenario.failed_node}));
     ASSERT_FALSE(censuses.empty());
 
     // Theorem 1 equals brute force on every stripe.
     for (const auto& census : censuses) {
-      ASSERT_EQ(recovery::min_intact_racks(census),
-                brute_force_min_racks(census));
+      ASSERT_EQ(recovery::min_racks_for(census.k, census.replacement_rack,
+                                        census.surviving.ranked()),
+                brute_force_min_racks(census, rc.topology.num_racks()));
     }
 
     // Balancing: valid minimal solutions, monotone lambda, invariant total.
-    const auto initial = recovery::plan_car_initial(rc.placement, censuses);
+    const auto initial = recovery::balance_multi(rc.placement, censuses, 0).solutions;
     const auto balanced =
-        recovery::balance_greedy(rc.placement, censuses, {60});
+        recovery::balance_multi(rc.placement, censuses, 60);
     const auto racks = rc.topology.num_racks();
     const auto t0 =
-        recovery::car_traffic(initial, racks, scenario.failed_rack);
-    const auto t1 = recovery::car_traffic(balanced.solutions, racks,
-                                          scenario.failed_rack);
+        recovery::multi_traffic(initial, racks, scenario.failed_rack);
+    const auto t1 = recovery::multi_traffic(balanced.solutions, racks,
+                                            scenario.failed_rack);
     ASSERT_EQ(t0.total_chunks(), t1.total_chunks());
     ASSERT_LE(t1.lambda(), t0.lambda() + 1e-12);
     for (std::size_t j = 0; j < censuses.size(); ++j) {
-      ASSERT_TRUE(recovery::is_valid_minimal(censuses[j],
-                                             balanced.solutions[j].rack_set));
+      ASSERT_TRUE(recovery::is_valid_minimal_for(
+          censuses[j].k, censuses[j].replacement_rack,
+          censuses[j].surviving.ranked(), balanced.solutions[j].rack_set));
       // Exactly k distinct chunks read.
-      const auto all = balanced.solutions[j].all_chunk_indices();
-      ASSERT_EQ(all.size(), censuses[j].k);
+      ASSERT_EQ(balanced.solutions[j].chunks.size(), censuses[j].k);
     }
 
     // CAR cross-rack traffic never exceeds RR's.
-    const auto rr = recovery::plan_rr(rc.placement, censuses, rng);
+    const auto rr = recovery::plan_multi_rr(rc.placement, censuses, rng);
     const auto rr_sum =
-        recovery::rr_traffic(rc.placement, rr, scenario.failed_rack);
+        recovery::multi_rr_traffic(rc.placement, rr, scenario.failed_rack);
     ASSERT_LE(t1.total_chunks(), rr_sum.total_chunks());
 
     // Plans agree with counting; the simulator completes both and CAR's
@@ -110,12 +119,12 @@ TEST_P(PipelineFuzz, InvariantsHoldOnRandomClusters) {
     // principle tie, so assert <=.
     const rs::Code code(rc.k, rc.m);
     constexpr std::uint64_t kChunk = 1ull << 20;
-    const auto car_plan = recovery::build_car_plan(
+    const auto car_plan = recovery::build_multi_car_plan(
         rc.placement, code, balanced.solutions, kChunk,
         scenario.failed_node);
     ASSERT_EQ(car_plan.cross_rack_bytes(), t1.total_bytes(kChunk));
-    const auto rr_plan = recovery::build_rr_plan(rc.placement, code, rr,
-                                                 kChunk, scenario.failed_node);
+    const auto rr_plan = recovery::build_multi_rr_plan(rc.placement, code, rr,
+                                                       kChunk, scenario.failed_node);
     ASSERT_EQ(rr_plan.cross_rack_bytes(), rr_sum.total_bytes(kChunk));
 
     const simnet::NetConfig net;
@@ -150,9 +159,11 @@ TEST(PipelineFuzz, ExhaustiveSmallClusterEveryFailure) {
   for (cluster::NodeId node = 0; node < topology.num_nodes(); ++node) {
     const auto scenario = cluster::inject_node_failure(placement, node);
     if (scenario.lost.empty()) continue;
-    const auto censuses = recovery::build_censuses(placement, scenario);
-    const auto balanced = recovery::balance_greedy(placement, censuses, {60});
-    const auto plan = recovery::build_car_plan(
+    const auto censuses = recovery::build_multi_censuses(
+        placement,
+        recovery::make_multi_failure(placement, {scenario.failed_node}));
+    const auto balanced = recovery::balance_multi(placement, censuses, 60);
+    const auto plan = recovery::build_multi_car_plan(
         placement, code, balanced.solutions, 4096, node);
     EXPECT_EQ(plan.outputs.size(), scenario.lost.size());
     const auto sim =

@@ -22,8 +22,7 @@
 #include "inject/event_log.h"
 #include "inject/fault.h"
 #include "inject/runtime.h"
-#include "recovery/balancer.h"
-#include "recovery/census.h"
+#include "recovery/multi.h"
 #include "recovery/plan.h"
 #include "recovery/slice.h"
 #include "util/rng.h"
@@ -54,10 +53,12 @@ TEST(BatchDriverCausality, StepsStartAfterEveryDependencyFinishes) {
             static_cast<std::uint64_t>(topology.num_nodes())));
       } while (placement.chunks_on_node(failed).empty());
       const auto failure = cluster::inject_node_failure(placement, failed);
-      const auto censuses = recovery::build_censuses(placement, failure);
+      const auto censuses = recovery::build_multi_censuses(
+          placement,
+          recovery::make_multi_failure(placement, {failure.failed_node}));
       const auto balanced =
-          recovery::balance_greedy(placement, censuses, {50});
-      const auto plan = recovery::build_car_plan(
+          recovery::balance_multi(placement, censuses, 50);
+      const auto plan = recovery::build_multi_car_plan(
           placement, code, balanced.solutions, kChunk, failed);
 
       // Metadata-only: the timeline is the subject, not the bytes.

@@ -13,8 +13,7 @@
 #include "cluster/placement.h"
 #include "cluster/topology.h"
 #include "emul/cluster.h"
-#include "recovery/balancer.h"
-#include "recovery/census.h"
+#include "recovery/multi.h"
 #include "recovery/plan.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -48,10 +47,12 @@ struct Env {
     originals = cluster->populate(*placement, code, kChunk, rng);
     failure = cluster::inject_node_failure(*placement, kFailed);
     cluster->erase_node(kFailed);
-    const auto censuses = recovery::build_censuses(*placement, failure);
-    const auto balanced = recovery::balance_greedy(*placement, censuses, {50});
-    plan = recovery::build_car_plan(*placement, code, balanced.solutions,
-                                    kChunk, kFailed);
+    const auto censuses = recovery::build_multi_censuses(
+        *placement,
+        recovery::make_multi_failure(*placement, {failure.failed_node}));
+    const auto balanced = recovery::balance_multi(*placement, censuses, 50);
+    plan = recovery::build_multi_car_plan(*placement, code, balanced.solutions,
+                                          kChunk, kFailed);
   }
 
   [[nodiscard]] ReplanContext context() const {

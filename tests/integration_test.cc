@@ -5,8 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "cluster/configs.h"
+#include "cluster/failure.h"
 #include "emul/cluster.h"
-#include "recovery/balancer.h"
+#include "recovery/multi.h"
 #include "simnet/flowsim.h"
 
 namespace car {
@@ -53,18 +54,20 @@ TEST_P(FullPipeline, CarBeatsRrAndBothRecoverBitExactly) {
   const auto scenario = cluster::inject_random_failure(placement, rng_);
   cluster_car.erase_node(scenario.failed_node);
   cluster_rr.erase_node(scenario.failed_node);
-  const auto censuses = recovery::build_censuses(placement, scenario);
+  const auto censuses = recovery::build_multi_censuses(
+      placement,
+      recovery::make_multi_failure(placement, {scenario.failed_node}));
 
   // --- CAR ---
-  const auto balanced = recovery::balance_greedy(placement, censuses, {50});
-  const auto car_plan = recovery::build_car_plan(
+  const auto balanced = recovery::balance_multi(placement, censuses, 50);
+  const auto car_plan = recovery::build_multi_car_plan(
       placement, code, balanced.solutions, kChunkSize, scenario.failed_node);
   const auto car_report = cluster_car.execute(car_plan);
 
   // --- RR ---
-  const auto rr = recovery::plan_rr(placement, censuses, rng_);
-  const auto rr_plan = recovery::build_rr_plan(placement, code, rr, kChunkSize,
-                                               scenario.failed_node);
+  const auto rr = recovery::plan_multi_rr(placement, censuses, rng_);
+  const auto rr_plan = recovery::build_multi_rr_plan(placement, code, rr, kChunkSize,
+                                                     scenario.failed_node);
   const auto rr_report = cluster_rr.execute(rr_plan);
 
   // Bit-exact recovery on both paths.
@@ -93,16 +96,18 @@ TEST_P(FullPipeline, BalancedLambdaIsNeverWorseThanUnbalanced) {
   auto placement = cluster::Placement::random(cfg_.topology(), cfg_.k, cfg_.m,
                                               100, rng_);
   const auto scenario = cluster::inject_random_failure(placement, rng_);
-  const auto censuses = recovery::build_censuses(placement, scenario);
+  const auto censuses = recovery::build_multi_censuses(
+      placement,
+      recovery::make_multi_failure(placement, {scenario.failed_node}));
 
-  const auto initial = recovery::plan_car_initial(placement, censuses);
-  const auto balanced = recovery::balance_greedy(placement, censuses, {50});
+  const auto initial = recovery::balance_multi(placement, censuses, 0).solutions;
+  const auto balanced = recovery::balance_multi(placement, censuses, 50);
 
   const auto racks = placement.topology().num_racks();
   const auto lambda0 =
-      recovery::car_traffic(initial, racks, scenario.failed_rack).lambda();
+      recovery::multi_traffic(initial, racks, scenario.failed_rack).lambda();
   const auto lambda1 =
-      recovery::car_traffic(balanced.solutions, racks, scenario.failed_rack)
+      recovery::multi_traffic(balanced.solutions, racks, scenario.failed_rack)
           .lambda();
   EXPECT_LE(lambda1, lambda0 + 1e-12);
 }
@@ -125,11 +130,13 @@ TEST(FullPipelineEdge, EveryNodeFailureInCfs1IsRecoverable) {
        ++node) {
     const auto scenario = cluster::inject_node_failure(placement, node);
     if (scenario.lost.empty()) continue;
-    const auto censuses = recovery::build_censuses(placement, scenario);
-    const auto balanced = recovery::balance_greedy(placement, censuses, {50});
-    const auto plan = recovery::build_car_plan(
+    const auto censuses = recovery::build_multi_censuses(
+        placement,
+        recovery::make_multi_failure(placement, {scenario.failed_node}));
+    const auto balanced = recovery::balance_multi(placement, censuses, 50);
+    const auto plan = recovery::build_multi_car_plan(
         placement, code, balanced.solutions, 4096, node);
-    const auto summary = recovery::car_traffic(
+    const auto summary = recovery::multi_traffic(
         balanced.solutions, placement.topology().num_racks(),
         scenario.failed_rack);
     EXPECT_EQ(plan.cross_rack_bytes(), summary.total_bytes(4096));

@@ -3,7 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "cluster/configs.h"
-#include "recovery/balancer.h"
+#include "cluster/failure.h"
+#include "recovery/multi.h"
 
 namespace car::recovery {
 namespace {
@@ -38,13 +39,16 @@ TEST(TrafficSummary, NoTrafficGivesLambdaOne) {
 }
 
 TEST(CarTraffic, CountsOnePartialChunkPerAccessedRack) {
-  PerStripeSolution s1;
+  MultiStripeSolution s1;
+  s1.lost_chunks = {0};
   s1.rack_set.racks = {1, 2};
-  PerStripeSolution s2;
+  MultiStripeSolution s2;
+  s2.lost_chunks = {0};
   s2.rack_set.racks = {1};
-  PerStripeSolution s3;
+  MultiStripeSolution s3;
+  s3.lost_chunks = {0};
   s3.rack_set.racks = {};  // local-only recovery
-  const auto summary = car_traffic({s1, s2, s3}, 4, 0);
+  const auto summary = multi_traffic({s1, s2, s3}, 4, 0);
   EXPECT_EQ(summary.per_rack_chunks,
             (std::vector<std::size_t>{0, 2, 1, 0}));
   EXPECT_EQ(summary.total_chunks(), 3u);
@@ -54,11 +58,11 @@ TEST(RrTraffic, CountsEveryChunkOutsideTheFailedRack) {
   // Layout: rack0 = nodes {0,1}, rack1 = {2,3}, rack2 = {4,5}.
   Placement p(Topology({2, 2, 2}), 3, 2);
   p.add_stripe({0, 1, 2, 3, 4});  // chunks 0-4
-  RrSolution solution;
+  MultiRrSolution solution;
   solution.stripe = 0;
-  solution.lost_chunk = 0;
+  solution.lost_chunks = {0};
   solution.chunk_indices = {1, 2, 4};  // hosts: node1(r0), node2(r1), node4(r2)
-  const auto summary = rr_traffic(p, {solution}, 0);
+  const auto summary = multi_rr_traffic(p, {solution}, 0);
   EXPECT_EQ(summary.per_rack_chunks, (std::vector<std::size_t>{0, 1, 1}));
   EXPECT_EQ(summary.total_chunks(), 2u);
 }
@@ -73,22 +77,24 @@ TEST(CarVsRr, CarNeverExceedsRrCrossRackTraffic) {
       const auto p =
           Placement::random(cfg.topology(), cfg.k, cfg.m, 100, rng);
       const auto scenario = cluster::inject_random_failure(p, rng);
-      const auto censuses = build_censuses(p, scenario);
+      const auto censuses = build_multi_censuses(
+          p, make_multi_failure(p, {scenario.failed_node}));
 
-      const auto car = balance_greedy(p, censuses, {50});
-      const auto rr = plan_rr(p, censuses, rng);
+      const auto car = balance_multi(p, censuses, 50);
+      const auto rr = plan_multi_rr(p, censuses, rng);
 
       const auto racks = p.topology().num_racks();
       const auto car_sum =
-          car_traffic(car.solutions, racks, scenario.failed_rack);
-      const auto rr_sum = rr_traffic(p, rr, scenario.failed_rack);
+          multi_traffic(car.solutions, racks, scenario.failed_rack);
+      const auto rr_sum = multi_rr_traffic(p, rr, scenario.failed_rack);
       EXPECT_LE(car_sum.total_chunks(), rr_sum.total_chunks())
           << cfg.name << " seed " << seed;
 
       // Per-stripe lower bound: CAR uses exactly d_j racks, the minimum.
       std::size_t expected = 0;
       for (const auto& census : censuses) {
-        expected += min_intact_racks(census);
+        expected += min_racks_for(census.k, census.replacement_rack,
+                                  census.surviving.ranked());
       }
       EXPECT_EQ(car_sum.total_chunks(), expected);
     }

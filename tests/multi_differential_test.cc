@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/failure.h"
 #include "cluster/placement.h"
 #include "cluster/topology.h"
 #include "recovery/multi.h"

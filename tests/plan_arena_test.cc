@@ -13,8 +13,9 @@
 #include <vector>
 
 #include "cluster/configs.h"
+#include "cluster/failure.h"
 #include "emul/cluster.h"
-#include "recovery/balancer.h"
+#include "recovery/multi.h"
 #include "recovery/multi.h"
 #include "recovery/plan_arena.h"
 #include "recovery/scheduler.h"
@@ -56,11 +57,13 @@ Fixture make_fixture(int cfg_index, std::uint64_t seed, std::uint64_t chunk,
   auto placement =
       cluster::Placement::random(cfg.topology(), cfg.k, cfg.m, stripes, rng);
   auto failure = cluster::inject_random_failure(placement, rng);
-  const auto censuses = recovery::build_censuses(placement, failure);
-  const auto balanced = recovery::balance_greedy(placement, censuses, {50});
+  const auto censuses = recovery::build_multi_censuses(
+      placement,
+      recovery::make_multi_failure(placement, {failure.failed_node}));
+  const auto balanced = recovery::balance_multi(placement, censuses, 50);
   rs::Code code(cfg.k, cfg.m);
-  auto plan = recovery::build_car_plan(placement, code, balanced.solutions,
-                                       chunk, failure.failed_node);
+  auto plan = recovery::build_multi_car_plan(placement, code, balanced.solutions,
+                                             chunk, failure.failed_node);
   if (window > 0) plan = recovery::schedule_windowed(plan, window);
   return {std::move(placement), std::move(failure), std::move(plan),
           std::move(code)};

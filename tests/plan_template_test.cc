@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "cluster/configs.h"
+#include "cluster/failure.h"
 #include "cluster/placement.h"
 #include "emul/cluster.h"
 #include "recovery/exposure.h"

@@ -3,7 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "cluster/configs.h"
-#include "recovery/balancer.h"
+#include "cluster/failure.h"
+#include "recovery/multi.h"
 
 namespace car::recovery {
 namespace {
@@ -15,7 +16,7 @@ struct Fixture {
   Placement placement;
   rs::Code code;
   cluster::FailureScenario scenario;
-  std::vector<StripeCensus> censuses;
+  std::vector<MultiStripeCensus> censuses;
 
   explicit Fixture(int cfg_index, std::uint64_t seed, std::size_t stripes = 30)
       : cfg(cluster::paper_configs()[cfg_index]),
@@ -23,7 +24,8 @@ struct Fixture {
         code(cfg.k, cfg.m) {
     util::Rng rng(seed + 1);
     scenario = cluster::inject_random_failure(placement, rng);
-    censuses = build_censuses(placement, scenario);
+    censuses = build_multi_censuses(
+        placement, make_multi_failure(placement, {scenario.failed_node}));
   }
 
   static Placement make_placement(const cluster::CfsConfig& cfg,
@@ -47,15 +49,16 @@ class PlanSweep
 
 TEST_P(PlanSweep, CarPlanMatchesAnalyticTrafficAccounting) {
   Fixture f(std::get<0>(GetParam()), std::get<1>(GetParam()));
-  const auto balanced = balance_greedy(f.placement, f.censuses, {50});
+  const auto balanced = balance_multi(f.placement, f.censuses, 50);
   constexpr std::uint64_t kChunk = 1 << 20;
-  const auto plan = build_car_plan(f.placement, f.code, balanced.solutions,
-                                   kChunk, f.scenario.failed_node);
+  const auto plan =
+      build_multi_car_plan(f.placement, f.code, balanced.solutions, kChunk,
+                           f.scenario.failed_node);
   check_dag(plan);
 
   const auto summary =
-      car_traffic(balanced.solutions, f.placement.topology().num_racks(),
-                  f.scenario.failed_rack);
+      multi_traffic(balanced.solutions, f.placement.topology().num_racks(),
+                    f.scenario.failed_rack);
   EXPECT_EQ(plan.cross_rack_bytes(), summary.total_bytes(kChunk));
 
   const auto per_rack = plan.per_rack_cross_bytes(f.placement.topology());
@@ -69,13 +72,15 @@ TEST_P(PlanSweep, CarPlanMatchesAnalyticTrafficAccounting) {
 TEST_P(PlanSweep, RrPlanMatchesAnalyticTrafficAccounting) {
   Fixture f(std::get<0>(GetParam()), std::get<1>(GetParam()));
   util::Rng rng(std::get<1>(GetParam()) + 5);
-  const auto rr = plan_rr(f.placement, f.censuses, rng);
+  const auto rr = plan_multi_rr(f.placement, f.censuses, rng);
   constexpr std::uint64_t kChunk = 1 << 18;
   const auto plan =
-      build_rr_plan(f.placement, f.code, rr, kChunk, f.scenario.failed_node);
+      build_multi_rr_plan(f.placement, f.code, rr, kChunk,
+                          f.scenario.failed_node);
   check_dag(plan);
 
-  const auto summary = rr_traffic(f.placement, rr, f.scenario.failed_rack);
+  const auto summary =
+      multi_rr_traffic(f.placement, rr, f.scenario.failed_rack);
   EXPECT_EQ(plan.cross_rack_bytes(), summary.total_bytes(kChunk));
   EXPECT_EQ(plan.outputs.size(), f.censuses.size());
 
@@ -97,9 +102,9 @@ INSTANTIATE_TEST_SUITE_P(PaperConfigsAndSeeds, PlanSweep,
 
 TEST(CarPlan, StructurePerStripe) {
   Fixture f(0, 3, 5);
-  const auto solutions = plan_car_initial(f.placement, f.censuses);
-  const auto plan = build_car_plan(f.placement, f.code, solutions, 4096,
-                                   f.scenario.failed_node);
+  const auto solutions = balance_multi(f.placement, f.censuses, 0).solutions;
+  const auto plan = build_multi_car_plan(f.placement, f.code, solutions, 4096,
+                                         f.scenario.failed_node);
 
   // Per stripe: one partial-decode compute per contributing rack, one
   // partial shipment per contributing rack, one final combine.
@@ -114,7 +119,7 @@ TEST(CarPlan, StructurePerStripe) {
   // Intra-rack gather transfers: picked chunks not hosted by the aggregator.
   std::size_t gather = 0;
   for (const auto& s : solutions) {
-    for (const auto& pick : s.picks) gather += pick.chunk_indices.size() - 1;
+    for (const auto& pick : s.picks) gather += pick.count - 1;
   }
   EXPECT_EQ(plan.num_transfers(), gather + expected_partial_ships);
 
@@ -133,27 +138,61 @@ TEST(CarPlan, StructurePerStripe) {
 
 TEST(Plan, ZeroChunkSizeRejected) {
   Fixture f(0, 4, 2);
-  const auto solutions = plan_car_initial(f.placement, f.censuses);
-  EXPECT_THROW(build_car_plan(f.placement, f.code, solutions, 0,
-                              f.scenario.failed_node),
+  const auto solutions = balance_multi(f.placement, f.censuses, 0).solutions;
+  EXPECT_THROW(build_multi_car_plan(f.placement, f.code, solutions, 0,
+                                    f.scenario.failed_node),
                std::invalid_argument);
   util::Rng rng(8);
-  const auto rr = plan_rr(f.placement, f.censuses, rng);
+  const auto rr = plan_multi_rr(f.placement, f.censuses, rng);
   EXPECT_THROW(
-      build_rr_plan(f.placement, f.code, rr, 0, f.scenario.failed_node),
+      build_multi_rr_plan(f.placement, f.code, rr, 0, f.scenario.failed_node),
       std::invalid_argument);
 }
 
 TEST(Plan, IntraPlusCrossEqualsAllTransferBytes) {
   Fixture f(2, 9, 20);
-  const auto solutions = plan_car_initial(f.placement, f.censuses);
-  const auto plan = build_car_plan(f.placement, f.code, solutions, 1024,
-                                   f.scenario.failed_node);
+  const auto solutions = balance_multi(f.placement, f.censuses, 0).solutions;
+  const auto plan = build_multi_car_plan(f.placement, f.code, solutions, 1024,
+                                         f.scenario.failed_node);
   std::uint64_t all = 0;
   for (const auto& step : plan.steps) {
     if (step.kind == StepKind::kTransfer) all += step.bytes;
   }
   EXPECT_EQ(plan.cross_rack_bytes() + plan.intra_rack_bytes(), all);
+}
+
+TEST(PlanBuilder, RejectsMalformedSteps) {
+  const cluster::Topology topology({2, 2});
+  PlanBuilder b{{}, topology};
+  b.plan.chunk_size = 64;
+  const std::size_t first =
+      b.add_transfer(0, 0, 2, BufferRef::chunk(0, 0), {});
+  EXPECT_EQ(first, 0u);
+  EXPECT_TRUE(b.plan.steps[0].cross_rack);
+  EXPECT_EQ(b.plan.steps[0].bytes, 64u);
+
+  // A dependency on a step not yet appended would allow a cycle.
+  EXPECT_THROW(b.add_transfer(0, 0, 1, BufferRef::chunk(0, 0), {1}),
+               std::invalid_argument);
+  EXPECT_THROW(b.add_compute(0, 1, {{BufferRef::chunk(0, 1), 1}}, {5}),
+               std::invalid_argument);
+  // Node ids must exist.
+  EXPECT_THROW(b.add_transfer(0, 4, 0, BufferRef::chunk(0, 0), {}),
+               std::invalid_argument);
+  EXPECT_THROW(b.add_transfer(0, 0, 9, BufferRef::chunk(0, 0), {}),
+               std::invalid_argument);
+  EXPECT_THROW(b.add_compute(0, 4, {{BufferRef::chunk(0, 1), 1}}, {}),
+               std::invalid_argument);
+  // A compute combines at least one buffer.
+  EXPECT_THROW(b.add_compute(0, 1, {}, {first}), std::invalid_argument);
+  // Rejected steps leave the plan untouched.
+  ASSERT_EQ(b.plan.steps.size(), 1u);
+
+  const std::size_t combine = b.add_compute(
+      0, 2, {{BufferRef::step(first), 1}, {BufferRef::chunk(0, 2), 3}},
+      {first});
+  EXPECT_EQ(combine, 1u);
+  EXPECT_EQ(b.plan.steps[1].bytes, 128u);
 }
 
 }  // namespace

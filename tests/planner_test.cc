@@ -1,10 +1,12 @@
-#include "recovery/planner.h"
-
+// Materialisation of rack-level solutions into chunk-level recovery picks
+// (materialize_multi) under a single-node failure.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "cluster/configs.h"
+#include "cluster/failure.h"
+#include "recovery/multi.h"
 
 namespace car::recovery {
 namespace {
@@ -18,6 +20,12 @@ Placement paper_placement(const cluster::CfsConfig& cfg, std::size_t stripes,
   return Placement::random(cfg.topology(), cfg.k, cfg.m, stripes, rng);
 }
 
+/// Censuses of the failure of `node` alone.
+std::vector<MultiStripeCensus> single_failure(const Placement& p,
+                                              cluster::NodeId node) {
+  return build_multi_censuses(p, make_multi_failure(p, {node}));
+}
+
 class MaterializeSweep
     : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
 
@@ -26,28 +34,29 @@ TEST_P(MaterializeSweep, EverySolutionReadsExactlyKChunksAndUsesEveryRack) {
   const auto p = paper_placement(cfg, 40, std::get<1>(GetParam()));
   util::Rng rng(std::get<1>(GetParam()) + 99);
   const auto scenario = cluster::inject_random_failure(p, rng);
-  const auto censuses = build_censuses(p, scenario);
 
-  for (const auto& census : censuses) {
-    for (const auto& set : enumerate_minimal_solutions(census)) {
-      const auto solution = materialize(p, census, set);
+  for (const auto& census : single_failure(p, scenario.failed_node)) {
+    ASSERT_EQ(census.lost_count(), 1u);
+    const std::size_t lost = census.lost_chunks.front();
+    for (const auto& set : enumerate_rack_sets(
+             census.k, census.replacement_rack, census.surviving.ranked())) {
+      const auto solution = materialize_multi(p, census, set);
       EXPECT_EQ(solution.stripe, census.stripe);
-      EXPECT_EQ(solution.lost_chunk, census.lost_chunk);
+      EXPECT_EQ(solution.lost_chunks, census.lost_chunks);
 
       // Exactly k distinct surviving chunks, never the lost one.
-      const auto all = solution.all_chunk_indices();
+      const auto& all = solution.chunks;
       EXPECT_EQ(all.size(), census.k);
       auto sorted = all;
       std::sort(sorted.begin(), sorted.end());
       EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()),
                 sorted.end());
-      EXPECT_EQ(std::find(all.begin(), all.end(), census.lost_chunk),
-                all.end());
+      EXPECT_EQ(std::find(all.begin(), all.end(), lost), all.end());
 
       // Every pick lives in its claimed rack and is non-empty.
       for (const auto& pick : solution.picks) {
-        EXPECT_FALSE(pick.chunk_indices.empty());
-        for (std::size_t c : pick.chunk_indices) {
+        EXPECT_GT(pick.count, 0u);
+        for (std::size_t c : solution.chunks_of(pick)) {
           EXPECT_EQ(p.topology().rack_of(p.node_of(census.stripe, c)),
                     pick.rack);
         }
@@ -56,7 +65,7 @@ TEST_P(MaterializeSweep, EverySolutionReadsExactlyKChunksAndUsesEveryRack) {
       // Accessed intact racks = rack set; each contributes >= 1 chunk.
       std::vector<cluster::RackId> intact;
       for (const auto& pick : solution.picks) {
-        if (pick.rack != census.failed_rack) intact.push_back(pick.rack);
+        if (pick.rack != census.replacement_rack) intact.push_back(pick.rack);
       }
       std::sort(intact.begin(), intact.end());
       EXPECT_EQ(intact, solution.rack_set.racks);
@@ -74,39 +83,47 @@ TEST(Materialize, UsesFailedRackSurvivorsFirst) {
   // before intact-rack chunks are pulled.
   Placement p(Topology({3, 3, 3}), 4, 3);
   p.add_stripe({0, 1, 2, 3, 4, 5, 6});  // A1: 3 chunks, A2: 3, A3: 1
-  const auto scenario = cluster::inject_node_failure(p, 0);
-  const auto census = build_census(p, scenario, scenario.lost[0]);
+  const auto census = single_failure(p, 0).front();
+  const auto ranked = census.surviving.ranked();
   // local survivors = 2, k = 4 -> need 2 more, intact best = A2 (3) -> d=1.
-  EXPECT_EQ(min_intact_racks(census), 1u);
-  const auto solution = materialize(p, census, default_solution(census));
+  EXPECT_EQ(min_racks_for(census.k, census.replacement_rack, ranked), 1u);
+  const auto solution = materialize_multi(
+      p, census, default_rack_set(census.k, census.replacement_rack, ranked));
   ASSERT_EQ(solution.picks.size(), 2u);
   EXPECT_EQ(solution.picks[0].rack, 0u);
-  EXPECT_EQ(solution.picks[0].chunk_indices,
+  const auto local = solution.chunks_of(solution.picks[0]);
+  EXPECT_EQ(std::vector<std::size_t>(local.begin(), local.end()),
             (std::vector<std::size_t>{1, 2}));
   EXPECT_EQ(solution.picks[1].rack, 1u);
-  EXPECT_EQ(solution.picks[1].chunk_indices.size(), 2u);  // trimmed from 3
+  EXPECT_EQ(solution.picks[1].count, 2u);  // trimmed from 3
 }
 
 TEST(Materialize, RejectsInvalidRackSets) {
   Placement p(Topology({3, 3, 3}), 4, 3);
   p.add_stripe({0, 1, 2, 3, 4, 5, 6});
-  const auto scenario = cluster::inject_node_failure(p, 0);
-  const auto census = build_census(p, scenario, scenario.lost[0]);
-  EXPECT_THROW(materialize(p, census, RackSet{{2}}), std::invalid_argument);
-  EXPECT_THROW(materialize(p, census, RackSet{{1, 2}}), std::invalid_argument);
+  const auto census = single_failure(p, 0).front();
+  EXPECT_THROW(materialize_multi(p, census, RackSet{{2}}),
+               std::invalid_argument);
+  EXPECT_THROW(materialize_multi(p, census, RackSet{{1, 2}}),
+               std::invalid_argument);
 }
 
 TEST(PlanCarInitial, OneSolutionPerLostChunk) {
+  // Algorithm 2 with no substitution leaves every stripe on its default
+  // (most-chunks-first) rack set.
   const auto cfg = cluster::cfs3();
   const auto p = paper_placement(cfg, 100, 5);
   util::Rng rng(6);
   const auto scenario = cluster::inject_random_failure(p, rng);
-  const auto censuses = build_censuses(p, scenario);
-  const auto solutions = plan_car_initial(p, censuses);
+  const auto censuses = single_failure(p, scenario.failed_node);
+  const auto solutions = balance_multi(p, censuses, 0).solutions;
   ASSERT_EQ(solutions.size(), censuses.size());
   for (std::size_t i = 0; i < solutions.size(); ++i) {
-    EXPECT_EQ(solutions[i].stripe, censuses[i].stripe);
-    EXPECT_TRUE(is_valid_minimal(censuses[i], solutions[i].rack_set));
+    const auto& census = censuses[i];
+    EXPECT_EQ(solutions[i].stripe, census.stripe);
+    EXPECT_EQ(solutions[i].rack_set,
+              default_rack_set(census.k, census.replacement_rack,
+                               census.surviving.ranked()));
   }
 }
 

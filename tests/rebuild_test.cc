@@ -26,8 +26,7 @@
 #include "inject/scenario.h"
 #include "rebuild/coordinator.h"
 #include "rebuild/queue.h"
-#include "recovery/balancer.h"
-#include "recovery/census.h"
+#include "recovery/multi.h"
 #include "recovery/exposure.h"
 #include "recovery/plan.h"
 #include "rs/code.h"
@@ -294,15 +293,17 @@ TEST(BatchDriver, AdmitAfterDeadlinePauseExecutesBeforeFarFutureRetry) {
   const cluster::NodeId failed = 2;
   const auto failure = cluster::inject_node_failure(placement, failed);
   cluster.erase_node(failed);
-  const auto censuses = recovery::build_censuses(placement, failure);
-  const auto balanced = recovery::balance_greedy(placement, censuses, {50});
+  const auto censuses = recovery::build_multi_censuses(
+      placement,
+      recovery::make_multi_failure(placement, {failure.failed_node}));
+  const auto balanced = recovery::balance_multi(placement, censuses, 50);
   ASSERT_GE(balanced.solutions.size(), 2u);
   // Two batches over disjoint stripe subsets of the same failure: all but
   // one stripe in batch 0, the last stripe in batch 1.
-  const std::span<const recovery::PerStripeSolution> all(balanced.solutions);
-  const auto plan_a = recovery::build_car_plan(
+  const std::span<const recovery::MultiStripeSolution> all(balanced.solutions);
+  const auto plan_a = recovery::build_multi_car_plan(
       placement, code, all.subspan(0, all.size() - 1), kChunk, failed);
-  const auto plan_b = recovery::build_car_plan(
+  const auto plan_b = recovery::build_multi_car_plan(
       placement, code, all.subspan(all.size() - 1), kChunk, failed);
 
   // Drop the first attempt of one real transfer of batch 0, with a huge

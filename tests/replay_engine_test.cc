@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "cluster/configs.h"
+#include "cluster/failure.h"
 #include "cluster/placement.h"
 #include "emul/cluster.h"
 #include "recovery/multi.h"

@@ -5,7 +5,8 @@
 #include <algorithm>
 
 #include "cluster/configs.h"
-#include "recovery/balancer.h"
+#include "cluster/failure.h"
+#include "recovery/multi.h"
 #include "simnet/flowsim.h"
 
 namespace car::recovery {
@@ -22,10 +23,11 @@ struct Fixture {
       : placement(make(cfg, stripes, seed)), code(cfg.k, cfg.m) {
     util::Rng rng(seed + 1);
     scenario = cluster::inject_random_failure(placement, rng);
-    const auto censuses = build_censuses(placement, scenario);
-    const auto balanced = balance_greedy(placement, censuses, {50});
-    plan = build_car_plan(placement, code, balanced.solutions, 1 << 20,
-                          scenario.failed_node);
+    const auto censuses = build_multi_censuses(
+        placement, make_multi_failure(placement, {scenario.failed_node}));
+    const auto balanced = balance_multi(placement, censuses, 50);
+    plan = build_multi_car_plan(placement, code, balanced.solutions, 1 << 20,
+                                scenario.failed_node);
   }
 
   static cluster::Placement make(const cluster::CfsConfig& cfg,

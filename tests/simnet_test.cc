@@ -3,7 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "cluster/configs.h"
-#include "recovery/balancer.h"
+#include "cluster/failure.h"
+#include "recovery/multi.h"
 
 namespace car::simnet {
 namespace {
@@ -225,17 +226,19 @@ TEST_P(EndToEndSim, CarRecoversFasterThanRrOnPaperConfigs) {
   const auto placement =
       cluster::Placement::random(cfg.topology(), cfg.k, cfg.m, 50, rng);
   const auto scenario = cluster::inject_random_failure(placement, rng);
-  const auto censuses = recovery::build_censuses(placement, scenario);
+  const auto censuses = recovery::build_multi_censuses(
+      placement,
+      recovery::make_multi_failure(placement, {scenario.failed_node}));
   const rs::Code code(cfg.k, cfg.m);
   constexpr std::uint64_t kChunk = 4ull << 20;
 
-  const auto car = recovery::balance_greedy(placement, censuses, {50});
-  const auto car_plan = recovery::build_car_plan(
+  const auto car = recovery::balance_multi(placement, censuses, 50);
+  const auto car_plan = recovery::build_multi_car_plan(
       placement, code, car.solutions, kChunk, scenario.failed_node);
 
-  const auto rr = recovery::plan_rr(placement, censuses, rng);
-  const auto rr_plan = recovery::build_rr_plan(placement, code, rr, kChunk,
-                                               scenario.failed_node);
+  const auto rr = recovery::plan_multi_rr(placement, censuses, rng);
+  const auto rr_plan = recovery::build_multi_rr_plan(placement, code, rr, kChunk,
+                                                     scenario.failed_node);
 
   NetConfig net;  // defaults: 1 GbE, 5x oversubscription
   const auto car_time = simulate_plan(placement.topology(), car_plan, net);

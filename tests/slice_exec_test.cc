@@ -10,9 +10,10 @@
 #include <vector>
 
 #include "cluster/configs.h"
+#include "cluster/failure.h"
 #include "emul/cluster.h"
 #include "inject/scenario.h"
-#include "recovery/balancer.h"
+#include "recovery/multi.h"
 #include "recovery/scheduler.h"
 #include "recovery/slice.h"
 #include "util/buffer_pool.h"
@@ -59,10 +60,12 @@ Observed run_emul(int cfg_index, std::uint64_t seed, std::uint64_t chunk,
   const auto scenario = cluster::inject_random_failure(placement, data_rng);
   cluster.erase_node(scenario.failed_node);
 
-  const auto censuses = recovery::build_censuses(placement, scenario);
-  const auto balanced = recovery::balance_greedy(placement, censuses, {50});
-  auto plan = recovery::build_car_plan(placement, code, balanced.solutions,
-                                       chunk, scenario.failed_node);
+  const auto censuses = recovery::build_multi_censuses(
+      placement,
+      recovery::make_multi_failure(placement, {scenario.failed_node}));
+  const auto balanced = recovery::balance_multi(placement, censuses, 50);
+  auto plan = recovery::build_multi_car_plan(placement, code, balanced.solutions,
+                                             chunk, scenario.failed_node);
   if (window > 0) plan = recovery::schedule_windowed(plan, window);
 
   Observed out;

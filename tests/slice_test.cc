@@ -6,7 +6,8 @@
 #include <numeric>
 
 #include "cluster/configs.h"
-#include "recovery/balancer.h"
+#include "cluster/failure.h"
+#include "recovery/multi.h"
 #include "recovery/scheduler.h"
 #include "recovery/validate.h"
 #include "util/check.h"
@@ -21,7 +22,7 @@ struct Fixture {
   Placement placement;
   rs::Code code;
   cluster::FailureScenario scenario;
-  std::vector<StripeCensus> censuses;
+  std::vector<MultiStripeCensus> censuses;
 
   explicit Fixture(int cfg_index, std::uint64_t seed, std::size_t stripes = 10)
       : cfg(cluster::paper_configs()[cfg_index]),
@@ -29,7 +30,8 @@ struct Fixture {
         code(cfg.k, cfg.m) {
     util::Rng rng(seed + 1);
     scenario = cluster::inject_random_failure(placement, rng);
-    censuses = build_censuses(placement, scenario);
+    censuses = build_multi_censuses(
+        placement, make_multi_failure(placement, {scenario.failed_node}));
   }
 
   static Placement make_placement(const cluster::CfsConfig& cfg,
@@ -39,9 +41,9 @@ struct Fixture {
   }
 
   [[nodiscard]] RecoveryPlan car_plan(std::uint64_t chunk) const {
-    const auto balanced = balance_greedy(placement, censuses, {50});
-    return build_car_plan(placement, code, balanced.solutions, chunk,
-                          scenario.failed_node);
+    const auto balanced = balance_multi(placement, censuses, 50);
+    return build_multi_car_plan(placement, code, balanced.solutions, chunk,
+                                scenario.failed_node);
   }
 };
 

@@ -3,21 +3,50 @@
 #include <gtest/gtest.h>
 
 #include "cluster/configs.h"
+#include "recovery/multi.h"
+#include "util/rng.h"
 
 namespace car::recovery {
 namespace {
 
-StripeCensus make_census(std::vector<std::size_t> chunks,
-                         cluster::RackId failed_rack, std::size_t k) {
-  StripeCensus census;
-  census.stripe = 0;
-  census.lost_chunk = 0;
+/// Theorem 1's inputs for one stripe: `chunks[i]` chunks in rack i, one of
+/// them lost from `failed_rack`, which hosts the replacement.
+struct Census {
+  RackCounts surviving;
+  cluster::RackId failed_rack = 0;
+  std::size_t k = 0;
+
+  [[nodiscard]] std::span<const RackCount> ranked() const noexcept {
+    return surviving.ranked();
+  }
+};
+
+Census make_census(std::vector<std::size_t> chunks,
+                   cluster::RackId failed_rack, std::size_t k) {
+  --chunks[failed_rack];
+  Census census;
   census.failed_rack = failed_rack;
   census.k = k;
-  census.chunks = std::move(chunks);
-  census.surviving = census.chunks;
-  --census.surviving[failed_rack];
+  for (cluster::RackId rack = 0; rack < chunks.size(); ++rack) {
+    for (std::size_t c = 0; c < chunks[rack]; ++c) census.surviving.add(rack);
+  }
   return census;
+}
+
+std::size_t min_intact_racks(const Census& c) {
+  return min_racks_for(c.k, c.failed_rack, c.ranked());
+}
+
+std::vector<RackSet> enumerate_minimal_solutions(const Census& c) {
+  return enumerate_rack_sets(c.k, c.failed_rack, c.ranked());
+}
+
+RackSet default_solution(const Census& c) {
+  return default_rack_set(c.k, c.failed_rack, c.ranked());
+}
+
+bool is_valid_minimal(const Census& c, const RackSet& set) {
+  return is_valid_minimal_for(c.k, c.failed_rack, c.ranked(), set);
 }
 
 TEST(Theorem1, PaperFigure4ExampleGivesDTwo) {
@@ -75,7 +104,7 @@ TEST(Theorem1, MatchesBruteForceOnRandomCensuses) {
       if (i != f) intact.push_back(i);
     }
     for (std::size_t mask = 0; mask < (1u << intact.size()); ++mask) {
-      std::size_t sum = census.surviving_in_failed_rack();
+      std::size_t sum = chunks[f] - 1;
       std::size_t bits = 0;
       for (std::size_t b = 0; b < intact.size(); ++b) {
         if (mask & (1u << b)) {

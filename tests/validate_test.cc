@@ -5,11 +5,10 @@
 #include <tuple>
 
 #include "cluster/configs.h"
-#include "recovery/balancer.h"
+#include "cluster/failure.h"
+#include "recovery/multi.h"
 #include "recovery/degraded.h"
 #include "recovery/metrics.h"
-#include "recovery/multi.h"
-#include "recovery/random_recovery.h"
 #include "recovery/scheduler.h"
 #include "recovery/weighted.h"
 
@@ -26,7 +25,7 @@ struct Fixture {
   Placement placement;
   rs::Code code;
   cluster::FailureScenario scenario;
-  std::vector<StripeCensus> censuses;
+  std::vector<MultiStripeCensus> censuses;
 
   explicit Fixture(int cfg_index, std::uint64_t seed, std::size_t stripes = 25)
       : cfg(cluster::paper_configs()[cfg_index]),
@@ -34,7 +33,8 @@ struct Fixture {
         code(cfg.k, cfg.m) {
     util::Rng rng(seed + 1);
     scenario = cluster::inject_random_failure(placement, rng);
-    censuses = build_censuses(placement, scenario);
+    censuses = build_multi_censuses(
+        placement, make_multi_failure(placement, {scenario.failed_node}));
   }
 
   static Placement make_placement(const cluster::CfsConfig& cfg,
@@ -61,9 +61,9 @@ class PlannerSweep
 
 TEST_P(PlannerSweep, CarPlanValidatesWithClaimedTraffic) {
   Fixture f(std::get<0>(GetParam()), std::get<1>(GetParam()));
-  const auto balanced = balance_greedy(f.placement, f.censuses, {50});
-  const auto plan = build_car_plan(f.placement, f.code, balanced.solutions,
-                                   kChunk, f.scenario.failed_node);
+  const auto balanced = balance_multi(f.placement, f.censuses, 50);
+  const auto plan = build_multi_car_plan(f.placement, f.code, balanced.solutions,
+                                         kChunk, f.scenario.failed_node);
   auto opts = f.options();
   opts.expected_cross_rack_chunks = claimed_cross_rack_chunks(
       balanced.solutions,
@@ -74,12 +74,12 @@ TEST_P(PlannerSweep, CarPlanValidatesWithClaimedTraffic) {
 TEST_P(PlannerSweep, RrPlanValidatesWithClaimedTraffic) {
   Fixture f(std::get<0>(GetParam()), std::get<1>(GetParam()));
   util::Rng rng(99);
-  const auto rr = plan_rr(f.placement, f.censuses, rng);
+  const auto rr = plan_multi_rr(f.placement, f.censuses, rng);
   const auto plan =
-      build_rr_plan(f.placement, f.code, rr, kChunk, f.scenario.failed_node);
+      build_multi_rr_plan(f.placement, f.code, rr, kChunk, f.scenario.failed_node);
   auto opts = f.options();
   opts.expected_cross_rack_chunks =
-      rr_traffic(f.placement, rr, f.scenario.failed_rack).total_chunks();
+      multi_rr_traffic(f.placement, rr, f.scenario.failed_rack).total_chunks();
   expect_valid(validate_plan(plan, f.placement.topology(), opts));
 }
 
@@ -90,8 +90,8 @@ TEST_P(PlannerSweep, WeightedPlanValidates) {
     bandwidth[i] += static_cast<double>(i % 2);
   }
   const auto weighted = balance_weighted(f.placement, f.censuses, bandwidth);
-  const auto plan = build_car_plan(f.placement, f.code, weighted.solutions,
-                                   kChunk, f.scenario.failed_node);
+  const auto plan = build_multi_car_plan(f.placement, f.code, weighted.solutions,
+                                         kChunk, f.scenario.failed_node);
   auto opts = f.options();
   opts.expected_cross_rack_chunks = claimed_cross_rack_chunks(
       weighted.solutions,
@@ -150,9 +150,9 @@ TEST_P(PlannerSweep, DegradedReadPlansValidate) {
 
 TEST_P(PlannerSweep, WindowedScheduleStaysValid) {
   Fixture f(std::get<0>(GetParam()), std::get<1>(GetParam()));
-  const auto balanced = balance_greedy(f.placement, f.censuses, {50});
-  const auto plan = build_car_plan(f.placement, f.code, balanced.solutions,
-                                   kChunk, f.scenario.failed_node);
+  const auto balanced = balance_multi(f.placement, f.censuses, 50);
+  const auto plan = build_multi_car_plan(f.placement, f.code, balanced.solutions,
+                                         kChunk, f.scenario.failed_node);
   for (const std::size_t window : {1UL, 2UL, 4UL}) {
     expect_valid(validate_plan(schedule_windowed(plan, window),
                                f.placement.topology(), f.options()));
@@ -171,9 +171,9 @@ struct Malformed {
 
   Malformed() {
     const auto balanced =
-        balance_greedy(fixture.placement, fixture.censuses, {50});
-    plan = build_car_plan(fixture.placement, fixture.code, balanced.solutions,
-                          kChunk, fixture.scenario.failed_node);
+        balance_multi(fixture.placement, fixture.censuses, 50);
+    plan = build_multi_car_plan(fixture.placement, fixture.code, balanced.solutions,
+                                kChunk, fixture.scenario.failed_node);
   }
 
   [[nodiscard]] ValidationReport validate() const {

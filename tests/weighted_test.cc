@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "cluster/configs.h"
-#include "recovery/balancer.h"
+#include "cluster/failure.h"
 #include "recovery/metrics.h"
+#include "recovery/multi.h"
 
 namespace car::recovery {
 namespace {
@@ -14,7 +15,7 @@ using cluster::Placement;
 struct Scenario {
   Placement placement;
   cluster::FailureScenario failure;
-  std::vector<StripeCensus> censuses;
+  std::vector<MultiStripeCensus> censuses;
 };
 
 Scenario make_scenario(const cluster::CfsConfig& cfg, std::size_t stripes,
@@ -23,7 +24,8 @@ Scenario make_scenario(const cluster::CfsConfig& cfg, std::size_t stripes,
   auto placement =
       Placement::random(cfg.topology(), cfg.k, cfg.m, stripes, rng);
   auto failure = cluster::inject_random_failure(placement, rng);
-  auto censuses = build_censuses(placement, failure);
+  auto censuses = build_multi_censuses(
+      placement, make_multi_failure(placement, {failure.failed_node}));
   return {std::move(placement), std::move(failure), std::move(censuses)};
 }
 
@@ -43,15 +45,15 @@ TEST(WeightedBalancer, UniformBandwidthMatchesUnweightedBehaviour) {
   auto s = make_scenario(cluster::cfs2(), 100, 2);
   const std::vector<double> uniform(s.placement.topology().num_racks(), 1.0);
   const auto weighted = balance_weighted(s.placement, s.censuses, uniform, 50);
-  const auto unweighted = balance_greedy(s.placement, s.censuses, {50});
+  const auto unweighted = balance_multi(s.placement, s.censuses, 50);
 
   // Same total traffic and essentially the same bottleneck (both minimise
   // the maximum per-rack chunk count when bandwidths are equal).
   const auto racks = s.placement.topology().num_racks();
-  const auto tw = car_traffic(weighted.solutions, racks,
-                              s.failure.failed_rack);
-  const auto tu = car_traffic(unweighted.solutions, racks,
-                              s.failure.failed_rack);
+  const auto tw = multi_traffic(weighted.solutions, racks,
+                                s.failure.failed_rack);
+  const auto tu = multi_traffic(unweighted.solutions, racks,
+                                s.failure.failed_rack);
   EXPECT_EQ(tw.total_chunks(), tu.total_chunks());
 
   std::size_t max_w = 0, max_u = 0;
@@ -83,10 +85,10 @@ TEST_P(WeightedSweep, BottleneckTraceIsMonotoneAndTrafficInvariant) {
   }
 
   const auto racks = s.placement.topology().num_racks();
-  const auto initial = plan_car_initial(s.placement, s.censuses);
-  EXPECT_EQ(car_traffic(result.solutions, racks, s.failure.failed_rack)
+  const auto initial = balance_multi(s.placement, s.censuses, 0).solutions;
+  EXPECT_EQ(multi_traffic(result.solutions, racks, s.failure.failed_rack)
                 .total_chunks(),
-            car_traffic(initial, racks, s.failure.failed_rack)
+            multi_traffic(initial, racks, s.failure.failed_rack)
                 .total_chunks());
   EXPECT_NEAR(result.final_bottleneck(),
               bottleneck_drain(result.solutions, bandwidth,
@@ -101,8 +103,10 @@ TEST_P(WeightedSweep, EverySolutionRemainsValidMinimal) {
   bandwidth.back() = 4.0;
   const auto result = balance_weighted(s.placement, s.censuses, bandwidth, 60);
   for (std::size_t j = 0; j < s.censuses.size(); ++j) {
-    EXPECT_TRUE(is_valid_minimal(s.censuses[j],
-                                 result.solutions[j].rack_set));
+    const auto& census = s.censuses[j];
+    EXPECT_TRUE(is_valid_minimal_for(census.k, census.replacement_rack,
+                                     census.surviving.ranked(),
+                                     result.solutions[j].rack_set));
   }
 }
 
@@ -122,8 +126,8 @@ TEST(WeightedBalancer, ShiftsLoadTowardFastRacks) {
 
   const auto result =
       balance_weighted(s.placement, s.censuses, bandwidth, 300);
-  const auto traffic = car_traffic(result.solutions, racks,
-                                   s.failure.failed_rack);
+  const auto traffic = multi_traffic(result.solutions, racks,
+                                     s.failure.failed_rack);
   for (cluster::RackId i = 0; i < racks; ++i) {
     if (i == s.failure.failed_rack || i == fast) continue;
     // Drain-time balance: fast rack's time t/10 should not exceed any slow
@@ -133,6 +137,40 @@ TEST(WeightedBalancer, ShiftsLoadTowardFastRacks) {
         << "rack " << i;
   }
   EXPECT_LE(result.final_bottleneck(), result.initial_bottleneck() + 1e-12);
+}
+
+TEST(WeightedBalancer, MultiFailureMovesEveryPartialOfAStripe) {
+  // Two failed nodes: a stripe that lost both ships two partials per
+  // accessed rack, and a substitution moves both.  The bottleneck still
+  // never rises and total traffic is unchanged.
+  util::Rng rng(41);
+  const auto cfg = cluster::cfs3();
+  const auto p =
+      Placement::random(cfg.topology(), cfg.k, cfg.m, 120, rng);
+  const auto failure = make_multi_failure(p, {0, 6});
+  const auto censuses = build_multi_censuses(p, failure);
+  std::vector<double> bandwidth(p.topology().num_racks(), 1.0);
+  bandwidth[1] = 3.0;
+  const auto result = balance_weighted(p, censuses, bandwidth, 200);
+  for (std::size_t i = 1; i < result.bottleneck_trace.size(); ++i) {
+    EXPECT_LE(result.bottleneck_trace[i],
+              result.bottleneck_trace[i - 1] + 1e-12);
+  }
+  const auto racks = p.topology().num_racks();
+  EXPECT_EQ(
+      multi_traffic(result.solutions, racks, failure.replacement_rack)
+          .total_chunks(),
+      multi_traffic(balance_multi(p, censuses, 0).solutions, racks,
+                    failure.replacement_rack)
+          .total_chunks());
+  EXPECT_DOUBLE_EQ(result.final_bottleneck(),
+                   bottleneck_drain(result.solutions, bandwidth,
+                                    failure.replacement_rack));
+  for (std::size_t j = 0; j < censuses.size(); ++j) {
+    EXPECT_TRUE(is_valid_minimal_for(censuses[j].k, failure.replacement_rack,
+                                     censuses[j].surviving.ranked(),
+                                     result.solutions[j].rack_set));
+  }
 }
 
 }  // namespace

@@ -41,10 +41,10 @@
 #include <vector>
 
 #include "cluster/configs.h"
+#include "cluster/failure.h"
 #include "emul/cluster.h"
 #include "inject/scenario.h"
 #include "rebuild/scenario.h"
-#include "recovery/balancer.h"
 #include "recovery/multi.h"
 #include "recovery/plan_arena.h"
 #include "recovery/plan_template.h"
@@ -105,6 +105,16 @@ void emit(const util::TextTable& table, const util::Flags& flags) {
   }
 }
 
+/// The censuses of a single-node failure, planned as the one-node case of
+/// a multi-failure.
+std::vector<recovery::MultiStripeCensus> single_failure_censuses(
+    const cluster::Placement& placement,
+    const cluster::FailureScenario& scenario) {
+  return recovery::build_multi_censuses(
+      placement,
+      recovery::make_multi_failure(placement, {scenario.failed_node}));
+}
+
 int cmd_traffic(const util::Flags& flags) {
   const auto cfg = config_from(flags);
   const auto stripes = static_cast<std::size_t>(flags.get_int("stripes", 100));
@@ -119,16 +129,16 @@ int cmd_traffic(const util::Flags& flags) {
     const auto placement = cluster::Placement::random(
         cfg.topology(), cfg.k, cfg.m, stripes, rng);
     const auto scenario = cluster::inject_random_failure(placement, rng);
-    const auto censuses = recovery::build_censuses(placement, scenario);
+    const auto censuses = single_failure_censuses(placement, scenario);
 
-    const auto rr = recovery::plan_rr(placement, censuses, rng);
+    const auto rr = recovery::plan_multi_rr(placement, censuses, rng);
     const auto rr_sum =
-        recovery::rr_traffic(placement, rr, scenario.failed_rack);
+        recovery::multi_rr_traffic(placement, rr, scenario.failed_rack);
     rr_stat.add(static_cast<double>(rr_sum.total_bytes(chunk)));
     rr_lambda.add(rr_sum.lambda());
 
-    const auto car = recovery::balance_greedy(placement, censuses, {50});
-    const auto car_sum = recovery::car_traffic(
+    const auto car = recovery::balance_multi(placement, censuses, 50);
+    const auto car_sum = recovery::multi_traffic(
         car.solutions, placement.topology().num_racks(),
         scenario.failed_rack);
     car_stat.add(static_cast<double>(car_sum.total_bytes(chunk)));
@@ -159,9 +169,8 @@ int cmd_balance(const util::Flags& flags) {
   const auto placement =
       cluster::Placement::random(cfg.topology(), cfg.k, cfg.m, stripes, rng);
   const auto scenario = cluster::inject_random_failure(placement, rng);
-  const auto censuses = recovery::build_censuses(placement, scenario);
-  const auto result =
-      recovery::balance_greedy(placement, censuses, {iterations});
+  const auto result = recovery::balance_multi(
+      placement, single_failure_censuses(placement, scenario), iterations);
 
   util::TextTable table({"iteration", "lambda"});
   for (std::size_t i = 0; i < result.lambda_trace.size(); ++i) {
@@ -193,22 +202,23 @@ int cmd_simulate(const util::Flags& flags) {
     const auto placement = cluster::Placement::random(
         cfg.topology(), cfg.k, cfg.m, stripes, rng);
     const auto scenario = cluster::inject_random_failure(placement, rng);
-    const auto censuses = recovery::build_censuses(placement, scenario);
+    const auto censuses = single_failure_censuses(placement, scenario);
     const double lost = static_cast<double>(scenario.lost.size());
 
-    const auto rr = recovery::plan_rr(placement, censuses, rng);
+    const auto rr = recovery::plan_multi_rr(placement, censuses, rng);
     rr_stat.add(simnet::simulate_plan(
                     placement.topology(),
-                    recovery::build_rr_plan(placement, code, rr, chunk,
-                                            scenario.failed_node),
+                    recovery::build_multi_rr_plan(placement, code, rr, chunk,
+                                                  scenario.failed_node),
                     net)
                     .makespan_s /
                 lost);
-    const auto car = recovery::balance_greedy(placement, censuses, {50});
+    const auto car = recovery::balance_multi(placement, censuses, 50);
     car_stat.add(simnet::simulate_plan(
                      placement.topology(),
-                     recovery::build_car_plan(placement, code, car.solutions,
-                                              chunk, scenario.failed_node),
+                     recovery::build_multi_car_plan(placement, code,
+                                                    car.solutions, chunk,
+                                                    scenario.failed_node),
                      net)
                      .makespan_s /
                  lost);
@@ -535,18 +545,18 @@ int cmd_emulate(const util::Flags& flags) {
     const auto scenario =
         cluster::inject_random_failure(placement, fail_rng);
     cluster.erase_node(scenario.failed_node);
-    const auto censuses = recovery::build_censuses(placement, scenario);
+    const auto censuses = single_failure_censuses(placement, scenario);
     recovery::RecoveryPlan plan;
     if (use_car) {
-      const auto balanced =
-          recovery::balance_greedy(placement, censuses, {50});
-      plan = recovery::build_car_plan(placement, code, balanced.solutions,
-                                      chunk, scenario.failed_node);
+      const auto balanced = recovery::balance_multi(placement, censuses, 50);
+      plan = recovery::build_multi_car_plan(placement, code,
+                                            balanced.solutions, chunk,
+                                            scenario.failed_node);
     } else {
       util::Rng rr_rng(seed + 2);
-      const auto rr = recovery::plan_rr(placement, censuses, rr_rng);
-      plan = recovery::build_rr_plan(placement, code, rr, chunk,
-                                     scenario.failed_node);
+      const auto rr = recovery::plan_multi_rr(placement, censuses, rr_rng);
+      plan = recovery::build_multi_rr_plan(placement, code, rr, chunk,
+                                           scenario.failed_node);
     }
     if (window > 0) plan = recovery::schedule_windowed(plan, window);
     // --slice-kib > 0 lowers the plan onto a slice grid so cross-rack
@@ -645,7 +655,7 @@ int cmd_validate(const util::Flags& flags) {
       cluster::Placement::random(cfg.topology(), cfg.k, cfg.m, stripes, rng);
   const auto& topology = placement.topology();
   const auto scenario = cluster::inject_random_failure(placement, rng);
-  const auto censuses = recovery::build_censuses(placement, scenario);
+  const auto censuses = single_failure_censuses(placement, scenario);
   const auto replacement_rack = topology.rack_of(scenario.failed_node);
 
   struct Candidate {
@@ -657,23 +667,23 @@ int cmd_validate(const util::Flags& flags) {
   const bool all = strategy == "all";
 
   if (all || strategy == "car") {
-    const auto car = recovery::balance_greedy(placement, censuses, {50});
+    const auto car = recovery::balance_multi(placement, censuses, 50);
     candidates.push_back(
         {"car",
-         recovery::build_car_plan(placement, code, car.solutions, chunk,
-                                  scenario.failed_node),
+         recovery::build_multi_car_plan(placement, code, car.solutions, chunk,
+                                        scenario.failed_node),
          recovery::claimed_cross_rack_chunks(car.solutions,
                                              replacement_rack)});
   }
   if (all || strategy == "rr") {
     util::Rng rr_rng(seed + 1);
-    const auto rr = recovery::plan_rr(placement, censuses, rr_rng);
+    const auto rr = recovery::plan_multi_rr(placement, censuses, rr_rng);
     const auto summary =
-        recovery::rr_traffic(placement, rr, scenario.failed_rack);
+        recovery::multi_rr_traffic(placement, rr, scenario.failed_rack);
     candidates.push_back(
         {"rr",
-         recovery::build_rr_plan(placement, code, rr, chunk,
-                                 scenario.failed_node),
+         recovery::build_multi_rr_plan(placement, code, rr, chunk,
+                                       scenario.failed_node),
          summary.total_chunks()});
   }
   if (all || strategy == "weighted") {
@@ -685,8 +695,8 @@ int cmd_validate(const util::Flags& flags) {
         recovery::balance_weighted(placement, censuses, bandwidth);
     candidates.push_back(
         {"weighted",
-         recovery::build_car_plan(placement, code, weighted.solutions, chunk,
-                                  scenario.failed_node),
+         recovery::build_multi_car_plan(placement, code, weighted.solutions,
+                                        chunk, scenario.failed_node),
          recovery::claimed_cross_rack_chunks(weighted.solutions,
                                              replacement_rack)});
   }
@@ -1033,6 +1043,10 @@ constexpr std::string_view kNonNegativeFlags[] = {
     "window",    "slice-kib", "shards",    "sample",        "k",
     "m",         "num-racks", "rack-size", "batch-stripes", "concurrency"};
 
+/// Counts a subcommand cannot do without: zero runs average nothing and
+/// zero stripes leave no chunk to fail.
+constexpr std::string_view kNonZeroFlags[] = {"stripes", "runs"};
+
 /// `flags` plus the cluster-shape flags config_from reads.
 std::vector<std::string_view> with_cluster_flags(
     std::vector<std::string_view> flags) {
@@ -1100,7 +1114,7 @@ int main(int argc, char** argv) {
       usage();
       return 2;
     }
-    flags.check(name, command->flags, kNonNegativeFlags);
+    flags.check(name, command->flags, kNonNegativeFlags, kNonZeroFlags);
     return command->run(flags);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "carctl: %s\n", error.what());
