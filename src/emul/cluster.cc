@@ -1,9 +1,11 @@
 #include "emul/cluster.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <exception>
+#include <memory>
 #include <queue>
 #include <stdexcept>
 #include <string>
@@ -25,6 +27,7 @@ namespace car::emul {
 namespace {
 
 using recovery::BufferRef;
+using recovery::kMaxComputeInputs;
 using recovery::PlanStep;
 using recovery::SliceInfo;
 using recovery::SlicePlan;
@@ -292,10 +295,32 @@ ReplayTimeline replay_arena(const recovery::PlanArena& plan,
 }  // namespace
 
 struct Cluster::Impl {
+  /// A stored buffer.  Slots on different nodes (or under different keys)
+  /// may hold the same buffer: an arena transfer hands the destination the
+  /// source's buffer, and a publish hands the chunk key the step output's.
+  /// The deleter parks the capacity back in `pool` when the last holder
+  /// lets go.
+  using SharedChunk = std::shared_ptr<rs::Chunk>;
+
+  struct Slot {
+    SharedChunk buf;
+    /// Set once the buffer has been handed to another slot: it may be
+    /// shared, so a ranged write copies it first (copy-on-write).  Never
+    /// cleared while the slot keeps this buffer — a stale flag costs one
+    /// copy, never a write into another slot's bytes.
+    bool shared = false;
+  };
+
   struct NodeStore {
     mutable util::Mutex mu;
-    std::unordered_map<std::uint64_t, rs::Chunk> buffers CAR_GUARDED_BY(mu);
+    std::unordered_map<std::uint64_t, Slot> buffers CAR_GUARDED_BY(mu);
   };
+
+  // Pooled staging + store capacity: wire copies and compute scratch of the
+  // plan and inject executors, and every store buffer execution creates,
+  // come from here (see util/buffer_pool.h).  Declared before `stores`, so
+  // it outlives the last buffer whose deleter recycles into it.
+  util::BufferPool pool;
 
   EmulClock clock;
   std::vector<NodeStore> stores;
@@ -322,61 +347,132 @@ struct Cluster::Impl {
   std::uint64_t guard_generations CAR_GUARDED_BY(state_mu) = 0;
   std::atomic<std::uint64_t> drop_epoch{0};
 
-  // Pooled staging + store capacity: all wire copies, compute scratch, and
-  // store buffers created by execution come from here, so steady-state
-  // recovery allocates nothing per slice (see util/buffer_pool.h).
-  util::BufferPool pool;
+  /// Wrap `data` as a store buffer whose capacity returns to the pool when
+  /// its last holder lets go.
+  SharedChunk adopt(rs::Chunk data) {
+    return SharedChunk(new rs::Chunk(std::move(data)), [this](rs::Chunk* c) {
+      pool.recycle(std::move(*c));
+      delete c;
+    });
+  }
 
   const rs::Chunk* find(cluster::NodeId node, std::uint64_t key) const {
     const auto& store = stores[node];
     util::MutexLock lock(store.mu);
     const auto it = store.buffers.find(key);
-    return it == store.buffers.end() ? nullptr : &it->second;
+    return it == store.buffers.end() ? nullptr : it->second.buf.get();
+  }
+
+  /// The buffer at (node, key) for another slot to hold, or null when
+  /// absent.  Marks the slot shared, so a later ranged write into it copies
+  /// first.
+  SharedChunk share(cluster::NodeId node, std::uint64_t key) {
+    auto& store = stores[node];
+    util::MutexLock lock(store.mu);
+    const auto it = store.buffers.find(key);
+    if (it == store.buffers.end()) return nullptr;
+    it->second.shared = true;
+    return it->second.buf;
+  }
+
+  /// Install `buf` at (node, key), replacing any previous buffer; `shared`
+  /// says whether another slot holds it too.  The replaced buffer is let go
+  /// outside the store lock (its deleter may recycle it).
+  void install(cluster::NodeId node, std::uint64_t key, SharedChunk buf,
+               bool shared) {
+    auto& store = stores[node];
+    Slot replaced;
+    {
+      util::MutexLock lock(store.mu);
+      Slot& slot = store.buffers[key];
+      replaced = std::move(slot);
+      slot = Slot{std::move(buf), shared};
+    }
   }
 
   void put(cluster::NodeId node, std::uint64_t key, rs::Chunk data) {
-    auto& store = stores[node];
-    rs::Chunk evicted;
-    {
-      util::MutexLock lock(store.mu);
-      rs::Chunk& slot = store.buffers[key];
-      evicted = std::move(slot);
-      slot = std::move(data);
-    }
-    pool.recycle(std::move(evicted));  // replaced capacity goes back
+    install(node, key, adopt(std::move(data)), false);
   }
 
-  /// Ranged write: materialise the buffer at full_size (from the pool when
-  /// absent or mis-sized) and copy `data` into [offset, offset + size).
-  /// The store lock serialises writers of one buffer; distinct slices touch
+  /// Ranged write: make the slot's buffer private at full_size — drawn from
+  /// the pool when absent or too small, copied first when shared
+  /// (copy-on-write) — and copy `data` into [offset, offset + size).  The
+  /// store lock serialises writers of one buffer; distinct slices touch
   /// disjoint ranges, so the plan's slice coverage assembles the chunk
-  /// exactly.  Once a buffer is established at full_size it is never
-  /// re-materialised, so concurrent readers' pointers stay valid
-  /// (unordered_map references are stable); the arena payload shards rely
-  /// on this when one gathers inputs while another writes.
+  /// exactly.  A private buffer established at full_size is written in
+  /// place, so readers' pointers into it stay valid; a copy-on-write leaves
+  /// readers of the shared buffer on its old bytes.
   void write_range(cluster::NodeId node, std::uint64_t key,
                    std::uint64_t full_size, std::uint64_t offset,
                    std::span<const std::uint8_t> data) {
-    CAR_CHECK(offset + data.size() <= full_size,
-              "Cluster::write_buffer_range: slice range exceeds the buffer");
+    // Overflow-safe form of offset + data.size() <= full_size.
+    CAR_CHECK(offset <= full_size && data.size() <= full_size - offset,
+              "Cluster::write_buffer_range: slice range [" +
+                  std::to_string(offset) + ", +" +
+                  std::to_string(data.size()) + ") exceeds the " +
+                  std::to_string(full_size) + "-byte buffer");
     auto& store = stores[node];
-    rs::Chunk evicted;
+    SharedChunk released;
     {
       util::MutexLock lock(store.mu);
-      rs::Chunk& slot = store.buffers[key];
-      if (slot.size() != full_size) {
-        if (slot.capacity() >= full_size) {
-          slot.resize(full_size);
+      Slot& slot = store.buffers[key];
+      if (slot.buf == nullptr || slot.shared) {
+        SharedChunk fresh = adopt(pool.take(full_size));
+        if (slot.buf != nullptr) {
+          const std::size_t keep =
+              std::min<std::size_t>(slot.buf->size(), full_size);
+          if (keep > 0) std::memcpy(fresh->data(), slot.buf->data(), keep);
+        }
+        released = std::exchange(slot.buf, std::move(fresh));
+        slot.shared = false;
+      } else if (slot.buf->size() != full_size) {
+        if (slot.buf->capacity() >= full_size) {
+          slot.buf->resize(full_size);
         } else {
-          evicted = std::move(slot);
-          slot = pool.take(full_size);
+          released = std::exchange(slot.buf, adopt(pool.take(full_size)));
         }
       }
       if (!data.empty()) {
-        std::memcpy(slot.data() + offset, data.data(), data.size());
+        std::memcpy(slot.buf->data() + offset, data.data(), data.size());
       }
     }
-    pool.recycle(std::move(evicted));
+  }
+
+  /// Remove every slot of `node` whose key satisfies `pred`.  The removed
+  /// buffers are let go outside the store lock: one still held by another
+  /// slot stays alive there, the rest go back to the pool.
+  template <typename Pred>
+  void erase_slots(cluster::NodeId node, Pred pred) {
+    auto& store = stores[node];
+    std::vector<Slot> removed;
+    {
+      util::MutexLock lock(store.mu);
+      for (auto it = store.buffers.begin(); it != store.buffers.end();) {
+        if (pred(it->first)) {
+          removed.push_back(std::move(it->second));
+          it = store.buffers.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
+  }
+
+  /// Publish recovered chunks as regular chunk replicas on `node`: each
+  /// chunk key shares its producing step's (whole, assembled) output
+  /// buffer.  `wanted(stripe)` filters the outputs published.
+  template <typename Wanted>
+  void publish(cluster::NodeId node,
+               std::span<const recovery::RecoveryPlan::Output> outputs,
+               Wanted wanted, const char* who) {
+    for (const auto& out : outputs) {
+      if (!wanted(out.stripe)) continue;
+      SharedChunk buf = share(node, step_key(out.step_id));
+      CAR_CHECK_STATE(buf != nullptr,
+                      std::string(who) + ": recovered chunk missing");
+      install(node, chunk_key(out.stripe, out.chunk_index), std::move(buf),
+              true);
+    }
   }
 
   bool is_dropped(cluster::NodeId node) const {
@@ -479,15 +575,7 @@ void Cluster::erase_node(cluster::NodeId node) {
   if (node >= topology_.num_nodes()) {
     throw std::out_of_range("Cluster::erase_node: bad node id");
   }
-  auto& store = impl_->stores[node];
-  std::vector<rs::Chunk> evicted;
-  {
-    util::MutexLock lock(store.mu);
-    evicted.reserve(store.buffers.size());
-    for (auto& [key, buf] : store.buffers) evicted.push_back(std::move(buf));
-    store.buffers.clear();
-  }
-  for (auto& buf : evicted) impl_->pool.recycle(std::move(buf));
+  impl_->erase_slots(node, [](std::uint64_t) { return true; });
 }
 
 void Cluster::drop_node(cluster::NodeId node) {
@@ -558,17 +646,9 @@ std::vector<cluster::NodeId> Cluster::guarded_replacements() const {
 }
 
 void Cluster::clear_step_outputs() {
-  for (auto& store : impl_->stores) {
-    std::vector<rs::Chunk> evicted;
-    {
-      util::MutexLock lock(store.mu);
-      for (auto& [key, buf] : store.buffers) {
-        if ((key & kStepBit) != 0) evicted.push_back(std::move(buf));
-      }
-      std::erase_if(store.buffers,
-                    [](const auto& kv) { return (kv.first & kStepBit) != 0; });
-    }
-    for (auto& buf : evicted) impl_->pool.recycle(std::move(buf));
+  for (cluster::NodeId node = 0; node < impl_->stores.size(); ++node) {
+    impl_->erase_slots(
+        node, [](std::uint64_t key) { return (key & kStepBit) != 0; });
   }
 }
 
@@ -818,17 +898,10 @@ ExecutionReport Cluster::execute(const recovery::SlicePlan& plan) {
 
   // Publish recovered chunks as regular chunk replicas on the replacement.
   // Output ids are *base* step ids — all slices of the producing step have
-  // completed (the DAG drained), so the assembled buffer is whole.  The
-  // replica copy is drawn from the pool like every other buffer.
-  for (const auto& out : plan.outputs) {
-    const rs::Chunk* buf = impl_->find(plan.replacement, step_key(out.step_id));
-    CAR_CHECK_STATE(buf != nullptr,
-                    "Cluster::execute: recovered chunk missing");
-    rs::Chunk copy = impl_->pool.take(buf->size());
-    if (!buf->empty()) std::memcpy(copy.data(), buf->data(), buf->size());
-    impl_->put(plan.replacement, chunk_key(out.stripe, out.chunk_index),
-               std::move(copy));
-  }
+  // completed (the DAG drained), so the assembled buffer is whole.
+  impl_->publish(
+      plan.replacement, plan.outputs, [](cluster::StripeId) { return true; },
+      "Cluster::execute");
   return report;
 }
 
@@ -979,56 +1052,60 @@ ExecutionReport Cluster::execute_arena_impl(const recovery::PlanArena& plan,
             }
           }
           if (!is_real(plan.stripe(base))) continue;
+          // The destination shares the source's buffer: in-process nodes
+          // have one address space, so no byte moves.  Slices of a
+          // transfer carry disjoint ranges of these same bytes, so handing
+          // over the whole chunk is exactly what slice-wise movement
+          // composes to (the timing replay still reserves links slice by
+          // slice).
           const std::uint64_t key = key_of(plan.payload(base));
-          const rs::Chunk* src_buf = impl_->find(src, key);
-          CAR_CHECK_STATE(src_buf != nullptr,
+          Impl::SharedChunk payload = impl_->share(src, key);
+          CAR_CHECK_STATE(payload != nullptr,
                           "Cluster::execute_arena: transfer payload missing "
                           "on source node");
           CAR_CHECK_STATE(
-              src_buf->size() == chunk,
+              payload->size() == chunk,
               "Cluster::execute_arena: transfer size mismatch: plan "
               "declares " +
                   std::to_string(chunk) + " bytes but payload holds " +
-                  std::to_string(src_buf->size()));
-          // One whole-chunk staged copy: the slices of a transfer carry
-          // disjoint ranges of these same bytes, so slice-wise movement
-          // composes to exactly this (and the timing replay still reserves
-          // links slice by slice).
-          util::BufferLease wire =
-              impl_->pool.acquire(static_cast<std::size_t>(chunk));
-          std::memcpy(wire.data(), src_buf->data(),
-                      static_cast<std::size_t>(chunk));
-          impl_->write_range(dst, key, chunk, 0, {wire.data(), wire.size()});
+                  std::to_string(payload->size()));
+          if (src != dst) impl_->install(dst, key, std::move(payload), true);
         } else {
           const cluster::NodeId node = plan.node(base);
           check_alive_fast(node, "Cluster::execute_arena: compute node");
           if (!is_real(plan.stripe(base))) continue;
-          util::MutexLock cpu_lock(impl_->cpu[node]);
-          std::vector<const rs::Chunk*> inputs;
           const std::size_t n_in = plan.num_inputs(base);
-          inputs.reserve(n_in);
+          CAR_CHECK_STATE(n_in <= kMaxComputeInputs,
+                          "Cluster::execute_arena: compute arity exceeds the "
+                          "GF(2^8) bound");
+          std::array<const rs::Chunk*, kMaxComputeInputs> inputs{};
+          std::array<std::uint8_t, kMaxComputeInputs> coeffs{};
           for (std::size_t i = 0; i < n_in; ++i) {
-            const rs::Chunk* buf =
-                impl_->find(node, key_of(plan.input(base, i).buffer));
-            CAR_CHECK_STATE(buf != nullptr,
+            const recovery::ComputeInput in = plan.input(base, i);
+            inputs[i] = impl_->find(node, key_of(in.buffer));
+            CAR_CHECK_STATE(inputs[i] != nullptr,
                             "Cluster::execute_arena: compute input missing "
                             "on node");
-            inputs.push_back(buf);
+            coeffs[i] = in.coeff;
           }
-          for (std::uint64_t s = 0; s < num_slices; ++s) {
-            // Real-byte stripes are the sampled few, so materialising the
-            // sliced step here stays off the metadata hot path.
-            const PlanStep step = plan.step(plan.sliced_id(base, s));
-            util::BufferLease out = impl_->pool.acquire(
-                static_cast<std::size_t>(plan.slice_length(s)));
-            recovery::execute_compute_slice(step, inputs, chunk,
-                                            plan.slice_offset(s),
-                                            {out.data(), out.size()},
-                                            "Cluster::execute_arena");
-            impl_->write_range(node, step_key(base), chunk,
-                               plan.slice_offset(s),
-                               {out.data(), out.size()});
+          // One store buffer per compute step, private to this shard until
+          // installed: every slice writes its range in place (it cannot
+          // alias an input), then the whole output enters the store.
+          Impl::SharedChunk out =
+              impl_->adopt(impl_->pool.take(static_cast<std::size_t>(chunk)));
+          {
+            util::MutexLock cpu_lock(impl_->cpu[node]);
+            for (std::uint64_t s = 0; s < num_slices; ++s) {
+              recovery::execute_compute_slice(
+                  {coeffs.data(), n_in}, plan.step_bytes(base, s),
+                  {inputs.data(), n_in}, chunk, plan.slice_offset(s),
+                  std::span<std::uint8_t>(*out).subspan(
+                      static_cast<std::size_t>(plan.slice_offset(s)),
+                      static_cast<std::size_t>(plan.slice_length(s))),
+                  "Cluster::execute_arena");
+            }
           }
+          impl_->install(node, step_key(base), std::move(out), false);
         }
       }
     } catch (...) {
@@ -1093,17 +1170,8 @@ ExecutionReport Cluster::execute_arena_impl(const recovery::PlanArena& plan,
   // Stage 5 — publish recovered chunks for every stripe that actually
   // carries bytes; metadata-only stripes have nothing to publish (their
   // recovery is accounted, not materialised).
-  for (const auto& out : plan.outputs()) {
-    if (!is_real(out.stripe)) continue;
-    const rs::Chunk* buf =
-        impl_->find(plan.replacement(), step_key(out.step_id));
-    CAR_CHECK_STATE(buf != nullptr,
-                    "Cluster::execute_arena: recovered chunk missing");
-    rs::Chunk copy = impl_->pool.take(buf->size());
-    if (!buf->empty()) std::memcpy(copy.data(), buf->data(), buf->size());
-    impl_->put(plan.replacement(), chunk_key(out.stripe, out.chunk_index),
-               std::move(copy));
-  }
+  impl_->publish(plan.replacement(), plan.outputs(), is_real,
+                 "Cluster::execute_arena");
   return report;
 }
 

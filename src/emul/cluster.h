@@ -17,6 +17,16 @@
 // touches it fails, and an execute() in flight aborts.  drop_node is how
 // the fault-injection runtime (src/inject) models a second node dying
 // mid-recovery before escalating to the recovery/multi re-plan.
+//
+// Buffer ownership: the nodes share one address space, so stored buffers
+// are reference-counted and may be held by several (node, key) slots at
+// once.  Transfers share, computes allocate: an execute_arena transfer
+// hands the destination the source's buffer (no byte moves), a compute
+// writes a freshly taken pool buffer, and a published recovered chunk
+// shares its step-output buffer.  A shared buffer is immutable: a ranged
+// write into a slot holding one copies it first (copy-on-write), so no
+// write through one slot is visible through another.  Capacity goes back
+// to the buffer pool when the last slot holding a buffer lets it go.
 #pragma once
 
 #include <atomic>
@@ -184,6 +194,15 @@ class Cluster {
   /// Fetch a chunk stored on a node, or nullptr when absent.  Throws
   /// std::out_of_range for ids outside the buffer-key range (see
   /// store_chunk).
+  ///
+  /// Pointer lifetime (all find_*): the pointer stays valid while any slot
+  /// still holds the buffer — it may be shared, so erasing or overwriting
+  /// this slot alone does not free it, but the caller must not rely on
+  /// that.  It is invalidated once every holder has let go (erase_node,
+  /// drop_node, clear_step_outputs, a store/put over the key), and after a
+  /// copy-on-write ranged write into this slot it still points at the old,
+  /// unchanged bytes when another slot holds them.  Re-find after any
+  /// mutation of the key.
   [[nodiscard]] const rs::Chunk* find_chunk(cluster::NodeId node,
                                             cluster::StripeId stripe,
                                             std::size_t chunk_index) const;
@@ -201,26 +220,32 @@ class Cluster {
                   rs::Chunk data);
 
   /// Ranged buffer write for slice-level execution: ensure the buffer at
-  /// `ref` on `node` holds exactly `full_size` bytes (materialised from the
-  /// buffer pool when absent or mis-sized) and copy `data` into
-  /// [offset, offset + data.size()).  Slice writers of one buffer serialise
-  /// on the node's store lock; distinct slices touch disjoint ranges, so a
-  /// plan whose slices cover the chunk assembles it exactly.  Throws
-  /// std::out_of_range for a bad node id, util::StateError when the node
-  /// has been dropped, and util::CheckError when the range exceeds
-  /// full_size.
+  /// `ref` on `node` is private to that slot and holds exactly `full_size`
+  /// bytes — materialised from the buffer pool when absent or too small,
+  /// copied first when shared with another slot (copy-on-write; the other
+  /// holders keep their bytes) — and copy `data` into
+  /// [offset, offset + data.size()).  A private buffer is written in place.
+  /// Slice writers of one buffer serialise on the node's store lock;
+  /// distinct slices touch disjoint ranges, so a plan whose slices cover
+  /// the chunk assembles it exactly.  Throws std::out_of_range for a bad
+  /// node id, util::StateError when the node has been dropped, and
+  /// util::CheckError when [offset, offset + data.size()) does not lie
+  /// inside [0, full_size) (checked without overflow).
   void write_buffer_range(cluster::NodeId node, const recovery::BufferRef& ref,
                           std::uint64_t full_size, std::uint64_t offset,
                           std::span<const std::uint8_t> data);
 
-  /// The buffer pool backing all transfer/compute staging and store
-  /// buffers created by execution (see util/buffer_pool.h).  Exposed so
-  /// external runtimes (src/inject) stage through the same pool and tests
-  /// can assert the staging high-water mark.
+  /// The buffer pool backing transfer/compute staging of execute() and
+  /// external runtimes, and every store buffer execution creates (see
+  /// util/buffer_pool.h).  execute_arena stages nothing: it takes one store
+  /// buffer per real-byte compute step.  Exposed so external runtimes
+  /// (src/inject) stage through the same pool and tests can assert its
+  /// accounting.
   [[nodiscard]] util::BufferPool& buffer_pool() noexcept;
 
   /// Drop every buffer a node holds (single node failure).  The node slot
-  /// stays usable — the replacement machine takes over its id.
+  /// stays usable — the replacement machine takes over its id.  Buffers
+  /// other nodes share stay intact there.
   void erase_node(cluster::NodeId node);
 
   /// Permanently fail a node: wipe its buffers and mark it dead for the
@@ -307,12 +332,13 @@ class Cluster {
   /// bit-identical across runs.  A plan that fails in the payload pass
   /// reserves no link time and leaves the clock where it was.  After
   /// success the recovered chunks are stored on the replacement node both
-  /// as step outputs and as regular chunks.  Throws std::runtime_error when
-  /// a referenced buffer is missing, a transfer's declared size disagrees
-  /// with the stored payload, a step touches a dropped node, or a node is
-  /// dropped mid-execution (abort), and util::CheckError
-  /// (std::invalid_argument) when a step names a node outside the topology
-  /// or the DAG is malformed (unknown dependency or cycle).  Internally
+  /// as step outputs and as regular chunks (one shared buffer each).
+  /// Throws std::runtime_error when a referenced buffer is missing, a
+  /// transfer's declared size disagrees with the stored payload, a step
+  /// touches a dropped node, or a node is dropped mid-execution (abort),
+  /// and util::CheckError (std::invalid_argument) when a step names a node
+  /// outside the topology or the DAG is malformed (unknown dependency or
+  /// cycle).  Internally
   /// lowers the plan onto a degenerate one-slice-per-step grid and runs the
   /// sliced core below — the identical computation, byte for byte.
   ExecutionReport execute(const recovery::RecoveryPlan& plan);
@@ -329,8 +355,12 @@ class Cluster {
   /// materialising per-slice step objects.  Two passes:
   ///
   ///   1. payload movement — base steps partitioned stripe % shards across
-  ///      concurrent workers; real bytes move (and real GF kernels run)
-  ///      only for stripes the options mark real, byte accounting always;
+  ///      concurrent workers; payloads move (and real GF kernels run) only
+  ///      for stripes the options mark real, byte accounting always.  A
+  ///      transfer shares the source's buffer into the destination's slot;
+  ///      a compute writes every slice in place into one freshly taken
+  ///      output buffer; the published recovered chunk shares the output
+  ///      buffer.  No staging lease is taken;
   ///   2. a sequential deterministic timing replay over the sliced id grid
   ///      on the calling thread — the identical (start time, id) walk
   ///      execute() uses, drained from one calendar queue, so for the same

@@ -3,18 +3,20 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <string>
 
 #include "gf/region.h"
 #include "util/check.h"
 
 namespace car::recovery {
 
-void execute_compute_slice(const PlanStep& step,
+void execute_compute_slice(std::span<const std::uint8_t> coeffs,
+                           std::uint64_t step_bytes,
                            std::span<const rs::Chunk* const> inputs,
                            std::uint64_t chunk_size, std::uint64_t offset,
                            std::span<std::uint8_t> out,
                            const std::string& context) {
-  CAR_CHECK_STATE(inputs.size() == step.inputs.size(),
+  CAR_CHECK_STATE(inputs.size() == coeffs.size(),
                   context + ": gathered inputs do not match step arity");
   CAR_CHECK_STATE(!inputs.empty(), context + ": compute with no inputs");
   for (const rs::Chunk* buf : inputs) {
@@ -27,43 +29,43 @@ void execute_compute_slice(const PlanStep& step,
     CAR_CHECK_STATE(buf->size() == chunk_size,
                     context + ": compute input size mismatch");
   }
-  CAR_CHECK_STATE(offset + out.size() <= chunk_size,
-                  context + ": compute slice range exceeds the chunk");
+  // Overflow-safe form of offset + out.size() <= chunk_size.
+  CAR_CHECK_STATE(offset <= chunk_size && out.size() <= chunk_size - offset,
+                  context + ": compute slice range [" +
+                      std::to_string(offset) + ", +" +
+                      std::to_string(out.size()) + ") exceeds the " +
+                      std::to_string(chunk_size) + "-byte chunk");
   CAR_CHECK_STATE(
-      step.bytes == static_cast<std::uint64_t>(out.size()) * inputs.size(),
+      step_bytes == static_cast<std::uint64_t>(out.size()) * inputs.size(),
       context + ": compute bytes do not equal inputs * slice size");
   CAR_CHECK_STATE(inputs.size() <= kMaxComputeInputs,
                   context + ": compute arity exceeds the GF(2^8) bound");
 
-  // Stack scratch, not vectors: this runs once per slice, and kMaxComputeInputs
-  // bounds the arity (checked above), so the hot path allocates nothing.
-  std::array<std::uint8_t, kMaxComputeInputs> coeffs;
+  // Stack scratch, not a vector: this runs once per slice, and
+  // kMaxComputeInputs bounds the arity (checked above), so the hot path
+  // allocates nothing.
   std::array<rs::ChunkView, kMaxComputeInputs> views;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    coeffs[i] = step.inputs[i].coeff;
     views[i] = rs::ChunkView(*inputs[i]).subspan(
         static_cast<std::size_t>(offset), out.size());
   }
   std::fill(out.begin(), out.end(), std::uint8_t{0});
-  gf::linear_combine_acc({coeffs.data(), inputs.size()},
-                         {views.data(), inputs.size()}, out);
+  gf::linear_combine_acc(coeffs, {views.data(), inputs.size()}, out);
 }
 
-rs::Chunk execute_compute_step(const PlanStep& step,
-                               std::span<const rs::Chunk* const> inputs,
-                               const std::string& context) {
-  CAR_CHECK_STATE(inputs.size() == step.inputs.size(),
-                  context + ": gathered inputs do not match step arity");
-  CAR_CHECK_STATE(!inputs.empty(), context + ": compute with no inputs");
-  CAR_CHECK_STATE(inputs.front() != nullptr,
-                  context + ": compute input missing");
-  // The chunk size is inferred from the first input; the slice variant then
-  // enforces that every input matches it (degenerate single-slice call
-  // covering the whole chunk).
-  const std::size_t chunk_bytes = inputs.front()->size();
-  rs::Chunk out(chunk_bytes, 0);
-  execute_compute_slice(step, inputs, chunk_bytes, 0, out, context);
-  return out;
+void execute_compute_slice(const PlanStep& step,
+                           std::span<const rs::Chunk* const> inputs,
+                           std::uint64_t chunk_size, std::uint64_t offset,
+                           std::span<std::uint8_t> out,
+                           const std::string& context) {
+  CAR_CHECK_STATE(step.inputs.size() <= kMaxComputeInputs,
+                  context + ": compute arity exceeds the GF(2^8) bound");
+  std::array<std::uint8_t, kMaxComputeInputs> coeffs{};
+  for (std::size_t i = 0; i < step.inputs.size(); ++i) {
+    coeffs[i] = step.inputs[i].coeff;
+  }
+  execute_compute_slice({coeffs.data(), step.inputs.size()}, step.bytes,
+                        inputs, chunk_size, offset, out, context);
 }
 
 }  // namespace car::recovery

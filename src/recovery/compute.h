@@ -8,6 +8,7 @@
 // GF(2^8) combination sum_i coeff_i * input_i.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 
@@ -23,27 +24,33 @@ namespace car::recovery {
 /// execute_compute_slice so the per-slice hot path never allocates.
 inline constexpr std::size_t kMaxComputeInputs = 256;
 
-/// Evaluates compute step `step` over `inputs` (one non-null buffer per
-/// step.inputs entry, in the same order) and returns the combined chunk.
-/// Throws util::StateError on any contract violation; `context` prefixes the
-/// failure messages so callers keep their own error voice ("Cluster::execute",
-/// "inject", ...).
-[[nodiscard]] rs::Chunk execute_compute_step(
-    const PlanStep& step, std::span<const rs::Chunk* const> inputs,
-    const std::string& context);
-
-/// Slice-granular variant (recovery/slice.h): evaluates `step`'s linear
-/// combination over bytes [offset, offset + out.size()) of each full-chunk
-/// input, writing the result into `out`.  `step` is the *sliced* step, so
-/// its declared bytes must equal out.size() * |inputs|; every input buffer
-/// must hold a full chunk of `chunk_size` bytes.  `out` must not alias any
-/// input (the kernels' linear_combine contract) — executors stage it
-/// through a pool lease.  Throws util::StateError on contract violations.
-CAR_HOT void execute_compute_slice(const PlanStep& step,
+/// Slice-granular core (recovery/slice.h): evaluates the linear combination
+/// sum_i coeffs[i] * inputs[i] over bytes [offset, offset + out.size()) of
+/// each full-chunk input, writing the result into `out`.  `step_bytes` is
+/// the *sliced* step's declared compute volume, so it must equal
+/// out.size() * |inputs|; `coeffs` holds one coefficient per input; every
+/// input buffer must hold a full chunk of `chunk_size` bytes.  The values
+/// come straight from the caller's plan representation, so the arena
+/// executor never materialises a PlanStep.  `out` must not alias any input
+/// (the kernels' linear_combine contract): the arena writes into a fresh
+/// step-output buffer, the other executors stage through a pool lease.
+/// Throws util::StateError on contract violations; `context` prefixes the
+/// failure messages so callers keep their own error voice
+/// ("Cluster::execute", "BatchDriver", ...).
+CAR_HOT void execute_compute_slice(std::span<const std::uint8_t> coeffs,
+                                   std::uint64_t step_bytes,
                                    std::span<const rs::Chunk* const> inputs,
                                    std::uint64_t chunk_size,
                                    std::uint64_t offset,
                                    std::span<std::uint8_t> out,
                                    const std::string& context);
+
+/// The same over a materialised sliced PlanStep: its input coefficients and
+/// declared bytes feed the core above.
+void execute_compute_slice(const PlanStep& step,
+                           std::span<const rs::Chunk* const> inputs,
+                           std::uint64_t chunk_size, std::uint64_t offset,
+                           std::span<std::uint8_t> out,
+                           const std::string& context);
 
 }  // namespace car::recovery

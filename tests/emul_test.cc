@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "cluster/configs.h"
 #include "cluster/failure.h"
 #include "emul/link.h"
+#include "recovery/compute.h"
 #include "recovery/multi.h"
 #include "recovery/scheduler.h"
 #include "util/check.h"
@@ -595,6 +598,47 @@ TEST(Cluster, ClearStepOutputsKeepsChunks) {
   cluster.clear_step_outputs();
   EXPECT_EQ(cluster.find_step_output(0, 5), nullptr);
   ASSERT_NE(cluster.find_chunk(0, 3, 1), nullptr);
+}
+
+TEST(EmulCluster, WriteBufferRangeRejectsWrappingOffset) {
+  Cluster cluster(Topology({2, 2}), fast_config());
+  const auto ref = recovery::BufferRef::chunk(0, 0);
+  cluster.store_chunk(0, 0, 0, rs::Chunk(64, 1));
+  const std::vector<std::uint8_t> data(16, 0xAB);
+  // offset + size wraps to 8, which a naive sum check would accept.
+  EXPECT_THROW(cluster.write_buffer_range(0, ref, 64,
+                                          UINT64_MAX - 7, data),
+               util::CheckError);
+  EXPECT_THROW(cluster.write_buffer_range(0, ref, 64, 65, {}),
+               util::CheckError);
+  EXPECT_THROW(cluster.write_buffer_range(0, ref, 64, 49, data),
+               util::CheckError);
+  try {
+    cluster.write_buffer_range(0, ref, 64, 60, data);
+    ADD_FAILURE() << "range past the buffer accepted";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("[60, +16)"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(*cluster.find_chunk(0, 0, 0), rs::Chunk(64, 1));
+  // The exact fit at the end is in range.
+  cluster.write_buffer_range(0, ref, 64, 48, data);
+  const rs::Chunk& stored = *cluster.find_chunk(0, 0, 0);
+  EXPECT_EQ(stored[47], 1);
+  EXPECT_EQ(stored[48], 0xAB);
+  EXPECT_EQ(stored[63], 0xAB);
+}
+
+TEST(ComputeSlice, RejectsWrappingOffset) {
+  const rs::Chunk a(64, 3);
+  const rs::Chunk* inputs[] = {&a};
+  const std::uint8_t coeffs[] = {1};
+  std::vector<std::uint8_t> out(16);
+  EXPECT_THROW(recovery::execute_compute_slice(coeffs, 16, inputs, 64,
+                                               UINT64_MAX - 7, out, "test"),
+               util::StateError);
+  recovery::execute_compute_slice(coeffs, 16, inputs, 64, 48, out, "test");
+  EXPECT_EQ(out, std::vector<std::uint8_t>(16, 3));
 }
 
 }  // namespace

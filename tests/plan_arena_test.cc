@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <set>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/configs.h"
@@ -20,6 +22,7 @@
 #include "recovery/plan_arena.h"
 #include "recovery/scheduler.h"
 #include "recovery/slice.h"
+#include "util/buffer_pool.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -316,6 +319,144 @@ TEST(ExecuteArena, MetadataModeKeepsTheExactTimelineAndVerifiesSamples) {
     // bit-exactly inside run_fixture (recovered only holds sampled ones).
     EXPECT_EQ(metadata.recovered.size(), sampled.size());
   }
+}
+
+// --- buffer sharing: transfers share, computes allocate -------------------
+
+/// Populate every stripe of the fixture with seeded bytes and erase the
+/// failed node, ready for a real-byte arena run.
+std::unordered_map<cluster::StripeId, std::vector<rs::Chunk>> populate_all(
+    Cluster& cluster, const Fixture& fx) {
+  std::vector<cluster::StripeId> all(fx.placement.num_stripes());
+  std::iota(all.begin(), all.end(), cluster::StripeId{0});
+  auto originals = cluster.populate_sampled(fx.placement, fx.code,
+                                            fx.plan.chunk_size, 99, all);
+  cluster.erase_node(fx.failure.failed_node);
+  return originals;
+}
+
+TEST(ExecuteArenaSharing, ErasingASourceLeavesEveryReceiverIntact) {
+  const auto fx = make_fixture(1, 505, kOddChunk, /*window=*/0,
+                               /*stripes=*/12);
+  Cluster cluster(fx.placement.topology(), virtual_config());
+  const auto originals = populate_all(cluster, fx);
+  ArenaExecOptions options;
+  options.shards = 2;
+  (void)cluster.execute_arena(PlanArena::build(fx.plan, 16 * 1024), options);
+
+  std::set<cluster::NodeId> erased;
+  std::size_t checked = 0;
+  for (const auto& step : fx.plan.steps) {
+    if (step.kind != recovery::StepKind::kTransfer || step.src == step.dst ||
+        erased.contains(step.dst)) {
+      continue;
+    }
+    const rs::Chunk* received = cluster.find_buffer(step.dst, step.payload);
+    ASSERT_NE(received, nullptr) << "step " << step.id;
+    const rs::Chunk before = *received;
+    cluster.erase_node(step.src);
+    erased.insert(step.src);
+    EXPECT_EQ(cluster.find_buffer(step.src, step.payload), nullptr);
+    received = cluster.find_buffer(step.dst, step.payload);
+    ASSERT_NE(received, nullptr) << "step " << step.id;
+    EXPECT_EQ(*received, before) << "step " << step.id;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
+  ASSERT_FALSE(erased.contains(fx.failure.failed_node));
+  for (const auto& out : fx.plan.outputs) {
+    const auto* rec = cluster.find_chunk(fx.failure.failed_node, out.stripe,
+                                         out.chunk_index);
+    ASSERT_NE(rec, nullptr) << "stripe " << out.stripe;
+    EXPECT_EQ(*rec, originals.at(out.stripe)[out.chunk_index]);
+  }
+}
+
+TEST(ExecuteArenaSharing, WritingASharedBufferCopiesItFirst) {
+  const auto fx = make_fixture(0, 606, kOddChunk);
+  Cluster cluster(fx.placement.topology(), virtual_config());
+  const auto originals = populate_all(cluster, fx);
+  (void)cluster.execute_arena(PlanArena::build(fx.plan, 16 * 1024));
+
+  const auto transfer = std::find_if(
+      fx.plan.steps.begin(), fx.plan.steps.end(), [](const auto& step) {
+        return step.kind == recovery::StepKind::kTransfer &&
+               step.src != step.dst;
+      });
+  ASSERT_NE(transfer, fx.plan.steps.end());
+  const rs::Chunk* source = cluster.find_buffer(transfer->src,
+                                                transfer->payload);
+  ASSERT_NE(source, nullptr);
+  // The receiver holds the source's very buffer ...
+  EXPECT_EQ(cluster.find_buffer(transfer->dst, transfer->payload), source);
+  const rs::Chunk source_bytes = *source;
+
+  // ... until it writes: then it gets its own copy, and the source keeps
+  // its bytes.
+  const std::vector<std::uint8_t> patch(16, 0x5A);
+  cluster.write_buffer_range(transfer->dst, transfer->payload, kOddChunk, 8,
+                             patch);
+  const rs::Chunk* written = cluster.find_buffer(transfer->dst,
+                                                 transfer->payload);
+  ASSERT_NE(written, nullptr);
+  EXPECT_NE(written, cluster.find_buffer(transfer->src, transfer->payload));
+  EXPECT_EQ(*cluster.find_buffer(transfer->src, transfer->payload),
+            source_bytes);
+  rs::Chunk expected = source_bytes;
+  std::copy(patch.begin(), patch.end(), expected.begin() + 8);
+  EXPECT_EQ(*written, expected);
+
+  // A published replica shares its step output the same way.
+  const cluster::NodeId replacement = fx.plan.replacement;
+  const auto& out = fx.plan.outputs.front();
+  const rs::Chunk* replica =
+      cluster.find_chunk(replacement, out.stripe, out.chunk_index);
+  ASSERT_NE(replica, nullptr);
+  EXPECT_EQ(cluster.find_step_output(replacement, out.step_id), replica);
+  cluster.write_buffer_range(replacement,
+                             recovery::BufferRef::step(out.step_id),
+                             kOddChunk, 0, patch);
+  cluster.clear_step_outputs();
+  replica = cluster.find_chunk(replacement, out.stripe, out.chunk_index);
+  ASSERT_NE(replica, nullptr);
+  EXPECT_EQ(*replica, originals.at(out.stripe)[out.chunk_index]);
+}
+
+TEST(ExecuteArenaSharing, RunStagesNothingAndTakesOneBufferPerCompute) {
+  const auto fx = make_fixture(2, 707, kOddChunk, /*window=*/0,
+                               /*stripes=*/10);
+  Cluster cluster(fx.placement.topology(), virtual_config());
+  (void)populate_all(cluster, fx);
+  util::BufferPool& pool = cluster.buffer_pool();
+  const auto before = pool.stats();
+
+  ArenaExecOptions options;
+  options.shards = 2;
+  (void)cluster.execute_arena(PlanArena::build(fx.plan, 16 * 1024), options);
+  const auto after = pool.stats();
+  const auto computes = static_cast<std::size_t>(std::count_if(
+      fx.plan.steps.begin(), fx.plan.steps.end(), [](const auto& step) {
+        return step.kind == recovery::StepKind::kCompute;
+      }));
+  ASSERT_GT(computes, 0u);
+  EXPECT_EQ(after.acquires, before.acquires);  // no staging lease
+  EXPECT_EQ(after.takes - before.takes, computes);
+  EXPECT_EQ(after.taken_outstanding_bytes - before.taken_outstanding_bytes,
+            computes * util::BufferPool::class_bytes(kOddChunk));
+
+  // Every live buffer goes back exactly once: the populated chunks the
+  // failure left, plus one output per compute.  A double recycle would
+  // count more, a leaked reference fewer.
+  const std::size_t stored = fx.placement.num_stripes() *
+                                 (fx.code.k() + fx.code.m()) -
+                             fx.failure.lost.size();
+  const auto& topo = fx.placement.topology();
+  for (cluster::NodeId n = 0; n < topo.num_nodes(); ++n) {
+    cluster.erase_node(n);
+  }
+  const auto end = pool.stats();
+  EXPECT_EQ(end.recycles - after.recycles, stored + computes);
+  EXPECT_EQ(end.taken_outstanding_bytes, before.taken_outstanding_bytes);
 }
 
 // --- 100k-stripe smoke: the scale path end to end -------------------------
