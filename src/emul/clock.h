@@ -9,11 +9,9 @@
 //
 // The clock is shared by every link and step of one emul::Cluster and
 // persists across execute() calls, so back-to-back plans on one cluster see
-// a continuous timeline.
+// a continuous timeline.  Like the cluster's link table it takes no lock:
+// every timing pass that reads or advances it runs on one thread.
 #pragma once
-
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace car::emul {
 
@@ -24,14 +22,15 @@ enum class ClockMode { kVirtual };
 class EmulClock {
  public:
   /// Current position of the timeline, in seconds.
-  [[nodiscard]] double now() const CAR_EXCLUDES(mu_);
+  [[nodiscard]] double now() const noexcept { return now_; }
 
   /// Raise the timeline to at least `t`.  Times in the past are a no-op.
-  void advance_to(double t) CAR_EXCLUDES(mu_);
+  void advance_to(double t) noexcept {
+    if (t > now_) now_ = t;
+  }
 
  private:
-  mutable util::Mutex mu_;
-  double now_ CAR_GUARDED_BY(mu_) = 0.0;
+  double now_ = 0.0;
 };
 
 }  // namespace car::emul

@@ -87,6 +87,16 @@ void check_step_in_topology(const char* who, std::uint64_t step,
   }
 }
 
+/// Id of entry `index` of the `count` links laid out from `first` in the
+/// link table (see Cluster::links); std::out_of_range when index >= count.
+LinkId link_id(std::size_t first, std::size_t index, std::size_t count,
+               const char* who) {
+  if (index >= count) {
+    throw std::out_of_range(std::string("Cluster::") + who + ": bad id");
+  }
+  return static_cast<LinkId>(first + index);
+}
+
 /// check_step_in_topology for one arena row.
 void check_row_in_topology(const recovery::PlanArena& plan,
                            std::uint64_t base, std::size_t num_nodes) {
@@ -138,18 +148,6 @@ std::vector<std::size_t> topological_order(
 
 // ---- Arena timing replay -------------------------------------------------
 
-/// What the arena replay reserves and charges: the cluster's per-node and
-/// per-rack links (indexed by node / rack id) and its timing constants.
-struct ReplayFabric {
-  const cluster::Topology& topology;
-  const std::vector<std::unique_ptr<SerialLink>>& node_up;
-  const std::vector<std::unique_ptr<SerialLink>>& node_down;
-  const std::vector<std::unique_ptr<SerialLink>>& rack_up;
-  const std::vector<std::unique_ptr<SerialLink>>& rack_down;
-  std::uint64_t page_bytes;
-  double virtual_gf_bps;
-};
-
 /// The replayed timeline: latest finish and modelled compute time.
 struct ReplayTimeline {
   double end = 0.0;
@@ -159,8 +157,13 @@ struct ReplayTimeline {
 
 /// The arena's deterministic timing replay over the sliced id grid: the
 /// identical (start time, id) min-queue walk execute() runs, driven from the
-/// columns instead of materialised steps, as one sequential drain of one
-/// calendar queue on the calling thread.
+/// columns instead of materialised steps, as one sequential drain on the
+/// calling thread.  Zero-indegree events all start at t_start and are
+/// ingested in ascending id order, so they form a sorted stream of their
+/// own: they wait in a FIFO beside one calendar queue that holds every
+/// other event, and the drain merges the two by (time, id).  (A FIFO pops
+/// them without heap work; a 1M-stripe full-rack recovery has ~520k of
+/// them, 45-85 % of its events.)
 ///
 /// The pop stream is lexicographically monotone in (time, id): every
 /// dependent pushed while processing event (t, id) has start >= finish >= t
@@ -174,62 +177,33 @@ struct ReplayTimeline {
 /// the watermark cap (t_start, published * num_slices): rows publish in
 /// base-id order, so every event of an unpublished row sorts at or after
 /// that key.  A streamed replay gives up early once `failed` is set.
+/// Transfers reserve the links of cluster.path(src, dst), like every other
+/// timing pass; computes are charged bytes / virtual_gf_bps.
 ReplayTimeline replay_arena(const recovery::PlanArena& plan,
-                            const ArenaStreamFeed* feed,
-                            const ReplayFabric& fabric, double t_start,
-                            const std::atomic<bool>& failed) {
+                            const ArenaStreamFeed* feed, Cluster& cluster,
+                            double t_start, const std::atomic<bool>& failed) {
   const std::uint64_t n_base = plan.num_base_steps();
   const std::uint64_t num_slices = plan.num_slices();
   const std::uint64_t n_sliced = plan.num_sliced_steps();
-  const std::size_t num_nodes = fabric.topology.num_nodes();
+  const std::size_t num_nodes = cluster.topology().num_nodes();
+  const std::uint64_t page_bytes = cluster.config().page_bytes;
+  const double virtual_gf_bps = cluster.config().virtual_gf_bps;
   std::vector<std::uint32_t> pending(n_sliced, 0);
   std::vector<double> start_at(n_sliced, t_start);
   CalendarQueue queue(static_cast<std::size_t>(n_sliced));
   ReplayTimeline timeline{t_start};
-
-  // Commit one transfer's link reservations.  Resolves the hop list on the
-  // stack (the same links Cluster::path returns, without the per-event
-  // vector) and reserves each hop's pages under a single lock acquisition:
-  // per hop, the page sequence is exactly what the page-major
-  // LinkPath::reserve loop would commit — hop states are mutually
-  // independent, so reordering pages ACROSS hops cannot change any hop's
-  // arithmetic — and the max of per-hop finishes equals the max over all
-  // (hop, page) reservations because each hop's finishes are monotone.
-  // Bit-identical, 4 lock round-trips instead of 4 * ceil(bytes / page).
-  auto reserve_transfer = [&](std::uint64_t base, std::uint64_t slice,
-                              double at) -> double {
-    const cluster::NodeId src = plan.src(base);
-    const cluster::NodeId dst = plan.dst(base);
-    SerialLink* hops[LinkPath::kMaxHops];
-    std::size_t n_hops = 0;
-    hops[n_hops++] = fabric.node_up[src].get();
-    const auto src_rack = fabric.topology.rack_of(src);
-    const auto dst_rack = fabric.topology.rack_of(dst);
-    if (src_rack != dst_rack) {
-      hops[n_hops++] = fabric.rack_up[src_rack].get();
-      hops[n_hops++] = fabric.rack_down[dst_rack].get();
-    }
-    hops[n_hops++] = fabric.node_down[dst].get();
-    const std::uint64_t bytes = plan.step_bytes(base, slice);
-    double finish = at;
-    for (std::size_t h = 0; h < n_hops; ++h) {
-      finish = std::max(finish,
-                        hops[h]->reserve_pages(at, bytes, fabric.page_bytes));
-    }
-    return finish;
-  };
 
   auto process_event = [&](const CalendarQueue::Entry& event) {
     const std::uint64_t base = event.key / num_slices;
     const std::uint64_t slice = event.key % num_slices;
     double finish = event.time;
     if (plan.kind(base) == StepKind::kTransfer) {
-      if (plan.src(base) != plan.dst(base)) {
-        finish = reserve_transfer(base, slice, event.time);
-      }
+      finish = cluster.path(plan.src(base), plan.dst(base))
+                   .reserve(event.time, plan.step_bytes(base, slice),
+                            page_bytes);
     } else {
       const double dt = static_cast<double>(plan.step_bytes(base, slice)) /
-                        fabric.virtual_gf_bps;
+                        virtual_gf_bps;
       finish = event.time + dt;
       timeline.compute_s += dt;
       if (plan.node(base) == plan.replacement()) {
@@ -245,6 +219,8 @@ ReplayTimeline replay_arena(const recovery::PlanArena& plan,
   };
 
   std::uint64_t ingested = 0;
+  std::vector<std::uint64_t> seeds;  // zero-indegree ids at t_start, FIFO
+  std::size_t next_seed = 0;
   CalendarQueue::Entry drained{t_start, 0};
   std::size_t idle = 0;
   for (;;) {
@@ -259,8 +235,8 @@ ReplayTimeline replay_arena(const recovery::PlanArena& plan,
                       "Cluster::execute_arena_streaming: producer closed "
                       "before publishing every base step");
     }
-    // Ingest published rows: seed their pending counters and their
-    // zero-indegree events.
+    // Ingest published rows: their pending counters and their zero-indegree
+    // events.
     for (; ingested < progress; ++ingested) {
       check_row_in_topology(plan, ingested, num_nodes);
       const auto degree =
@@ -268,19 +244,34 @@ ReplayTimeline replay_arena(const recovery::PlanArena& plan,
       for (std::uint64_t s = 0; s < num_slices; ++s) {
         const std::uint64_t sid = plan.sliced_id(ingested, s);
         pending[sid] = degree;
-        if (degree == 0) queue.push(t_start, sid);
+        if (degree == 0) seeds.push_back(sid);
       }
     }
     const CalendarQueue::Entry cap{t_start, progress * num_slices};
     bool drained_any = false;
-    while (!queue.empty() && (finished || queue.top() < cap)) {
-      const CalendarQueue::Entry event = queue.pop();
+    for (;;) {
+      const bool seeded = next_seed < seeds.size();
+      if (!seeded && queue.empty()) break;
+      const CalendarQueue::Entry seed{t_start,
+                                      seeded ? seeds[next_seed] : 0};
+      const bool from_seed = seeded && (queue.empty() || seed < queue.top());
+      const CalendarQueue::Entry event = from_seed ? seed : queue.top();
+      if (!finished && !(event < cap)) break;
+      if (from_seed) {
+        ++next_seed;
+      } else {
+        queue.pop();
+      }
       CAR_CHECK_STATE(!(event < drained),
                       "Cluster::execute_arena: calendar replay popped an "
                       "event behind its drain frontier");
       drained = event;
       process_event(event);
       drained_any = true;
+    }
+    if (next_seed == seeds.size()) {
+      seeds.clear();
+      next_seed = 0;
     }
     if (finished || failed.load(std::memory_order_acquire)) break;
     if (drained_any) {
@@ -324,10 +315,7 @@ struct Cluster::Impl {
 
   EmulClock clock;
   std::vector<NodeStore> stores;
-  std::vector<std::unique_ptr<SerialLink>> node_up;
-  std::vector<std::unique_ptr<SerialLink>> node_down;
-  std::vector<std::unique_ptr<SerialLink>> rack_up;
-  std::vector<std::unique_ptr<SerialLink>> rack_down;
+  LinkTable links;  // layout: see Cluster::links()
   std::vector<util::Mutex> cpu;  // serialises arena compute per node
 
   // Liveness state: which nodes have been dropped (dead for the run), the
@@ -502,18 +490,15 @@ Cluster::Cluster(cluster::Topology topology, EmulConfig config)
   impl_->stores = std::vector<Impl::NodeStore>(n);
   impl_->cpu = std::vector<util::Mutex>(n);
   impl_->dropped.assign(n, false);
-  for (std::size_t i = 0; i < n; ++i) {
-    impl_->node_up.push_back(std::make_unique<SerialLink>(config_.node_bps));
-    impl_->node_down.push_back(std::make_unique<SerialLink>(config_.node_bps));
-  }
-  for (std::size_t i = 0; i < r; ++i) {
-    const double rack_bps =
-        config_.rack_link_bps
-            ? *config_.rack_link_bps
-            : static_cast<double>(topology_.nodes_in_rack_count(i)) *
-                  config_.node_bps / config_.oversubscription;
-    impl_->rack_up.push_back(std::make_unique<SerialLink>(rack_bps));
-    impl_->rack_down.push_back(std::make_unique<SerialLink>(rack_bps));
+  for (std::size_t i = 0; i < 2 * n; ++i) impl_->links.add(config_.node_bps);
+  for (int side = 0; side < 2; ++side) {
+    for (std::size_t i = 0; i < r; ++i) {
+      impl_->links.add(
+          config_.rack_link_bps
+              ? *config_.rack_link_bps
+              : static_cast<double>(topology_.nodes_in_rack_count(i)) *
+                    config_.node_bps / config_.oversubscription);
+    }
   }
 }
 
@@ -659,27 +644,29 @@ LinkPath Cluster::path(cluster::NodeId src, cluster::NodeId dst) const {
   if (src == dst) return LinkPath{};
   const auto src_rack = topology_.rack_of(src);
   const auto dst_rack = topology_.rack_of(dst);
-  std::vector<SerialLink*> hops;
-  hops.push_back(impl_->node_up[src].get());
-  if (src_rack != dst_rack) {
-    hops.push_back(impl_->rack_up[src_rack].get());
-    hops.push_back(impl_->rack_down[dst_rack].get());
+  if (src_rack == dst_rack) {
+    return LinkPath(impl_->links, {node_up_link(src), node_down_link(dst)});
   }
-  hops.push_back(impl_->node_down[dst].get());
-  return LinkPath{std::move(hops)};
+  return LinkPath(impl_->links, {node_up_link(src), rack_up_link(src_rack),
+                                 rack_down_link(dst_rack), node_down_link(dst)});
 }
 
-SerialLink& Cluster::node_up_link(cluster::NodeId node) {
-  return *impl_->node_up.at(node);
+LinkTable& Cluster::links() noexcept { return impl_->links; }
+
+LinkId Cluster::node_up_link(cluster::NodeId node) const {
+  return link_id(0, node, topology_.num_nodes(), "node_up_link");
 }
-SerialLink& Cluster::node_down_link(cluster::NodeId node) {
-  return *impl_->node_down.at(node);
+LinkId Cluster::node_down_link(cluster::NodeId node) const {
+  return link_id(topology_.num_nodes(), node, topology_.num_nodes(),
+                 "node_down_link");
 }
-SerialLink& Cluster::rack_up_link(cluster::RackId rack) {
-  return *impl_->rack_up.at(rack);
+LinkId Cluster::rack_up_link(cluster::RackId rack) const {
+  return link_id(2 * topology_.num_nodes(), rack, topology_.num_racks(),
+                 "rack_up_link");
 }
-SerialLink& Cluster::rack_down_link(cluster::RackId rack) {
-  return *impl_->rack_down.at(rack);
+LinkId Cluster::rack_down_link(cluster::RackId rack) const {
+  return link_id(2 * topology_.num_nodes() + topology_.num_racks(), rack,
+                 topology_.num_racks(), "rack_down_link");
 }
 
 std::uint64_t Cluster::stripe_seed(std::uint64_t seed,
@@ -1135,11 +1122,7 @@ ExecutionReport Cluster::execute_arena_impl(const recovery::PlanArena& plan,
   ReplayTimeline timeline;
   if (!failed.load(std::memory_order_acquire)) {
     try {
-      timeline = replay_arena(
-          plan, feed,
-          {topology_, impl_->node_up, impl_->node_down, impl_->rack_up,
-           impl_->rack_down, config_.page_bytes, config_.virtual_gf_bps},
-          t_start, failed);
+      timeline = replay_arena(plan, feed, *this, t_start, failed);
     } catch (...) {
       record_failure();
     }

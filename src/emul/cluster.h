@@ -288,16 +288,22 @@ class Cluster {
   void clear_step_outputs();
 
   /// The link path a transfer src -> dst traverses (loopback when
-  /// src == dst).  Hops stay owned by the cluster; the path is valid for
-  /// the cluster's lifetime.
+  /// src == dst): ids into links(), valid for the cluster's lifetime.
+  /// Allocates nothing.
   [[nodiscard]] LinkPath path(cluster::NodeId src, cluster::NodeId dst) const;
 
-  /// Direct link handles, for arming fault windows (inject::FaultPlan).
-  /// All throw std::out_of_range on a bad id.
-  [[nodiscard]] SerialLink& node_up_link(cluster::NodeId node);
-  [[nodiscard]] SerialLink& node_down_link(cluster::NodeId node);
-  [[nodiscard]] SerialLink& rack_up_link(cluster::RackId rack);
-  [[nodiscard]] SerialLink& rack_down_link(cluster::RackId rack);
+  /// Every link of the cluster, one value per link.  Laid out as every
+  /// node's up link, every node's down link, every rack's up link, every
+  /// rack's down link.
+  [[nodiscard]] LinkTable& links() noexcept;
+
+  /// Ids of individual links in links(), for arming fault windows
+  /// (inject::FaultPlan) and reading per-link state.  All throw
+  /// std::out_of_range on a bad id.
+  [[nodiscard]] LinkId node_up_link(cluster::NodeId node) const;
+  [[nodiscard]] LinkId node_down_link(cluster::NodeId node) const;
+  [[nodiscard]] LinkId rack_up_link(cluster::RackId rack) const;
+  [[nodiscard]] LinkId rack_down_link(cluster::RackId rack) const;
 
   /// Generate random stripes per the placement, encode them with `code`,
   /// and store each chunk on its host node.  Returns the full original

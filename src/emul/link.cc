@@ -1,44 +1,51 @@
 #include "emul/link.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
-#include <utility>
+#include <string>
 
 #include "util/check.h"
 
 namespace car::emul {
 
-SerialLink::SerialLink(double bytes_per_second) : rate_(bytes_per_second) {
-  CAR_CHECK(bytes_per_second > 0, "SerialLink: rate must be positive");
+LinkId LinkTable::add(double bytes_per_second) {
+  CAR_CHECK(bytes_per_second > 0, "LinkTable: rate must be positive");
+  CAR_CHECK(links_.size() < std::numeric_limits<LinkId>::max(),
+            "LinkTable: too many links");
+  links_.push_back({0.0, bytes_per_second, 0, false});
+  return static_cast<LinkId>(links_.size() - 1);
 }
 
-void SerialLink::add_rate_window(double start, double end, double factor) {
+void LinkTable::add_rate_window(LinkId link, double start, double end,
+                                double factor) {
+  CAR_CHECK_LT(link, links_.size(), "LinkTable::add_rate_window: bad link");
   CAR_CHECK(std::isfinite(start) && std::isfinite(end),
-            "SerialLink::add_rate_window: window bounds must be finite");
+            "LinkTable::add_rate_window: window bounds must be finite");
   CAR_CHECK(start >= 0.0 && start < end,
-            "SerialLink::add_rate_window: requires 0 <= start < end");
-  CAR_CHECK(factor >= 0.0,
-            "SerialLink::add_rate_window: factor must be >= 0");
-  util::MutexLock lock(mu_);
-  windows_.push_back({start, end, factor});
+            "LinkTable::add_rate_window: requires 0 <= start < end");
+  CAR_CHECK(std::isfinite(factor) && factor >= 0.0,
+            "LinkTable::add_rate_window: factor must be finite and >= 0, "
+            "got " + std::to_string(factor));
+  if (windows_.size() < links_.size()) windows_.resize(links_.size());
+  windows_[link].push_back({start, end, factor});
+  links_[link].windowed = true;
 }
 
-double SerialLink::rate_at(double t) const {
-  util::MutexLock lock(mu_);
-  double rate = rate_;
-  for (const auto& w : windows_) {
+double LinkTable::rate_at(LinkId link, double t) const {
+  CAR_CHECK_LT(link, links_.size(), "LinkTable::rate_at: bad link");
+  double rate = links_[link].rate;
+  if (!links_[link].windowed) return rate;
+  for (const auto& w : windows_[link]) {
     if (t >= w.start && t < w.end) rate *= w.factor;
   }
   return rate;
 }
 
-double SerialLink::drain_locked(double begin, std::uint64_t bytes) const {
+double LinkTable::drain(LinkId link, double begin, std::uint64_t bytes) const {
+  const Link& l = links_[link];
   if (bytes == 0) return begin;
-  if (windows_.empty()) {
-    return begin + static_cast<double>(bytes) / rate_;
-  }
+  if (!l.windowed) return begin + static_cast<double>(bytes) / l.rate;
   // Integrate the piecewise-constant rate profile from `begin` until the
   // payload drains.  Every window start/end after `t` is a potential rate
   // change; a zero effective rate fast-forwards to the next boundary (all
@@ -46,9 +53,9 @@ double SerialLink::drain_locked(double begin, std::uint64_t bytes) const {
   double t = begin;
   double remaining = static_cast<double>(bytes);
   for (;;) {
-    double rate = rate_;
+    double rate = l.rate;
     double boundary = std::numeric_limits<double>::infinity();
-    for (const auto& w : windows_) {
+    for (const auto& w : windows_[link]) {
       if (t >= w.start && t < w.end) rate *= w.factor;
       if (w.start > t) boundary = std::min(boundary, w.start);
       if (w.end > t) boundary = std::min(boundary, w.end);
@@ -59,119 +66,108 @@ double SerialLink::drain_locked(double begin, std::uint64_t bytes) const {
       remaining -= rate * (boundary - t);
     } else {
       CAR_CHECK_STATE(std::isfinite(boundary),
-                      "SerialLink: blacked out with no closing window");
+                      "LinkTable: blacked out with no closing window");
     }
     t = boundary;
   }
 }
 
-double SerialLink::drain_from(double busy_until, double start,
-                              std::uint64_t bytes) const {
-  util::MutexLock lock(mu_);
-  return drain_locked(std::max(busy_until, start), bytes);
+double LinkTable::reserve_pages(LinkId link, double start, std::uint64_t bytes,
+                                std::uint64_t page_bytes) {
+  CAR_CHECK_LT(link, links_.size(), "LinkTable::reserve_pages: bad link");
+  return reserve_hops({&link, 1}, start, bytes, page_bytes);
 }
 
-double SerialLink::reserve(double start, std::uint64_t bytes) {
+double LinkTable::drain_hops(std::span<const LinkId> hops, double start,
+                             std::uint64_t bytes, std::uint64_t page_bytes,
+                             HopTimes& free) const {
   CAR_CHECK(std::isfinite(start) && start >= 0.0,
-            "SerialLink::reserve: start must be a finite non-negative time");
-  util::MutexLock lock(mu_);
-  const double previous_free = next_free_;
-  const double begin = std::max(next_free_, start);
-  next_free_ = drain_locked(begin, bytes);
-  // Timeline monotonicity: the link frees no earlier with every reservation
-  // (never travels back in time), and no earlier than the requested start.
-  CAR_DCHECK_GE(next_free_, previous_free, "SerialLink timeline regressed");
-  CAR_DCHECK_GE(next_free_, begin, "SerialLink finish before start");
-  total_bytes_ += bytes;
-  return next_free_;
-}
-
-double SerialLink::reserve_pages(double start, std::uint64_t bytes,
-                                 std::uint64_t page_bytes) {
-  CAR_CHECK(std::isfinite(start) && start >= 0.0,
-            "SerialLink::reserve_pages: start must be a finite non-negative "
+            "LinkTable::drain_hops: start must be a finite non-negative "
             "time");
-  CAR_CHECK(page_bytes > 0, "SerialLink::reserve_pages: page_bytes > 0");
-  util::MutexLock lock(mu_);
-  // The loop body is reserve()'s, page by page; keeping it inline (rather
-  // than calling reserve) is what makes the single lock acquisition legal.
+  CAR_CHECK(page_bytes > 0, "LinkTable::drain_hops: page_bytes > 0");
+  CAR_CHECK_LE(hops.size(), kMaxHops, "LinkTable: too many hops");
+  // Per page: begin = max(next_free, start), next_free = begin + page / rate,
+  // integrated over the rate profile when the link has windows.  Links are
+  // independent, so the hops' page chains advance side by side in
+  // registers, and a whole page's duration is one division per hop: the
+  // quotient every page would compute.
+  const std::size_t n = hops.size();
+  HopTimes whole{};
+  for (std::size_t h = 0; h < n; ++h) {
+    CAR_DCHECK_LT(hops[h], links_.size(), "LinkTable::drain_hops: bad link");
+    free[h] = links_[hops[h]].next_free;
+    whole[h] = static_cast<double>(page_bytes) / links_[hops[h]].rate;
+  }
+  if (bytes == 0) return start;
+  auto advance = [&](std::size_t h, std::uint64_t page, double duration) {
+    const double previous_free = free[h];
+    const double begin = std::max(free[h], start);
+    free[h] = links_[hops[h]].windowed ? drain(hops[h], begin, page)
+                                       : begin + duration;
+    // Timeline monotonicity: a link frees no earlier with every page (never
+    // travels back in time), and no earlier than the page's start.
+    CAR_DCHECK_GE(free[h], previous_free, "link timeline regressed");
+    CAR_DCHECK_GE(free[h], begin, "link finish before start");
+  };
+  for (std::uint64_t p = bytes / page_bytes; p > 0; --p) {
+    for (std::size_t h = 0; h < n; ++h) advance(h, page_bytes, whole[h]);
+  }
+  if (const std::uint64_t tail = bytes % page_bytes; tail > 0) {
+    for (std::size_t h = 0; h < n; ++h) {
+      advance(h, tail, static_cast<double>(tail) / links_[hops[h]].rate);
+    }
+  }
   double finish = start;
-  std::uint64_t remaining = bytes;
-  while (remaining > 0) {
-    const std::uint64_t page = std::min(remaining, page_bytes);
-    const double previous_free = next_free_;
-    const double begin = std::max(next_free_, start);
-    next_free_ = drain_locked(begin, page);
-    CAR_DCHECK_GE(next_free_, previous_free, "SerialLink timeline regressed");
-    CAR_DCHECK_GE(next_free_, begin, "SerialLink finish before start");
-    total_bytes_ += page;
-    finish = next_free_;
-    remaining -= page;
+  for (std::size_t h = 0; h < n; ++h) finish = std::max(finish, free[h]);
+  return finish;
+}
+
+double LinkTable::reserve_hops(std::span<const LinkId> hops, double start,
+                               std::uint64_t bytes,
+                               std::uint64_t page_bytes) {
+  HopTimes free{};
+  const double finish = drain_hops(hops, start, bytes, page_bytes, free);
+  for (std::size_t h = 0; h < hops.size(); ++h) {
+    links_[hops[h]].next_free = free[h];
+    links_[hops[h]].bytes += bytes;
   }
   return finish;
 }
 
-double SerialLink::preview(double start, std::uint64_t bytes) const {
+double LinkTable::preview(LinkId link, double start,
+                          std::uint64_t bytes) const {
   CAR_CHECK(std::isfinite(start) && start >= 0.0,
-            "SerialLink::preview: start must be a finite non-negative time");
-  util::MutexLock lock(mu_);
-  return drain_locked(std::max(next_free_, start), bytes);
+            "LinkTable::preview: start must be a finite non-negative time");
+  CAR_CHECK_LT(link, links_.size(), "LinkTable::preview: bad link");
+  return drain(link, std::max(links_[link].next_free, start), bytes);
 }
 
-double SerialLink::next_free() const {
-  util::MutexLock lock(mu_);
-  return next_free_;
-}
-
-std::uint64_t SerialLink::bytes_transmitted() const noexcept {
-  util::MutexLock lock(mu_);
-  return total_bytes_;
-}
-
-LinkPath::LinkPath(std::vector<SerialLink*> hops) : hops_(std::move(hops)) {
-  CAR_CHECK(hops_.size() <= kMaxHops, "LinkPath: too many hops");
-  for (const SerialLink* hop : hops_) {
-    CAR_CHECK(hop != nullptr, "LinkPath: null hop");
+LinkPath::LinkPath(LinkTable& table, std::initializer_list<LinkId> hops)
+    : table_(&table), n_hops_(hops.size()) {
+  CAR_CHECK(hops.size() <= kMaxHops, "LinkPath: too many hops");
+  std::size_t h = 0;
+  for (const LinkId hop : hops) {
+    CAR_CHECK_LT(hop, table.size(), "LinkPath: hop outside the link table");
+    CAR_CHECK(std::find(hops_.begin(), hops_.begin() + h, hop) ==
+                  hops_.begin() + h,
+              "LinkPath: a link appears twice");
+    hops_[h++] = hop;
   }
 }
 
 double LinkPath::reserve(double start, std::uint64_t bytes,
                          std::uint64_t page_bytes) {
   CAR_CHECK(page_bytes > 0, "LinkPath::reserve: page_bytes must be > 0");
-  // Hop-major: every hop commits its whole page sequence at once.  Hop
-  // states are independent, so this is the per-hop page sequence a
-  // page-major walk would commit, and each hop's page finishes are
-  // monotone, so the max of the per-hop last finishes is the max over every
-  // (hop, page) reservation.
-  double finish = start;
-  for (SerialLink* hop : hops_) {
-    finish = std::max(finish, hop->reserve_pages(start, bytes, page_bytes));
-  }
-  return finish;
+  if (loopback()) return start;
+  return table_->reserve_hops(hops(), start, bytes, page_bytes);
 }
 
 double LinkPath::preview(double start, std::uint64_t bytes,
                          std::uint64_t page_bytes) const {
   CAR_CHECK(page_bytes > 0, "LinkPath::preview: page_bytes must be > 0");
-  // Shadow each hop's next-free time so successive pages of this transfer
-  // queue behind each other exactly as the committing loop would make them.
-  // Stack array, not a vector: preview runs once per candidate transfer in
-  // the planner's inner loop, and the constructor bounds hops to kMaxHops.
-  std::array<double, kMaxHops> busy{};
-  for (std::size_t h = 0; h < hops_.size(); ++h) {
-    busy[h] = hops_[h]->next_free();
-  }
-  double finish = start;
-  std::uint64_t remaining = bytes;
-  while (remaining > 0) {
-    const std::uint64_t page = std::min(remaining, page_bytes);
-    for (std::size_t h = 0; h < hops_.size(); ++h) {
-      busy[h] = hops_[h]->drain_from(busy[h], start, page);
-      finish = std::max(finish, busy[h]);
-    }
-    remaining -= page;
-  }
-  return finish;
+  if (loopback()) return start;
+  LinkTable::HopTimes free{};
+  return table_->drain_hops(hops(), start, bytes, page_bytes, free);
 }
 
 }  // namespace car::emul

@@ -1,7 +1,7 @@
-// Serial link emulation for the in-process cluster emulator.
+// Link emulation for the in-process cluster emulator.
 //
-// A SerialLink models a store-and-forward network link of a fixed base rate.
-// Each transmission *reserves* link occupancy on the owning cluster's virtual
+// A link models a store-and-forward network link of a fixed base rate.  Each
+// transmission *reserves* link occupancy on the owning cluster's virtual
 // timeline (emul/clock.h), so transfers through a shared (e.g.
 // oversubscribed rack) link queue behind each other in the order the timing
 // pass commits them.  Reservations never block: the caller supplies the
@@ -9,137 +9,152 @@
 // multi-hop transfer pipelines across its links: it completes when the
 // slowest hop drains, not after the sum of hops.
 //
+// Every link of one cluster is a plain value in one LinkTable, addressed by
+// LinkId.  The table takes no lock: every timing pass (the arena replay,
+// execute(SlicePlan)'s timing pass, the inject BatchDriver) reserves links
+// on one thread.
+//
 // Fault windows (inject/): a link may carry *rate windows* — intervals
-// during which its effective rate is scaled by a factor (0 = blackout,
-// 0.5 = half speed).  Reservations integrate the piecewise rate profile, so
-// a transfer that straddles a blackout stalls until the window closes.
-// Overlapping windows multiply.
+// during which its effective rate is scaled by a finite factor (0 =
+// blackout, 0.5 = half speed).  Reservations integrate the piecewise rate
+// profile, so a transfer that straddles a blackout stalls until the window
+// closes.  Overlapping windows multiply.  Windows live outside the per-link
+// hot values: a link without one drains at its base rate on a fast path.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "util/attributes.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace car::emul {
 
-class SerialLink {
+using LinkId = std::uint32_t;
+
+/// Longest physical path the topology can produce: src access link, up to
+/// two core hops, dst access link.
+inline constexpr std::size_t kMaxHops = 4;
+
+class LinkTable {
  public:
-  /// rate in bytes/second; must be positive.
-  explicit SerialLink(double bytes_per_second);
+  /// Append a link of `bytes_per_second` (must be positive, CheckError
+  /// otherwise) and return its id.  Ids are dense, in append order.
+  LinkId add(double bytes_per_second) CAR_BOUNDARY;
 
-  /// Scale the link's rate by `factor` during [start, end) timeline seconds.
+  [[nodiscard]] std::size_t size() const noexcept { return links_.size(); }
+
+  /// Scale `link`'s rate by `factor` during [start, end) timeline seconds.
   /// factor == 0 blacks the link out for the window; factors of overlapping
-  /// windows multiply.  Requires 0 <= start < end, both finite, and
-  /// factor >= 0 (CheckError otherwise).  Thread-safe.
-  void add_rate_window(double start, double end, double factor)
-      CAR_EXCLUDES(mu_) CAR_BOUNDARY;
+  /// windows multiply.  Requires a valid link, 0 <= start < end, both
+  /// finite, and a finite factor >= 0 (CheckError otherwise).
+  void add_rate_window(LinkId link, double start, double end, double factor)
+      CAR_BOUNDARY;
 
-  /// Effective rate at timeline second `t` (base rate times the factors of
-  /// every window containing `t`).
-  [[nodiscard]] double rate_at(double t) const CAR_EXCLUDES(mu_) CAR_HOT;
+  /// Effective rate of `link` at timeline second `t` (base rate times the
+  /// factors of every window containing `t`).
+  [[nodiscard]] double rate_at(LinkId link, double t) const;
 
-  /// Reserve link occupancy for `bytes`, starting no earlier than timeline
-  /// second `start` and no earlier than the link is free.  Returns the
-  /// timeline second at which the last byte leaves the link, honouring any
-  /// rate windows.  Does not block; thread-safe.
-  double reserve(double start, std::uint64_t bytes) CAR_EXCLUDES(mu_)
-      CAR_BOUNDARY CAR_HOT;
+  /// Reserve `link` page by page: for each page_bytes-sized page of `bytes`,
+  /// the page starts no earlier than `start` and no earlier than the link is
+  /// free, and drains at the link's rate (integrating any rate windows).
+  /// Returns the last page's finish, or `start` when bytes is 0.
+  double reserve_pages(LinkId link, double start, std::uint64_t bytes,
+                       std::uint64_t page_bytes) CAR_BOUNDARY CAR_HOT;
 
-  /// Page-wise reservation under a single lock acquisition: exactly the
-  /// sequence reserve(start, page) for each page_bytes-sized page of
-  /// `bytes`, returning the last page's finish (== `start` when bytes is 0,
-  /// matching a zero-iteration paging loop).  Bit-identical to the caller
-  /// paging by hand — the per-page math is the same code — but one
-  /// lock/unlock instead of ceil(bytes / page_bytes).  LinkPath::reserve and
-  /// the arena replay (emul/cluster.cc) reserve through this; every timing
-  /// pass commits reservations in one serialised order, so batching a
-  /// transfer's pages cannot reorder them against another transfer's.
-  double reserve_pages(double start, std::uint64_t bytes,
-                       std::uint64_t page_bytes) CAR_EXCLUDES(mu_)
-      CAR_BOUNDARY CAR_HOT;
+  /// Finish time a one-page reserve_pages(link, start, bytes, bytes) *would*
+  /// return right now, without committing anything.
+  [[nodiscard]] double preview(LinkId link, double start,
+                               std::uint64_t bytes) const CAR_BOUNDARY;
 
-  /// Finish time reserve(start, bytes) *would* return right now, without
-  /// committing anything.  Thread-safe.
-  [[nodiscard]] double preview(double start, std::uint64_t bytes) const
-      CAR_EXCLUDES(mu_) CAR_BOUNDARY CAR_HOT;
+  [[nodiscard]] double rate(LinkId link) const { return links_[link].rate; }
 
-  /// Pure timing helper for shadow (what-if) reservations: the finish time
-  /// of `bytes` entering the link no earlier than `start` on a link that is
-  /// busy until `busy_until`, honouring rate windows.  Used by LinkPath's
-  /// preview; does not touch the link's own occupancy.
-  [[nodiscard]] double drain_from(double busy_until, double start,
-                                  std::uint64_t bytes) const CAR_EXCLUDES(mu_)
-      CAR_HOT;
+  /// Timeline second at which `link` is next free.
+  [[nodiscard]] double next_free(LinkId link) const {
+    return links_[link].next_free;
+  }
 
-  [[nodiscard]] double rate() const noexcept { return rate_; }
-
-  /// Timeline second at which the link is next free (for shadow previews).
-  [[nodiscard]] double next_free() const CAR_EXCLUDES(mu_);
-
-  /// Total bytes ever reserved on this link (for accounting/tests).
-  [[nodiscard]] std::uint64_t bytes_transmitted() const noexcept
-      CAR_EXCLUDES(mu_);
+  /// Total bytes ever reserved on `link` (for accounting/tests).
+  [[nodiscard]] std::uint64_t bytes(LinkId link) const {
+    return links_[link].bytes;
+  }
 
  private:
+  struct Link {
+    double next_free = 0.0;  // timeline seconds
+    double rate = 0.0;       // base rate, bytes/second
+    std::uint64_t bytes = 0;
+    bool windowed = false;  // windows_[id] exists and is non-empty
+  };
   struct RateWindow {
     double start = 0.0;
     double end = 0.0;
     double factor = 1.0;
   };
 
-  [[nodiscard]] double drain_locked(double begin, std::uint64_t bytes) const
-      CAR_REQUIRES(mu_);
+  friend class LinkPath;
+  using HopTimes = std::array<double, kMaxHops>;
 
-  double rate_;
-  mutable util::Mutex mu_;
-  double next_free_ CAR_GUARDED_BY(mu_) = 0.0;  // timeline seconds
-  std::uint64_t total_bytes_ CAR_GUARDED_BY(mu_) = 0;
-  std::vector<RateWindow> windows_ CAR_GUARDED_BY(mu_);
+  /// The page sequence reserve_pages runs, on each of `hops` (at most
+  /// kMaxHops distinct links) from the same `start`, committing nothing:
+  /// leaves each hop's resulting next-free time in `free` and returns the
+  /// latest, or `start` when bytes is 0 or `hops` is empty.
+  double drain_hops(std::span<const LinkId> hops, double start,
+                    std::uint64_t bytes, std::uint64_t page_bytes,
+                    HopTimes& free) const CAR_HOT;
+
+  /// drain_hops, committed to the hops.
+  double reserve_hops(std::span<const LinkId> hops, double start,
+                      std::uint64_t bytes, std::uint64_t page_bytes) CAR_HOT;
+
+  /// Finish of `bytes` entering `link` at `begin`, honouring rate windows.
+  /// Touches no occupancy.
+  [[nodiscard]] double drain(LinkId link, double begin,
+                             std::uint64_t bytes) const CAR_HOT;
+
+  std::vector<Link> links_;
+  /// Per link, in arming order; sized on the first window armed.
+  std::vector<std::vector<RateWindow>> windows_;
 };
 
-/// The ordered hop list of one transfer path (src access link, core links
-/// when crossing racks, dst access link).  An empty path is a loopback:
-/// reservations are no-ops completing instantly.  Every hop of a transfer
-/// queues from the same start, so the hops pipeline: the transfer finishes
-/// when the slowest hop drains, not after the sum of hops.  reserve/preview
-/// charge each hop page by page; no other flow's pages land in between
-/// (every timing pass commits whole transfers in one serialised order), so
-/// paging only fixes the floating-point sequence each hop accumulates, and
-/// page_bytes stays part of the modelled result.
+/// The hop list of one transfer path (src access link, core links when
+/// crossing racks, dst access link) as ids into the cluster's LinkTable.  An
+/// empty path is a loopback: reservations are no-ops completing instantly.
+/// Every hop of a transfer queues from the same start, so the hops pipeline:
+/// the transfer finishes when the slowest hop drains, not after the sum of
+/// hops.  reserve/preview charge each hop page by page; no other flow's
+/// pages land in between (every timing pass commits whole transfers in one
+/// serialised order), so paging only fixes the floating-point sequence each
+/// hop accumulates, and page_bytes stays part of the modelled result.
 class LinkPath {
  public:
-  /// Longest physical path the topology can produce: src access link, up to
-  /// two core hops, dst access link.  Cluster::path builds every LinkPath;
-  /// the constructor enforces the bound so preview() can shadow hop state on
-  /// the stack instead of allocating per call.
-  static constexpr std::size_t kMaxHops = 4;
-
   LinkPath() = default;
-  explicit LinkPath(std::vector<SerialLink*> hops);
+  /// At most kMaxHops distinct ids, each < table.size() (CheckError
+  /// otherwise).
+  LinkPath(LinkTable& table, std::initializer_list<LinkId> hops);
 
   /// Commit page-wise reservations on every hop starting no earlier than
-  /// `start` (SerialLink::reserve_pages per hop); returns the finish time of
-  /// the last page on the slowest hop, or `start` for zero bytes.
+  /// `start` (LinkTable::reserve_hops); returns the finish time of the last
+  /// page on the slowest hop, or `start` for zero bytes or a loopback.
   double reserve(double start, std::uint64_t bytes, std::uint64_t page_bytes)
       CAR_BOUNDARY CAR_HOT;
 
-  /// Finish time reserve would return right now, committing nothing.  Exact
-  /// only while no concurrent reservations land on the hops (the
-  /// fault-injection runtime is single-threaded, which is the point).
+  /// Finish time reserve would return right now, committing nothing.
   [[nodiscard]] double preview(double start, std::uint64_t bytes,
                                std::uint64_t page_bytes) const CAR_BOUNDARY
       CAR_HOT;
 
-  [[nodiscard]] bool loopback() const noexcept { return hops_.empty(); }
-  [[nodiscard]] const std::vector<SerialLink*>& hops() const noexcept {
-    return hops_;
+  [[nodiscard]] bool loopback() const noexcept { return n_hops_ == 0; }
+  [[nodiscard]] std::span<const LinkId> hops() const noexcept {
+    return {hops_.data(), n_hops_};
   }
 
  private:
-  std::vector<SerialLink*> hops_;
+  LinkTable* table_ = nullptr;
+  std::array<LinkId, kMaxHops> hops_{};
+  std::size_t n_hops_ = 0;
 };
 
 }  // namespace car::emul

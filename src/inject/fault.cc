@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "emul/cluster.h"
 #include "util/check.h"
@@ -38,7 +39,9 @@ void FaultPlan::validate(const cluster::Topology& topology) const {
               "LinkFault: window bounds must be finite");
     CAR_CHECK(fault.start_s >= 0.0 && fault.start_s < fault.end_s,
               "LinkFault: requires 0 <= start < end");
-    CAR_CHECK(fault.factor >= 0.0, "LinkFault: factor must be >= 0");
+    CAR_CHECK(std::isfinite(fault.factor) && fault.factor >= 0.0,
+              "LinkFault: factor must be finite and >= 0, got " +
+                  std::to_string(fault.factor));
   }
   for (const auto& fault : transfer_faults) {
     CAR_CHECK(fault.probability > 0.0 && fault.probability <= 1.0,
@@ -68,22 +71,23 @@ void arm_link_faults(emul::Cluster& cluster, const FaultPlan& plan,
                      double t0) {
   plan.validate(cluster.topology());
   for (const auto& fault : plan.link_faults) {
-    emul::SerialLink* link = nullptr;
+    emul::LinkId link = 0;
     switch (fault.side) {
       case LinkSide::kNodeUp:
-        link = &cluster.node_up_link(fault.id);
+        link = cluster.node_up_link(fault.id);
         break;
       case LinkSide::kNodeDown:
-        link = &cluster.node_down_link(fault.id);
+        link = cluster.node_down_link(fault.id);
         break;
       case LinkSide::kRackUp:
-        link = &cluster.rack_up_link(fault.id);
+        link = cluster.rack_up_link(fault.id);
         break;
       case LinkSide::kRackDown:
-        link = &cluster.rack_down_link(fault.id);
+        link = cluster.rack_down_link(fault.id);
         break;
     }
-    link->add_rate_window(t0 + fault.start_s, t0 + fault.end_s, fault.factor);
+    cluster.links().add_rate_window(link, t0 + fault.start_s,
+                                    t0 + fault.end_s, fault.factor);
   }
 }
 

@@ -4,8 +4,9 @@
 // seconds relative to the start of a run:
 //
 //   * LinkFault   — a rate window on one emulated link: factor 0 blacks the
-//                   link out, 0 < factor < 1 degrades it (armed onto
-//                   emul::SerialLink's rate windows);
+//                   link out, 0 < factor < 1 degrades it (armed as a
+//                   rate window on the cluster's emul::LinkTable; the
+//                   factor must be finite);
 //   * TransferFault — drop (payload lost in flight, receiver times out) or
 //                   corrupt (payload arrives, checksum mismatch) applied to
 //                   matching transfer attempts, optionally probabilistic;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -50,17 +53,27 @@ recovery::RecoveryPlan one_transfer_plan(cluster::NodeId src,
   return plan;
 }
 
+/// One whole-transfer reservation: `bytes` as a single page.
+double reserve(LinkTable& table, LinkId link, double start,
+               std::uint64_t bytes) {
+  return table.reserve_pages(link, start, bytes, bytes);
+}
+
 TEST(SerialLink, RejectsNonPositiveRate) {
-  EXPECT_THROW(SerialLink(0.0), std::invalid_argument);
-  EXPECT_THROW(SerialLink(-5.0), std::invalid_argument);
+  LinkTable table;
+  EXPECT_THROW(table.add(0.0), std::invalid_argument);
+  EXPECT_THROW(table.add(-5.0), std::invalid_argument);
+  EXPECT_EQ(table.size(), 0u);
 }
 
 TEST(SerialLink, ReserveAccumulatesOnTimeline) {
-  SerialLink link(1e6);  // 1 MB/s
-  EXPECT_DOUBLE_EQ(link.reserve(0.0, 500'000), 0.5);
-  EXPECT_DOUBLE_EQ(link.reserve(0.0, 500'000), 1.0);  // queued behind first
-  EXPECT_DOUBLE_EQ(link.reserve(2.0, 1'000'000), 3.0);  // idle gap skipped
-  EXPECT_EQ(link.bytes_transmitted(), 2'000'000u);
+  LinkTable table;
+  const LinkId link = table.add(1e6);  // 1 MB/s
+  EXPECT_DOUBLE_EQ(reserve(table, link, 0.0, 500'000), 0.5);
+  EXPECT_DOUBLE_EQ(reserve(table, link, 0.0, 500'000), 1.0);  // queued
+  EXPECT_DOUBLE_EQ(reserve(table, link, 2.0, 1'000'000), 3.0);  // idle gap
+  EXPECT_EQ(table.bytes(link), 2'000'000u);
+  EXPECT_DOUBLE_EQ(table.next_free(link), 3.0);
 }
 
 TEST(Cluster, StoreFindEraseChunks) {
@@ -398,13 +411,11 @@ TEST(ClusterExecute, FailedPlanReservesNoLinkTime) {
 
   EXPECT_THROW(cluster.execute(plan), util::StateError);
   EXPECT_EQ(cluster.clock().now(), 1.5);
-  for (cluster::NodeId node = 0; node < topology.num_nodes(); ++node) {
-    EXPECT_EQ(cluster.node_up_link(node).next_free(), 0.0) << node;
-    EXPECT_EQ(cluster.node_down_link(node).next_free(), 0.0) << node;
-  }
-  for (cluster::RackId rack = 0; rack < topology.num_racks(); ++rack) {
-    EXPECT_EQ(cluster.rack_up_link(rack).next_free(), 0.0) << rack;
-    EXPECT_EQ(cluster.rack_down_link(rack).next_free(), 0.0) << rack;
+  ASSERT_EQ(cluster.links().size(),
+            2 * (topology.num_nodes() + topology.num_racks()));
+  for (LinkId link = 0; link < cluster.links().size(); ++link) {
+    EXPECT_EQ(cluster.links().next_free(link), 0.0) << link;
+    EXPECT_EQ(cluster.links().bytes(link), 0u) << link;
   }
 }
 
@@ -427,37 +438,65 @@ TEST(ClusterExecute, InvalidConfigRejected) {
 }
 
 TEST(SerialLink, RateWindowDegradesThroughput) {
-  SerialLink link(1e6);  // 1 MB/s
-  link.add_rate_window(0.0, 10.0, 0.5);
+  LinkTable table;
+  const LinkId link = table.add(1e6);  // 1 MB/s
+  table.add_rate_window(link, 0.0, 10.0, 0.5);
+  EXPECT_DOUBLE_EQ(table.rate_at(link, 5.0), 0.5e6);
+  EXPECT_DOUBLE_EQ(table.rate_at(link, 10.0), 1e6);
   // 100 KB at half rate: 0.2 s instead of 0.1 s.
-  EXPECT_DOUBLE_EQ(link.preview(0.0, 100'000), 0.2);
-  EXPECT_DOUBLE_EQ(link.reserve(0.0, 100'000), 0.2);
+  EXPECT_DOUBLE_EQ(table.preview(link, 0.0, 100'000), 0.2);
+  EXPECT_DOUBLE_EQ(reserve(table, link, 0.0, 100'000), 0.2);
 }
 
 TEST(SerialLink, BlackoutStallsUntilWindowCloses) {
-  SerialLink link(1e6);
-  link.add_rate_window(0.0, 1.0, 0.0);
+  LinkTable table;
+  const LinkId link = table.add(1e6);
+  table.add_rate_window(link, 0.0, 1.0, 0.0);
   // Nothing moves during the blackout; the transfer drains after it.
-  EXPECT_DOUBLE_EQ(link.reserve(0.0, 100'000), 1.1);
-  // Overlapping windows multiply: 0.5 * 0.5 = quarter rate.
-  SerialLink slow(1e6);
-  slow.add_rate_window(0.0, 10.0, 0.5);
-  slow.add_rate_window(0.0, 10.0, 0.5);
-  EXPECT_DOUBLE_EQ(slow.reserve(0.0, 100'000), 0.4);
+  EXPECT_DOUBLE_EQ(reserve(table, link, 0.0, 100'000), 1.1);
+  // Overlapping windows multiply: 0.5 * 0.5 = quarter rate.  Windows stay
+  // on their own link.
+  const LinkId slow = table.add(1e6);
+  table.add_rate_window(slow, 0.0, 10.0, 0.5);
+  table.add_rate_window(slow, 0.0, 10.0, 0.5);
+  EXPECT_DOUBLE_EQ(reserve(table, slow, 0.0, 100'000), 0.4);
+  EXPECT_DOUBLE_EQ(table.rate_at(link, 0.5), 0.0);
+  EXPECT_DOUBLE_EQ(table.rate_at(slow, 0.5), 0.25e6);
 }
 
 TEST(SerialLink, TransferStraddlingWindowIntegratesPiecewise) {
-  SerialLink link(1e6);
-  link.add_rate_window(0.05, 0.15, 0.0);
+  LinkTable table;
+  const LinkId link = table.add(1e6);
+  table.add_rate_window(link, 0.05, 0.15, 0.0);
   // 100 KB: 50 KB drain in [0, 0.05), blackout until 0.15, rest by 0.2.
-  EXPECT_DOUBLE_EQ(link.reserve(0.0, 100'000), 0.2);
+  EXPECT_DOUBLE_EQ(reserve(table, link, 0.0, 100'000), 0.2);
 }
 
 TEST(SerialLink, RejectsMalformedRateWindows) {
-  SerialLink link(1e6);
-  EXPECT_THROW(link.add_rate_window(0.5, 0.5, 0.5), util::CheckError);
-  EXPECT_THROW(link.add_rate_window(-1.0, 1.0, 0.5), util::CheckError);
-  EXPECT_THROW(link.add_rate_window(0.0, 1.0, -0.1), util::CheckError);
+  LinkTable table;
+  const LinkId link = table.add(1e6);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(table.add_rate_window(link, 0.5, 0.5, 0.5), util::CheckError);
+  EXPECT_THROW(table.add_rate_window(link, -1.0, 1.0, 0.5), util::CheckError);
+  EXPECT_THROW(table.add_rate_window(link, 0.0, 1.0, -0.1), util::CheckError);
+  EXPECT_THROW(table.add_rate_window(link, 0.0, kInf, 0.5), util::CheckError);
+  EXPECT_THROW(table.add_rate_window(link + 1, 0.0, 1.0, 0.5),
+               util::CheckError);
+  // An infinite factor would make the link infinitely fast (and, against
+  // an overlapping blackout, multiply to a NaN rate).
+  for (const double factor :
+       {kInf, std::numeric_limits<double>::quiet_NaN()}) {
+    try {
+      table.add_rate_window(link, 0.0, 1.0, factor);
+      FAIL() << "factor " << factor << " accepted";
+    } catch (const util::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("factor must be finite"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Nothing malformed was armed: the link still runs at its base rate.
+  EXPECT_DOUBLE_EQ(table.rate_at(link, 0.5), 1e6);
 }
 
 TEST(LinkPath, PreviewMatchesReserveExactly) {
@@ -470,6 +509,38 @@ TEST(LinkPath, PreviewMatchesReserveExactly) {
   LinkPath self = cluster.path(2, 2);
   EXPECT_TRUE(self.loopback());
   EXPECT_DOUBLE_EQ(self.reserve(5.0, 1'000'000, 1024), 5.0);
+}
+
+TEST(LinkPath, ChargesExactlyTheLinksOfItsRoute) {
+  // Every timing pass resolves hops through Cluster::path, so a wrong hop
+  // would shift all of them alike; pin the route through per-link bytes.
+  const Topology topology({3, 3});  // nodes 0-2 in rack 0, 3-5 in rack 1
+  constexpr std::uint64_t kBytes = 300'000;
+  auto charged = [&](cluster::NodeId src, cluster::NodeId dst,
+                     std::vector<LinkId> route) {
+    Cluster cluster(topology, virtual_config());
+    LinkPath path = cluster.path(src, dst);
+    EXPECT_EQ(std::vector<LinkId>(path.hops().begin(), path.hops().end()),
+              route);
+    path.reserve(0.0, kBytes, 16 * 1024);
+    for (LinkId link = 0; link < cluster.links().size(); ++link) {
+      const bool on_route =
+          std::find(route.begin(), route.end(), link) != route.end();
+      EXPECT_EQ(cluster.links().bytes(link), on_route ? kBytes : 0u)
+          << "link " << link << " on " << src << " -> " << dst;
+    }
+  };
+  const Cluster ids(topology, virtual_config());
+  // Cross-rack: src access up, src rack up, dst rack down, dst access down.
+  charged(1, 4,
+          {ids.node_up_link(1), ids.rack_up_link(0), ids.rack_down_link(1),
+           ids.node_down_link(4)});
+  // Intra-rack: only the two access links.
+  charged(3, 5, {ids.node_up_link(3), ids.node_down_link(5)});
+  // Loopback: nothing.
+  charged(2, 2, {});
+  EXPECT_THROW((void)ids.node_up_link(6), std::out_of_range);
+  EXPECT_THROW((void)ids.rack_down_link(2), std::out_of_range);
 }
 
 TEST(Cluster, DropNodeIsIdempotentAndFailsFurtherUse) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "cluster/topology.h"
@@ -45,6 +46,10 @@ TEST(FaultPlan, RejectsMalformedWindowsAndFactors) {
   plan.link_faults.front().end_s = 2.0;
   plan.link_faults.front().factor = -0.5;
   EXPECT_THROW(plan.validate(topo()), util::CheckError);
+  plan.link_faults.front().factor = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(plan.validate(topo()), util::CheckError);
+  plan.link_faults.front().factor = 0.0;
+  EXPECT_NO_THROW(plan.validate(topo()));
 }
 
 TEST(FaultPlan, RejectsBadTransferProbabilityAndAttempts) {
@@ -114,12 +119,14 @@ TEST(ArmLinkFaults, InstallsRateWindowsOnTheRightLink) {
   FaultPlan plan;
   plan.link_faults.push_back({LinkSide::kRackUp, 1, 0.5, 1.5, 0.25});
   arm_link_faults(cluster, plan, 2.0);  // t0 shifts the window
-  EXPECT_DOUBLE_EQ(cluster.rack_up_link(1).rate_at(2.4),
-                   cluster.rack_up_link(1).rate());
-  EXPECT_DOUBLE_EQ(cluster.rack_up_link(1).rate_at(2.6),
-                   cluster.rack_up_link(1).rate() * 0.25);
-  EXPECT_DOUBLE_EQ(cluster.rack_up_link(0).rate_at(2.6),
-                   cluster.rack_up_link(0).rate());
+  const emul::LinkTable& links = cluster.links();
+  const emul::LinkId armed = cluster.rack_up_link(1);
+  EXPECT_DOUBLE_EQ(links.rate_at(armed, 2.4), links.rate(armed));
+  EXPECT_DOUBLE_EQ(links.rate_at(armed, 2.6), links.rate(armed) * 0.25);
+  for (emul::LinkId link = 0; link < links.size(); ++link) {
+    if (link == armed) continue;
+    EXPECT_DOUBLE_EQ(links.rate_at(link, 2.6), links.rate(link)) << link;
+  }
 }
 
 TEST(EventLog, RecordsSequencedEventsAndCounts) {

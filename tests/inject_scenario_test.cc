@@ -145,6 +145,25 @@ TEST(RunScenario, LinkFlapTimesOutRetriesAndStaysBitExact) {
   EXPECT_FALSE(outcome.run.replanned);
 }
 
+TEST(RunScenario, RejectsAnInfiniteLinkFaultFactor) {
+  // factor=inf would make the flapping link infinitely fast: the run would
+  // lose every timeout of the stock link-flap spec and still report OK.
+  // The parser takes the number; validation rejects it, naming the field.
+  const auto parsed = parse_scenario(
+      "fault link side=rack-up id=0 start=0.0 end=0.3 factor=inf\n");
+  ASSERT_EQ(parsed.faults.link_faults.size(), 1u);
+  auto scenario = canned_scenario("link-flap");
+  scenario.faults.link_faults.front() = parsed.faults.link_faults.front();
+  try {
+    (void)run_scenario(scenario);
+    FAIL() << "factor=inf accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("LinkFault: factor must be finite"), std::string::npos)
+        << what;
+  }
+}
+
 TEST(RunScenario, MidRecoveryCrashMeetsTheAcceptanceCriteria) {
   const auto outcome = run_scenario(canned_scenario("mid-recovery-crash"));
   // A second node dies at 40% completion: the run must finish with

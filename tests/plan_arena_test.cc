@@ -209,16 +209,8 @@ Observed run_fixture(const Fixture& fx, std::uint64_t slice,
         << "stripe " << output.stripe << " chunk " << output.chunk_index;
     out.recovered.push_back(rec != nullptr ? *rec : rs::Chunk{});
   }
-  const auto& topo = fx.placement.topology();
-  for (cluster::NodeId n = 0; n < topo.num_nodes(); ++n) {
-    out.per_link_bytes.push_back(cluster.node_up_link(n).bytes_transmitted());
-    out.per_link_bytes.push_back(
-        cluster.node_down_link(n).bytes_transmitted());
-  }
-  for (cluster::RackId r = 0; r < topo.num_racks(); ++r) {
-    out.per_link_bytes.push_back(cluster.rack_up_link(r).bytes_transmitted());
-    out.per_link_bytes.push_back(
-        cluster.rack_down_link(r).bytes_transmitted());
+  for (emul::LinkId l = 0; l < cluster.links().size(); ++l) {
+    out.per_link_bytes.push_back(cluster.links().bytes(l));
   }
   return out;
 }
@@ -457,6 +449,61 @@ TEST(ExecuteArenaSharing, RunStagesNothingAndTakesOneBufferPerCompute) {
   const auto end = pool.stats();
   EXPECT_EQ(end.recycles - after.recycles, stored + computes);
   EXPECT_EQ(end.taken_outstanding_bytes, before.taken_outstanding_bytes);
+}
+
+// --- rate windows: the windowed integration equals the fast path ---------
+
+TEST(ExecuteArena, UnitRateWindowsMatchTheWindowFreeFastPath) {
+  // A link with no rate window drains on a fast path; one with windows
+  // integrates the rate profile.  A factor-1 window spanning the whole run
+  // must make the two agree bit for bit on a whole plan: the makespan and
+  // every link's next-free time and byte total, in every timing pass.
+  constexpr double kHorizon = 1e3;  // virtual seconds, past the makespan
+  const auto fx = make_fixture(1, 606, kOddChunk, /*window=*/0,
+                               /*stripes=*/12);
+  const PlanArena arena = PlanArena::build(fx.plan, 16 * 1024);
+  enum class Mode { kSlicePlan, kBarrier, kStreamed };
+  struct Run {
+    double wall_s = 0.0;
+    std::vector<double> next_free;
+    std::vector<std::uint64_t> bytes;
+  };
+  auto run = [&](Mode mode, bool windowed) {
+    Cluster cluster(fx.placement.topology(), virtual_config());
+    (void)populate_all(cluster, fx);
+    emul::LinkTable& links = cluster.links();
+    if (windowed) {
+      for (emul::LinkId l = 0; l < links.size(); ++l) {
+        links.add_rate_window(l, 0.0, kHorizon, 1.0);
+      }
+    }
+    Run out;
+    if (mode == Mode::kSlicePlan) {
+      out.wall_s = cluster.execute(recovery::slice_plan(fx.plan, 16 * 1024))
+                       .wall_s;
+    } else if (mode == Mode::kBarrier) {
+      out.wall_s = cluster.execute_arena(arena).wall_s;
+    } else {
+      emul::ArenaStreamFeed feed;
+      feed.publish(arena.num_base_steps());
+      feed.close();
+      out.wall_s = cluster.execute_arena_streaming(arena, {}, feed).wall_s;
+    }
+    for (emul::LinkId l = 0; l < links.size(); ++l) {
+      out.next_free.push_back(links.next_free(l));
+      out.bytes.push_back(links.bytes(l));
+    }
+    return out;
+  };
+  for (const Mode mode : {Mode::kSlicePlan, Mode::kBarrier, Mode::kStreamed}) {
+    const Run fast = run(mode, false);
+    const Run windowed = run(mode, true);
+    ASSERT_GT(fast.wall_s, 0.0);
+    ASSERT_LT(fast.wall_s, kHorizon);
+    EXPECT_EQ(windowed.wall_s, fast.wall_s) << static_cast<int>(mode);
+    EXPECT_EQ(windowed.next_free, fast.next_free) << static_cast<int>(mode);
+    EXPECT_EQ(windowed.bytes, fast.bytes) << static_cast<int>(mode);
+  }
 }
 
 // --- 100k-stripe smoke: the scale path end to end -------------------------

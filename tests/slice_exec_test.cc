@@ -82,16 +82,8 @@ Observed run_emul(int cfg_index, std::uint64_t seed, std::uint64_t chunk,
         << " slice_size " << slice_size;
     out.recovered.push_back(rec != nullptr ? *rec : rs::Chunk{});
   }
-  const auto& topo = cfg.topology();
-  for (cluster::NodeId n = 0; n < topo.num_nodes(); ++n) {
-    out.per_link_bytes.push_back(cluster.node_up_link(n).bytes_transmitted());
-    out.per_link_bytes.push_back(
-        cluster.node_down_link(n).bytes_transmitted());
-  }
-  for (cluster::RackId r = 0; r < topo.num_racks(); ++r) {
-    out.per_link_bytes.push_back(cluster.rack_up_link(r).bytes_transmitted());
-    out.per_link_bytes.push_back(
-        cluster.rack_down_link(r).bytes_transmitted());
+  for (emul::LinkId l = 0; l < cluster.links().size(); ++l) {
+    out.per_link_bytes.push_back(cluster.links().bytes(l));
   }
   out.pool = cluster.buffer_pool().stats();
   return out;

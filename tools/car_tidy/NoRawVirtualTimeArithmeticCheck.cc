@@ -54,7 +54,7 @@ void NoRawVirtualTimeArithmeticCheck::check(
   diag(Time->getOperatorLoc(),
        "raw arithmetic on EmulClock::now(); virtual-time math outside "
        "src/emul must go through the clock/link helpers (advance_to, "
-       "SerialLink::reserve/preview)");
+       "LinkPath::reserve/preview)");
 }
 
 }  // namespace clang::tidy::car
