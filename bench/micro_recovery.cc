@@ -168,7 +168,8 @@ Fig9Point measure_fig9_point(std::size_t cfg_index, double core_scale) {
   point.core_scale = core_scale;
   point.unsliced_makespan_s = cluster.execute(plan).wall_s;
   point.sliced_makespan_s =
-      cluster.execute(recovery::slice_plan(plan, kFig9Slice)).wall_s;
+      cluster.execute_arena(recovery::PlanArena::build(plan, kFig9Slice))
+          .wall_s;
   return point;
 }
 
@@ -598,9 +599,9 @@ void register_fig9_exec_benches() {
           benchmark::DoNotOptimize(makespan);
         }
       } else {
-        const auto sliced = recovery::slice_plan(plan, slice);
+        const auto sliced = recovery::PlanArena::build(plan, slice);
         for (auto _ : state) {
-          makespan = cluster.execute(sliced).wall_s;
+          makespan = cluster.execute_arena(sliced).wall_s;
           benchmark::DoNotOptimize(makespan);
         }
       }

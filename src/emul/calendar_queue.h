@@ -1,8 +1,8 @@
 // Bucketed calendar/ladder queue for the virtual-clock replay engines.
 //
 // CalendarQueue is a min-priority queue over (time, key) pairs that pops in
-// exact lexicographic order — bit-identical to
-// std::priority_queue<pair<double,uint64_t>, ..., greater<>> — but with O(1)
+// exact lexicographic order — bit-identical to a binary min-heap of
+// (double, uint64_t) pairs — but with O(1)
 // amortized insert/pop on the quantized virtual-time grid the link
 // timelines produce, instead of O(log n) on one global heap whose working
 // set thrashes the cache at datacenter scale.

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <exception>
 #include <memory>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -15,8 +15,6 @@
 
 #include "emul/calendar_queue.h"
 #include "recovery/compute.h"
-#include "recovery/scheduler.h"
-#include "recovery/slice.h"
 #include "util/buffer_pool.h"
 #include "util/check.h"
 #include "util/mutex.h"
@@ -28,9 +26,6 @@ namespace {
 
 using recovery::BufferRef;
 using recovery::kMaxComputeInputs;
-using recovery::PlanStep;
-using recovery::SliceInfo;
-using recovery::SlicePlan;
 using recovery::StepKind;
 
 /// Buffer keys: bit 63 selects step outputs; chunks pack (stripe, index)
@@ -65,28 +60,6 @@ std::uint64_t key_of(const BufferRef& ref) {
              : step_key(ref.step_id);
 }
 
-/// Rejects a step naming a node outside the topology, before any per-node
-/// store, liveness slot or link is indexed with it.  `src`/`dst` matter for
-/// transfers, `node` for computes.
-void check_step_in_topology(const char* who, std::uint64_t step,
-                            StepKind kind, cluster::NodeId src,
-                            cluster::NodeId dst, cluster::NodeId node,
-                            std::size_t num_nodes) {
-  auto check = [&](cluster::NodeId id, const char* role) {
-    CAR_CHECK(id < num_nodes,
-              std::string(who) + ": " + role + " of step " +
-                  std::to_string(step) + " is node " + std::to_string(id) +
-                  ", outside the " + std::to_string(num_nodes) +
-                  "-node topology");
-  };
-  if (kind == StepKind::kTransfer) {
-    check(src, "transfer source");
-    check(dst, "transfer destination");
-  } else {
-    check(node, "compute node");
-  }
-}
-
 /// Id of entry `index` of the `count` links laid out from `first` in the
 /// link table (see Cluster::links); std::out_of_range when index >= count.
 LinkId link_id(std::size_t first, std::size_t index, std::size_t count,
@@ -97,12 +70,24 @@ LinkId link_id(std::size_t first, std::size_t index, std::size_t count,
   return static_cast<LinkId>(first + index);
 }
 
-/// check_step_in_topology for one arena row.
+/// Rejects an arena row naming a node outside the topology, before any
+/// per-node store, liveness slot or link is indexed with it: the endpoints
+/// of a transfer, the node of a compute.
 void check_row_in_topology(const recovery::PlanArena& plan,
                            std::uint64_t base, std::size_t num_nodes) {
-  check_step_in_topology("Cluster::execute_arena", base, plan.kind(base),
-                         plan.src(base), plan.dst(base), plan.node(base),
-                         num_nodes);
+  auto check = [&](cluster::NodeId id, const char* role) {
+    CAR_CHECK(id < num_nodes,
+              std::string("Cluster::execute_arena: ") + role + " of step " +
+                  std::to_string(base) + " is node " + std::to_string(id) +
+                  ", outside the " + std::to_string(num_nodes) +
+                  "-node topology");
+  };
+  if (plan.kind(base) == StepKind::kTransfer) {
+    check(plan.src(base), "transfer source");
+    check(plan.dst(base), "transfer destination");
+  } else {
+    check(plan.node(base), "compute node");
+  }
 }
 
 /// One spin-wait step: pause hints while the wait is young, then yield so a
@@ -123,29 +108,6 @@ inline void relax_cpu(std::size_t idle) noexcept {
   std::this_thread::yield();
 }
 
-/// Kahn's algorithm over a plan DAG: every step once, each after all of its
-/// dependencies (breadth-first from the roots).  A cycle leaves steps
-/// unreached, which is a util::CheckError.
-std::vector<std::size_t> topological_order(
-    std::vector<std::size_t> pending,
-    const std::vector<std::vector<std::size_t>>& dependents) {
-  std::vector<std::size_t> order;
-  order.reserve(pending.size());
-  for (std::size_t id = 0; id < pending.size(); ++id) {
-    if (pending[id] == 0) order.push_back(id);
-  }
-  for (std::size_t head = 0; head < order.size(); ++head) {
-    for (const std::size_t dep : dependents[order[head]]) {
-      if (--pending[dep] == 0) order.push_back(dep);
-    }
-  }
-  CAR_CHECK(order.size() == pending.size(),
-            "Cluster::execute: dependency cycle in the plan DAG (" +
-                std::to_string(pending.size() - order.size()) +
-                " steps unreachable)");
-  return order;
-}
-
 // ---- Arena timing replay -------------------------------------------------
 
 /// The replayed timeline: latest finish and modelled compute time.
@@ -155,15 +117,14 @@ struct ReplayTimeline {
   double replacement_compute_s = 0.0;
 };
 
-/// The arena's deterministic timing replay over the sliced id grid: the
-/// identical (start time, id) min-queue walk execute() runs, driven from the
-/// columns instead of materialised steps, as one sequential drain on the
-/// calling thread.  Zero-indegree events all start at t_start and are
-/// ingested in ascending id order, so they form a sorted stream of their
-/// own: they wait in a FIFO beside one calendar queue that holds every
-/// other event, and the drain merges the two by (time, id).  (A FIFO pops
-/// them without heap work; a 1M-stripe full-rack recovery has ~520k of
-/// them, 45-85 % of its events.)
+/// The arena's deterministic timing replay over the sliced id grid: a
+/// (start time, id) min-queue walk driven from the columns, as one
+/// sequential drain on the calling thread.  Zero-indegree events all start
+/// at t_start and are ingested in ascending id order, so they form a sorted
+/// stream of their own: they wait in a FIFO beside one calendar queue that
+/// holds every other event, and the drain merges the two by (time, id).
+/// (A FIFO pops them without heap work; a 1M-stripe full-rack recovery has
+/// ~520k of them, 45-85 % of its events.)
 ///
 /// The pop stream is lexicographically monotone in (time, id): every
 /// dependent pushed while processing event (t, id) has start >= finish >= t
@@ -177,8 +138,8 @@ struct ReplayTimeline {
 /// the watermark cap (t_start, published * num_slices): rows publish in
 /// base-id order, so every event of an unpublished row sorts at or after
 /// that key.  A streamed replay gives up early once `failed` is set.
-/// Transfers reserve the links of cluster.path(src, dst), like every other
-/// timing pass; computes are charged bytes / virtual_gf_bps.
+/// Transfers reserve the links of cluster.path(src, dst), as the inject
+/// BatchDriver does; computes are charged bytes / virtual_gf_bps.
 ReplayTimeline replay_arena(const recovery::PlanArena& plan,
                             const ArenaStreamFeed* feed, Cluster& cluster,
                             double t_start, const std::atomic<bool>& failed) {
@@ -308,8 +269,8 @@ struct Cluster::Impl {
   };
 
   // Pooled staging + store capacity: wire copies and compute scratch of the
-  // plan and inject executors, and every store buffer execution creates,
-  // come from here (see util/buffer_pool.h).  Declared before `stores`, so
+  // inject executor, and every store buffer execution creates, come from
+  // here (see util/buffer_pool.h).  Declared before `stores`, so
   // it outlives the last buffer whose deleter recycles into it.
   util::BufferPool pool;
 
@@ -479,12 +440,20 @@ Cluster::Cluster(cluster::Topology topology, EmulConfig config)
     : impl_(std::make_unique<Impl>()),
       topology_(std::move(topology)),
       config_(config) {
-  CAR_CHECK(config_.node_bps > 0, "EmulConfig: node_bps must be positive");
-  CAR_CHECK(config_.oversubscription > 0,
-            "EmulConfig: oversubscription must be positive");
+  // `!(x > 0)` also rejects NaN; an infinite rate would model links or
+  // decoders that take no time at all.
+  const auto check_rate = [](double rate, const char* field) {
+    CAR_CHECK(rate > 0 && std::isfinite(rate),
+              std::string("EmulConfig: ") + field +
+                  " must be positive and finite, got " + std::to_string(rate));
+  };
+  check_rate(config_.node_bps, "node_bps");
+  check_rate(config_.oversubscription, "oversubscription");
+  if (config_.rack_link_bps) {
+    check_rate(*config_.rack_link_bps, "rack_link_bps");
+  }
+  check_rate(config_.virtual_gf_bps, "virtual_gf_bps");
   CAR_CHECK(config_.page_bytes > 0, "EmulConfig: page_bytes must be > 0");
-  CAR_CHECK(config_.virtual_gf_bps > 0,
-            "EmulConfig: virtual_gf_bps must be positive");
   const std::size_t n = topology_.num_nodes();
   const std::size_t r = topology_.num_racks();
   impl_->stores = std::vector<Impl::NodeStore>(n);
@@ -726,170 +695,9 @@ std::vector<std::vector<rs::Chunk>> Cluster::populate(
 }
 
 ExecutionReport Cluster::execute(const recovery::RecoveryPlan& plan) {
-  // Degenerate lowering: one slice per step with identical ids, deps, and
-  // bytes — the sliced core below then performs the exact same computation
-  // a chunk-granular executor would.
-  return execute(recovery::slice_plan(
+  // One slice per step: the arena walk on the chunk grid.
+  return execute_arena(recovery::PlanArena::build(
       plan, std::max<std::uint64_t>(plan.chunk_size, 1)));
-}
-
-ExecutionReport Cluster::execute(const recovery::SlicePlan& plan) {
-  const std::size_t n_steps = plan.steps.size();
-  ExecutionReport report;
-  report.per_rack_cross_bytes.assign(topology_.num_racks(), 0);
-  if (n_steps == 0) return report;
-  for (std::size_t id = 0; id < n_steps; ++id) {
-    const PlanStep& step = plan.steps[id];
-    check_step_in_topology("Cluster::execute", id, step.kind, step.src,
-                           step.dst, step.node, topology_.num_nodes());
-  }
-
-  const auto indegrees =
-      recovery::step_indegrees(std::span<const PlanStep>(plan.steps));
-  const auto dependents =
-      recovery::step_dependents(std::span<const PlanStep>(plan.steps));
-  const std::vector<std::size_t> order =
-      topological_order(indegrees, dependents);
-  EmulClock& clock = impl_->clock;
-
-  // The recovery destination must outlive the plan: guard it so a
-  // concurrent drop_node(replacement) fails loudly instead of racing the
-  // final publish.  Counted, so an outer runtime's guard survives.
-  // Released on every exit path.
-  struct GuardScope {
-    Cluster* cluster;
-    cluster::NodeId node;
-    ~GuardScope() { cluster->remove_replacement_guard(node); }
-  };
-  add_replacement_guard(plan.replacement);
-  GuardScope guard_scope{this, plan.replacement};
-  impl_->check_alive(plan.replacement, "Cluster::execute: replacement");
-
-  auto run_transfer = [&](const PlanStep& step, const SliceInfo& slice) {
-    impl_->check_alive(step.src, "Cluster::execute: transfer source");
-    impl_->check_alive(step.dst, "Cluster::execute: transfer destination");
-    const rs::Chunk* src_buf = impl_->find(step.src, key_of(step.payload));
-    CAR_CHECK_STATE(src_buf != nullptr,
-                    "Cluster::execute: transfer payload missing on source "
-                    "node");
-    // Buffer-size contract: the plan's declared chunk size must match the
-    // actual payload, or every byte of traffic accounting downstream lies
-    // (and the slice grid would read past the buffer).
-    CAR_CHECK_STATE(src_buf->size() == plan.chunk_size,
-                    "Cluster::execute: transfer size mismatch: plan declares " +
-                        std::to_string(plan.chunk_size) +
-                        " bytes but payload holds " +
-                        std::to_string(src_buf->size()));
-    // Stage the slice through a pooled lease — the wire payload.  The
-    // staged copy also makes a loopback self-write well-defined.
-    util::BufferLease wire = impl_->pool.acquire(
-        static_cast<std::size_t>(slice.length));
-    std::memcpy(wire.data(), src_buf->data() + slice.offset, slice.length);
-    impl_->write_range(step.dst, key_of(step.payload), plan.chunk_size,
-                       slice.offset, {wire.data(), wire.size()});
-    // Loopback: the buffer never leaves the node, so no traffic is
-    // reported (and the timing pass reserves no link).
-    if (step.src == step.dst) return;
-
-    const std::uint64_t moved = slice.length;  // == step.bytes by the grid
-    const auto src_rack = topology_.rack_of(step.src);
-    if (src_rack != topology_.rack_of(step.dst)) {
-      report.cross_rack_bytes += moved;
-      report.per_rack_cross_bytes[src_rack] += moved;
-    } else {
-      report.intra_rack_bytes += moved;
-    }
-  };
-
-  auto run_compute = [&](const PlanStep& step, const SliceInfo& slice) {
-    impl_->check_alive(step.node, "Cluster::execute: compute node");
-    std::vector<const rs::Chunk*> inputs;
-    inputs.reserve(step.inputs.size());
-    for (const auto& in : step.inputs) {
-      const rs::Chunk* buf = impl_->find(step.node, key_of(in.buffer));
-      CAR_CHECK_STATE(buf != nullptr,
-                      "Cluster::execute: compute input missing on node");
-      inputs.push_back(buf);
-    }
-    // The step contract and the fused combine live in the shared helper,
-    // which inject/driver.cc executes identically.  The output is staged in
-    // a lease (the kernels' combine output may not alias its inputs) and
-    // then assembled into the base step's output buffer.
-    util::BufferLease out = impl_->pool.acquire(
-        static_cast<std::size_t>(slice.length));
-    recovery::execute_compute_slice(step, inputs, plan.chunk_size,
-                                    slice.offset, {out.data(), out.size()},
-                                    "Cluster::execute");
-    impl_->write_range(step.node, step_key(slice.base_step), plan.chunk_size,
-                       slice.offset, {out.data(), out.size()});
-  };
-
-  // Pass 1 — payload: walk the DAG in topological order; real bytes move,
-  // real GF kernels run, and bytes are accounted.  No link is reserved and
-  // the clock does not move, so a plan that throws here leaves the
-  // timeline untouched.  A node dropped mid-execution bumps the drop
-  // epoch, polled before every step.
-  const std::uint64_t epoch_at_start =
-      impl_->drop_epoch.load(std::memory_order_acquire);
-  const double t_start = clock.now();
-  for (const std::size_t id : order) {
-    CAR_CHECK_STATE(impl_->drop_epoch.load(std::memory_order_acquire) ==
-                        epoch_at_start,
-                    "Cluster::execute: node dropped mid-execution; aborting "
-                    "plan");
-    const PlanStep& step = plan.steps[id];
-    if (step.kind == StepKind::kTransfer) {
-      run_transfer(step, plan.info[id]);
-    } else {
-      run_compute(step, plan.info[id]);
-    }
-  }
-
-  // Pass 2 — deterministic timing replay.  Steps are processed in (virtual
-  // start time, id) order from a min-heap, so link reservations happen in a
-  // reproducible sequence.  Transfers reserve their page-wise path;
-  // computes are charged step.bytes / virtual_gf_bps.
-  auto pending = indegrees;
-  std::vector<double> start_at(n_steps, t_start);
-  using Entry = std::pair<double, std::size_t>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> ready;
-  for (std::size_t id = 0; id < n_steps; ++id) {
-    if (pending[id] == 0) ready.emplace(t_start, id);
-  }
-  double end = t_start;
-  while (!ready.empty()) {
-    const auto [at, id] = ready.top();
-    ready.pop();
-    const PlanStep& step = plan.steps[id];
-    double finish = at;
-    if (step.kind == StepKind::kTransfer) {
-      if (step.src != step.dst) {
-        finish = path(step.src, step.dst)
-                     .reserve(at, step.bytes, config_.page_bytes);
-      }
-    } else {
-      const double dt =
-          static_cast<double>(step.bytes) / config_.virtual_gf_bps;
-      finish = at + dt;
-      report.compute_s += dt;
-      if (step.node == plan.replacement) report.replacement_compute_s += dt;
-    }
-    end = std::max(end, finish);
-    for (const std::size_t dep : dependents[id]) {
-      start_at[dep] = std::max(start_at[dep], finish);
-      if (--pending[dep] == 0) ready.emplace(start_at[dep], dep);
-    }
-  }
-  clock.advance_to(end);
-  report.wall_s = end - t_start;
-
-  // Publish recovered chunks as regular chunk replicas on the replacement.
-  // Output ids are *base* step ids — all slices of the producing step have
-  // completed (the DAG drained), so the assembled buffer is whole.
-  impl_->publish(
-      plan.replacement, plan.outputs, [](cluster::StripeId) { return true; },
-      "Cluster::execute");
-  return report;
 }
 
 ExecutionReport Cluster::execute_arena(const recovery::PlanArena& plan,
@@ -949,8 +757,8 @@ ExecutionReport Cluster::execute_arena_impl(const recovery::PlanArena& plan,
   };
 
   // Liveness snapshot: shards check it lock-free per step; a node dropped
-  // *during* execution bumps the drop epoch instead, which aborts the run
-  // exactly like execute()'s per-step poll.
+  // *during* execution bumps the drop epoch instead, which the shards poll
+  // before every step to abort the run.
   std::vector<char> dead;
   {
     util::MutexLock lock(impl_->state_mu);

@@ -45,7 +45,6 @@
 #include "emul/link.h"
 #include "recovery/plan.h"
 #include "recovery/plan_arena.h"
-#include "recovery/slice.h"
 #include "rs/code.h"
 #include "util/buffer_pool.h"
 #include "util/rng.h"
@@ -235,12 +234,12 @@ class Cluster {
                           std::uint64_t full_size, std::uint64_t offset,
                           std::span<const std::uint8_t> data);
 
-  /// The buffer pool backing transfer/compute staging of execute() and
-  /// external runtimes, and every store buffer execution creates (see
-  /// util/buffer_pool.h).  execute_arena stages nothing: it takes one store
-  /// buffer per real-byte compute step.  Exposed so external runtimes
-  /// (src/inject) stage through the same pool and tests can assert its
-  /// accounting.
+  /// The buffer pool backing every store buffer execution creates, and the
+  /// transfer/compute staging of external runtimes (see
+  /// util/buffer_pool.h).  execute/execute_arena stage nothing: they take
+  /// one store buffer per real-byte compute step.  Exposed so external
+  /// runtimes (src/inject) stage through the same pool and tests can assert
+  /// its accounting.
   [[nodiscard]] util::BufferPool& buffer_pool() noexcept;
 
   /// Drop every buffer a node holds (single node failure).  The node slot
@@ -330,54 +329,44 @@ class Cluster {
                    std::uint64_t chunk_size, std::uint64_t seed,
                    std::span<const cluster::StripeId> stripes);
 
-  /// Execute a recovery plan: move every transfer's bytes and run every
-  /// compute step on real buffers, then replay the timing.  Both passes run
-  /// on the calling thread: the payload pass walks the DAG in a topological
-  /// order, and a deterministic (virtual start time, id) replay reserves
-  /// the links and charges modelled compute, so reported times are
-  /// bit-identical across runs.  A plan that fails in the payload pass
-  /// reserves no link time and leaves the clock where it was.  After
-  /// success the recovered chunks are stored on the replacement node both
-  /// as step outputs and as regular chunks (one shared buffer each).
-  /// Throws std::runtime_error when a referenced buffer is missing, a
-  /// transfer's declared size disagrees with the stored payload, a step
-  /// touches a dropped node, or a node is dropped mid-execution (abort),
-  /// and util::CheckError (std::invalid_argument) when a step names a node
-  /// outside the topology or the DAG is malformed (unknown dependency or
-  /// cycle).  Internally
-  /// lowers the plan onto a degenerate one-slice-per-step grid and runs the
-  /// sliced core below — the identical computation, byte for byte.
+  /// Execute a recovery plan: execute_arena on the plan lowered into a
+  /// PlanArena with one slice per step (PlanArena::build(plan,
+  /// max(chunk_size, 1))), with one payload shard and real bytes for every
+  /// stripe.  So the plan must meet PlanArena::build's contract — dense ids,
+  /// forward dependencies, declared bytes matching chunk_size — or the run
+  /// is a util::CheckError before any step runs; every other failure mode
+  /// and guarantee is execute_arena's.  After success the recovered chunks
+  /// are stored on the replacement node both as step outputs and as
+  /// regular chunks (one shared buffer each).
   ExecutionReport execute(const recovery::RecoveryPlan& plan);
 
-  /// Execute a slice-lowered plan (recovery/slice.h): same semantics as
-  /// above, but transfer and compute steps run at slice granularity, so
-  /// cross-rack shipping of slice s overlaps aggregation of slice s+1.
-  /// Traffic accounting equals the base plan's bit for bit (slices of one
-  /// transfer sum to exactly chunk_size).  All staging goes through the
-  /// buffer pool — steady-state execution allocates nothing per slice.
-  ExecutionReport execute(const recovery::SlicePlan& plan);
-
-  /// Execute a columnar arena plan (recovery/plan_arena.h) without ever
-  /// materialising per-slice step objects.  Two passes:
+  /// Execute a columnar arena plan (recovery/plan_arena.h), walking its
+  /// columns directly — no per-slice step object is ever materialised.  Two
+  /// passes:
   ///
   ///   1. payload movement — base steps partitioned stripe % shards across
-  ///      concurrent workers; payloads move (and real GF kernels run) only
-  ///      for stripes the options mark real, byte accounting always.  A
-  ///      transfer shares the source's buffer into the destination's slot;
-  ///      a compute writes every slice in place into one freshly taken
-  ///      output buffer; the published recovered chunk shares the output
-  ///      buffer.  No staging lease is taken;
+  ///      concurrent workers (shards == 1 runs on the calling thread);
+  ///      payloads move (and real GF kernels run) only for stripes the
+  ///      options mark real, byte accounting always.  A transfer shares the
+  ///      source's buffer into the destination's slot; a compute writes
+  ///      every slice in place into one freshly taken output buffer; the
+  ///      published recovered chunk shares the output buffer.  No staging
+  ///      lease is taken;
   ///   2. a sequential deterministic timing replay over the sliced id grid
-  ///      on the calling thread — the identical (start time, id) walk
-  ///      execute() uses, drained from one calendar queue, so for the same
-  ///      plan the reported timeline, per-link occupancies, and byte totals
-  ///      are bit-identical to execute(slice_plan(...)) and invariant in
-  ///      both the shard count and metadata mode.
+  ///      on the calling thread: events drain in (virtual start time, id)
+  ///      order from one calendar queue, transfers reserve their page-wise
+  ///      link path and computes are charged bytes / virtual_gf_bps, so the
+  ///      reported timeline, per-link occupancies, and byte totals are
+  ///      bit-identical across runs and invariant in both the shard count
+  ///      and metadata mode.
   ///
-  /// Requires options.replay_shards == 1 and, for shards > 1, a
-  /// stripe-closed arena (both util::CheckError).  A step naming a node
-  /// outside the topology is a util::CheckError.  Other failure modes
-  /// match execute().
+  /// A plan that fails in the payload pass reserves no link time and
+  /// leaves the clock where it was.  Throws std::runtime_error when a
+  /// referenced buffer is missing, a transfer's declared size disagrees
+  /// with the stored payload, a step touches a dropped node, or a node is
+  /// dropped mid-execution (abort).  Requires options.replay_shards == 1
+  /// and, for shards > 1, a stripe-closed arena (both util::CheckError).  A
+  /// step naming a node outside the topology is a util::CheckError.
   ExecutionReport execute_arena(const recovery::PlanArena& plan,
                                 const ArenaExecOptions& options = {});
 

@@ -10,7 +10,9 @@
 namespace car::emul {
 
 LinkId LinkTable::add(double bytes_per_second) {
-  CAR_CHECK(bytes_per_second > 0, "LinkTable: rate must be positive");
+  CAR_CHECK(bytes_per_second > 0 && std::isfinite(bytes_per_second),
+            "LinkTable: rate must be positive and finite, got " +
+                std::to_string(bytes_per_second));
   CAR_CHECK(links_.size() < std::numeric_limits<LinkId>::max(),
             "LinkTable: too many links");
   links_.push_back({0.0, bytes_per_second, 0, false});

@@ -10,9 +10,9 @@
 // slowest hop drains, not after the sum of hops.
 //
 // Every link of one cluster is a plain value in one LinkTable, addressed by
-// LinkId.  The table takes no lock: every timing pass (the arena replay,
-// execute(SlicePlan)'s timing pass, the inject BatchDriver) reserves links
-// on one thread.
+// LinkId.  The table takes no lock: both timing passes (the arena replay
+// behind Cluster::execute and execute_arena, and the inject BatchDriver)
+// reserve links on one thread.
 //
 // Fault windows (inject/): a link may carry *rate windows* — intervals
 // during which its effective rate is scaled by a finite factor (0 =

@@ -1,14 +1,14 @@
 // The fault-aware virtual-time step loop.
 //
 // BatchDriver is the one engine that runs recovery plans under injected
-// faults: it lowers each admitted plan ("batch") onto a slice grid
-// (recovery/slice.h) and executes its steps on one shared virtual
-// timeline, with per-slice transfer timeouts (preview-based, no wire
-// commit), bounded retries with seeded backoff, drop/corrupt fault
-// matching via transfer_fault_applies, at-most-once traffic accounting,
-// pooled zero-copy staging, and real GF kernels through
-// recovery/compute.h.  A step becomes ready when the LAST of its
-// dependencies finishes.
+// faults: it lowers each admitted plan ("batch") into a PlanArena on a
+// slice grid (recovery/plan_arena.h) and executes its sliced steps,
+// straight from the arena columns, on one shared virtual timeline, with
+// per-slice transfer timeouts (preview-based, no wire commit), bounded
+// retries with seeded backoff, drop/corrupt fault matching via
+// transfer_fault_applies, at-most-once traffic accounting, pooled
+// zero-copy staging, and real GF kernels through recovery/compute.h.  A
+// step becomes ready when the LAST of its dependencies finishes.
 //
 // It has two clients:
 //   * ResilientRuntime (inject/runtime.h) runs one plan as a single batch
@@ -42,7 +42,7 @@
 #include "inject/event_log.h"
 #include "inject/fault.h"
 #include "recovery/plan.h"
-#include "recovery/slice.h"
+#include "recovery/plan_arena.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -141,7 +141,7 @@ void log_link_faults(EventLog& log, const FaultPlan& faults, double t);
 
 /// ", sliced S B xN (M slice steps)" for a lowering with more than one
 /// slice per step; empty for a chunk-granular one.
-[[nodiscard]] std::string slicing_note(const recovery::SlicePlan& sliced);
+[[nodiscard]] std::string slicing_note(const recovery::PlanArena& arena);
 
 class BatchDriver {
  public:
@@ -156,9 +156,11 @@ class BatchDriver {
 
   /// Admit a non-empty plan as batch `batch_id` at the current virtual
   /// time.  All of its outputs must target plan.replacement, which must be
-  /// alive.  The id labels the batch in outcomes and log details.  Returns
-  /// the batch's lowering (valid until the next admit or cancel_all).
-  const recovery::SlicePlan& admit(std::size_t batch_id,
+  /// alive, and it must meet PlanArena::build's contract (forward
+  /// dependencies among them; util::CheckError otherwise).  The id labels
+  /// the batch in outcomes and log details.  Returns the batch's lowering
+  /// (valid until the next admit or cancel_all).
+  const recovery::PlanArena& admit(std::size_t batch_id,
                                    const recovery::RecoveryPlan& plan);
 
   /// Drive the shared event loop.  With a deadline (absolute virtual
@@ -195,10 +197,10 @@ class BatchDriver {
  private:
   struct Batch {
     std::size_t id = 0;
-    recovery::SlicePlan sliced;  // carries the plan's outputs too
-    std::vector<std::size_t> indegrees;
-    std::vector<std::vector<std::size_t>> dependents;
-    /// Latest finish among the dependencies completed so far.
+    recovery::PlanArena arena;  // carries the plan's outputs too
+    /// Per sliced step: dependencies not yet finished, the latest finish
+    /// among those finished so far, and whether the step has completed.
+    std::vector<std::uint32_t> pending;
     std::vector<double> ready_at;
     std::vector<char> done;
     std::size_t completed = 0;
@@ -229,12 +231,12 @@ class BatchDriver {
                                       std::size_t base_step);
   [[nodiscard]] recovery::BufferRef biased(const recovery::BufferRef& ref,
                                            const Batch& batch) const;
-  double run_compute(const Batch& batch, const recovery::PlanStep& step,
-                     const recovery::SliceInfo& slice, double t);
+  /// Run sliced step `id` of `batch` (a compute) at `t`; returns its finish.
+  double run_compute(const Batch& batch, std::uint64_t id, double t);
+  /// One attempt of sliced step `id` of the batch in `slot` (a transfer).
   std::optional<double> run_transfer_attempt(std::size_t slot,
-                                             const recovery::PlanStep& step,
-                                             const recovery::SliceInfo& slice,
-                                             double t, std::size_t attempt);
+                                             std::uint64_t id, double t,
+                                             std::size_t attempt);
   /// Publish outputs of `batch` whose producing step delivered every slice
   /// (all of them when whole_batch).  Returns the published chunks.
   std::vector<PublishedChunk> publish_outputs(const Batch& batch,

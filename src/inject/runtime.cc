@@ -59,8 +59,8 @@ class Run {
                 std::move(data), result_.log, LogFraming::kClient) {}
 
   RunResult run(const RecoveryPlan& plan) {
-    const recovery::SlicePlan& lowered = driver_.admit(0, plan);
-    std::size_t total = lowered.steps.size();
+    const recovery::PlanArena& lowered = driver_.admit(0, plan);
+    auto total = static_cast<std::size_t>(lowered.num_sliced_steps());
     result_.log.record(t0_, EventKind::kRunStart, -1, -1,
                        static_cast<std::int64_t>(plan.replacement), 0,
                        std::to_string(plan.steps.size()) + " steps, " +
@@ -76,7 +76,8 @@ class Run {
       current = escalate(*crash, tc, current);
       // Crash escalations re-plan at chunk granularity; the driver lowers
       // the fresh plan onto the same slice grid.
-      total = driver_.admit(0, current).steps.size();
+      total = static_cast<std::size_t>(
+          driver_.admit(0, current).num_sliced_steps());
     }
 
     result_.report = driver_.report();

@@ -53,19 +53,4 @@ void execute_compute_slice(std::span<const std::uint8_t> coeffs,
   gf::linear_combine_acc(coeffs, {views.data(), inputs.size()}, out);
 }
 
-void execute_compute_slice(const PlanStep& step,
-                           std::span<const rs::Chunk* const> inputs,
-                           std::uint64_t chunk_size, std::uint64_t offset,
-                           std::span<std::uint8_t> out,
-                           const std::string& context) {
-  CAR_CHECK_STATE(step.inputs.size() <= kMaxComputeInputs,
-                  context + ": compute arity exceeds the GF(2^8) bound");
-  std::array<std::uint8_t, kMaxComputeInputs> coeffs{};
-  for (std::size_t i = 0; i < step.inputs.size(); ++i) {
-    coeffs[i] = step.inputs[i].coeff;
-  }
-  execute_compute_slice({coeffs.data(), step.inputs.size()}, step.bytes,
-                        inputs, chunk_size, offset, out, context);
-}
-
 }  // namespace car::recovery

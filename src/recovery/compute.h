@@ -1,18 +1,18 @@
-// Shared execution of a compute PlanStep's linear combination.
+// Shared execution of a compute step's linear combination.
 //
 // The emulator (emul/cluster.cc) and the fault-aware step loop
-// (inject/driver.cc) both execute compute steps over real chunk buffers;
-// this helper is the single implementation of the step contract they used to
-// duplicate: every gathered input has the same size, the step's declared
-// compute volume equals |inputs| * chunk size, and the output is the fused
-// GF(2^8) combination sum_i coeff_i * input_i.
+// (inject/driver.cc) both execute compute steps over real chunk buffers,
+// reading inputs and coefficients from the same PlanArena columns; this
+// helper is the single implementation of the step contract: every gathered
+// input has the same size, the step's declared compute volume equals
+// |inputs| * chunk size, and the output is the fused GF(2^8) combination
+// sum_i coeff_i * input_i.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
 
-#include "recovery/plan.h"
 #include "rs/code.h"
 #include "util/attributes.h"
 
@@ -30,13 +30,12 @@ inline constexpr std::size_t kMaxComputeInputs = 256;
 /// the *sliced* step's declared compute volume, so it must equal
 /// out.size() * |inputs|; `coeffs` holds one coefficient per input; every
 /// input buffer must hold a full chunk of `chunk_size` bytes.  The values
-/// come straight from the caller's plan representation, so the arena
-/// executor never materialises a PlanStep.  `out` must not alias any input
-/// (the kernels' linear_combine contract): the arena writes into a fresh
-/// step-output buffer, the other executors stage through a pool lease.
-/// Throws util::StateError on contract violations; `context` prefixes the
-/// failure messages so callers keep their own error voice
-/// ("Cluster::execute", "BatchDriver", ...).
+/// come straight from the arena columns, so no caller materialises a
+/// PlanStep.  `out` must not alias any input (the kernels' linear_combine
+/// contract): the emulator writes into a fresh step-output buffer, the
+/// BatchDriver stages through a pool lease.  Throws util::StateError on
+/// contract violations; `context` prefixes the failure messages so callers
+/// keep their own error voice ("Cluster::execute_arena", "BatchDriver").
 CAR_HOT void execute_compute_slice(std::span<const std::uint8_t> coeffs,
                                    std::uint64_t step_bytes,
                                    std::span<const rs::Chunk* const> inputs,
@@ -44,13 +43,5 @@ CAR_HOT void execute_compute_slice(std::span<const std::uint8_t> coeffs,
                                    std::uint64_t offset,
                                    std::span<std::uint8_t> out,
                                    const std::string& context);
-
-/// The same over a materialised sliced PlanStep: its input coefficients and
-/// declared bytes feed the core above.
-void execute_compute_slice(const PlanStep& step,
-                           std::span<const rs::Chunk* const> inputs,
-                           std::uint64_t chunk_size, std::uint64_t offset,
-                           std::span<std::uint8_t> out,
-                           const std::string& context);
 
 }  // namespace car::recovery

@@ -17,12 +17,13 @@
 //   * 64-bit sliced ids on the same grid as SlicePlan::sliced_id
 //     (base * num_slices + slice, overflow-checked).
 //
-// The arena is a drop-in source of truth for executors: step(id) /
-// slice_info(id) materialise the exact PlanStep / SliceInfo the SlicePlan
-// lowering would contain (to_slice_plan() materialises the whole thing,
-// which is how the differential tests prove equivalence), and the byte
-// accounting API mirrors SlicePlan's.  emul::Cluster::execute_arena walks
-// the columns directly and never materialises per-step objects.
+// The arena is the one sliced form executors walk: emul::Cluster (execute
+// and execute_arena) and inject::BatchDriver read the columns directly and
+// never materialise per-step objects.  step(id) / slice_info(id)
+// materialise the exact PlanStep / SliceInfo the SlicePlan lowering would
+// contain (to_slice_plan() materialises the whole thing, which is how the
+// differential tests prove equivalence and what their reference replay
+// walks), and the byte accounting API mirrors SlicePlan's.
 #pragma once
 
 #include <cstddef>

@@ -56,43 +56,6 @@ RecoveryPlan schedule_windowed(const RecoveryPlan& plan, std::size_t window) {
   return scheduled;
 }
 
-std::vector<std::size_t> step_indegrees(std::span<const PlanStep> steps) {
-  const std::size_t n = steps.size();
-  std::vector<std::size_t> indegrees(n, 0);
-  for (const auto& step : steps) {
-    // Plan-DAG well-formedness: dependency ids must name existing steps.
-    CAR_CHECK_LT(step.id, n, "step_indegrees: step id out of range");
-    for (const std::size_t dep : step.deps) {
-      CAR_CHECK_LT(dep, n, "step_indegrees: unknown dependency id");
-      ++indegrees[step.id];
-    }
-  }
-  return indegrees;
-}
-
-std::vector<std::size_t> step_indegrees(const RecoveryPlan& plan) {
-  return step_indegrees(std::span<const PlanStep>(plan.steps));
-}
-
-std::vector<std::vector<std::size_t>> step_dependents(
-    std::span<const PlanStep> steps) {
-  const std::size_t n = steps.size();
-  std::vector<std::vector<std::size_t>> dependents(n);
-  for (const auto& step : steps) {
-    CAR_CHECK_LT(step.id, n, "step_dependents: step id out of range");
-    for (const std::size_t dep : step.deps) {
-      CAR_CHECK_LT(dep, n, "step_dependents: unknown dependency id");
-      dependents[dep].push_back(step.id);
-    }
-  }
-  return dependents;
-}
-
-std::vector<std::vector<std::size_t>> step_dependents(
-    const RecoveryPlan& plan) {
-  return step_dependents(std::span<const PlanStep>(plan.steps));
-}
-
 std::size_t max_inflight_stripes(const RecoveryPlan& plan) {
   const auto spans = stripe_spans(plan);
   if (spans.order.empty()) return 0;

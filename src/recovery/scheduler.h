@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 
 #include "recovery/plan.h"
 
@@ -30,21 +29,5 @@ RecoveryPlan schedule_windowed(const RecoveryPlan& plan, std::size_t window);
 /// schedule_windowed this equals min(window, #stripes); for raw builder
 /// plans it equals the stripe count.
 std::size_t max_inflight_stripes(const RecoveryPlan& plan);
-
-/// Readiness surface consumed by DAG executors (emul::Cluster::execute's
-/// payload and timing passes): per-step count of unfinished
-/// prerequisites.  Steps with indegree 0 are immediately runnable.
-/// Throws std::invalid_argument when a step references an unknown
-/// dependency id.  The span overloads serve sliced step sequences
-/// (recovery/slice.h) with the same checks.
-std::vector<std::size_t> step_indegrees(std::span<const PlanStep> steps);
-std::vector<std::size_t> step_indegrees(const RecoveryPlan& plan);
-
-/// Reverse adjacency of the dependency DAG: dependents[i] lists the steps
-/// unblocked when step i completes.  Throws std::invalid_argument when a
-/// step references an unknown dependency id.
-std::vector<std::vector<std::size_t>> step_dependents(
-    std::span<const PlanStep> steps);
-std::vector<std::vector<std::size_t>> step_dependents(const RecoveryPlan& plan);
 
 }  // namespace car::recovery

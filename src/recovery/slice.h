@@ -18,19 +18,24 @@
 //                                         for computes)
 //
 // Degenerate case: slice_size >= chunk_size yields exactly one slice per
-// step with identical ids, deps, and bytes — executing such a SlicePlan is
-// the *same computation* as executing the base plan, which is how the
-// executors (emul::Cluster, inject::ResilientRuntime) serve both paths with
-// one core.  Slicing never changes what moves where: per-link and
+// step with identical ids, deps, and bytes — the *same computation* as the
+// base plan.  Slicing never changes what moves where: per-link and
 // cross-rack byte totals are bit-identical to the base plan
 // (recovery::validate_sliced_plan checks this statically, the differential
 // tests check it dynamically).
+//
+// Executors do not walk a SlicePlan: both (emul::Cluster and the inject
+// BatchDriver) lower every plan, chunk-granular ones degenerately, into the
+// columnar PlanArena on this same grid (recovery/plan_arena.h), so each has
+// one core.  The materialised SlicePlan is for the validator's sliced mode
+// and for tests, whose reference replay walks PlanArena::to_slice_plan().
 //
 // Slice steps carry base-plan buffer references: a sliced transfer writes
 // bytes [offset, offset+length) of the *whole* destination buffer, and a
 // sliced compute writes the same range of its base step's output buffer.
 // Executors therefore need ranged buffer writes (emul::Cluster::
-// write_buffer_range) backed by full-chunk buffers.
+// write_buffer_range) backed by full-chunk buffers, or shared whole
+// buffers (the arena executor's transfers).
 #pragma once
 
 #include <cstddef>

@@ -1,8 +1,10 @@
 // Network and compute model parameters for the flow-level simulator.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "util/check.h"
@@ -50,20 +52,26 @@ struct NetConfig {
   std::vector<double> rack_compute_multiplier;
 
   void validate(std::size_t num_racks) const {
-    CAR_CHECK(node_bps > 0 && oversubscription > 0 && gf_compute_bps > 0 &&
-                  xor_compute_bps > 0,
-              "NetConfig: rates must be positive");
-    CAR_CHECK(!rack_link_bps || *rack_link_bps > 0,
-              "NetConfig: rack_link_bps must be positive");
-    CAR_CHECK(per_hop_latency_s >= 0,
-              "NetConfig: per_hop_latency_s must be non-negative");
+    const auto check_rate = [](double rate, const char* field) {
+      CAR_CHECK(rate > 0 && std::isfinite(rate),
+                std::string("NetConfig: ") + field +
+                    " must be positive and finite");
+    };
+    check_rate(node_bps, "node_bps");
+    check_rate(oversubscription, "oversubscription");
+    check_rate(gf_compute_bps, "gf_compute_bps");
+    check_rate(xor_compute_bps, "xor_compute_bps");
+    if (rack_link_bps) check_rate(*rack_link_bps, "rack_link_bps");
+    CAR_CHECK(per_hop_latency_s >= 0 && std::isfinite(per_hop_latency_s),
+              "NetConfig: per_hop_latency_s must be non-negative and finite");
     CAR_CHECK(background_load >= 0 && background_load < 1.0,
               "NetConfig: background_load must be in [0, 1)");
     CAR_CHECK(rack_compute_multiplier.empty() ||
                   rack_compute_multiplier.size() == num_racks,
               "NetConfig: rack_compute_multiplier arity mismatch");
     for (double m : rack_compute_multiplier) {
-      CAR_CHECK(m > 0, "NetConfig: compute multipliers must be positive");
+      CAR_CHECK(m > 0 && std::isfinite(m),
+                "NetConfig: compute multipliers must be positive and finite");
     }
   }
 

@@ -1,6 +1,7 @@
 #include "util/flags.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "util/check.h"
@@ -61,15 +62,21 @@ std::int64_t Flags::get_int(const std::string& name,
 double Flags::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
+  double value = 0.0;
   try {
     std::size_t pos = 0;
-    const double value = std::stod(it->second, &pos);
+    value = std::stod(it->second, &pos);
     if (pos != it->second.size()) throw std::invalid_argument("trailing");
-    return value;
   } catch (const std::exception&) {
     throw std::invalid_argument("Flags: --" + name +
                                 " expects a number, got '" + it->second + "'");
   }
+  if (!std::isfinite(value)) {
+    throw std::invalid_argument("Flags: --" + name +
+                                " expects a finite number, got '" +
+                                it->second + "'");
+  }
+  return value;
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {

@@ -31,7 +31,8 @@ class Flags {
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
 
-  /// Floating-point value; throws std::invalid_argument when unparseable.
+  /// Floating-point value; throws std::invalid_argument naming the flag
+  /// when unparseable or not finite (inf, nan).
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
 

@@ -437,6 +437,47 @@ TEST(ClusterExecute, InvalidConfigRejected) {
   EXPECT_THROW(Cluster(Topology({2}), bad_gf), std::invalid_argument);
 }
 
+TEST(ClusterExecute, NonFiniteRatesAreRejectedNamingTheField) {
+  // An infinite rate would report a recovery on links (or decoders) that
+  // take no time; NaN would poison every reservation.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const auto error = [](const EmulConfig& cfg) -> std::string {
+    try {
+      Cluster cluster(Topology({2, 2}), cfg);
+    } catch (const util::CheckError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  for (const double bad : {kInf, kNaN}) {
+    EmulConfig cfg = fast_config();
+    cfg.node_bps = bad;
+    EXPECT_NE(error(cfg).find("node_bps"), std::string::npos) << bad;
+    cfg = fast_config();
+    cfg.oversubscription = bad;
+    EXPECT_NE(error(cfg).find("oversubscription"), std::string::npos) << bad;
+    cfg = fast_config();
+    cfg.rack_link_bps = bad;
+    EXPECT_NE(error(cfg).find("rack_link_bps"), std::string::npos) << bad;
+    cfg = fast_config();
+    cfg.virtual_gf_bps = bad;
+    EXPECT_NE(error(cfg).find("virtual_gf_bps"), std::string::npos) << bad;
+  }
+  // Node rate over oversubscription may overflow to an infinite core rate
+  // even when both are finite; the link table rejects that too.
+  EmulConfig huge = fast_config();
+  huge.node_bps = std::numeric_limits<double>::max();
+  huge.oversubscription = 0.5;
+  EXPECT_NE(error(huge).find("LinkTable"), std::string::npos);
+  EXPECT_EQ(error(fast_config()), "");
+
+  LinkTable table;
+  EXPECT_THROW(table.add(kInf), util::CheckError);
+  EXPECT_THROW(table.add(kNaN), util::CheckError);
+  EXPECT_EQ(table.size(), 0u);
+}
+
 TEST(SerialLink, RateWindowDegradesThroughput) {
   LinkTable table;
   const LinkId link = table.add(1e6);  // 1 MB/s

@@ -63,6 +63,23 @@ TEST(Flags, NumericParsing) {
   EXPECT_THROW((void)bad.get_double("n", 0), std::invalid_argument);
 }
 
+TEST(Flags, NonFiniteNumbersAreRejectedNamingTheFlag) {
+  for (const char* value : {"inf", "-inf", "nan", "infinity"}) {
+    const auto f = parse({"--node-mbps", value});
+    try {
+      (void)f.get_double("node-mbps", 1.0);
+      ADD_FAILURE() << value << " accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()),
+                std::string("Flags: --node-mbps expects a finite number, "
+                            "got '") +
+                    value + "'");
+    }
+  }
+  // Finite extremes still parse; range limits are the caller's business.
+  EXPECT_DOUBLE_EQ(parse({"--x", "1e30"}).get_double("x", 0), 1e30);
+}
+
 TEST(Flags, SizeListParsing) {
   const auto f = parse({"--racks", "4,3,3"});
   EXPECT_EQ(f.get_size_list("racks", {}),
@@ -109,6 +126,8 @@ TEST(Flags, CheckRejectsNegativeOrNonNumericCounts) {
             "emulate: --stripes must be a non-negative number, got 'nan'");
   EXPECT_EQ(check_error(parse({"--stripes", "many"})),
             "emulate: --stripes must be a non-negative number, got 'many'");
+  EXPECT_EQ(check_error(parse({"--chunk-mib", "inf"})),
+            "emulate: --chunk-mib must be a non-negative number, got 'inf'");
   // Only the listed counts are range-checked.
   EXPECT_EQ(check_error(parse({"--cfs", "-3"})), "");
 }

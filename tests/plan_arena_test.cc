@@ -1,9 +1,11 @@
 // PlanArena differential tests: the columnar arena must be the *same
 // function* as the SlicePlan lowering (bit-equal steps, info, outputs, and
-// byte accounting), and execute_arena must be observationally identical to
-// execute(slice_plan(...)) — same recovered bytes, same traffic totals,
-// same per-link byte totals, and the same deterministic virtual timeline —
-// for every shard count and under metadata-only payloads.
+// byte accounting), and execute_arena must reproduce the reference replay
+// (tests/reference_replay.h) — same traffic totals, same per-link state,
+// and the same deterministic virtual timeline — while recovering every
+// chunk bit-exactly, for every shard count, under metadata-only payloads,
+// on windowed (cross-stripe) schedules, with loopback transfers, and with a
+// ragged last slice.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,13 +20,14 @@
 #include "cluster/failure.h"
 #include "emul/cluster.h"
 #include "recovery/multi.h"
-#include "recovery/multi.h"
 #include "recovery/plan_arena.h"
 #include "recovery/scheduler.h"
 #include "recovery/slice.h"
 #include "util/buffer_pool.h"
 #include "util/check.h"
 #include "util/rng.h"
+
+#include "reference_replay.h"
 
 namespace car {
 namespace {
@@ -165,16 +168,17 @@ TEST(PlanArenaLowering, RejectsByteContractViolations) {
   EXPECT_THROW(PlanArena::build(fx.plan, 16 * 1024), util::CheckError);
 }
 
-// --- execution differential: execute_arena == execute(slice_plan) --------
+// --- execution differential: execute_arena == the reference replay -------
 
 struct Observed {
   ExecutionReport report;
   std::vector<rs::Chunk> recovered;
-  std::vector<std::uint64_t> per_link_bytes;
+  reference::LinkState links;
 };
 
-/// Execute the fixture's plan on a fresh cluster, through the classic
-/// SlicePlan engine (options == nullptr) or through execute_arena.
+/// Execute the fixture's plan on a fresh cluster, through the reference
+/// replay (options == nullptr; it moves no bytes, so `recovered` stays
+/// empty) or through execute_arena.
 Observed run_fixture(const Fixture& fx, std::uint64_t slice,
                      const ArenaExecOptions* options,
                      std::uint64_t data_seed = 99) {
@@ -192,12 +196,14 @@ Observed run_fixture(const Fixture& fx, std::uint64_t slice,
   cluster.erase_node(fx.failure.failed_node);
 
   Observed out;
+  const PlanArena arena = PlanArena::build(fx.plan, slice);
   if (options == nullptr) {
-    out.report = cluster.execute(recovery::slice_plan(fx.plan, slice));
-  } else {
-    out.report =
-        cluster.execute_arena(PlanArena::build(fx.plan, slice), *options);
+    out.report = reference::replay(cluster, arena);
+    out.links = reference::link_state(cluster);
+    return out;
   }
+  out.report = cluster.execute_arena(arena, *options);
+  out.links = reference::link_state(cluster);
 
   for (const auto& output : fx.plan.outputs) {
     const auto it = originals.find(output.stripe);
@@ -209,15 +215,12 @@ Observed run_fixture(const Fixture& fx, std::uint64_t slice,
         << "stripe " << output.stripe << " chunk " << output.chunk_index;
     out.recovered.push_back(rec != nullptr ? *rec : rs::Chunk{});
   }
-  for (emul::LinkId l = 0; l < cluster.links().size(); ++l) {
-    out.per_link_bytes.push_back(cluster.links().bytes(l));
-  }
   return out;
 }
 
 void expect_same_timeline(const Observed& a, const Observed& b) {
   // Bit-equality, not tolerance: the arena's replay pass performs the same
-  // reservations in the same order as the SlicePlan engine.
+  // reservations in the same order as the reference replay.
   EXPECT_EQ(a.report.wall_s, b.report.wall_s);
   EXPECT_EQ(a.report.compute_s, b.report.compute_s);
   EXPECT_EQ(a.report.replacement_compute_s, b.report.replacement_compute_s);
@@ -226,20 +229,108 @@ void expect_same_timeline(const Observed& a, const Observed& b) {
   EXPECT_EQ(a.report.per_rack_cross_bytes, b.report.per_rack_cross_bytes);
 }
 
+/// The fixture's plan through the reference replay and through
+/// execute_arena (shards 1, real bytes), which must agree bit for bit and
+/// recover every lost chunk (checked in run_fixture).
+void expect_matches_reference(const Fixture& fx, std::uint64_t slice) {
+  const auto base = run_fixture(fx, slice, nullptr);
+  ArenaExecOptions options;
+  const auto arena = run_fixture(fx, slice, &options);
+  ASSERT_GT(base.report.wall_s, 0.0);
+  expect_same_timeline(arena, base);
+  EXPECT_EQ(arena.links, base.links);
+  EXPECT_EQ(arena.recovered.size(), fx.plan.outputs.size());
+}
+
 TEST(ExecuteArena, MatchesSlicePlanEngineBitForBit) {
   for (const int cfg_index : {0, 1, 2}) {
     const auto fx = make_fixture(cfg_index, 202 + cfg_index, kOddChunk);
     for (const std::uint64_t slice : {std::uint64_t{16 * 1024}, kOddChunk}) {
-      const auto base = run_fixture(fx, slice, nullptr);
-      ArenaExecOptions options;  // shards 1, real bytes
-      const auto arena = run_fixture(fx, slice, &options);
-      expect_same_timeline(arena, base);
-      ASSERT_EQ(arena.recovered.size(), base.recovered.size());
-      for (std::size_t i = 0; i < base.recovered.size(); ++i) {
-        EXPECT_EQ(arena.recovered[i], base.recovered[i]) << "chunk " << i;
-      }
-      EXPECT_EQ(arena.per_link_bytes, base.per_link_bytes);
+      SCOPED_TRACE(slice);
+      expect_matches_reference(fx, slice);
     }
+  }
+}
+
+// schedule_windowed chains stripes into lanes: cross-stripe dependencies
+// that the builder plans above never carry.
+TEST(ExecuteArena, WindowedSchedulesMatchTheReferenceReplay) {
+  for (const std::size_t window : {std::size_t{1}, std::size_t{2}}) {
+    const auto fx = make_fixture(1, 808, kOddChunk, window, /*stripes=*/12);
+    ASSERT_FALSE(PlanArena::build(fx.plan, kOddChunk).stripe_closed())
+        << "window " << window;
+    for (const std::uint64_t slice : {std::uint64_t{16 * 1024}, kOddChunk}) {
+      SCOPED_TRACE(testing::Message() << "window " << window << ", slice "
+                                      << slice);
+      expect_matches_reference(fx, slice);
+    }
+  }
+}
+
+/// `plan` with a loopback transfer after every transfer: the receiver
+/// re-delivers the payload to itself, and the step's consumers wait for the
+/// loopback instead.  Step ids stay dense and dependencies forward.
+recovery::RecoveryPlan with_loopbacks(const recovery::RecoveryPlan& plan) {
+  recovery::RecoveryPlan out = plan;
+  out.steps.clear();
+  std::vector<std::size_t> renamed(plan.steps.size());
+  auto remap = [&](recovery::BufferRef ref) {
+    if (ref.kind == recovery::BufferRef::Kind::kStepOutput) {
+      ref.step_id = renamed[ref.step_id];
+    }
+    return ref;
+  };
+  for (const recovery::PlanStep& step : plan.steps) {
+    recovery::PlanStep copy = step;
+    copy.id = out.steps.size();
+    for (std::size_t& dep : copy.deps) dep = renamed[dep];
+    copy.payload = remap(copy.payload);
+    for (auto& in : copy.inputs) in.buffer = remap(in.buffer);
+    renamed[step.id] = copy.id;
+    const bool transfer = copy.kind == recovery::StepKind::kTransfer;
+    out.steps.push_back(std::move(copy));
+    if (!transfer) continue;
+    recovery::PlanStep loop = out.steps.back();
+    loop.id = out.steps.size();
+    loop.src = loop.dst;
+    loop.cross_rack = false;
+    loop.deps = {out.steps.back().id};
+    renamed[step.id] = loop.id;
+    out.steps.push_back(std::move(loop));
+  }
+  for (auto& output : out.outputs) output.step_id = renamed[output.step_id];
+  return out;
+}
+
+TEST(ExecuteArena, LoopbackTransfersMatchTheReferenceReplay) {
+  const auto original = make_fixture(0, 909, kOddChunk, /*window=*/0,
+                                     /*stripes=*/8);
+  auto fx = make_fixture(0, 909, kOddChunk, /*window=*/0, /*stripes=*/8);
+  fx.plan = with_loopbacks(original.plan);
+  ASSERT_GT(fx.plan.steps.size(), original.plan.steps.size());
+  for (const std::uint64_t slice : {std::uint64_t{16 * 1024}, kOddChunk}) {
+    SCOPED_TRACE(slice);
+    expect_matches_reference(fx, slice);
+  }
+  // A loopback moves nothing and takes no time: the makespan and traffic
+  // are the plain plan's.
+  ArenaExecOptions options;
+  const auto looped = run_fixture(fx, 16 * 1024, &options);
+  const auto base = run_fixture(original, 16 * 1024, &options);
+  expect_same_timeline(looped, base);
+  EXPECT_EQ(looped.links, base.links);
+}
+
+TEST(ExecuteArena, RaggedLastSliceMatchesTheReferenceReplay) {
+  const auto fx = make_fixture(2, 1010, kOddChunk, /*window=*/0,
+                               /*stripes=*/10);
+  for (const std::uint64_t slice :
+       {std::uint64_t{1024}, std::uint64_t{32 * 1024}}) {
+    const PlanArena arena = PlanArena::build(fx.plan, slice);
+    ASSERT_LT(arena.slice_length(arena.num_slices() - 1), arena.slice_size())
+        << slice;
+    SCOPED_TRACE(slice);
+    expect_matches_reference(fx, slice);
   }
 }
 
@@ -253,7 +344,7 @@ TEST(ExecuteArena, TimelineIsInvariantInShardCount) {
     options.shards = shards;
     const auto sharded = run_fixture(fx, 16 * 1024, &options);
     expect_same_timeline(sharded, base);
-    EXPECT_EQ(sharded.per_link_bytes, base.per_link_bytes);
+    EXPECT_EQ(sharded.links, base.links);
     ASSERT_EQ(sharded.recovered.size(), base.recovered.size());
     for (std::size_t i = 0; i < base.recovered.size(); ++i) {
       EXPECT_EQ(sharded.recovered[i], base.recovered[i]);
@@ -457,16 +548,16 @@ TEST(ExecuteArena, UnitRateWindowsMatchTheWindowFreeFastPath) {
   // A link with no rate window drains on a fast path; one with windows
   // integrates the rate profile.  A factor-1 window spanning the whole run
   // must make the two agree bit for bit on a whole plan: the makespan and
-  // every link's next-free time and byte total, in every timing pass.
+  // every link's next-free time and byte total, in the reference replay and
+  // in both arena replays.
   constexpr double kHorizon = 1e3;  // virtual seconds, past the makespan
   const auto fx = make_fixture(1, 606, kOddChunk, /*window=*/0,
                                /*stripes=*/12);
   const PlanArena arena = PlanArena::build(fx.plan, 16 * 1024);
-  enum class Mode { kSlicePlan, kBarrier, kStreamed };
+  enum class Mode { kReference, kBarrier, kStreamed };
   struct Run {
     double wall_s = 0.0;
-    std::vector<double> next_free;
-    std::vector<std::uint64_t> bytes;
+    reference::LinkState links;
   };
   auto run = [&](Mode mode, bool windowed) {
     Cluster cluster(fx.placement.topology(), virtual_config());
@@ -478,9 +569,8 @@ TEST(ExecuteArena, UnitRateWindowsMatchTheWindowFreeFastPath) {
       }
     }
     Run out;
-    if (mode == Mode::kSlicePlan) {
-      out.wall_s = cluster.execute(recovery::slice_plan(fx.plan, 16 * 1024))
-                       .wall_s;
+    if (mode == Mode::kReference) {
+      out.wall_s = reference::replay(cluster, arena).wall_s;
     } else if (mode == Mode::kBarrier) {
       out.wall_s = cluster.execute_arena(arena).wall_s;
     } else {
@@ -489,20 +579,19 @@ TEST(ExecuteArena, UnitRateWindowsMatchTheWindowFreeFastPath) {
       feed.close();
       out.wall_s = cluster.execute_arena_streaming(arena, {}, feed).wall_s;
     }
-    for (emul::LinkId l = 0; l < links.size(); ++l) {
-      out.next_free.push_back(links.next_free(l));
-      out.bytes.push_back(links.bytes(l));
-    }
+    out.links = reference::link_state(cluster);
     return out;
   };
-  for (const Mode mode : {Mode::kSlicePlan, Mode::kBarrier, Mode::kStreamed}) {
+  for (const Mode mode : {Mode::kReference, Mode::kBarrier, Mode::kStreamed}) {
     const Run fast = run(mode, false);
     const Run windowed = run(mode, true);
     ASSERT_GT(fast.wall_s, 0.0);
     ASSERT_LT(fast.wall_s, kHorizon);
     EXPECT_EQ(windowed.wall_s, fast.wall_s) << static_cast<int>(mode);
-    EXPECT_EQ(windowed.next_free, fast.next_free) << static_cast<int>(mode);
-    EXPECT_EQ(windowed.bytes, fast.bytes) << static_cast<int>(mode);
+    EXPECT_EQ(windowed.links.next_free, fast.links.next_free)
+        << static_cast<int>(mode);
+    EXPECT_EQ(windowed.links.bytes, fast.links.bytes)
+        << static_cast<int>(mode);
   }
 }
 

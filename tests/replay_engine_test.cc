@@ -1,9 +1,10 @@
 // Arena replay differentials: the calendar-queue arena replay, in barrier
 // and in streaming (overlapped build/execute) mode, must be observationally
-// identical to the sequential replay execute(arena.to_slice_plan()) runs —
-// every observable (makespan, compute time, per-rack byte totals,
-// recovered bytes) bit for bit — and the two-phase streamed arena build
-// must be bit-equal to the one-shot barrier build.
+// identical to the reference replay over arena.to_slice_plan()
+// (tests/reference_replay.h) — makespan, compute time, and per-rack byte
+// totals bit for bit, with recovered bytes checked against the originals —
+// and the two-phase streamed arena build must be bit-equal to the one-shot
+// barrier build.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -26,6 +27,8 @@
 #include "rs/code.h"
 #include "util/check.h"
 #include "util/rng.h"
+
+#include "reference_replay.h"
 
 namespace car {
 namespace {
@@ -93,16 +96,12 @@ emul::ExecutionReport run_barrier(const Fixture& fx, const PlanArena& arena,
   return cluster.execute_arena(arena, options);
 }
 
-/// Same cluster setup, but through the sequential SlicePlan replay — the
-/// reference every arena run is compared against.
-emul::ExecutionReport run_slice_reference(const Fixture& fx,
-                                          const PlanArena& arena) {
+/// The reference replay on a fresh cluster — the timeline every arena run
+/// is compared against.
+emul::ExecutionReport run_reference(const Fixture& fx,
+                                    const PlanArena& arena) {
   emul::Cluster cluster(fx.placement.topology(), emul_config());
-  std::vector<cluster::StripeId> all(fx.placement.num_stripes());
-  std::iota(all.begin(), all.end(), cluster::StripeId{0});
-  (void)cluster.populate_sampled(fx.placement, fx.code, kChunk, 7, all);
-  for (const auto node : fx.scenario.failed_nodes) cluster.erase_node(node);
-  return cluster.execute(arena.to_slice_plan());
+  return reference::replay(cluster, arena);
 }
 
 /// Same cluster setup, but through the streaming path: reserve the arena,
@@ -183,8 +182,8 @@ void expect_slice_plans_equal(const PlanArena& a, const PlanArena& b) {
 
 // --- replay equality -----------------------------------------------------
 
-// The barrier and the streamed arena replay both reproduce the sequential
-// SlicePlan replay's timeline, bit for bit.
+// The barrier and the streamed arena replay both reproduce the reference
+// replay's timeline, bit for bit.
 TEST(ReplayEngine, BarrierAndStreamedMatchSlicePlanReplay) {
   const auto fx = make_fixture(0, 61, /*stripes=*/24);
   const auto balanced = recovery::balance_multi(fx.placement, fx.censuses);
@@ -192,7 +191,7 @@ TEST(ReplayEngine, BarrierAndStreamedMatchSlicePlanReplay) {
   const auto arena = recovery::build_multi_car_arena(
       fx.placement, fx.code, balanced.solutions, kChunk, 16 * 1024,
       fx.scenario.replacement, cache);
-  const auto reference = run_slice_reference(fx, arena);
+  const auto reference = run_reference(fx, arena);
   ASSERT_GT(reference.wall_s, 0.0);
 
   emul::ArenaExecOptions options;
@@ -288,7 +287,7 @@ TEST(ReplayEngine, CalendarShardedReplayDecodesBitExact) {
 // in the watermark-cap top(), and the NEXT ingestion batch then pushes
 // (t_start, sid) seeds BELOW the rewindowed rung start.  Without the
 // bucket_index clamp the misroute pops events out of (time, id) order; the
-// streamed run must stay bit-identical to the sequential SlicePlan replay.
+// streamed run must stay bit-identical to the reference replay.
 // The producer is throttled so ingestion batches genuinely interleave with
 // drains instead of arriving in one lump.
 TEST(ReplayEngine, StreamedSlowLinksRewindowGapBitIdentical) {
@@ -327,8 +326,9 @@ TEST(ReplayEngine, StreamedSlowLinksRewindowGapBitIdentical) {
     return cluster;
   };
 
-  const auto reference = make_cluster()->execute(arena.to_slice_plan());
-  ASSERT_GT(reference.wall_s, 0.0);
+  emul::Cluster reference_cluster(fx.placement.topology(), slow);
+  const auto expected = reference::replay(reference_cluster, arena);
+  ASSERT_GT(expected.wall_s, 0.0);
 
   // Hand-drive the feed over the fully built arena: publish one stripe per
   // tick, pausing long enough that the replay provably drains the
@@ -363,7 +363,7 @@ TEST(ReplayEngine, StreamedSlowLinksRewindowGapBitIdentical) {
     throw;
   }
   producer.join();
-  expect_reports_identical(reference, report);
+  expect_reports_identical(expected, report);
 }
 
 // --- streamed build ------------------------------------------------------

@@ -120,39 +120,5 @@ TEST(Scheduler, EmptyPlanIsHandled) {
   EXPECT_TRUE(scheduled.steps.empty());
 }
 
-TEST(Scheduler, ReadinessSurfaceMatchesPlanDependencies) {
-  Fixture f(7, 8);
-  const auto indegrees = step_indegrees(f.plan);
-  const auto dependents = step_dependents(f.plan);
-  ASSERT_EQ(indegrees.size(), f.plan.steps.size());
-  ASSERT_EQ(dependents.size(), f.plan.steps.size());
-
-  std::size_t edges_forward = 0;
-  std::size_t edges_backward = 0;
-  for (const auto& step : f.plan.steps) {
-    EXPECT_EQ(indegrees[step.id], step.deps.size());
-    edges_forward += step.deps.size();
-    for (const std::size_t dep : step.deps) {
-      const auto& deps_of_dep = dependents[dep];
-      EXPECT_NE(std::find(deps_of_dep.begin(), deps_of_dep.end(), step.id),
-                deps_of_dep.end())
-          << "step " << step.id << " missing from dependents of " << dep;
-    }
-  }
-  for (const auto& d : dependents) edges_backward += d.size();
-  EXPECT_EQ(edges_forward, edges_backward);
-
-  // Builders emit steps in topological order, so indegree-0 steps exist.
-  EXPECT_NE(std::count(indegrees.begin(), indegrees.end(), 0u), 0);
-}
-
-TEST(Scheduler, ReadinessSurfaceRejectsUnknownDependency) {
-  Fixture f(8, 4);
-  RecoveryPlan broken = f.plan;
-  broken.steps.back().deps.push_back(broken.steps.size() + 7);
-  EXPECT_THROW(step_indegrees(broken), std::invalid_argument);
-  EXPECT_THROW(step_dependents(broken), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace car::recovery

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "cluster/configs.h"
 #include "cluster/failure.h"
 #include "recovery/multi.h"
@@ -215,6 +218,45 @@ TEST(FlowSim, InvalidConfigRejected) {
   NetConfig wrong_mult;
   wrong_mult.rack_compute_multiplier = {1.0, 2.0};  // topo has 1 rack
   EXPECT_THROW(simulate_plan(topo, plan, wrong_mult), std::invalid_argument);
+}
+
+TEST(FlowSim, NonFiniteRatesAreRejectedNamingTheField) {
+  // An infinite rate is not a fast link: rejected at validation, naming the
+  // field, instead of starving a flow of bandwidth mid-simulation.
+  const Topology topo({2, 2});
+  auto plan = empty_plan(0, 100);
+  plan.steps.push_back(transfer(0, 2, 0, 100));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const auto error = [&](const NetConfig& cfg) -> std::string {
+    try {
+      (void)simulate_plan(topo, plan, cfg);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  for (const double bad : {kInf, kNaN}) {
+    NetConfig cfg = fast_net();
+    cfg.node_bps = bad;
+    EXPECT_NE(error(cfg).find("node_bps"), std::string::npos) << bad;
+    cfg = fast_net();
+    cfg.oversubscription = bad;
+    EXPECT_NE(error(cfg).find("oversubscription"), std::string::npos) << bad;
+    cfg = fast_net();
+    cfg.rack_link_bps = bad;
+    EXPECT_NE(error(cfg).find("rack_link_bps"), std::string::npos) << bad;
+    cfg = fast_net();
+    cfg.gf_compute_bps = bad;
+    EXPECT_NE(error(cfg).find("gf_compute_bps"), std::string::npos) << bad;
+    cfg = fast_net();
+    cfg.xor_compute_bps = bad;
+    EXPECT_NE(error(cfg).find("xor_compute_bps"), std::string::npos) << bad;
+    cfg = fast_net();
+    cfg.per_hop_latency_s = bad;
+    EXPECT_NE(error(cfg).find("per_hop_latency_s"), std::string::npos) << bad;
+  }
+  EXPECT_EQ(error(fast_net()), "");
 }
 
 class EndToEndSim

@@ -12,10 +12,11 @@
 #include "cluster/configs.h"
 #include "cluster/failure.h"
 #include "emul/cluster.h"
+#include "inject/driver.h"
 #include "inject/scenario.h"
 #include "recovery/multi.h"
+#include "recovery/plan_arena.h"
 #include "recovery/scheduler.h"
-#include "recovery/slice.h"
 #include "util/buffer_pool.h"
 
 namespace car {
@@ -43,12 +44,18 @@ struct Observed {
   util::BufferPool::Stats pool;
 };
 
+/// Which executor runs the plan: the emulator's arena executor, or the
+/// fault-aware inject::BatchDriver (with no faults), which stages every
+/// compute slice through the cluster's buffer pool.
+enum class Executor { kCluster, kDriver };
+
 /// Build a cluster from (cfg_index, seed), fail a node, run the CAR plan —
 /// sliced onto `slice_size` when > 0, chunk-granular otherwise — and return
 /// every observable output.
 Observed run_emul(int cfg_index, std::uint64_t seed, std::uint64_t chunk,
                   std::uint64_t slice_size, std::size_t window = 0,
-                  std::size_t stripes = 6) {
+                  std::size_t stripes = 6,
+                  Executor executor = Executor::kCluster) {
   const auto cfg = cluster::paper_configs()[cfg_index];
   util::Rng rng(seed);
   const auto placement =
@@ -69,9 +76,22 @@ Observed run_emul(int cfg_index, std::uint64_t seed, std::uint64_t chunk,
   if (window > 0) plan = recovery::schedule_windowed(plan, window);
 
   Observed out;
-  out.report = slice_size > 0
-                   ? cluster.execute(recovery::slice_plan(plan, slice_size))
-                   : cluster.execute(plan);
+  if (executor == Executor::kDriver) {
+    inject::RetryPolicy patient;
+    patient.transfer_timeout_s = 1e9;  // no fault, so no attempt may fail
+    inject::EventLog log;
+    inject::BatchDriver driver(cluster, {}, patient, seed, slice_size, {},
+                               log);
+    driver.admit(0, plan);
+    while (driver.run_until(std::nullopt).stop != inject::StopReason::kIdle) {
+    }
+    out.report = driver.report();
+  } else if (slice_size > 0) {
+    out.report = cluster.execute_arena(
+        recovery::PlanArena::build(plan, slice_size));
+  } else {
+    out.report = cluster.execute(plan);
+  }
 
   for (const auto& lost : scenario.lost) {
     const auto* rec = cluster.find_chunk(scenario.failed_node, lost.stripe,
@@ -156,6 +176,10 @@ TEST(SlicePipelining, SlicedMakespanNeverExceedsUnslicedOnAWindowedPlan) {
 }
 
 // --- scheduler interaction: the pool's high-water bound ------------------
+//
+// The emulator stages nothing (execute_arena shares transfer buffers and
+// computes in place); the BatchDriver stages each compute slice's output in
+// a pool lease, so it is the executor these pool contracts bind.
 
 TEST(BufferPoolInteraction, StagingHighWaterStaysUnderWindowTimesStripe) {
   // Staging leases live only while a slice executes; with `window` stripes
@@ -165,7 +189,9 @@ TEST(BufferPoolInteraction, StagingHighWaterStaysUnderWindowTimesStripe) {
   const std::size_t window = 2;
   const std::uint64_t chunk = 256 * 1024;
   const auto cfg = cluster::paper_configs()[0];
-  const auto sliced = run_emul(0, 909, chunk, 16 * 1024, window);
+  const auto sliced = run_emul(0, 909, chunk, 16 * 1024, window, 6,
+                               Executor::kDriver);
+  expect_same_bytes(sliced, run_emul(0, 909, chunk, 0, window), 16 * 1024);
   EXPECT_GT(sliced.pool.staging_high_water_bytes, 0u);
   EXPECT_LE(sliced.pool.staging_high_water_bytes,
             static_cast<std::uint64_t>(window) * cfg.k * chunk);
@@ -177,7 +203,8 @@ TEST(BufferPoolInteraction, StagingHighWaterStaysUnderWindowTimesStripe) {
 TEST(BufferPoolInteraction, SteadyStateExecutionHitsTheFreelist) {
   // Across many slices the pool must serve almost every checkout from the
   // freelists — the zero-allocation-per-slice property.
-  const auto sliced = run_emul(0, 303, 256 * 1024, 8 * 1024);
+  const auto sliced =
+      run_emul(0, 303, 256 * 1024, 8 * 1024, 0, 6, Executor::kDriver);
   ASSERT_GT(sliced.pool.acquires, 100u);
   EXPECT_GT(sliced.pool.freelist_hits,
             (sliced.pool.acquires + sliced.pool.takes) * 8 / 10);

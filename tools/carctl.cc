@@ -563,9 +563,9 @@ int cmd_emulate(const util::Flags& flags) {
     // shipping of slice s overlaps partial decoding of slice s+1; the
     // recovered bytes and traffic totals are identical either way.
     const auto report =
-        slice_bytes > 0
-            ? cluster.execute(recovery::slice_plan(plan, slice_bytes))
-            : cluster.execute(plan);
+        slice_bytes > 0 ? cluster.execute_arena(
+                              recovery::PlanArena::build(plan, slice_bytes))
+                        : cluster.execute(plan);
     std::size_t verified = 0;
     for (const auto& lost : scenario.lost) {
       const auto* rec = cluster.find_chunk(scenario.failed_node, lost.stripe,
@@ -1043,9 +1043,35 @@ constexpr std::string_view kNonNegativeFlags[] = {
     "window",    "slice-kib", "shards",    "sample",        "k",
     "m",         "num-racks", "rack-size", "batch-stripes", "concurrency"};
 
-/// Counts a subcommand cannot do without: zero runs average nothing and
-/// zero stripes leave no chunk to fail.
-constexpr std::string_view kNonZeroFlags[] = {"stripes", "runs"};
+/// Counts a subcommand cannot do without: zero runs average nothing, zero
+/// stripes leave no chunk to fail, and zero shards run no worker.
+constexpr std::string_view kNonZeroFlags[] = {"stripes", "runs", "shards"};
+
+/// Most --shards a run may ask for: each shard is one OS thread (census
+/// scans, payload workers), so the count is bounded before any starts.
+constexpr std::int64_t kMaxShards = 256;
+
+/// Bounds Flags::check cannot express, checked before the command does any
+/// work: the shard count's ceiling, and a --chunk-mib whose byte count must
+/// fit the uint64_t it is cast to (the cast of a larger value is undefined).
+void check_bounds(std::string_view command, const util::Flags& flags) {
+  const std::string who(command);
+  if (flags.has("shards") && flags.get_int("shards", 1) > kMaxShards) {
+    throw std::invalid_argument(who + ": --shards must be at most " +
+                                std::to_string(kMaxShards) + ", got '" +
+                                flags.get("shards") + "'");
+  }
+  // 2^64 is exact in a double, and every non-negative double below it
+  // converts to uint64_t.
+  if (flags.has("chunk-mib") &&
+      !(flags.get_double("chunk-mib", 0.0) * static_cast<double>(util::kMiB) <
+        18446744073709551616.0)) {
+    throw std::invalid_argument(who +
+                                ": --chunk-mib must be under 2^64 bytes, "
+                                "got '" +
+                                flags.get("chunk-mib") + "'");
+  }
+}
 
 /// `flags` plus the cluster-shape flags config_from reads.
 std::vector<std::string_view> with_cluster_flags(
@@ -1115,6 +1141,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     flags.check(name, command->flags, kNonNegativeFlags, kNonZeroFlags);
+    check_bounds(name, flags);
     return command->run(flags);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "carctl: %s\n", error.what());
