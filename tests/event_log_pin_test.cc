@@ -1,8 +1,9 @@
 // Pinned digests of fault-injection and rebuild runs.
 //
 // Every canned inject scenario (x strategy x chunk-granular / 16 KiB
-// slices), both canned rebuild scenarios (x strategy), and three crash-
-// trigger edge cases run here, and two 64-bit FNV-1a digests of each are
+// slices), both canned rebuild scenarios (x strategy), three crash-trigger
+// edge cases, and a real-byte corrupt-fault run (chunk-granular and 16 KiB
+// slices) run here, and two 64-bit FNV-1a digests of each are
 // compared against constants recorded from a reference build: one over
 // EventLog::to_json(), one over a canonical text form of the run's result
 // (traffic report, retry stats, re-plan outcome, final plan, rebuild
@@ -151,6 +152,8 @@ const std::map<std::string, Digests>& pinned() {
       {"unit/at-fraction-0", {"fc4b2129f8e51a4a", "9f5c4feb81b33d7f"}},
       {"unit/at-fraction-1", {"29bff9a71fcba165", "d2d9087b203da972"}},
       {"unit/at-time-sliced", {"f33d36898e036a49", "721c72690e82d03d"}},
+      {"inject/corrupt/car/0", {"bd44412a1ff4ab08", "12ae68a6be4f5466"}},
+      {"inject/corrupt/car/16", {"a07086c39a0733f7", "4361e51672c5bf67"}},
   };
   return kPinned;
 }
@@ -183,6 +186,46 @@ TEST(PinnedRuns, CannedInjectScenarios) {
                           std::to_string(outcome.chunks_expected));
       }
     }
+  }
+}
+
+// Real-byte corrupt faults: every kTransferCorrupt detail carries the
+// checksums of the sent slice and of the garbled copy the receiver saw, so
+// the pinned log covers the payload bytes on the wire, not just the timing.
+TEST(PinnedRuns, CorruptFaultChecksums) {
+  constexpr const char* kSpec = R"(name corrupt
+racks 4,3,3
+k 4
+m 2
+stripes 12
+chunk-kib 64
+page-kib 16
+seed 19
+strategy car
+node-mbps 100
+oversub 5
+timeout 0.5
+max-attempts 6
+backoff-base 0.02
+backoff-factor 2
+backoff-cap 0.25
+backoff-jitter 0.2
+fault corrupt attempts=1 prob=0.3
+fault corrupt step=3 attempts=1,2
+)";
+  for (const std::uint64_t slice_kib : {0, 16}) {
+    auto scenario = inject::parse_scenario(kSpec);
+    scenario.slice_bytes = slice_kib * 1024;
+    const auto outcome = inject::run_scenario(scenario);
+    const std::string key = "inject/corrupt/car/" + std::to_string(slice_kib);
+    EXPECT_TRUE(outcome.bit_exact) << key;
+    EXPECT_GT(outcome.run.stats.corruptions, 0u) << key;
+    const std::string log = outcome.run.log.to_json();
+    EXPECT_NE(log.find("checksum sent="), std::string::npos) << key;
+    expect_pinned(key, log,
+                  describe(outcome.run) +
+                      std::to_string(outcome.chunks_verified) + "/" +
+                      std::to_string(outcome.chunks_expected));
   }
 }
 
