@@ -15,41 +15,6 @@ std::size_t class_index(std::size_t capacity) noexcept {
 
 }  // namespace
 
-BufferLease::BufferLease(BufferLease&& other) noexcept
-    : pool_(std::exchange(other.pool_, nullptr)),
-      buf_(std::move(other.buf_)),
-      accounted_(std::exchange(other.accounted_, 0)) {}
-
-BufferLease& BufferLease::operator=(BufferLease&& other) noexcept {
-  if (this != &other) {
-    release();
-    pool_ = std::exchange(other.pool_, nullptr);
-    buf_ = std::move(other.buf_);
-    accounted_ = std::exchange(other.accounted_, 0);
-  }
-  return *this;
-}
-
-BufferLease::~BufferLease() { release(); }
-
-void BufferLease::release() noexcept {
-  if (pool_ == nullptr) return;
-  pool_->end_lease(std::move(buf_), accounted_, /*park=*/true);
-  pool_ = nullptr;
-  accounted_ = 0;
-  buf_.clear();
-}
-
-std::vector<std::uint8_t> BufferLease::detach() && {
-  std::vector<std::uint8_t> out = std::move(buf_);
-  if (pool_ != nullptr) {
-    pool_->end_lease({}, accounted_, /*park=*/false);
-    pool_ = nullptr;
-    accounted_ = 0;
-  }
-  return out;
-}
-
 std::size_t BufferPool::class_bytes(std::size_t n) noexcept {
   return std::bit_ceil(std::max(n, kMinClassBytes));
 }
@@ -70,21 +35,6 @@ std::vector<std::uint8_t> BufferPool::checkout_locked(std::size_t n) {
   return buf;
 }
 
-BufferLease BufferPool::acquire(std::size_t n) {
-  if (n == 0) return {};
-  const std::size_t capacity = class_bytes(n);
-  MutexLock lock(mu_);
-  ++stats_.acquires;
-  auto buf = checkout_locked(n);
-  stats_.outstanding_bytes += capacity;
-  stats_.staging_high_water_bytes =
-      std::max(stats_.staging_high_water_bytes, stats_.outstanding_bytes);
-  stats_.high_water_bytes =
-      std::max(stats_.high_water_bytes,
-               stats_.outstanding_bytes + stats_.taken_outstanding_bytes);
-  return {this, std::move(buf), capacity};
-}
-
 std::vector<std::uint8_t> BufferPool::take(std::size_t n) {
   if (n == 0) return {};
   const std::size_t capacity = class_bytes(n);
@@ -93,8 +43,7 @@ std::vector<std::uint8_t> BufferPool::take(std::size_t n) {
   auto buf = checkout_locked(n);
   stats_.taken_outstanding_bytes += capacity;
   stats_.high_water_bytes =
-      std::max(stats_.high_water_bytes,
-               stats_.outstanding_bytes + stats_.taken_outstanding_bytes);
+      std::max(stats_.high_water_bytes, stats_.taken_outstanding_bytes);
   return buf;
 }
 
@@ -106,22 +55,10 @@ void BufferPool::recycle(std::vector<std::uint8_t>&& buf) {
   const std::size_t capacity = std::bit_floor(victim.capacity());
   MutexLock lock(mu_);
   ++stats_.recycles;
-  // Credit the taken regime, saturating: recycle() also accepts foreign
-  // vectors (and detach()ed leases) that were never charged to it.
+  // Credit the taken capacity, saturating: recycle() also accepts foreign
+  // vectors that were never charged to it.
   stats_.taken_outstanding_bytes -=
       std::min<std::uint64_t>(stats_.taken_outstanding_bytes, capacity);
-  stats_.pooled_bytes += capacity;
-  free_[class_index(capacity)].push_back(std::move(victim));
-}
-
-void BufferPool::end_lease(std::vector<std::uint8_t>&& buf,
-                           std::size_t accounted, bool park) noexcept {
-  std::vector<std::uint8_t> victim = std::move(buf);
-  MutexLock lock(mu_);
-  stats_.outstanding_bytes -= accounted;
-  if (!park || victim.capacity() < kMinClassBytes) return;
-  const std::size_t capacity = std::bit_floor(victim.capacity());
-  ++stats_.recycles;
   stats_.pooled_bytes += capacity;
   free_[class_index(capacity)].push_back(std::move(victim));
 }

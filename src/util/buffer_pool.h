@@ -1,32 +1,20 @@
 // Pooled byte buffers for the emulator's data plane.
 //
 // Executing a recovery plan used to allocate a fresh std::vector for every
-// transfer's wire copy and every compute step's output — at slice
-// granularity (recovery/slice.h) that is one malloc per slice, dominating
-// the data plane once the GF kernels run at tens of GB/s.  BufferPool
-// recycles buffers through power-of-two size classes so steady-state
-// execution performs zero heap allocation per slice.
+// step output — at slice granularity (recovery/slice.h) one malloc per
+// slice, dominating the data plane once the GF kernels run at tens of
+// GB/s.  BufferPool recycles buffers through power-of-two size classes:
+// take(n) checks out a buffer that leaves the pool's custody (a store
+// buffer parked in a node's slot for the rest of the run), and recycle(buf)
+// parks its capacity again once the owner is done (the last slot holding
+// it lets go).  Nothing stages through the pool: transfers share buffers
+// and computes write their output in place (emul/cluster.h).
 //
-// Two checkout modes with different accounting:
-//
-//   * acquire(n) -> BufferLease — a short-lived *staging* buffer (a wire
-//     payload, a compute scratch output).  Leases are RAII: the destructor
-//     parks the buffer back in its size class.  Leased capacity is tracked
-//     in outstanding_bytes / staging_high_water_bytes, so the staging
-//     high-water mark measures peak staging memory — the quantity bounded
-//     by the scheduler window (see tests/slice_exec_test.cc).
-//
-//   * take(n) / recycle(buf) — a *long-lived* buffer that leaves the pool's
-//     custody (e.g. a chunk buffer parked in a node's store for the rest of
-//     the run).  take() charges taken_outstanding_bytes; recycle() credits
-//     it back when the owner is done (a store eviction, a replaced buffer).
-//
-// high_water_bytes unifies the two regimes: it is the peak of
-// outstanding_bytes + taken_outstanding_bytes over the run, i.e. the true
-// peak of pool-served live capacity.  (It used to track leases only, which
-// under-reported mixed lease/take workloads.)  recycle() accepts foreign
-// buffers that were never take()n, so the taken counter is credited with
-// saturation at zero rather than asserted exact.
+// take() charges the class capacity to taken_outstanding_bytes and
+// recycle() credits it back; high_water_bytes is the peak of that live
+// pool-served capacity over the run.  recycle() accepts foreign buffers
+// that were never take()n, so the counter is credited with saturation at
+// zero rather than asserted exact.
 //
 // Thread-safe; a single mutex guards the freelists and stats (checkout is
 // rare next to the memcpy/GF work done on the buffers themselves).  The
@@ -46,64 +34,16 @@
 
 namespace car::util {
 
-class BufferPool;
-
-/// RAII checkout of a pooled staging buffer.  Move-only; the destructor
-/// returns the bytes to the pool and ends the high-water accounting.
-class BufferLease {
- public:
-  BufferLease() = default;
-  BufferLease(BufferLease&& other) noexcept;
-  BufferLease& operator=(BufferLease&& other) noexcept;
-  BufferLease(const BufferLease&) = delete;
-  BufferLease& operator=(const BufferLease&) = delete;
-  ~BufferLease();
-
-  [[nodiscard]] bool active() const noexcept { return pool_ != nullptr; }
-  [[nodiscard]] std::vector<std::uint8_t>& bytes() noexcept { return buf_; }
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept {
-    return buf_;
-  }
-  [[nodiscard]] std::uint8_t* data() noexcept { return buf_.data(); }
-  [[nodiscard]] const std::uint8_t* data() const noexcept {
-    return buf_.data();
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
-
-  /// End the lease but keep the bytes: the buffer leaves the pool's staging
-  /// accounting and becomes the caller's to own (recycle() it when done).
-  [[nodiscard]] std::vector<std::uint8_t> detach() &&;
-
-  /// Return the buffer early (what the destructor does); idempotent.
-  void release() noexcept;
-
- private:
-  friend class BufferPool;
-  BufferLease(BufferPool* pool, std::vector<std::uint8_t> buf,
-              std::size_t accounted) noexcept
-      : pool_(pool), buf_(std::move(buf)), accounted_(accounted) {}
-
-  BufferPool* pool_ = nullptr;
-  std::vector<std::uint8_t> buf_;
-  std::size_t accounted_ = 0;  // capacity charged to outstanding_bytes
-};
-
 class BufferPool {
  public:
   struct Stats {
-    std::size_t acquires = 0;       // staging leases handed out
-    std::size_t takes = 0;          // long-lived buffers checked out
+    std::size_t takes = 0;          // buffers checked out
     std::size_t freelist_hits = 0;  // checkouts served without an allocation
-    std::size_t recycles = 0;       // buffers parked back (lease or recycle)
-    std::uint64_t outstanding_bytes = 0;  // live leased capacity (staging)
+    std::size_t recycles = 0;       // buffers parked back
     std::uint64_t taken_outstanding_bytes = 0;  // live take()n capacity
-    /// Peak of outstanding_bytes + taken_outstanding_bytes over the run:
-    /// the unified high-water mark across both checkout regimes.
+    /// Peak of taken_outstanding_bytes over the run.
     std::uint64_t high_water_bytes = 0;
-    /// Peak of outstanding_bytes alone — the staging-only mark bounded by
-    /// the scheduler window (tests/slice_exec_test.cc).
-    std::uint64_t staging_high_water_bytes = 0;
-    std::uint64_t pooled_bytes = 0;       // idle capacity in the freelists
+    std::uint64_t pooled_bytes = 0;  // idle capacity in the freelists
   };
 
   /// Requests below this round up to one minimum-sized class, so tiny
@@ -114,16 +54,11 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Check out a staging buffer of exactly n bytes (capacity rounded up to
-  /// the size class).  n == 0 returns an inactive lease.  Contents are
-  /// unspecified — callers overwrite the full range.
-  [[nodiscard]] BufferLease acquire(std::size_t n) CAR_EXCLUDES(mu_)
-      CAR_BOUNDARY;
-
-  /// Check out a long-lived buffer of exactly n bytes.  Reuses pooled
-  /// capacity; the class capacity is charged to taken_outstanding_bytes
-  /// (and thereby the unified high_water_bytes) until recycle()d.  The
-  /// buffer belongs to the caller until then (or forever).
+  /// Check out a buffer of exactly n bytes (n == 0 returns an empty
+  /// vector and counts nothing).  Reuses pooled capacity; the class
+  /// capacity is charged to taken_outstanding_bytes (and thereby
+  /// high_water_bytes) until recycle()d.  The buffer belongs to the caller
+  /// until then (or forever).  Contents are unspecified.
   [[nodiscard]] std::vector<std::uint8_t> take(std::size_t n)
       CAR_EXCLUDES(mu_) CAR_BOUNDARY;
 
@@ -142,14 +77,9 @@ class BufferPool {
   [[nodiscard]] static std::size_t class_bytes(std::size_t n) noexcept;
 
  private:
-  friend class BufferLease;
-
   /// Pop a freelist buffer for the class of n, or allocate one.  Returns it
   /// resized to n.
   std::vector<std::uint8_t> checkout_locked(std::size_t n) CAR_REQUIRES(mu_);
-
-  void end_lease(std::vector<std::uint8_t>&& buf, std::size_t accounted,
-                 bool park) noexcept CAR_EXCLUDES(mu_);
 
   mutable Mutex mu_;
   // Freelists indexed by log2(class capacity); 64 covers every size_t class.

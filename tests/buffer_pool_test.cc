@@ -21,61 +21,28 @@ TEST(BufferPool, ClassBytesRoundsUpToPowersOfTwo) {
   EXPECT_EQ(BufferPool::class_bytes(65537), 131072u);
 }
 
-TEST(BufferPool, AcquireHandsOutExactSizeAndTracksHighWater) {
-  BufferPool pool;
-  {
-    BufferLease a = pool.acquire(1500);
-    ASSERT_TRUE(a.active());
-    EXPECT_EQ(a.size(), 1500u);
-    const auto s = pool.stats();
-    EXPECT_EQ(s.acquires, 1u);
-    EXPECT_EQ(s.outstanding_bytes, BufferPool::class_bytes(1500));
-    EXPECT_EQ(s.high_water_bytes, BufferPool::class_bytes(1500));
-  }
-  // Lease returned: nothing outstanding, capacity parked, high water keeps
-  // its maximum.
-  const auto s = pool.stats();
-  EXPECT_EQ(s.outstanding_bytes, 0u);
-  EXPECT_EQ(s.high_water_bytes, BufferPool::class_bytes(1500));
-  EXPECT_EQ(s.pooled_bytes, BufferPool::class_bytes(1500));
-  EXPECT_EQ(s.recycles, 1u);
-}
-
 TEST(BufferPool, SteadyStateReusesFreelistCapacity) {
   BufferPool pool;
-  { BufferLease warm = pool.acquire(64 * 1024); }
+  pool.recycle(pool.take(64 * 1024));
   for (int i = 0; i < 100; ++i) {
-    BufferLease lease = pool.acquire(64 * 1024);
-    std::memset(lease.data(), i, lease.size());
+    std::vector<std::uint8_t> buf = pool.take(64 * 1024);
+    std::memset(buf.data(), i, buf.size());
+    pool.recycle(std::move(buf));
   }
   const auto s = pool.stats();
-  EXPECT_EQ(s.acquires, 101u);
+  EXPECT_EQ(s.takes, 101u);
   // Every checkout after the first came from the freelist: steady-state
-  // staging performs zero heap allocation per slice.
+  // execution performs zero heap allocation per step.
   EXPECT_EQ(s.freelist_hits, 100u);
   EXPECT_EQ(s.pooled_bytes, 64u * 1024);
 }
 
-TEST(BufferPool, ZeroByteAcquireIsInactive) {
-  BufferPool pool;
-  BufferLease lease = pool.acquire(0);
-  EXPECT_FALSE(lease.active());
-  EXPECT_EQ(lease.size(), 0u);
-  EXPECT_EQ(pool.stats().outstanding_bytes, 0u);
-}
-
-TEST(BufferPool, TakeCountsInUnifiedHighWaterButNotStaging) {
+TEST(BufferPool, TakeCountsInHighWaterUntilRecycled) {
   BufferPool pool;
   std::vector<std::uint8_t> buf = pool.take(8192);
   EXPECT_EQ(buf.size(), 8192u);
   const auto s = pool.stats();
   EXPECT_EQ(s.takes, 1u);
-  // take() buffers are long-lived store buffers — they must not inflate the
-  // staging mark (or the window bound in slice_exec_test would be
-  // unprovable), but they ARE live pool-served capacity, so the unified
-  // high-water mark folds them in.
-  EXPECT_EQ(s.outstanding_bytes, 0u);
-  EXPECT_EQ(s.staging_high_water_bytes, 0u);
   EXPECT_EQ(s.taken_outstanding_bytes, 8192u);
   EXPECT_EQ(s.high_water_bytes, 8192u);
   pool.recycle(std::move(buf));
@@ -87,26 +54,6 @@ TEST(BufferPool, TakeCountsInUnifiedHighWaterButNotStaging) {
   EXPECT_EQ(again.size(), 5000u);
   EXPECT_GE(again.capacity(), 5000u);
   EXPECT_EQ(pool.stats().freelist_hits, 1u);
-}
-
-TEST(BufferPool, UnifiedHighWaterCoversMixedLeaseTakeWorkloads) {
-  BufferPool pool;
-  std::vector<std::uint8_t> store = pool.take(16 * 1024);
-  {
-    BufferLease staging = pool.acquire(4096);
-    const auto s = pool.stats();
-    EXPECT_EQ(s.outstanding_bytes, 4096u);
-    EXPECT_EQ(s.taken_outstanding_bytes, 16u * 1024);
-    // The unified mark sees both regimes at once; the staging mark sees
-    // only the lease.
-    EXPECT_EQ(s.high_water_bytes, 16u * 1024 + 4096u);
-    EXPECT_EQ(s.staging_high_water_bytes, 4096u);
-  }
-  pool.recycle(std::move(store));
-  const auto s = pool.stats();
-  EXPECT_EQ(s.outstanding_bytes, 0u);
-  EXPECT_EQ(s.taken_outstanding_bytes, 0u);
-  EXPECT_EQ(s.high_water_bytes, 16u * 1024 + 4096u);
 }
 
 TEST(BufferPool, RecycleOfForeignBuffersSaturatesTakenAtZero) {
@@ -128,82 +75,52 @@ TEST(BufferPool, RecycleDropsSubMinimumBuffers) {
   EXPECT_EQ(pool.stats().pooled_bytes, 0u);
 }
 
-TEST(BufferPool, DetachTransfersOwnership) {
-  BufferPool pool;
-  BufferLease lease = pool.acquire(2048);
-  std::memset(lease.data(), 0x5A, lease.size());
-  std::vector<std::uint8_t> owned = std::move(lease).detach();
-  EXPECT_EQ(owned.size(), 2048u);
-  EXPECT_EQ(owned[2047], 0x5A);
-  // Detach ends the staging accounting without parking the capacity.
-  const auto s = pool.stats();
-  EXPECT_EQ(s.outstanding_bytes, 0u);
-  EXPECT_EQ(s.pooled_bytes, 0u);
-}
-
-TEST(BufferPool, ReleaseIsIdempotentAndMoveSafe) {
-  BufferPool pool;
-  BufferLease a = pool.acquire(4096);
-  a.release();
-  a.release();  // no double-return
-  EXPECT_FALSE(a.active());
-  EXPECT_EQ(pool.stats().outstanding_bytes, 0u);
-  EXPECT_EQ(pool.stats().recycles, 1u);
-
-  BufferLease b = pool.acquire(4096);
-  BufferLease c = std::move(b);
-  EXPECT_FALSE(b.active());  // NOLINT(bugprone-use-after-move): moved-from
-  EXPECT_TRUE(c.active());
-  EXPECT_EQ(pool.stats().outstanding_bytes, 4096u);
-}
-
-TEST(BufferPool, HighWaterTracksPeakConcurrentLeases) {
+TEST(BufferPool, HighWaterTracksPeakConcurrentTakes) {
   BufferPool pool;
   {
-    BufferLease a = pool.acquire(1024);
-    BufferLease b = pool.acquire(1024);
-    BufferLease c = pool.acquire(2048);
-    EXPECT_EQ(pool.stats().outstanding_bytes, 4096u);
+    std::vector<std::uint8_t> a = pool.take(1024);
+    std::vector<std::uint8_t> b = pool.take(1024);
+    std::vector<std::uint8_t> c = pool.take(2048);
+    EXPECT_EQ(pool.stats().taken_outstanding_bytes, 4096u);
+    pool.recycle(std::move(a));
+    pool.recycle(std::move(b));
+    pool.recycle(std::move(c));
   }
-  {
-    BufferLease d = pool.acquire(1024);
-    EXPECT_EQ(pool.stats().outstanding_bytes, 1024u);
-  }
+  std::vector<std::uint8_t> d = pool.take(1024);
+  EXPECT_EQ(pool.stats().taken_outstanding_bytes, 1024u);
   EXPECT_EQ(pool.stats().high_water_bytes, 4096u);
 }
 
 TEST(BufferPool, TrimDropsIdleCapacityKeepsCounters) {
   BufferPool pool;
-  { BufferLease a = pool.acquire(32 * 1024); }
+  pool.recycle(pool.take(32 * 1024));
   EXPECT_EQ(pool.stats().pooled_bytes, 32u * 1024);
   pool.trim();
   const auto s = pool.stats();
   EXPECT_EQ(s.pooled_bytes, 0u);
-  EXPECT_EQ(s.acquires, 1u);
+  EXPECT_EQ(s.takes, 1u);
   EXPECT_EQ(s.high_water_bytes, 32u * 1024);
   // After a trim the next checkout allocates again.
-  { BufferLease b = pool.acquire(32 * 1024); }
+  pool.recycle(pool.take(32 * 1024));
   EXPECT_EQ(pool.stats().freelist_hits, 0u);
 }
 
 TEST(BufferPool, MixedClassCheckoutsLandInTheRightFreelists) {
   BufferPool pool;
-  { BufferLease small = pool.acquire(1024); }
-  { BufferLease big = pool.acquire(128 * 1024); }
+  pool.recycle(pool.take(1024));
+  pool.recycle(pool.take(128 * 1024));
   EXPECT_EQ(pool.stats().pooled_bytes, 1024u + 128 * 1024);
   // A 1 KiB request must not dequeue the 128 KiB buffer.
-  {
-    BufferLease again = pool.acquire(512);
-    EXPECT_EQ(pool.stats().pooled_bytes, 128u * 1024);
-  }
+  std::vector<std::uint8_t> again = pool.take(512);
+  EXPECT_EQ(pool.stats().pooled_bytes, 128u * 1024);
 }
 
 // TSan-targeted contention stress: many threads hammer a shared pool with
-// interleaved acquire (staging leases) and take/recycle (store buffers)
-// across several size classes.  Under -fsanitize=thread this exercises the
-// mu_-guarded freelists and the unified high-water accounting from every
-// interleaving the scheduler produces; the post-join assertions prove the
-// counters stayed exact, not just data-race-free.
+// take/recycle round trips across several size classes.  Under
+// -fsanitize=thread this exercises the mu_-guarded freelists and the
+// high-water accounting from every interleaving the scheduler produces; the
+// post-join assertions prove the counters stayed exact, not just
+// data-race-free.
 TEST(BufferPoolStress, ConcurrentTakeRecycleAcrossSizeClassesStaysConsistent) {
   constexpr int kThreads = 8;
   constexpr int kItersPerThread = 400;
@@ -220,19 +137,12 @@ TEST(BufferPoolStress, ConcurrentTakeRecycleAcrossSizeClassesStaysConsistent) {
       }
       for (int i = 0; i < kItersPerThread; ++i) {
         const std::size_t n = kClasses[(t + i) % kNumClasses];
-        if ((t + i) % 2 == 0) {
-          // Staging regime: scoped lease, touched so TSan sees the bytes.
-          BufferLease lease = pool.acquire(n);
-          ASSERT_TRUE(lease.active());
-          lease.data()[0] = static_cast<std::uint8_t>(i);
-          lease.data()[lease.size() - 1] = static_cast<std::uint8_t>(t);
-        } else {
-          // Store regime: explicit take/recycle round trip.
-          std::vector<std::uint8_t> buf = pool.take(n);
-          ASSERT_EQ(buf.size(), n);
-          buf[0] = static_cast<std::uint8_t>(t);
-          pool.recycle(std::move(buf));
-        }
+        // Take/recycle round trip, touched so TSan sees the bytes.
+        std::vector<std::uint8_t> buf = pool.take(n);
+        ASSERT_EQ(buf.size(), n);
+        buf[0] = static_cast<std::uint8_t>(i);
+        buf[n - 1] = static_cast<std::uint8_t>(t);
+        pool.recycle(std::move(buf));
       }
     });
   }
@@ -240,20 +150,15 @@ TEST(BufferPoolStress, ConcurrentTakeRecycleAcrossSizeClassesStaysConsistent) {
   for (std::thread& w : workers) w.join();
 
   const BufferPool::Stats s = pool.stats();
-  // Every checkout was returned: nothing outstanding in either regime.
-  EXPECT_EQ(s.outstanding_bytes, 0u);
+  // Every checkout was returned: nothing outstanding.
   EXPECT_EQ(s.taken_outstanding_bytes, 0u);
   // Counter totals are exact despite the contention.
   const std::uint64_t total =
       static_cast<std::uint64_t>(kThreads) * kItersPerThread;
-  EXPECT_EQ(s.acquires + s.takes, total);
-  EXPECT_EQ(s.acquires, total / 2);
-  EXPECT_EQ(s.takes, total / 2);
+  EXPECT_EQ(s.takes, total);
   EXPECT_EQ(s.recycles, total);
-  // The unified high-water mark folds both regimes in, so it can never sit
-  // below the staging-only mark, and at least one largest-class checkout
-  // must be visible in it.
-  EXPECT_GE(s.high_water_bytes, s.staging_high_water_bytes);
+  // At least one largest-class checkout must be visible in the high-water
+  // mark.
   EXPECT_GE(s.high_water_bytes, kClasses[kNumClasses - 1]);
   // All returned capacity parked in the freelists (pooled_bytes can exceed
   // the concurrent peak — each size class parks its own buffers — so the

@@ -109,5 +109,46 @@ TEST(BatchDriverCausality, StepsStartAfterEveryDependencyFinishes) {
   }
 }
 
+// A long rebuild admits one batch after another for the driver's whole
+// lifetime.  Batches are keyed by dense lifetime ids and freed when they
+// finish, so the 65 537th admission is as ordinary as the first.
+TEST(BatchDriverLifetime, SeventyThousandSequentialBatchesAllComplete) {
+  constexpr std::uint64_t kChunk = 64;
+  constexpr std::size_t kBatches = 70'000;
+  emul::Cluster cluster(cluster::Topology({2, 2}), emul::EmulConfig{});
+  cluster.store_chunk(0, 0, 0, rs::Chunk(kChunk, 0x5A));
+  recovery::RecoveryPlan plan;
+  plan.replacement = 2;
+  plan.replacement_rack = 1;
+  plan.chunk_size = kChunk;
+  recovery::PlanStep transfer;
+  transfer.kind = recovery::StepKind::kTransfer;
+  transfer.src = 0;
+  transfer.dst = 2;
+  transfer.payload = recovery::BufferRef::chunk(0, 0);
+  transfer.cross_rack = true;
+  transfer.bytes = kChunk;
+  plan.steps.push_back(transfer);
+
+  EventLog log;
+  BatchDriver driver(cluster, {}, {}, 1, 0, {}, log, LogFraming::kClient);
+  std::size_t completed = 0;
+  for (std::size_t batch = 0; batch < kBatches; ++batch) {
+    driver.admit(batch, plan);
+    const RunOutcome outcome = driver.run_until(std::nullopt);
+    ASSERT_EQ(outcome.stop, StopReason::kBatchDone) << "batch " << batch;
+    ASSERT_EQ(outcome.finished, std::vector<std::size_t>{batch});
+    ASSERT_EQ(driver.inflight(), 0u) << "batch " << batch;
+    ++completed;
+  }
+  EXPECT_EQ(completed, kBatches);
+  EXPECT_EQ(driver.completed_steps(), kBatches);
+  EXPECT_EQ(driver.report().cross_rack_bytes, kBatches * kChunk);
+  EXPECT_EQ(driver.run_until(std::nullopt).stop, StopReason::kIdle);
+  const rs::Chunk* delivered = cluster.find_chunk(2, 0, 0);
+  ASSERT_NE(delivered, nullptr);
+  EXPECT_EQ(*delivered, rs::Chunk(kChunk, 0x5A));
+}
+
 }  // namespace
 }  // namespace car::inject

@@ -2,7 +2,6 @@
 // out-of-tree plugin and loaded with `clang-tidy --load=libcar_tidy_checks.so
 // --checks=...,car-*` (the lint preset wires this up; see the root
 // CMakeLists and docs/architecture.md).
-#include "BufferLeaseDisciplineCheck.h"
 #include "CheckOnBoundaryCheck.h"
 #include "NoAllocInHotPathCheck.h"
 #include "NoRawVirtualTimeArithmeticCheck.h"
@@ -17,8 +16,6 @@ class CarTidyModule : public ClangTidyModule {
  public:
   void addCheckFactories(ClangTidyCheckFactories &Factories) override {
     Factories.registerCheck<NoAllocInHotPathCheck>("car-no-alloc-in-hot-path");
-    Factories.registerCheck<BufferLeaseDisciplineCheck>(
-        "car-buffer-lease-discipline");
     Factories.registerCheck<CheckOnBoundaryCheck>("car-check-on-boundary");
     Factories.registerCheck<NoRawVirtualTimeArithmeticCheck>(
         "car-no-raw-virtual-time-arithmetic");
@@ -28,8 +25,8 @@ class CarTidyModule : public ClangTidyModule {
 }  // namespace car
 
 static ClangTidyModuleRegistry::Add<car::CarTidyModule> X(
-    "car-module", "CAR repo invariants: hot-path allocation, lease escape, "
-                  "boundary contracts, timeline arithmetic.");
+    "car-module", "CAR repo invariants: hot-path allocation, boundary contracts, "
+                  "timeline arithmetic.");
 
 // Anchor so the registration above survives linking.
 volatile int CarTidyModuleAnchorSource = 0;

@@ -10,7 +10,7 @@
 //     std::unordered_map / std::map (push_back, emplace_back, resize,
 //     reserve, insert, append, assign, emplace, operator+=)
 //   * declaring a local allocating container (std::vector, std::string,
-//     std::deque) — use std::array or a pool lease instead
+//     std::deque) — use std::array or a pooled buffer instead
 //
 // Expansions of CAR_CHECK* contract macros are exempt: their message
 // arguments are evaluated only on the (cold) failure path.
