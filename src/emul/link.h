@@ -10,9 +10,10 @@
 // slowest hop drains, not after the sum of hops.
 //
 // Every link of one cluster is a plain value in one LinkTable, addressed by
-// LinkId.  The table takes no lock: both timing passes (the arena replay
-// behind Cluster::execute and execute_arena, and the inject BatchDriver)
-// reserve links on one thread.
+// LinkId.  The table takes no lock: links are reserved by the one step
+// engine (emul/step_core.h), on one thread, whichever executor drives it
+// (the fault-free replay behind Cluster::execute and execute_arena, or the
+// inject BatchDriver).
 //
 // Fault windows (inject/): a link may carry *rate windows* — intervals
 // during which its effective rate is scaled by a finite factor (0 =

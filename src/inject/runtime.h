@@ -9,10 +9,10 @@
 // work through recovery/replan (census -> CAR/RR plan -> validate), and
 // resumes on the same virtual timeline.
 //
-// The steps themselves run on BatchDriver (inject/driver.h), the one
-// fault-aware virtual-time step loop, with the plan as a single batch; the
-// rebuild coordinator is the driver's other client.  What the runtime
-// adds is its own: the replacement guard, the crash triggers (a
+// The steps themselves run on BatchDriver (inject/driver.h), the
+// fault-aware policy of the one step engine, with the plan as a single
+// batch; the rebuild coordinator is the driver's other client.  What the
+// runtime adds is its own: the replacement guard, the crash triggers (a
 // time-triggered crash is a run_until deadline, a fraction-triggered one a
 // step limit), the escalation, and the run's framing in the EventLog.
 // A run is a pure function of (plan, FaultPlan, seed): the EventLog two

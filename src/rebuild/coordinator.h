@@ -18,11 +18,11 @@
 //      id), so a second failure that turns a queued fresh-degraded stripe
 //      into a most-exposed one preempts everything behind it.
 //   4. Overlap — up to max_inflight same-signature batches run concurrently
-//      on one inject::BatchDriver timeline (the fault-aware step loop the
-//      resilient runtime also runs on); each batch is planned and
-//      statically gated by recovery/replan (CAR partial decoding or the RR
-//      baseline, then recovery/validate), and admitted only when the gate
-//      passes.  A batch's multi-failure census covers only the batch's own
+//      on one inject::BatchDriver timeline (the fault-aware policy of the
+//      step engine the resilient runtime also runs on); each batch is
+//      planned and statically gated by recovery/replan (CAR partial
+//      decoding or the RR baseline, then recovery/validate), and admitted
+//      only when the gate passes.  A batch's multi-failure census covers only the batch's own
 //      stripes (recovery::build_multi_censuses' stripe-list form), so the
 //      whole placement is scanned once per epoch, never once per batch —
 //      DAOS's scan-once-then-pull split.

@@ -1,6 +1,6 @@
 // Shared execution of a compute step's linear combination.
 //
-// The emulator (emul/cluster.cc) and the fault-aware step loop
+// The emulator (emul/cluster.cc) and the fault-aware BatchDriver
 // (inject/driver.cc) both execute compute steps over real chunk buffers,
 // reading inputs and coefficients from the same PlanArena columns; this
 // helper is the single implementation of the step contract: every gathered
@@ -32,8 +32,9 @@ inline constexpr std::size_t kMaxComputeInputs = 256;
 /// input buffer must hold a full chunk of `chunk_size` bytes.  The values
 /// come straight from the arena columns, so no caller materialises a
 /// PlanStep.  `out` must not alias any input (the kernels' linear_combine
-/// contract): the emulator writes into a fresh step-output buffer, the
-/// BatchDriver stages through a pool lease.  Throws util::StateError on
+/// contract): both callers write straight into the step's own output
+/// buffer, which no input is (the BatchDriver's is made private first,
+/// copy-on-write).  Throws util::StateError on
 /// contract violations; `context` prefixes the failure messages so callers
 /// keep their own error voice ("Cluster::execute_arena", "BatchDriver").
 CAR_HOT void execute_compute_slice(std::span<const std::uint8_t> coeffs,

@@ -4,7 +4,8 @@
 // recovery::SlicePlan materialises one PlanStep per slice: each carries its
 // own deps vector and inputs vector, so a million-step plan sliced a few
 // ways costs millions of small heap allocations before a single byte moves
-// — the wall the datacenter-scale experiments (ROADMAP item 2) hit first.
+// — the wall the datacenter-scale experiments (the ROADMAP item
+// "Datacenter-scale emulation: 10k nodes, millions of stripes") hit first.
 // PlanArena stores the same plan in flat 64-bit-indexed arrays instead:
 //
 //   * one row of columnar step state per BASE step (kind/stripe/endpoints/
