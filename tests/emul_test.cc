@@ -705,7 +705,8 @@ TEST(ClusterExecute, PlanEndpointOutsideTheTopologyIsRejected) {
 TEST(Cluster, ClearStepOutputsKeepsChunks) {
   Cluster cluster(Topology({2, 2}), fast_config());
   cluster.store_chunk(0, 3, 1, rs::Chunk{1, 2});
-  cluster.put_buffer(0, recovery::BufferRef::step(5), rs::Chunk{9, 9});
+  std::ranges::fill(
+      cluster.write_buffer_range(0, recovery::BufferRef::step(5), 2, 0, 2), 9);
   ASSERT_NE(cluster.find_step_output(0, 5), nullptr);
   cluster.clear_step_outputs();
   EXPECT_EQ(cluster.find_step_output(0, 5), nullptr);
@@ -718,15 +719,15 @@ TEST(EmulCluster, WriteBufferRangeRejectsWrappingOffset) {
   cluster.store_chunk(0, 0, 0, rs::Chunk(64, 1));
   const std::vector<std::uint8_t> data(16, 0xAB);
   // offset + size wraps to 8, which a naive sum check would accept.
-  EXPECT_THROW(cluster.write_buffer_range(0, ref, 64,
-                                          UINT64_MAX - 7, data),
+  EXPECT_THROW((void)cluster.write_buffer_range(0, ref, 64, UINT64_MAX - 7,
+                                                data.size()),
                util::CheckError);
-  EXPECT_THROW(cluster.write_buffer_range(0, ref, 64, 65, {}),
+  EXPECT_THROW((void)cluster.write_buffer_range(0, ref, 64, 65, 0),
                util::CheckError);
-  EXPECT_THROW(cluster.write_buffer_range(0, ref, 64, 49, data),
+  EXPECT_THROW((void)cluster.write_buffer_range(0, ref, 64, 49, data.size()),
                util::CheckError);
   try {
-    cluster.write_buffer_range(0, ref, 64, 60, data);
+    (void)cluster.write_buffer_range(0, ref, 64, 60, data.size());
     ADD_FAILURE() << "range past the buffer accepted";
   } catch (const util::CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("[60, +16)"), std::string::npos)
@@ -734,7 +735,9 @@ TEST(EmulCluster, WriteBufferRangeRejectsWrappingOffset) {
   }
   EXPECT_EQ(*cluster.find_chunk(0, 0, 0), rs::Chunk(64, 1));
   // The exact fit at the end is in range.
-  cluster.write_buffer_range(0, ref, 64, 48, data);
+  std::ranges::copy(data,
+                    cluster.write_buffer_range(0, ref, 64, 48, data.size())
+                        .begin());
   const rs::Chunk& stored = *cluster.find_chunk(0, 0, 0);
   EXPECT_EQ(stored[47], 1);
   EXPECT_EQ(stored[48], 0xAB);
