@@ -32,11 +32,9 @@
 #include "emul/cluster.h"
 #include "rebuild/scenario.h"
 #include "recovery/multi.h"
-#include "recovery/multi.h"
 #include "recovery/plan_arena.h"
 #include "recovery/plan_template.h"
 #include "recovery/scheduler.h"
-#include "recovery/slice.h"
 #include "simnet/flowsim.h"
 #include "util/bytes.h"
 
@@ -116,7 +114,7 @@ class CollectingReporter : public benchmark::ConsoleReporter {
 // bit-deterministic; speedups are structural, not measurement noise.
 
 constexpr std::uint64_t kFig9Chunk = util::kMiB;
-constexpr std::uint64_t kFig9Slice = 64 * util::kKiB;  // kDefaultSliceBytes
+constexpr std::uint64_t kFig9Slice = 64 * util::kKiB;
 constexpr std::size_t kFig9Window = 1;
 constexpr std::size_t kFig9Stripes = 12;
 
@@ -491,8 +489,9 @@ void BM_BuildCarPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildCarPlan);
 
-void BM_SliceCarPlan(benchmark::State& state) {
-  // The slice lowering is pure index arithmetic; it must stay negligible
+void BM_LowerCarPlanToArena(benchmark::State& state) {
+  // Lowering into the arena the executors run stores per-base-step columns
+  // only (the slice dimension is index arithmetic); it must stay negligible
   // next to the execution it pipelines.
   const auto s = make_scenario(cluster::cfs3(), 100, 31);
   const rs::Code code(10, 4);
@@ -500,11 +499,11 @@ void BM_SliceCarPlan(benchmark::State& state) {
   const auto plan = recovery::build_multi_car_plan(
       s.placement, code, balanced.solutions, 1 << 22, s.failure.failed_node);
   for (auto _ : state) {
-    auto sliced = recovery::slice_plan(plan, 64 * util::kKiB);
-    benchmark::DoNotOptimize(sliced.steps.data());
+    auto arena = recovery::PlanArena::build(plan, 64 * util::kKiB);
+    benchmark::DoNotOptimize(arena.num_sliced_steps());
   }
 }
-BENCHMARK(BM_SliceCarPlan);
+BENCHMARK(BM_LowerCarPlanToArena);
 
 void BM_SimulateCarPlan(benchmark::State& state) {
   const auto s = make_scenario(cluster::cfs3(), 100, 37);

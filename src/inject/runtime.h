@@ -84,7 +84,7 @@ class ResilientRuntime {
                     const ReplanContext& context);
 
   /// Slice-pipelined variant: lower `plan` onto a `slice_bytes` grid
-  /// (recovery/slice.h) and run it with timeouts, retries, fault matching,
+  /// (recovery/plan_arena.h) and run it with timeouts, retries, fault matching,
   /// and crash escalation at slice granularity.  Cross-rack shipping of
   /// slice s overlaps partial decoding of slice s+1 on the virtual
   /// timeline, so the makespan approaches max(transfer, compute).

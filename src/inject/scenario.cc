@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -68,6 +69,10 @@ std::uint64_t parse_u64(const std::string& line, const std::string& value) {
     bad_spec(line, "integer out of range");
   }
 }
+
+/// The largest KiB count whose byte count fits a uint64_t.
+constexpr std::uint64_t kMaxKiB =
+    std::numeric_limits<std::uint64_t>::max() / util::kKiB;
 
 /// parse_u64 with an inclusive range check, diagnosing the offending line.
 std::uint64_t parse_u64_in(const std::string& line, const std::string& value,
@@ -399,9 +404,9 @@ Scenario parse_scenario(const std::string& text) {
     } else if (key == "stripes") {
       scenario.stripes = parse_u64(line, value);
     } else if (key == "chunk-kib") {
-      scenario.chunk_bytes = parse_u64(line, value) * util::kKiB;
+      scenario.chunk_bytes = parse_u64_in(line, value, 1, kMaxKiB) * util::kKiB;
     } else if (key == "page-kib") {
-      scenario.page_bytes = parse_u64(line, value) * util::kKiB;
+      scenario.page_bytes = parse_u64_in(line, value, 1, kMaxKiB) * util::kKiB;
     } else if (key == "slice-kib") {
       // 0 would divide-by-zero the slice grid and anything above 1 GiB is
       // certainly a unit mistake (the value is KiB, not bytes).

@@ -66,8 +66,8 @@ struct Scenario {
   std::uint64_t page_bytes = 16 * 1024;
   /// Slice-pipelined execution granularity (spec key `slice-kib`).  0 runs
   /// the classic chunk-granular engine; > 0 lowers the plan onto that grid
-  /// (recovery/slice.h) so transfers and partial decodes overlap per slice.
-  /// Recovered bytes are identical either way.
+  /// (recovery/plan_arena.h) so transfers and partial decodes overlap per
+  /// slice.  Recovered bytes are identical either way.
   std::uint64_t slice_bytes = 0;
   std::uint64_t seed = 7;
   /// "car" (rack-aware + partial decoding) or "rr" (ship-and-decode).

@@ -24,9 +24,10 @@ namespace car::recovery {
 /// execute_compute_slice so the per-slice hot path never allocates.
 inline constexpr std::size_t kMaxComputeInputs = 256;
 
-/// Slice-granular core (recovery/slice.h): evaluates the linear combination
-/// sum_i coeffs[i] * inputs[i] over bytes [offset, offset + out.size()) of
-/// each full-chunk input, writing the result into `out`.  `step_bytes` is
+/// Slice-granular core (recovery/plan_arena.h): evaluates the linear
+/// combination sum_i coeffs[i] * inputs[i] over bytes
+/// [offset, offset + out.size()) of each full-chunk input, writing the
+/// result into `out`.  `step_bytes` is
 /// the *sliced* step's declared compute volume, so it must equal
 /// out.size() * |inputs|; `coeffs` holds one coefficient per input; every
 /// input buffer must hold a full chunk of `chunk_size` bytes.  The values

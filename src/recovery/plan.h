@@ -95,9 +95,10 @@ struct RecoveryPlan {
   [[nodiscard]] std::uint64_t compute_bytes() const noexcept;
 };
 
-/// Byte-total accounting over any step sequence — shared by RecoveryPlan
-/// and the slice-level lowering (recovery/slice.h), so sliced and unsliced
-/// plans are summed by the same code and can be compared bit-for-bit.
+/// Byte-total accounting over any step sequence — RecoveryPlan's totals
+/// are these over its steps, so any other step list (such as a
+/// materialised slice lowering) is summed by the same code and can be
+/// compared with a plan bit-for-bit.
 [[nodiscard]] std::uint64_t cross_rack_bytes(
     std::span<const PlanStep> steps) noexcept;
 [[nodiscard]] std::uint64_t intra_rack_bytes(

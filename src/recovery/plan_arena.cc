@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "recovery/slice.h"
 #include "util/check.h"
 
 namespace car::recovery {
@@ -76,8 +75,8 @@ PlanArena PlanArena::build(const RecoveryPlan& plan,
   for (std::size_t index = 0; index < n; ++index) {
     const PlanStep& step = plan.steps[index];
     CAR_CHECK(step.id == index, "PlanArena: step ids must be dense");
-    // Same byte contract slice_plan() enforces — a violation would skew
-    // every computed slice length downstream.
+    // The byte contract: a violation would skew every computed slice
+    // length downstream.
     if (step.kind == StepKind::kTransfer) {
       CAR_CHECK(step.bytes == plan.chunk_size,
                 "PlanArena: transfer step bytes != chunk_size");
@@ -210,11 +209,6 @@ void PlanArena::finalize() {
   }
 }
 
-std::uint64_t PlanArena::sliced_id(std::uint64_t base,
-                                   std::uint64_t slice) const {
-  return recovery::sliced_id(base, num_slices_, slice);
-}
-
 std::uint64_t PlanArena::cross_rack_bytes() const noexcept {
   // Each transfer's slices sum to exactly chunk_size, so the totals are
   // per-base-step arithmetic — no walk over the slice dimension.
@@ -257,60 +251,6 @@ std::vector<std::uint64_t> PlanArena::per_rack_cross_bytes(
         src(base) != dst(base)) {
       out[topology.rack_of(src(base))] += chunk_size_;
     }
-  }
-  return out;
-}
-
-PlanStep PlanArena::step(std::uint64_t sliced) const {
-  const std::uint64_t base = sliced / num_slices_;
-  const std::uint64_t slice = sliced % num_slices_;
-  PlanStep out;
-  out.id = static_cast<std::size_t>(sliced);
-  out.kind = kind(base);
-  out.stripe = stripe(base);
-  out.deps.reserve(deps(base).size());
-  for (const std::uint64_t dep : deps(base)) {
-    out.deps.push_back(static_cast<std::size_t>(sliced_id(dep, slice)));
-  }
-  out.cross_rack = cross_rack(base);
-  if (out.kind == StepKind::kTransfer) {
-    out.src = src(base);
-    out.dst = dst(base);
-    out.payload = payload(base);
-  } else {
-    out.node = node(base);
-    out.inputs.reserve(num_inputs(base));
-    for (std::size_t i = 0; i < num_inputs(base); ++i) {
-      out.inputs.push_back(input(base, i));
-    }
-  }
-  out.bytes = step_bytes(base, slice);
-  return out;
-}
-
-SliceInfo PlanArena::slice_info(std::uint64_t sliced) const {
-  const std::uint64_t base = sliced / num_slices_;
-  const std::uint64_t slice = sliced % num_slices_;
-  return SliceInfo{static_cast<std::size_t>(base),
-                   static_cast<std::size_t>(slice), slice_offset(slice),
-                   slice_length(slice)};
-}
-
-SlicePlan PlanArena::to_slice_plan() const {
-  SlicePlan out;
-  out.replacement = replacement_;
-  out.replacement_rack = replacement_rack_;
-  out.chunk_size = chunk_size_;
-  out.slice_size = slice_size_;
-  out.num_slices = static_cast<std::size_t>(num_slices_);
-  out.num_base_steps = static_cast<std::size_t>(num_base_steps());
-  out.outputs.assign(outputs_.begin(), outputs_.end());
-  const std::uint64_t total = num_sliced_steps();
-  out.steps.reserve(total);
-  out.info.reserve(total);
-  for (std::uint64_t id = 0; id < total; ++id) {
-    out.steps.push_back(step(id));
-    out.info.push_back(slice_info(id));
   }
   return out;
 }

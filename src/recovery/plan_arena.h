@@ -1,41 +1,47 @@
-// Columnar (structure-of-arrays) arena form of a slice-lowered recovery
-// plan.
+// Columnar (structure-of-arrays) slice lowering of a recovery plan: the
+// one sliced plan form the executors run.
 //
-// recovery::SlicePlan materialises one PlanStep per slice: each carries its
-// own deps vector and inputs vector, so a million-step plan sliced a few
-// ways costs millions of small heap allocations before a single byte moves
-// — the wall the datacenter-scale experiments (the ROADMAP item
-// "Datacenter-scale emulation: 10k nodes, millions of stripes") hit first.
-// PlanArena stores the same plan in flat 64-bit-indexed arrays instead:
+// A RecoveryPlan moves whole chunks, so an aggregator's partial decode
+// cannot start until every input chunk has fully arrived.  The arena puts
+// every step on a uniform grid of ceil(chunk_size / slice_size) slices:
+// slice s of a step depends only on slice s of its dependencies, so
+// cross-rack shipping of slice s overlaps aggregation of slice s+1 and a
+// stripe's makespan drops toward max(transfer, compute) instead of their
+// sum.  Slicing never changes what moves where: the byte totals equal the
+// base plan's.  slice_size >= chunk_size is the degenerate one-slice grid,
+// the same computation as the base plan.
+//
+// Storage is flat 64-bit-indexed arrays, never one object per slice:
 //
 //   * one row of columnar step state per BASE step (kind/stripe/endpoints/
 //     payload), since every slice of a step shares them;
 //   * dependencies and compute inputs in CSR form (one offsets array, one
-//     flat entries array), again per base step — the slice dimension of the
-//     lowering is pure index arithmetic (slice s of step x depends on slice
-//     s of x's deps; its byte range is s * slice_size onward), so it is
-//     *computed* on access rather than stored;
-//   * 64-bit sliced ids on the same grid as SlicePlan::sliced_id
-//     (base * num_slices + slice, overflow-checked).
+//     flat entries array), again per base step — the slice dimension is
+//     pure index arithmetic (slice s of step x depends on slice s of x's
+//     deps; its byte range is s * slice_size onward), so it is *computed*
+//     on access rather than stored;
+//   * 64-bit sliced ids base * num_slices + slice, overflow-checked
+//     (sliced_id below).
 //
-// The arena is the one sliced form executors walk: emul::Cluster (execute
-// and execute_arena) and inject::BatchDriver read the columns directly and
-// never materialise per-step objects.  step(id) / slice_info(id)
-// materialise the exact PlanStep / SliceInfo the SlicePlan lowering would
-// contain (to_slice_plan() materialises the whole thing, which is how the
-// differential tests prove equivalence and what their reference replay
-// walks), and the byte accounting API mirrors SlicePlan's.
+// emul::Cluster (execute and execute_arena) and inject::BatchDriver read
+// the columns directly.  Sliced steps carry base-plan buffer references: a
+// sliced transfer moves bytes [offset, offset+length) of the whole
+// destination buffer, and a sliced compute writes the same range of its
+// base step's output buffer.  The tests keep a materialised
+// one-PlanStep-per-slice lowering as the oracle this arena must equal
+// (tests/slice_oracle.h).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
 #include "cluster/topology.h"
 #include "cluster/types.h"
 #include "recovery/plan.h"
-#include "recovery/slice.h"
+#include "util/check.h"
 #include "util/default_init_allocator.h"
 
 namespace car::cluster {
@@ -47,17 +53,34 @@ namespace car::recovery {
 struct PlanTemplate;   // recovery/plan_template.h
 struct StripeBinding;  // recovery/plan_template.h
 
+/// The sliced-step id of (base_step, slice) on a grid of num_slices slices
+/// per base step, computed in 64-bit with an overflow check: a million-step
+/// plan sliced 4096 ways overflows 32-bit arithmetic, and a wrap would
+/// silently alias two different slices onto one id, so it is a hard error
+/// (util::CheckError) instead.  Every consumer of the grid goes through
+/// this helper or PlanArena::sliced_id rather than writing
+/// `base * num_slices + slice` by hand; the car-tidy check
+/// car-no-raw-virtual-time-arithmetic enforces that.
+[[nodiscard]] inline std::uint64_t sliced_id(std::uint64_t base_step,
+                                             std::uint64_t num_slices,
+                                             std::uint64_t slice) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  CAR_CHECK(num_slices == 0 || base_step <= (kMax - slice) / num_slices,
+            "sliced_id: base_step * num_slices + slice overflows uint64_t");
+  return base_step * num_slices + slice;
+}
+
 class PlanArena {
  public:
   /// Build the arena from a chunk-granular plan on a slice grid of
-  /// `slice_size` bytes (clamped to chunk_size, same grid as slice_plan).
-  /// Validates the slice_plan contract (dense ids, transfer bytes ==
-  /// chunk_size, compute bytes == chunk_size * |inputs|) and additionally
-  /// requires forward dependencies (every dep id < step id — true of every
-  /// plan the builders emit), which is what lets executors walk the arena
-  /// in id order without a scheduling heap.  Throws util::CheckError on
-  /// violations, and std::out_of_range when a node id does not fit the
-  /// 32-bit endpoint columns.
+  /// `slice_size` bytes (clamped to chunk_size).  Checks the plan's byte
+  /// contract (dense ids, transfer bytes == chunk_size, compute bytes ==
+  /// chunk_size * |inputs|), without which the computed slice lengths
+  /// would be skewed, and requires forward dependencies (every dep id <
+  /// step id — true of every plan the builders emit), which is what lets
+  /// executors walk the arena in id order without a scheduling heap.
+  /// Throws util::CheckError on violations, and std::out_of_range when a
+  /// node id does not fit the 32-bit endpoint columns.
   static PlanArena build(const RecoveryPlan& plan, std::uint64_t slice_size);
 
   // --- incremental template-instantiation construction ----------------
@@ -127,9 +150,11 @@ class PlanArena {
     return num_base_steps() * num_slices_;
   }
 
-  /// Same id grid (and the same overflow check) as SlicePlan::sliced_id.
+  /// recovery::sliced_id on this arena's grid.
   [[nodiscard]] std::uint64_t sliced_id(std::uint64_t base,
-                                        std::uint64_t slice) const;
+                                        std::uint64_t slice) const {
+    return recovery::sliced_id(base, num_slices_, slice);
+  }
 
   [[nodiscard]] std::uint64_t slice_offset(std::uint64_t slice) const noexcept {
     return slice * slice_size_;
@@ -186,7 +211,7 @@ class PlanArena {
   }
 
   /// Declared bytes of the sliced step (base, slice): the slice length for
-  /// transfers, length * |inputs| for computes — matching SlicePlan.
+  /// transfers, length * |inputs| for computes.
   [[nodiscard]] std::uint64_t step_bytes(std::uint64_t base,
                                          std::uint64_t slice) const noexcept {
     const std::uint64_t length = slice_length(slice);
@@ -213,26 +238,13 @@ class PlanArena {
   /// not.
   [[nodiscard]] bool stripe_closed() const noexcept { return stripe_closed_; }
 
-  // --- byte accounting (mirrors SlicePlan's API) ----------------------
+  // --- byte accounting (equal to the base plan's) ---------------------
 
   [[nodiscard]] std::uint64_t cross_rack_bytes() const noexcept;
   [[nodiscard]] std::uint64_t intra_rack_bytes() const noexcept;
   [[nodiscard]] std::uint64_t compute_bytes() const noexcept;
   [[nodiscard]] std::vector<std::uint64_t> per_rack_cross_bytes(
       const cluster::Topology& topology) const;
-
-  // --- thin view onto the SlicePlan representation --------------------
-
-  /// Materialise the PlanStep / SliceInfo for one sliced id, bit-equal to
-  /// the corresponding entry of slice_plan(plan, slice_size).  Allocating —
-  /// meant for tests and spot inspection, not the execution hot path.
-  [[nodiscard]] PlanStep step(std::uint64_t sliced) const;
-  [[nodiscard]] SliceInfo slice_info(std::uint64_t sliced) const;
-
-  /// Materialise the full SlicePlan (steps, info, outputs) this arena
-  /// represents.  The differential tests compare this against slice_plan()
-  /// to prove the two lowerings are the same function.
-  [[nodiscard]] SlicePlan to_slice_plan() const;
 
  private:
   void build_reverse_deps();

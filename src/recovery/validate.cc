@@ -368,172 +368,6 @@ ValidationReport validate_plan(const RecoveryPlan& plan,
   return report;
 }
 
-ValidationReport validate_sliced_plan(const SlicePlan& sliced,
-                                      const RecoveryPlan& base,
-                                      const cluster::Topology& topology) {
-  ValidationReport report;
-  auto error = [&report](std::string message) {
-    report.errors.push_back(std::move(message));
-  };
-
-  // --- grid metadata -------------------------------------------------------
-  if (sliced.replacement != base.replacement) {
-    error("sliced plan replacement node differs from the base plan");
-  }
-  if (sliced.replacement_rack != base.replacement_rack) {
-    error("sliced plan replacement rack differs from the base plan");
-  }
-  if (sliced.chunk_size != base.chunk_size) {
-    error("sliced plan chunk_size differs from the base plan");
-  }
-  if (sliced.num_base_steps != base.steps.size()) {
-    error("sliced plan records " + std::to_string(sliced.num_base_steps) +
-          " base steps but the base plan has " +
-          std::to_string(base.steps.size()));
-  }
-  if (sliced.num_slices == 0) {
-    error("sliced plan has num_slices == 0");
-    return report;  // the grid below is meaningless
-  }
-  if (!base.steps.empty()) {
-    if (sliced.slice_size == 0 || sliced.slice_size > base.chunk_size) {
-      error("slice_size must be in [1, chunk_size]");
-      return report;
-    }
-    const auto expected_slices = static_cast<std::size_t>(
-        (base.chunk_size + sliced.slice_size - 1) / sliced.slice_size);
-    if (sliced.num_slices != expected_slices) {
-      error("num_slices " + std::to_string(sliced.num_slices) +
-            " does not match ceil(chunk_size / slice_size) = " +
-            std::to_string(expected_slices));
-      return report;
-    }
-  }
-  if (sliced.steps.size() != base.steps.size() * sliced.num_slices) {
-    error("sliced plan has " + std::to_string(sliced.steps.size()) +
-          " steps; expected base steps * num_slices = " +
-          std::to_string(base.steps.size() * sliced.num_slices));
-    return report;
-  }
-  if (sliced.info.size() != sliced.steps.size()) {
-    error("slice info table size does not match the sliced step count");
-    return report;
-  }
-
-  // --- per-step fidelity, slice coverage, dependency image -----------------
-  for (std::size_t id = 0; id < sliced.steps.size(); ++id) {
-    const PlanStep& step = sliced.steps[id];
-    const SliceInfo& info = sliced.info[id];
-    const std::size_t base_id = id / sliced.num_slices;
-    const std::size_t slice = id % sliced.num_slices;
-    const auto prefix = [&] {
-      return "sliced step " + std::to_string(id) + " (base " +
-             std::to_string(base_id) + ", slice " + std::to_string(slice) +
-             "): ";
-    };
-    if (step.id != id) {
-      error(prefix() + "id is not dense");
-      continue;
-    }
-    if (info.base_step != base_id || info.slice != slice) {
-      error(prefix() + "slice info disagrees with the id grid");
-      continue;
-    }
-    // Coverage: slice s covers [s * slice_size, ...), the final slice is
-    // truncated at the chunk boundary, so the slices of one base step
-    // partition [0, chunk_size) exactly.
-    const std::uint64_t offset =
-        static_cast<std::uint64_t>(slice) * sliced.slice_size;
-    const std::uint64_t length =
-        std::min(sliced.slice_size, sliced.chunk_size - offset);
-    if (info.offset != offset || info.length != length || length == 0) {
-      error(prefix() + "byte range [" + std::to_string(info.offset) + ", " +
-            std::to_string(info.offset + info.length) +
-            ") does not lie on the slice grid — coverage of the chunk is "
-            "broken");
-      continue;
-    }
-
-    const PlanStep& parent = base.steps[base_id];
-    const bool fidelity =
-        step.kind == parent.kind && step.stripe == parent.stripe &&
-        step.src == parent.src && step.dst == parent.dst &&
-        step.payload == parent.payload &&
-        step.cross_rack == parent.cross_rack && step.node == parent.node &&
-        step.inputs.size() == parent.inputs.size() &&
-        std::equal(step.inputs.begin(), step.inputs.end(),
-                   parent.inputs.begin(),
-                   [](const ComputeInput& a, const ComputeInput& b) {
-                     return a.buffer == b.buffer && a.coeff == b.coeff;
-                   });
-    if (!fidelity) {
-      error(prefix() + "does not mirror its base step's kind, endpoints, "
-            "payload, or inputs");
-      continue;
-    }
-
-    const std::uint64_t expected_bytes =
-        step.kind == StepKind::kTransfer
-            ? length
-            : length * static_cast<std::uint64_t>(step.inputs.size());
-    if (step.bytes != expected_bytes) {
-      error(prefix() + "declares " + std::to_string(step.bytes) +
-            " bytes; the slice grid requires " +
-            std::to_string(expected_bytes));
-    }
-
-    // Dependency image: deps of (base, s) = { (dep, s) : dep in base.deps },
-    // same order.
-    bool deps_ok = step.deps.size() == parent.deps.size();
-    for (std::size_t d = 0; deps_ok && d < step.deps.size(); ++d) {
-      deps_ok = step.deps[d] == sliced.sliced_id(parent.deps[d], slice);
-    }
-    if (!deps_ok) {
-      error(prefix() + "dependencies are not the same-slice image of the "
-            "base step's dependencies");
-    }
-  }
-
-  // --- byte totals: slicing must not change what moves where ---------------
-  if (sliced.cross_rack_bytes() != base.cross_rack_bytes()) {
-    error("slicing changed cross-rack bytes: sliced " +
-          std::to_string(sliced.cross_rack_bytes()) + " vs base " +
-          std::to_string(base.cross_rack_bytes()));
-  }
-  if (sliced.intra_rack_bytes() != base.intra_rack_bytes()) {
-    error("slicing changed intra-rack bytes: sliced " +
-          std::to_string(sliced.intra_rack_bytes()) + " vs base " +
-          std::to_string(base.intra_rack_bytes()));
-  }
-  if (sliced.compute_bytes() != base.compute_bytes()) {
-    error("slicing changed compute bytes: sliced " +
-          std::to_string(sliced.compute_bytes()) + " vs base " +
-          std::to_string(base.compute_bytes()));
-  }
-  if (sliced.per_rack_cross_bytes(topology) !=
-      base.per_rack_cross_bytes(topology)) {
-    error("slicing changed the per-rack cross-core byte distribution");
-  }
-
-  // --- outputs -------------------------------------------------------------
-  if (sliced.outputs.size() != base.outputs.size()) {
-    error("sliced plan outputs differ in count from the base plan");
-  } else {
-    for (std::size_t i = 0; i < sliced.outputs.size(); ++i) {
-      const auto& a = sliced.outputs[i];
-      const auto& b = base.outputs[i];
-      if (a.stripe != b.stripe || a.chunk_index != b.chunk_index ||
-          a.step_id != b.step_id) {
-        error("sliced plan output " + std::to_string(i) +
-              " does not match the base plan output");
-        break;
-      }
-    }
-  }
-
-  return report;
-}
-
 std::uint64_t claimed_cross_rack_chunks(
     std::span<const MultiStripeSolution> solutions,
     cluster::RackId replacement_rack) {

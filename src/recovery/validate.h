@@ -31,7 +31,6 @@
 #include "cluster/topology.h"
 #include "recovery/multi.h"
 #include "recovery/plan.h"
-#include "recovery/slice.h"
 
 namespace car::recovery {
 
@@ -66,19 +65,6 @@ struct ValidateOptions {
 ValidationReport validate_plan(const RecoveryPlan& plan,
                                const cluster::Topology& topology,
                                const ValidateOptions& options = {});
-
-/// Sliced-plan mode: statically check that `sliced` is a faithful lowering
-/// of `base` (see recovery/slice.h).  Verifies the grid metadata, per-step
-/// fidelity (kind/stripe/endpoints/payload/inputs/cross-rack flags match the
-/// base step), slice coverage (each base step's slices partition
-/// [0, chunk_size) exactly), the same-slice dependency image, byte-total
-/// equality (cross-rack, intra-rack, per-rack, compute — slicing must never
-/// change what crosses the core), and output equality.  Never throws on a
-/// malformed lowering — every defect is reported as an error string.
-/// Validate `base` itself separately with validate_plan.
-ValidationReport validate_sliced_plan(const SlicePlan& sliced,
-                                      const RecoveryPlan& base,
-                                      const cluster::Topology& topology);
 
 /// The planner's claimed cross-rack chunk count for CAR solutions: each
 /// rack of a stripe's rack set other than the replacement's ships one

@@ -1,8 +1,8 @@
 // Pooled byte buffers for the emulator's data plane.
 //
 // Executing a recovery plan used to allocate a fresh std::vector for every
-// step output — at slice granularity (recovery/slice.h) one malloc per
-// slice, dominating the data plane once the GF kernels run at tens of
+// step output — at slice granularity (recovery/plan_arena.h) one malloc
+// per slice, dominating the data plane once the GF kernels run at tens of
 // GB/s.  BufferPool recycles buffers through power-of-two size classes:
 // take(n) checks out a buffer that leaves the pool's custody (a store
 // buffer parked in a node's slot for the rest of the run), and recycle(buf)

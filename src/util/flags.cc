@@ -118,6 +118,19 @@ void Flags::check(std::string_view command,
   }
 }
 
+void Flags::check_bytes_fit(std::string_view command, const std::string& name,
+                            std::uint64_t unit) const {
+  if (!has(name)) return;
+  // 2^64 is exact in a double, and every non-negative double below it
+  // converts to uint64_t.
+  if (!(get_double(name, 0.0) * static_cast<double>(unit) <
+        18446744073709551616.0)) {
+    throw std::invalid_argument(std::string(command) + ": --" + name +
+                                " must be under 2^64 bytes, got '" +
+                                get(name) + "'");
+  }
+}
+
 std::vector<std::size_t> Flags::get_size_list(
     const std::string& name, const std::vector<std::size_t>& fallback) const {
   const auto it = values_.find(name);

@@ -50,6 +50,13 @@ class Flags {
              std::span<const std::string_view> non_negative,
              std::span<const std::string_view> nonzero = {}) const;
 
+  /// Throws std::invalid_argument naming `command` and the flag when the
+  /// flag's value times `unit` reaches 2^64 bytes, so the caller's cast of
+  /// that byte count to uint64_t can neither wrap nor be undefined.  An
+  /// absent flag passes; run check() first to reject negative values.
+  void check_bytes_fit(std::string_view command, const std::string& name,
+                       std::uint64_t unit) const;
+
   /// Comma-separated list of non-negative integers ("4,3,3").
   [[nodiscard]] std::vector<std::size_t> get_size_list(
       const std::string& name,

@@ -154,6 +154,37 @@ TEST(Flags, CheckRejectsZeroForNonZeroCounts) {
   EXPECT_EQ(error(parse({"--chunk-mib", "0"})), "");
 }
 
+TEST(Flags, CheckBytesFitRejectsByteCountsFrom2To64NamingTheFlag) {
+  const auto error = [](const Flags& f, const std::string& name,
+                        std::uint64_t unit) -> std::string {
+    try {
+      f.check_bytes_fit("validate", name, unit);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  constexpr std::uint64_t kKiB = 1024;
+  constexpr std::uint64_t kMiB = 1024 * kKiB;
+  // 2^54 + 1 KiB would wrap to 1 KiB once multiplied out in uint64_t.
+  EXPECT_EQ(error(parse({"--slice-kib", "18014398509481985"}), "slice-kib",
+                  kKiB),
+            "validate: --slice-kib must be under 2^64 bytes, got "
+            "'18014398509481985'");
+  EXPECT_EQ(error(parse({"--slice-kib", "18014398509481984"}), "slice-kib",
+                  kKiB),
+            "validate: --slice-kib must be under 2^64 bytes, got "
+            "'18014398509481984'");
+  // 2^64 - 2 KiB fits.
+  EXPECT_EQ(error(parse({"--slice-kib", "18014398509481982"}), "slice-kib",
+                  kKiB),
+            "");
+  EXPECT_EQ(error(parse({"--chunk-mib", "1e30"}), "chunk-mib", kMiB),
+            "validate: --chunk-mib must be under 2^64 bytes, got '1e30'");
+  EXPECT_EQ(error(parse({"--chunk-mib", "0.25"}), "chunk-mib", kMiB), "");
+  EXPECT_EQ(error(parse({}), "slice-kib", kKiB), "");
+}
+
 TEST(Flags, BareDoubleDashRejected) {
   EXPECT_THROW(parse({"--"}), std::invalid_argument);
 }

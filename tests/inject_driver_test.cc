@@ -24,8 +24,9 @@
 #include "inject/runtime.h"
 #include "recovery/multi.h"
 #include "recovery/plan.h"
-#include "recovery/slice.h"
 #include "util/rng.h"
+
+#include "slice_oracle.h"
 
 namespace car::inject {
 namespace {
@@ -73,7 +74,7 @@ TEST(BatchDriverCausality, StepsStartAfterEveryDependencyFinishes) {
       }
 
       const auto sliced =
-          recovery::slice_plan(plan, slice_bytes > 0 ? slice_bytes : kChunk);
+          reference::slice_plan(plan, slice_bytes > 0 ? slice_bytes : kChunk);
       std::vector<double> start(sliced.steps.size(), kNaN);
       std::vector<double> finish(sliced.steps.size(), kNaN);
       for (const Event& event : log.events()) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -114,6 +115,35 @@ TEST(ParseScenario, RejectsOutOfRangeValues) {
   EXPECT_NO_THROW(parse_scenario("slice-kib 1048576\n"));
   EXPECT_THROW(parse_scenario("data-mode fancy\n"), std::invalid_argument);
   EXPECT_THROW(parse_scenario("sample 1048577\n"), std::invalid_argument);
+}
+
+TEST(ParseScenario, RejectsZeroOrWrappingKibSizes) {
+  const auto message = [](const std::string& spec) -> std::string {
+    try {
+      parse_scenario(spec);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  // 2^54 + 1 KiB is 2^64 + 1024 bytes: multiplied out it would wrap to a
+  // 1 KiB chunk.  The diagnostic names the spec line.  A size of 0 is
+  // rejected too, by the parser rather than deep inside the emulator.
+  const std::string chunk = message("chunk-kib 18014398509481985\n");
+  EXPECT_NE(chunk.find("chunk-kib 18014398509481985"), std::string::npos)
+      << chunk;
+  EXPECT_NE(chunk.find("out of range"), std::string::npos) << chunk;
+  EXPECT_NE(message("chunk-kib 0\n").find("chunk-kib 0"), std::string::npos);
+  // The largest KiB count whose byte count fits a uint64_t still parses.
+  EXPECT_EQ(parse_scenario("chunk-kib 18014398509481983\n").chunk_bytes,
+            std::uint64_t{18014398509481983} * 1024);
+
+  // 2^54 KiB would wrap to a 0-byte page.
+  const std::string page = message("page-kib 18014398509481984\n");
+  EXPECT_NE(page.find("page-kib 18014398509481984"), std::string::npos)
+      << page;
+  EXPECT_NE(message("page-kib 0\n").find("page-kib 0"), std::string::npos);
+  EXPECT_EQ(parse_scenario("page-kib 1\n").page_bytes, 1024u);
 }
 
 TEST(ParseScenario, ReadsDataModeKeys) {

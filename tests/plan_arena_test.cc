@@ -1,11 +1,11 @@
 // PlanArena differential tests: the columnar arena must be the *same
-// function* as the SlicePlan lowering (bit-equal steps, info, outputs, and
-// byte accounting), and execute_arena must reproduce the reference replay
-// (tests/reference_replay.h) — same traffic totals, same per-link state,
-// and the same deterministic virtual timeline — while recovering every
-// chunk bit-exactly, for every shard count, under metadata-only payloads,
-// on windowed (cross-stripe) schedules, with loopback transfers, and with a
-// ragged last slice.
+// function* as the materialised SlicePlan lowering of slice_oracle.h
+// (bit-equal steps, info, outputs, and byte accounting), and execute_arena
+// must reproduce the reference replay (tests/reference_replay.h) — same
+// traffic totals, same per-link state, and the same deterministic virtual
+// timeline — while recovering every chunk bit-exactly, for every shard
+// count, under metadata-only payloads, on windowed (cross-stripe)
+// schedules, with loopback transfers, and with a ragged last slice.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,12 +22,12 @@
 #include "recovery/multi.h"
 #include "recovery/plan_arena.h"
 #include "recovery/scheduler.h"
-#include "recovery/slice.h"
 #include "util/buffer_pool.h"
 #include "util/check.h"
 #include "util/rng.h"
 
 #include "reference_replay.h"
+#include "slice_oracle.h"
 
 namespace car {
 namespace {
@@ -37,6 +37,7 @@ using emul::Cluster;
 using emul::EmulConfig;
 using emul::ExecutionReport;
 using recovery::PlanArena;
+using reference::expect_step_equal;
 
 constexpr std::uint64_t kOddChunk = 96 * 1024 + 7;  // no slice size divides it
 
@@ -75,25 +76,6 @@ Fixture make_fixture(int cfg_index, std::uint64_t seed, std::uint64_t chunk,
           std::move(code)};
 }
 
-void expect_step_equal(const recovery::PlanStep& a,
-                       const recovery::PlanStep& b, std::uint64_t id) {
-  EXPECT_EQ(a.id, b.id) << "step " << id;
-  EXPECT_EQ(a.kind, b.kind) << "step " << id;
-  EXPECT_EQ(a.stripe, b.stripe) << "step " << id;
-  EXPECT_EQ(a.deps, b.deps) << "step " << id;
-  EXPECT_EQ(a.src, b.src) << "step " << id;
-  EXPECT_EQ(a.dst, b.dst) << "step " << id;
-  EXPECT_EQ(a.payload, b.payload) << "step " << id;
-  EXPECT_EQ(a.cross_rack, b.cross_rack) << "step " << id;
-  EXPECT_EQ(a.node, b.node) << "step " << id;
-  EXPECT_EQ(a.bytes, b.bytes) << "step " << id;
-  ASSERT_EQ(a.inputs.size(), b.inputs.size()) << "step " << id;
-  for (std::size_t i = 0; i < a.inputs.size(); ++i) {
-    EXPECT_EQ(a.inputs[i].buffer, b.inputs[i].buffer) << "step " << id;
-    EXPECT_EQ(a.inputs[i].coeff, b.inputs[i].coeff) << "step " << id;
-  }
-}
-
 // --- lowering differential: arena == slice_plan, field for field ---------
 
 TEST(PlanArenaLowering, MatchesSlicePlanBitForBit) {
@@ -102,9 +84,9 @@ TEST(PlanArenaLowering, MatchesSlicePlanBitForBit) {
     for (const std::uint64_t slice :
          {std::uint64_t{1024}, std::uint64_t{64 * 1024}, kOddChunk,
           kOddChunk + 1}) {
-      const auto expected = recovery::slice_plan(fx.plan, slice);
+      const auto expected = reference::slice_plan(fx.plan, slice);
       const auto arena = PlanArena::build(fx.plan, slice);
-      const auto actual = arena.to_slice_plan();
+      const auto actual = reference::to_slice_plan(arena);
 
       EXPECT_EQ(actual.replacement, expected.replacement);
       EXPECT_EQ(actual.replacement_rack, expected.replacement_rack);
@@ -118,8 +100,8 @@ TEST(PlanArenaLowering, MatchesSlicePlanBitForBit) {
         expect_step_equal(actual.steps[id], expected.steps[id], id);
         EXPECT_EQ(actual.info[id], expected.info[id]) << "info " << id;
         // step()/slice_info() must agree with the bulk materialisation.
-        expect_step_equal(arena.step(id), expected.steps[id], id);
-        EXPECT_EQ(arena.slice_info(id), expected.info[id]);
+        expect_step_equal(reference::step(arena, id), expected.steps[id], id);
+        EXPECT_EQ(reference::slice_info(arena, id), expected.info[id]);
       }
       ASSERT_EQ(actual.outputs.size(), expected.outputs.size());
       for (std::size_t i = 0; i < expected.outputs.size(); ++i) {

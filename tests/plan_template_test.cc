@@ -20,9 +20,10 @@
 #include "recovery/multi.h"
 #include "recovery/plan_arena.h"
 #include "recovery/plan_template.h"
-#include "recovery/slice.h"
 #include "rs/code.h"
 #include "util/rng.h"
+
+#include "slice_oracle.h"
 
 namespace car {
 namespace {
@@ -110,8 +111,8 @@ void expect_plan_equal(const RecoveryPlan& a, const RecoveryPlan& b) {
 void expect_arena_equal(const PlanArena& a, const PlanArena& b) {
   ASSERT_EQ(a.num_base_steps(), b.num_base_steps());
   EXPECT_EQ(a.stripe_closed(), b.stripe_closed());
-  const auto sa = a.to_slice_plan();
-  const auto sb = b.to_slice_plan();
+  const auto sa = reference::to_slice_plan(a);
+  const auto sb = reference::to_slice_plan(b);
   ASSERT_EQ(sa.steps.size(), sb.steps.size());
   for (std::size_t i = 0; i < sa.steps.size(); ++i) {
     const auto& x = sa.steps[i];

@@ -4,12 +4,12 @@
 // Every executor walks PlanArena columns (Cluster::execute lowers its plan
 // into an arena, and execute_arena drains a calendar queue).  This replay
 // shares none of that machinery: it walks the materialised SlicePlan
-// (PlanArena::to_slice_plan) with a (start time, id) min-heap, reserves each
-// transfer's links through Cluster::path, charges each compute
-// bytes / virtual_gf_bps, and totals traffic bytes from the topology.  It
-// moves no payload, so the per-link state it leaves on the cluster, its
-// timeline, and its byte totals are what an executor run on an identical
-// cluster must reproduce bit for bit.
+// (to_slice_plan in slice_oracle.h) with a (start time, id) min-heap,
+// reserves each transfer's links through Cluster::path, charges each
+// compute bytes / virtual_gf_bps, and totals traffic bytes from the
+// topology.  It moves no payload, so the per-link state it leaves on the
+// cluster, its timeline, and its byte totals are what an executor run on
+// an identical cluster must reproduce bit for bit.
 #pragma once
 
 #include <algorithm>
@@ -23,7 +23,8 @@
 #include "emul/cluster.h"
 #include "emul/link.h"
 #include "recovery/plan_arena.h"
-#include "recovery/slice.h"
+
+#include "slice_oracle.h"
 
 namespace car::reference {
 
@@ -31,7 +32,7 @@ namespace car::reference {
 /// current time, and report what the executor would.
 inline emul::ExecutionReport replay(emul::Cluster& cluster,
                                     const recovery::PlanArena& arena) {
-  const recovery::SlicePlan plan = arena.to_slice_plan();
+  const SlicePlan plan = to_slice_plan(arena);
   const cluster::Topology& topology = cluster.topology();
   const emul::EmulConfig& config = cluster.config();
   const std::size_t n = plan.steps.size();

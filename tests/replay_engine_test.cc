@@ -1,10 +1,10 @@
 // Arena replay differentials: the calendar-queue arena replay, in barrier
 // and in streaming (overlapped build/execute) mode, must be observationally
-// identical to the reference replay over arena.to_slice_plan()
-// (tests/reference_replay.h) — makespan, compute time, and per-rack byte
-// totals bit for bit, with recovered bytes checked against the originals —
-// and the two-phase streamed arena build must be bit-equal to the one-shot
-// barrier build.
+// identical to the reference replay over the arena's materialised slice
+// lowering (tests/reference_replay.h) — makespan, compute time, and
+// per-rack byte totals bit for bit, with recovered bytes checked against
+// the originals — and the two-phase streamed arena build must be bit-equal
+// to the one-shot barrier build.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -29,6 +29,7 @@
 #include "util/rng.h"
 
 #include "reference_replay.h"
+#include "slice_oracle.h"
 
 namespace car {
 namespace {
@@ -150,8 +151,8 @@ emul::ExecutionReport run_streamed(
 void expect_slice_plans_equal(const PlanArena& a, const PlanArena& b) {
   ASSERT_EQ(a.num_base_steps(), b.num_base_steps());
   EXPECT_EQ(a.stripe_closed(), b.stripe_closed());
-  const auto sa = a.to_slice_plan();
-  const auto sb = b.to_slice_plan();
+  const auto sa = reference::to_slice_plan(a);
+  const auto sb = reference::to_slice_plan(b);
   ASSERT_EQ(sa.steps.size(), sb.steps.size());
   for (std::size_t i = 0; i < sa.steps.size(); ++i) {
     const auto& x = sa.steps[i];

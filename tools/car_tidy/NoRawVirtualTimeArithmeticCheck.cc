@@ -39,8 +39,8 @@ void NoRawVirtualTimeArithmeticCheck::check(
   if (const auto *Grid = Result.Nodes.getNodeAs<BinaryOperator>("grid")) {
     diag(Grid->getOperatorLoc(),
          "raw sliced-id arithmetic ('base * num_slices + slice'); use the "
-         "overflow-checked recovery::sliced_id / SlicePlan::sliced_id / "
-         "PlanArena::sliced_id helpers instead");
+         "overflow-checked recovery::sliced_id / PlanArena::sliced_id "
+         "helpers instead");
     return;
   }
   const auto *Time = Result.Nodes.getNodeAs<BinaryOperator>("time");

@@ -6,9 +6,9 @@
 //
 //   * sliced-id grid math: `base * num_slices + slice` overflows uint64_t on
 //     adversarial plans, silently aliasing two slices onto one id.  The
-//     overflow-checked helpers — recovery::sliced_id, SlicePlan::sliced_id,
-//     PlanArena::sliced_id — exist for exactly this; writing the raw
-//     mul-plus-add by hand bypasses the check (the PR-6 bug class).
+//     overflow-checked helpers — recovery::sliced_id and
+//     PlanArena::sliced_id (recovery/plan_arena.h) — exist for exactly
+//     this; writing the raw mul-plus-add by hand bypasses the check.
 //
 //   * raw virtual-time arithmetic on EmulClock::now() outside the emulator
 //     layer: consumers must go through the clock/link helpers (advance_to,

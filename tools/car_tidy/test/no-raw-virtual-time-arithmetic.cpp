@@ -1,5 +1,5 @@
-// Fixture for car-no-raw-virtual-time-arithmetic.  Mock plan/clock types
-// stand in for recovery/slice.h and emul/clock.h.  This fixture lives
+// Fixture for car-no-raw-virtual-time-arithmetic.  Mock arena/clock types
+// stand in for recovery/plan_arena.h and emul/clock.h.  This fixture lives
 // outside any src/emul/ path, so the now()-arithmetic exemption for the
 // emulator layer does not apply here (see the check header).
 using uint64 = unsigned long long;
@@ -15,9 +15,17 @@ class EmulClock {
 namespace car::recovery {
 uint64 sliced_id(uint64 base_step, uint64 num_slices, uint64 slice);
 
-struct SlicePlan {
-  uint64 num_slices = 1;
-  uint64 sliced_id(uint64 base_step, uint64 slice) const;
+class PlanArena {
+ public:
+  uint64 num_slices() const { return num_slices_; }
+  uint64 sliced_id(uint64 base, uint64 slice) const;
+
+  uint64 raw_grid_data_member(uint64 base, uint64 slice) const {
+    return base * num_slices_ + slice;  // EXPECT: raw sliced-id arithmetic
+  }
+
+ private:
+  uint64 num_slices_ = 1;
 };
 }  // namespace car::recovery
 
@@ -27,9 +35,9 @@ uint64 raw_grid_variable(uint64 base, uint64 num_slices, uint64 slice) {
   return base * num_slices + slice;  // EXPECT: raw sliced-id arithmetic
 }
 
-uint64 raw_grid_member(const car::recovery::SlicePlan &plan, uint64 base,
-                       uint64 slice) {
-  return base * plan.num_slices + slice;  // EXPECT: raw sliced-id arithmetic
+uint64 raw_grid_accessor(const car::recovery::PlanArena &arena, uint64 base,
+                         uint64 slice) {
+  return base * arena.num_slices() + slice;  // EXPECT: raw sliced-id arithmetic
 }
 
 double raw_time_math(const car::emul::EmulClock &clock, double t_start) {
@@ -39,9 +47,9 @@ double raw_time_math(const car::emul::EmulClock &clock, double t_start) {
 // ---- non-findings ---------------------------------------------------------
 
 // The overflow-checked helpers are the approved spelling.
-uint64 grid_via_helper(const car::recovery::SlicePlan &plan, uint64 base,
+uint64 grid_via_helper(const car::recovery::PlanArena &arena, uint64 base,
                        uint64 slice) {
-  return plan.sliced_id(base, slice);
+  return arena.sliced_id(base, slice);
 }
 
 uint64 grid_via_free_helper(uint64 base, uint64 num_slices, uint64 slice) {

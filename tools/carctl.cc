@@ -105,6 +105,20 @@ void emit(const util::TextTable& table, const util::Flags& flags) {
   }
 }
 
+/// --chunk-mib in bytes; fractions of a MiB are allowed, and check_bounds
+/// has kept the byte count under 2^64.
+std::uint64_t chunk_bytes(const util::Flags& flags, double fallback_mib) {
+  const double mib = flags.get_double("chunk-mib", fallback_mib);
+  return static_cast<std::uint64_t>(mib * static_cast<double>(util::kMiB));
+}
+
+/// --slice-kib in bytes, 0 when absent; check_bounds has kept the byte
+/// count under 2^64.
+std::uint64_t slice_kib_bytes(const util::Flags& flags) {
+  return static_cast<std::uint64_t>(flags.get_int("slice-kib", 0)) *
+         util::kKiB;
+}
+
 /// The censuses of a single-node failure, planned as the one-node case of
 /// a multi-failure.
 std::vector<recovery::MultiStripeCensus> single_failure_censuses(
@@ -119,8 +133,7 @@ int cmd_traffic(const util::Flags& flags) {
   const auto cfg = config_from(flags);
   const auto stripes = static_cast<std::size_t>(flags.get_int("stripes", 100));
   const int runs = static_cast<int>(flags.get_int("runs", 50));
-  const std::uint64_t chunk =
-      static_cast<std::uint64_t>(flags.get_int("chunk-mib", 4)) * util::kMiB;
+  const std::uint64_t chunk = chunk_bytes(flags, 4);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
 
   util::RunningStats rr_stat, car_stat, rr_lambda, car_lambda;
@@ -186,8 +199,7 @@ int cmd_simulate(const util::Flags& flags) {
   const auto cfg = config_from(flags);
   const auto stripes = static_cast<std::size_t>(flags.get_int("stripes", 100));
   const int runs = static_cast<int>(flags.get_int("runs", 20));
-  const std::uint64_t chunk =
-      static_cast<std::uint64_t>(flags.get_int("chunk-mib", 8)) * util::kMiB;
+  const std::uint64_t chunk = chunk_bytes(flags, 8);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   const rs::Code code(cfg.k, cfg.m);
 
@@ -247,8 +259,7 @@ int cmd_simulate(const util::Flags& flags) {
 int cmd_emulate_scale(const util::Flags& flags) {
   const auto cfg = config_from(flags);
   const auto stripes = static_cast<std::size_t>(flags.get_int("stripes", 20));
-  const std::uint64_t chunk = static_cast<std::uint64_t>(
-      flags.get_double("chunk-mib", 0.25) * static_cast<double>(util::kMiB));
+  const std::uint64_t chunk = chunk_bytes(flags, 0.25);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   const auto shards = static_cast<std::size_t>(flags.get_int("shards", 1));
   const bool metadata_only = flags.get_bool("metadata-only", false);
@@ -257,8 +268,7 @@ int cmd_emulate_scale(const util::Flags& flags) {
   const bool json = flags.get_bool("json", false);
   const auto iterations =
       static_cast<std::size_t>(flags.get_int("iterations", 0));
-  const std::uint64_t slice_bytes =
-      static_cast<std::uint64_t>(flags.get_int("slice-kib", 0)) * util::kKiB;
+  const std::uint64_t slice_bytes = slice_kib_bytes(flags);
   const std::string strategy = flags.get("strategy", "car");
   const bool stream = flags.get_bool("stream", false);
   const rs::Code code(cfg.k, cfg.m);
@@ -523,12 +533,10 @@ int cmd_emulate_scale(const util::Flags& flags) {
 int cmd_emulate(const util::Flags& flags) {
   const auto cfg = config_from(flags);
   const auto stripes = static_cast<std::size_t>(flags.get_int("stripes", 20));
-  const std::uint64_t chunk = static_cast<std::uint64_t>(
-      flags.get_double("chunk-mib", 0.25) * static_cast<double>(util::kMiB));
+  const std::uint64_t chunk = chunk_bytes(flags, 0.25);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   const auto window = static_cast<std::size_t>(flags.get_int("window", 0));
-  const std::uint64_t slice_bytes =
-      static_cast<std::uint64_t>(flags.get_int("slice-kib", 0)) * util::kKiB;
+  const std::uint64_t slice_bytes = slice_kib_bytes(flags);
   const rs::Code code(cfg.k, cfg.m);
 
   emul::EmulConfig emul_cfg;
@@ -640,12 +648,10 @@ void inject_fault(recovery::RecoveryPlan& plan,
 int cmd_validate(const util::Flags& flags) {
   const auto cfg = config_from(flags);
   const auto stripes = static_cast<std::size_t>(flags.get_int("stripes", 50));
-  const std::uint64_t chunk =
-      static_cast<std::uint64_t>(flags.get_int("chunk-mib", 4)) * util::kMiB;
+  const std::uint64_t chunk = chunk_bytes(flags, 4);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   const auto window = static_cast<std::size_t>(flags.get_int("window", 0));
-  const std::uint64_t slice_bytes =
-      static_cast<std::uint64_t>(flags.get_int("slice-kib", 0)) * util::kKiB;
+  const std::uint64_t slice_bytes = slice_kib_bytes(flags);
   const std::string strategy = flags.get("strategy", "all");
   const std::string inject = flags.get("inject", "");
   const rs::Code code(cfg.k, cfg.m);
@@ -733,24 +739,37 @@ int cmd_validate(const util::Flags& flags) {
     options.expected_cross_rack_chunks = candidate.claimed;
     auto report = recovery::validate_plan(candidate.plan, topology, options);
     if (slice_bytes > 0) {
-      // Also check the slice lowering the executors would run.  slice_plan
-      // itself throws on plans that break the slicing contract (e.g. an
-      // injected byte-mismatch), which counts as a validation failure.
+      // Also check the sliced form the executors run.  PlanArena::build
+      // throws on plans that break the slicing contract (e.g. an injected
+      // byte-mismatch), which counts as a validation failure, and the
+      // arena must move exactly the plan's bytes.
       try {
-        const auto sliced =
-            recovery::slice_plan(candidate.plan, slice_bytes);
-        auto sliced_report =
-            recovery::validate_sliced_plan(sliced, candidate.plan, topology);
-        for (auto& err : sliced_report.errors) {
-          report.errors.push_back("sliced: " + std::move(err));
-        }
-        for (auto& note : sliced_report.notes) {
-          report.notes.push_back("sliced: " + std::move(note));
+        const auto arena =
+            recovery::PlanArena::build(candidate.plan, slice_bytes);
+        const auto same = [&](const char* what, std::uint64_t sliced,
+                              std::uint64_t base) {
+          if (sliced != base) {
+            report.errors.push_back(
+                std::string("sliced: the arena moves ") +
+                std::to_string(sliced) + " " + what + " bytes, the plan " +
+                std::to_string(base));
+          }
+        };
+        same("cross-rack", arena.cross_rack_bytes(),
+             candidate.plan.cross_rack_bytes());
+        same("intra-rack", arena.intra_rack_bytes(),
+             candidate.plan.intra_rack_bytes());
+        same("compute", arena.compute_bytes(),
+             candidate.plan.compute_bytes());
+        if (arena.per_rack_cross_bytes(topology) !=
+            candidate.plan.per_rack_cross_bytes(topology)) {
+          report.errors.push_back(
+              "sliced: the arena changes the per-rack cross-rack bytes");
         }
       } catch (const std::exception& e) {
-        report.errors.push_back(std::string("sliced: slice_plan rejected "
-                                            "the plan: ") +
-                                e.what());
+        report.errors.push_back(
+            std::string("sliced: PlanArena::build rejected the plan: ") +
+            e.what());
       }
     }
     all_ok = all_ok && report.ok();
@@ -771,8 +790,7 @@ int cmd_trace(const util::Flags& flags) {
   const auto stripes = static_cast<std::size_t>(flags.get_int("stripes", 100));
   const auto failures =
       static_cast<std::size_t>(flags.get_int("failures", 30));
-  const std::uint64_t chunk =
-      static_cast<std::uint64_t>(flags.get_int("chunk-mib", 8)) * util::kMiB;
+  const std::uint64_t chunk = chunk_bytes(flags, 8);
   util::Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 7)));
 
   const auto placement =
@@ -836,8 +854,7 @@ int cmd_inject_run(const util::Flags& flags) {
     scenario.seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   }
   if (flags.has("slice-kib")) {
-    scenario.slice_bytes =
-        static_cast<std::uint64_t>(flags.get_int("slice-kib", 0)) * util::kKiB;
+    scenario.slice_bytes = slice_kib_bytes(flags);
   }
 
   const auto outcome = inject::run_scenario(scenario);
@@ -913,8 +930,7 @@ int cmd_rebuild_run(const util::Flags& flags) {
     scenario.seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   }
   if (flags.has("slice-kib")) {
-    scenario.slice_bytes =
-        static_cast<std::uint64_t>(flags.get_int("slice-kib", 0)) * util::kKiB;
+    scenario.slice_bytes = slice_kib_bytes(flags);
   }
   if (flags.has("batch-stripes")) {
     scenario.rebuild_batch_stripes =
@@ -1015,7 +1031,8 @@ void usage() {
       "            --strategy car|rr --stream --json\n"
       "  trace:    --failures N\n"
       "  validate: --strategy car|rr|weighted|multi|all --window W\n"
-      "            --slice-kib S (also validate the slice lowering)\n"
+      "            --slice-kib S (also check the sliced arena the executors "
+      "run)\n"
       "            --inject cycle|dangling-dep|byte-mismatch|"
       "double-aggregator\n"
       "  inject-run: --scenario NAME | --spec FILE | --list\n"
@@ -1052,8 +1069,8 @@ constexpr std::string_view kNonZeroFlags[] = {"stripes", "runs", "shards"};
 constexpr std::int64_t kMaxShards = 256;
 
 /// Bounds Flags::check cannot express, checked before the command does any
-/// work: the shard count's ceiling, and a --chunk-mib whose byte count must
-/// fit the uint64_t it is cast to (the cast of a larger value is undefined).
+/// work: the shard count's ceiling, and the sizes whose byte count must fit
+/// the uint64_t it is cast to (a larger value would wrap or be undefined).
 void check_bounds(std::string_view command, const util::Flags& flags) {
   const std::string who(command);
   if (flags.has("shards") && flags.get_int("shards", 1) > kMaxShards) {
@@ -1061,16 +1078,8 @@ void check_bounds(std::string_view command, const util::Flags& flags) {
                                 std::to_string(kMaxShards) + ", got '" +
                                 flags.get("shards") + "'");
   }
-  // 2^64 is exact in a double, and every non-negative double below it
-  // converts to uint64_t.
-  if (flags.has("chunk-mib") &&
-      !(flags.get_double("chunk-mib", 0.0) * static_cast<double>(util::kMiB) <
-        18446744073709551616.0)) {
-    throw std::invalid_argument(who +
-                                ": --chunk-mib must be under 2^64 bytes, "
-                                "got '" +
-                                flags.get("chunk-mib") + "'");
-  }
+  flags.check_bytes_fit(command, "chunk-mib", util::kMiB);
+  flags.check_bytes_fit(command, "slice-kib", util::kKiB);
 }
 
 /// `flags` plus the cluster-shape flags config_from reads.
