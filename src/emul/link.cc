@@ -125,10 +125,11 @@ double LinkTable::drain_hops(std::span<const LinkId> hops, double start,
 }
 
 double LinkTable::reserve_hops(std::span<const LinkId> hops, double start,
-                               std::uint64_t bytes,
-                               std::uint64_t page_bytes) {
+                               std::uint64_t bytes, std::uint64_t page_bytes,
+                               double deadline) {
   HopTimes free{};
   const double finish = drain_hops(hops, start, bytes, page_bytes, free);
+  if (finish > deadline) return finish;
   for (std::size_t h = 0; h < hops.size(); ++h) {
     links_[hops[h]].next_free = free[h];
     links_[hops[h]].bytes += bytes;
@@ -164,12 +165,11 @@ double LinkPath::reserve(double start, std::uint64_t bytes,
   return table_->reserve_hops(hops(), start, bytes, page_bytes);
 }
 
-double LinkPath::preview(double start, std::uint64_t bytes,
-                         std::uint64_t page_bytes) const {
-  CAR_CHECK(page_bytes > 0, "LinkPath::preview: page_bytes must be > 0");
+double LinkPath::reserve_by(double start, std::uint64_t bytes,
+                            std::uint64_t page_bytes, double deadline) {
+  CAR_CHECK(page_bytes > 0, "LinkPath::reserve_by: page_bytes must be > 0");
   if (loopback()) return start;
-  LinkTable::HopTimes free{};
-  return table_->drain_hops(hops(), start, bytes, page_bytes, free);
+  return table_->reserve_hops(hops(), start, bytes, page_bytes, deadline);
 }
 
 }  // namespace car::emul

@@ -26,6 +26,7 @@
 #include <array>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -106,9 +107,12 @@ class LinkTable {
                     std::uint64_t bytes, std::uint64_t page_bytes,
                     HopTimes& free) const CAR_HOT;
 
-  /// drain_hops, committed to the hops.
+  /// drain_hops, committed to the hops unless the finish is past
+  /// `deadline`; returns the finish either way.
   double reserve_hops(std::span<const LinkId> hops, double start,
-                      std::uint64_t bytes, std::uint64_t page_bytes) CAR_HOT;
+                      std::uint64_t bytes, std::uint64_t page_bytes,
+                      double deadline =
+                          std::numeric_limits<double>::infinity()) CAR_HOT;
 
   /// Finish of `bytes` entering `link` at `begin`, honouring rate windows.
   /// Touches no occupancy.
@@ -125,7 +129,7 @@ class LinkTable {
 /// empty path is a loopback: reservations are no-ops completing instantly.
 /// Every hop of a transfer queues from the same start, so the hops pipeline:
 /// the transfer finishes when the slowest hop drains, not after the sum of
-/// hops.  reserve/preview charge each hop page by page; no other flow's
+/// hops.  reserve/reserve_by charge each hop page by page; no other flow's
 /// pages land in between (every timing pass commits whole transfers in one
 /// serialised order), so paging only fixes the floating-point sequence each
 /// hop accumulates, and page_bytes stays part of the modelled result.
@@ -142,10 +146,12 @@ class LinkPath {
   double reserve(double start, std::uint64_t bytes, std::uint64_t page_bytes)
       CAR_BOUNDARY CAR_HOT;
 
-  /// Finish time reserve would return right now, committing nothing.
-  [[nodiscard]] double preview(double start, std::uint64_t bytes,
-                               std::uint64_t page_bytes) const CAR_BOUNDARY
-      CAR_HOT;
+  /// reserve, if it finishes at or before `deadline`: one walk of the
+  /// hops returns the finish reserve would, committed only when it is not
+  /// past the deadline (a finish past it leaves every hop untouched).
+  double reserve_by(double start, std::uint64_t bytes,
+                    std::uint64_t page_bytes, double deadline)
+      CAR_BOUNDARY CAR_HOT;
 
   [[nodiscard]] bool loopback() const noexcept { return n_hops_ == 0; }
   [[nodiscard]] std::span<const LinkId> hops() const noexcept {

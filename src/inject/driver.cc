@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <optional>
 #include <span>
@@ -20,13 +19,6 @@ using recovery::BufferRef;
 using recovery::kMaxComputeInputs;
 using recovery::PlanArena;
 using recovery::StepKind;
-
-std::string fmt_hex(std::uint64_t v) {
-  std::array<char, 32> buf{};
-  std::snprintf(buf.data(), buf.size(), "%016llx",
-                static_cast<unsigned long long>(v));
-  return {buf.data()};
-}
 
 /// FNV-1a over a (slice of a) payload — the emulated transfer checksum —
 /// as it arrives when the byte at index `garbled` is XORed with 0xA5 on
@@ -48,15 +40,6 @@ std::string describe(const BufferRef& ref) {
            std::to_string(ref.chunk_index);
   }
   return "step-output #" + std::to_string(ref.step_id);
-}
-
-/// Log-detail suffix identifying the slice; empty for chunk-granular
-/// lowerings, whose logs carry no slice grid at all.
-std::string slice_suffix(const PlanArena& arena, std::uint64_t slice) {
-  if (arena.num_slices() <= 1) return {};
-  return ", slice " + std::to_string(slice + 1) + "/" +
-         std::to_string(arena.num_slices()) + " @" +
-         std::to_string(arena.slice_offset(slice));
 }
 
 /// Per-batch bias for step-output buffer ids: the k-th admitted batch owns
@@ -165,6 +148,10 @@ const PlanArena& BatchDriver::admit(std::size_t batch_id,
   const PlanArena& arena = *batch.arena;
   batch.done.assign(arena.num_sliced_steps(), 0);
   batch.buffer_base = static_cast<std::uint64_t>(admitted_) * kBatchIdStride;
+  batch.log_context = log_.add_context({batch_id,
+                                        framing_ == LogFraming::kBatches,
+                                        arena.num_slices(),
+                                        arena.slice_size()});
   ++admitted_;
   if (framing_ == LogFraming::kBatches) {
     log_.record(now_, EventKind::kRunStart, -1, -1,
@@ -299,11 +286,8 @@ double BatchDriver::run_compute(const Core::Event& event) {
   const double finish = event.time + dt;
   report_.compute_s += dt;
   if (node == arena.replacement()) report_.replacement_compute_s += dt;
-  log_.record(finish, EventKind::kComputeComplete,
-              static_cast<std::int64_t>(event.id), -1,
-              static_cast<std::int64_t>(node), bytes,
-              std::to_string(n_in) + " inputs" + slice_suffix(arena, slice) +
-                  tag(batch));
+  log_.compute_complete(batch.log_context, finish, event.id, node, bytes,
+                        n_in);
   return finish;
 }
 
@@ -325,7 +309,7 @@ std::optional<double> BatchDriver::run_transfer_attempt(
   const BufferRef stored = biased(payload_ref, batch);
   const std::uint64_t bytes = arena.step_bytes(base, slice);
   const std::uint64_t offset = arena.slice_offset(slice);
-  const auto step_id = static_cast<std::int64_t>(id);
+  const std::uint32_t ctx = batch.log_context;
   ++stats_.attempts;
   if (attempt > 1) ++stats_.retries;
 
@@ -342,19 +326,12 @@ std::optional<double> BatchDriver::run_transfer_attempt(
     wire = {payload->data() + offset, static_cast<std::size_t>(bytes)};
   }
 
-  log_.record(t, EventKind::kTransferAttempt, step_id,
-              static_cast<std::int64_t>(attempt),
-              static_cast<std::int64_t>(src), bytes,
-              "-> " + std::to_string(dst) + ", " + describe(payload_ref) +
-                  slice_suffix(arena, slice) + tag(batch));
+  log_.transfer_attempt(ctx, t, id, attempt, src, bytes, dst, payload_ref);
 
   if (src == dst) {
     // Loopback never touches a link or a fault, and moves nothing: the
     // payload is already where it is going.
-    log_.record(t, EventKind::kTransferComplete, step_id,
-                static_cast<std::int64_t>(attempt),
-                static_cast<std::int64_t>(dst), 0,
-                "loopback" + slice_suffix(arena, slice) + tag(batch));
+    log_.transfer_complete(ctx, t, id, attempt, dst, 0, Event::kLoopback);
     return t;
   }
 
@@ -371,59 +348,45 @@ std::optional<double> BatchDriver::run_transfer_attempt(
     }
   }
 
-  const std::uint64_t page = cluster_.config().page_bytes;
-  emul::LinkPath path = cluster_.path(src, dst);
+  // One walk of the path's links: the attempt commits them only when it
+  // delivers by the deadline.
   const double deadline = t + policy_.transfer_timeout_s;
-  const double projected = path.preview(t, bytes, page);
+  const double finish = cluster_.path(src, dst).reserve_by(
+      t, bytes, cluster_.config().page_bytes, deadline);
 
   double failed_at = 0.0;
-  if (projected > deadline) {
+  if (finish > deadline) {
     // The sender gives up at the deadline without committing the link: an
     // abandoned attempt occupies no wire in this model.
     ++stats_.timeouts;
     failed_at = deadline;
-    log_.record(deadline, EventKind::kTransferTimeout, step_id,
-                static_cast<std::int64_t>(attempt),
-                static_cast<std::int64_t>(src), bytes,
-                "projected finish " + format_seconds(projected) +
-                    " past deadline " + format_seconds(deadline) + tag(batch));
+    log_.transfer_timeout(ctx, id, attempt, src, bytes, finish, deadline);
   } else if (fault != nullptr &&
              fault->kind == TransferFault::Kind::kDrop) {
     // The bytes burn wire all the way, the receiver never sees them, and
     // the sender only learns at the ack deadline.
-    const double finish = path.reserve(t, bytes, page);
     ++stats_.drops;
     stats_.wasted_wire_bytes += bytes;
     failed_at = deadline;
-    log_.record(finish, EventKind::kTransferDrop, step_id,
-                static_cast<std::int64_t>(attempt),
-                static_cast<std::int64_t>(src), bytes,
-                "fault #" + std::to_string(fault_index) + ", ack deadline " +
-                    format_seconds(deadline) + tag(batch));
+    log_.transfer_drop(ctx, finish, id, attempt, src, bytes, fault_index,
+                       deadline);
   } else if (fault != nullptr) {  // kCorrupt
-    const double finish = path.reserve(t, bytes, page);
-    std::string checksums;
+    // A metadata-only stripe has no payload to checksum (see DataPolicy's
+    // corrupt caveat).
+    std::optional<EventLog::Checksums> checksums;
     if (real) {
       // One byte of the slice arrives garbled; the receiver's checksum is
       // taken over the wire with that byte flipped on the fly, so the
       // stored payload stays pristine for the retry.
       const std::size_t garbled = (id * 1315423911ULL + attempt) % wire.size();
-      checksums = ", checksum sent=" + fmt_hex(fnv64(wire)) +
-                  " got=" + fmt_hex(fnv64(wire, garbled));
-    } else {
-      // No payload to checksum — see DataPolicy's corrupt caveat.
-      checksums = ", checksum unavailable (metadata-only stripe)";
+      checksums = {fnv64(wire), fnv64(wire, garbled)};
     }
     ++stats_.corruptions;
     stats_.wasted_wire_bytes += bytes;
     failed_at = finish;  // checksum mismatch is detected on delivery
-    log_.record(finish, EventKind::kTransferCorrupt, step_id,
-                static_cast<std::int64_t>(attempt),
-                static_cast<std::int64_t>(dst), bytes,
-                "fault #" + std::to_string(fault_index) + checksums +
-                    slice_suffix(arena, slice) + tag(batch));
+    log_.transfer_corrupt(ctx, finish, id, attempt, dst, bytes, fault_index,
+                          checksums);
   } else {
-    const double finish = path.reserve(t, bytes, page);
     // A complete payload (a stored chunk, or a step output with every
     // slice written) is shared into the destination: one address space, no
     // byte moves.  A slice of a step output still being assembled is
@@ -447,12 +410,8 @@ std::optional<double> BatchDriver::run_transfer_attempt(
     } else {
       report_.intra_rack_bytes += bytes;
     }
-    log_.record(finish, EventKind::kTransferComplete, step_id,
-                static_cast<std::int64_t>(attempt),
-                static_cast<std::int64_t>(dst), bytes,
-                (arena.cross_rack(base) ? std::string("cross-rack")
-                                        : std::string("intra-rack")) +
-                    slice_suffix(arena, slice) + tag(batch));
+    log_.transfer_complete(ctx, finish, id, attempt, dst, bytes,
+                           arena.cross_rack(base) ? Event::kCrossRack : 0);
     return finish;
   }
 
@@ -462,11 +421,7 @@ std::optional<double> BatchDriver::run_transfer_attempt(
                       " attempts" + tag(batch));
   const double delay = policy_.backoff.delay(attempt, backoff_rng_);
   const double retry_at = failed_at + delay;
-  log_.record(failed_at, EventKind::kRetryScheduled, step_id,
-              static_cast<std::int64_t>(attempt + 1),
-              static_cast<std::int64_t>(src), 0,
-              "backoff " + format_seconds(delay) + "s, retry at " +
-                  format_seconds(retry_at) + tag(batch));
+  log_.retry_scheduled(ctx, failed_at, id, attempt + 1, src, delay, retry_at);
   core_.retry(event, retry_at);
   return std::nullopt;
 }

@@ -4,10 +4,12 @@
 // admitted plan ("batch") into a PlanArena on a slice grid and opens it as
 // a segment of the step engine (emul/step_core.h), which owns the event
 // order, dependency counts and dependents release.  The driver is the
-// per-event policy: per-slice transfer timeouts (preview-based, no wire
-// commit), bounded retries with seeded backoff, drop/corrupt fault
-// matching via transfer_fault_applies, at-most-once traffic accounting,
-// per-slice logging, and run_until's stops.  Payload moves zero-copy: a
+// per-event policy: per-slice transfer timeouts (one walk of the path's
+// links, committed only when the attempt delivers by its deadline), bounded
+// retries with seeded backoff, drop/corrupt fault matching via
+// transfer_fault_applies, at-most-once traffic accounting, per-slice
+// logging as typed EventLog records (detail text is rendered only at
+// export), and run_until's stops.  Payload moves zero-copy: a
 // delivered transfer slice shares its source buffer (only a slice of a
 // step output still being written is copied), a compute slice writes its
 // range straight into the step output (recovery/compute.h), and a
@@ -209,6 +211,7 @@ class BatchDriver {
     std::unique_ptr<const recovery::PlanArena> arena;
     std::vector<char> done;  // per sliced step: completed
     std::uint64_t buffer_base = 0;  // added to step-output buffer ids
+    std::uint32_t log_context = 0;  // its EventLog step context
   };
   using Core = emul::StepCore<Batch>;
   struct Policy;  // the per-event hook run_until hands the engine

@@ -544,8 +544,20 @@ TEST(LinkPath, PreviewMatchesReserveExactly) {
   Cluster cluster(Topology({3, 3}), virtual_config());
   LinkPath path = cluster.path(0, 4);  // cross-rack: 4 hops
   ASSERT_EQ(path.hops().size(), 4u);
-  const double projected = path.preview(0.0, 300'000, 16 * 1024);
-  EXPECT_DOUBLE_EQ(path.reserve(0.0, 300'000, 16 * 1024), projected);
+  // A deadline before the finish previews it: the finish comes back, and
+  // no hop is charged.
+  const double projected = path.reserve_by(0.0, 300'000, 16 * 1024, 0.0);
+  ASSERT_GT(projected, 0.0);
+  for (const LinkId hop : path.hops()) {
+    EXPECT_EQ(cluster.links().bytes(hop), 0u) << hop;
+    EXPECT_EQ(cluster.links().next_free(hop), 0.0) << hop;
+  }
+  EXPECT_EQ(path.reserve_by(0.0, 300'000, 16 * 1024, projected), projected);
+  for (const LinkId hop : path.hops()) {
+    EXPECT_EQ(cluster.links().bytes(hop), 300'000u) << hop;
+  }
+  // Committed: the same transfer now queues behind it.
+  EXPECT_GT(path.reserve(0.0, 300'000, 16 * 1024), projected);
   // Loopback paths complete instantly.
   LinkPath self = cluster.path(2, 2);
   EXPECT_TRUE(self.loopback());

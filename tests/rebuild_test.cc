@@ -350,9 +350,15 @@ TEST(BatchDriver, AdmitAfterDeadlinePauseExecutesBeforeFarFutureRetry) {
   // Batch 1 was admitted at the pause (~1s): every one of its events must
   // land well before the retry fires at ~kRetryDelay.
   for (const auto& event : log.events()) {
-    if (event.detail.find(", batch 1") == std::string::npos) continue;
+    // Step events carry their batch as a typed field; the driver's
+    // per-batch kinds end their text with the batch tag.
+    const inject::StepContext* context = log.context(event);
+    const bool batch1 = context != nullptr
+                            ? context->batch == 1
+                            : log.detail(event).ends_with(", batch 1");
+    if (!batch1) continue;
     EXPECT_LT(event.t, 1000.0) << inject::to_string(event.kind) << " "
-                               << event.detail;
+                               << log.detail(event);
   }
   // And both halves recover bit-exact despite the interleaving.
   for (const auto* plan : {&plan_a, &plan_b}) {
@@ -405,10 +411,10 @@ TEST(RebuildScenario, SecondFailurePreemptsFreshDegradedWork) {
         event.kind != EventKind::kBatchDispatched) {
       continue;
     }
-    const auto pos = event.detail.find("tier ");
-    ASSERT_NE(pos, std::string::npos) << event.detail;
-    epoch2_tiers.push_back(
-        static_cast<std::size_t>(event.detail[pos + 5] - '0'));
+    const std::string detail = outcome.result.log.detail(event);
+    const auto pos = detail.find("tier ");
+    ASSERT_NE(pos, std::string::npos) << detail;
+    epoch2_tiers.push_back(static_cast<std::size_t>(detail[pos + 5] - '0'));
   }
   ASSERT_GE(epoch2_tiers.size(), 2u);
   EXPECT_EQ(epoch2_tiers.front(), 0u);

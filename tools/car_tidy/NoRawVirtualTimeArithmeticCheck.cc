@@ -54,7 +54,7 @@ void NoRawVirtualTimeArithmeticCheck::check(
   diag(Time->getOperatorLoc(),
        "raw arithmetic on EmulClock::now(); virtual-time math outside "
        "src/emul must go through the clock/link helpers (advance_to, "
-       "LinkPath::reserve/preview)");
+       "LinkPath::reserve/reserve_by)");
 }
 
 }  // namespace clang::tidy::car

@@ -12,7 +12,7 @@
 //
 //   * raw virtual-time arithmetic on EmulClock::now() outside the emulator
 //     layer: consumers must go through the clock/link helpers (advance_to,
-//     LinkPath::reserve/preview) so the timeline stays monotonic and
+//     LinkPath::reserve/reserve_by) so the timeline stays monotonic and
 //     reproducible; src/emul/ itself — the layer that implements those
 //     helpers — is exempt.
 //
