@@ -34,9 +34,12 @@
 #include "recovery/multi.h"
 #include "recovery/plan_arena.h"
 #include "recovery/plan_template.h"
+#include "recovery/replan.h"
 #include "recovery/scheduler.h"
 #include "simnet/flowsim.h"
 #include "util/bytes.h"
+
+#include "plan_oracle.h"
 
 namespace {
 
@@ -205,9 +208,10 @@ struct ScaleSweepRow {
   std::size_t verified_outputs = 0;
   std::size_t expected_outputs = 0;
   // Host-time phase breakdown (noisy; CI checks only the plan_speedup
-  // ratio, which divides out the machine).  classic_* is the chunk-granular
-  // RecoveryPlan build + PlanArena lowering the scale path used to run;
-  // arena_s is the template-cached instantiation that replaces both.
+  // ratio, which divides out the machine).  classic_* is the per-stripe
+  // RecoveryPlan build (the tests' oracle, tests/plan_oracle.h) + PlanArena
+  // lowering the scale path used to run; arena_s is the template-cached
+  // instantiation that replaces both.
   double scan_s = 0.0;
   double solve_s = 0.0;  // rack selection + balancing (shared by both paths)
   double classic_plan_s = 0.0;
@@ -278,7 +282,7 @@ ScaleSweepRow measure_scale_point(ScaleSweepRow row) {
   row.classic_lower_s = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 2; ++rep) {
     t = tick();
-    auto built = recovery::build_multi_car_plan(
+    auto built = reference::build_multi_car_plan(
         placement, code, balanced.solutions, kChunk, mf.replacement);
     row.classic_plan_s = std::min(row.classic_plan_s, secs(t, tick()));
     classic_plan.emplace(std::move(built));
@@ -408,7 +412,7 @@ std::vector<RebuildRow> measure_rebuild() {
     for (const std::size_t concurrency :
          {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
       auto scenario = rebuild::canned_rebuild_scenario("rolling-two-rack");
-      scenario.strategy = strategy;
+      scenario.strategy = recovery::parse_strategy(strategy);
       scenario.rebuild_concurrency = concurrency;
       const auto outcome = rebuild::run_rebuild_scenario(scenario);
       const auto& metrics = outcome.result.metrics;

@@ -104,10 +104,12 @@ class CalendarQueue {
   std::size_t cursor_ = 0;                // index cur_ was taken from
   std::vector<Entry> overflow_;           // unsorted, >= rung end
   std::size_t size_ = 0;
-#ifndef NDEBUG
-  Entry last_popped_{-1.0, 0};
-  bool popped_any_ = false;
-#endif
+  // The monotone-insertion check's state.  Only builds without NDEBUG
+  // write or read it, but every build declares it: the queue is embedded
+  // by value in header-defined types (emul::StepCore, inject::BatchDriver),
+  // so its layout must not depend on how each translation unit is built.
+  [[maybe_unused]] Entry last_popped_{-1.0, 0};
+  [[maybe_unused]] bool popped_any_ = false;
 };
 
 }  // namespace car::emul

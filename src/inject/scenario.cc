@@ -415,10 +415,11 @@ Scenario parse_scenario(const std::string& text) {
     } else if (key == "seed") {
       scenario.seed = parse_u64(line, value);
     } else if (key == "strategy") {
-      if (value != "car" && value != "rr") {
-        bad_spec(line, "strategy must be car or rr");
+      try {
+        scenario.strategy = recovery::parse_strategy(value);
+      } catch (const std::invalid_argument& error) {
+        bad_spec(line, error.what());
       }
-      scenario.strategy = value;
     } else if (key == "fail-node") {
       scenario.fail_node = static_cast<cluster::NodeId>(parse_u64(line, value));
       if (crashed_nodes.contains(*scenario.fail_node)) {
@@ -478,8 +479,6 @@ Scenario canned_scenario(const std::string& name) {
 }
 
 ScenarioOutcome run_scenario(const Scenario& scenario) {
-  CAR_CHECK(scenario.strategy == "car" || scenario.strategy == "rr",
-            "run_scenario: strategy must be car or rr");
   const cluster::Topology topology(scenario.racks);
   const rs::Code code(scenario.k, scenario.m);
 
@@ -517,7 +516,6 @@ ScenarioOutcome run_scenario(const Scenario& scenario) {
           : cluster::inject_random_failure(placement, rng);
   if (!seeded_data) cluster.erase_node(failure.failed_node);
 
-  const bool car = scenario.strategy == "car";
   util::Rng rr_rng(scenario.seed + 1);
   recovery::PlanTemplateCache template_cache;
   recovery::MultiReplan initial = recovery::plan_multi_failure(
@@ -525,8 +523,8 @@ ScenarioOutcome run_scenario(const Scenario& scenario) {
       recovery::build_multi_censuses(
           placement,
           recovery::make_multi_failure(placement, {failure.failed_node})),
-      car ? recovery::Strategy::kCar : recovery::Strategy::kRr,
-      scenario.chunk_bytes, failure.failed_node, rr_rng, template_cache);
+      scenario.strategy, scenario.chunk_bytes, failure.failed_node, rr_rng,
+      template_cache);
   const recovery::RecoveryPlan& plan = initial.plan;
 
   ScenarioOutcome outcome;
@@ -565,7 +563,7 @@ ScenarioOutcome run_scenario(const Scenario& scenario) {
   context.placement = &placement;
   context.code = &code;
   context.failed_nodes = {failure.failed_node};
-  context.strategy = car ? recovery::Strategy::kCar : recovery::Strategy::kRr;
+  context.strategy = scenario.strategy;
   outcome.run = runtime.execute_sliced(
       plan,
       scenario.slice_bytes > 0 ? scenario.slice_bytes

@@ -52,6 +52,7 @@
 #include "cluster/types.h"
 #include "inject/fault.h"
 #include "inject/runtime.h"
+#include "recovery/replan.h"
 #include "recovery/validate.h"
 
 namespace car::inject {
@@ -70,8 +71,9 @@ struct Scenario {
   /// slice.  Recovered bytes are identical either way.
   std::uint64_t slice_bytes = 0;
   std::uint64_t seed = 7;
-  /// "car" (rack-aware + partial decoding) or "rr" (ship-and-decode).
-  std::string strategy = "car";
+  /// Rack-aware + partial decoding, or ship-and-decode (spec key
+  /// `strategy`, parsed by recovery::parse_strategy).
+  recovery::Strategy strategy = recovery::Strategy::kCar;
   /// Node to fail initially; unset = seeded random data-bearing node.
   std::optional<cluster::NodeId> fail_node;
   /// Payload policy (spec key `data-mode`).  Unset = the classic flow: one

@@ -105,8 +105,6 @@ RebuildScenarioOutcome run_rebuild_scenario(const inject::Scenario& scenario,
             "node=N at=T` event");
   CAR_CHECK_GT(populate_shards, std::size_t{0},
                "run_rebuild_scenario: populate_shards must be >= 1");
-  CAR_CHECK(scenario.strategy == "car" || scenario.strategy == "rr",
-            "run_rebuild_scenario: strategy must be car or rr");
   for (const inject::NodeCrash& crash : scenario.faults.node_crashes) {
     CAR_CHECK(crash.at_time_s.has_value(),
               "run_rebuild_scenario: rolling failures need `at=` virtual "
@@ -173,8 +171,7 @@ RebuildScenarioOutcome run_rebuild_scenario(const inject::Scenario& scenario,
   }
 
   RebuildOptions options;
-  options.strategy =
-      scenario.strategy == "car" ? Strategy::kCar : Strategy::kRr;
+  options.strategy = scenario.strategy;
   options.chunk_bytes = scenario.chunk_bytes;
   options.slice_bytes = scenario.slice_bytes;
   options.batch_stripes = scenario.rebuild_batch_stripes;

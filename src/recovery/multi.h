@@ -19,7 +19,9 @@
 //    the pass is the paper's Algorithm 2 exactly.
 //
 // All lost chunks are rebuilt on a single replacement node, mirroring the
-// paper's methodology.
+// paper's methodology.  This module decides what each stripe reads and
+// where it is decoded; the repair DAG that carries it out is laid out once,
+// by the plan templates (recovery/plan_template.h).
 #pragma once
 
 #include <algorithm>
@@ -219,12 +221,22 @@ class RepairMemo {
   std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> memo_;
 };
 
+class PlanTemplateCache;  // recovery/plan_template.h
+
 /// Compile into an executable plan: per contributing rack, the aggregator
 /// computes one partial per lost chunk and ships each to the replacement.
+/// Each stripe is an instance of its signature's plan template
+/// (recovery/plan_template.h, where these builders are defined); a caller
+/// that plans repeatedly passes its `cache`, the other form uses a fresh
+/// one.  Throws util::CheckError when chunk_size is 0.
 RecoveryPlan build_multi_car_plan(
     const cluster::Placement& placement, const rs::Code& code,
     std::span<const MultiStripeSolution> solutions, std::uint64_t chunk_size,
     cluster::NodeId replacement);
+RecoveryPlan build_multi_car_plan(
+    const cluster::Placement& placement, const rs::Code& code,
+    std::span<const MultiStripeSolution> solutions, std::uint64_t chunk_size,
+    cluster::NodeId replacement, PlanTemplateCache& cache);
 
 /// RR-style baseline: fetch k random survivors per stripe to the
 /// replacement, which decodes all lost chunks there.
@@ -239,10 +251,18 @@ std::vector<MultiRrSolution> plan_multi_rr(
 TrafficSummary multi_rr_traffic(const cluster::Placement& placement,
                                 const std::vector<MultiRrSolution>& solutions,
                                 cluster::RackId replacement_rack);
+/// The RR plan, built like build_multi_car_plan: a survivor already on
+/// the replacement is read in place, without a transfer.
 RecoveryPlan build_multi_rr_plan(const cluster::Placement& placement,
                                  const rs::Code& code,
                                  std::span<const MultiRrSolution> solutions,
                                  std::uint64_t chunk_size,
                                  cluster::NodeId replacement);
+RecoveryPlan build_multi_rr_plan(const cluster::Placement& placement,
+                                 const rs::Code& code,
+                                 std::span<const MultiRrSolution> solutions,
+                                 std::uint64_t chunk_size,
+                                 cluster::NodeId replacement,
+                                 PlanTemplateCache& cache);
 
 }  // namespace car::recovery

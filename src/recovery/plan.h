@@ -3,11 +3,11 @@
 // A RecoveryPlan is a DAG of transfer and compute steps that fully describes
 // a multi-stripe recovery — which node sends which buffer to whom, and which
 // linear combinations are evaluated where.  The planners compile into it:
-// build_multi_car_plan and build_multi_rr_plan (recovery/multi.h; their
-// template-cached twins in recovery/plan_template.h) for node failures, the
-// degraded-read builders (recovery/degraded.h) for reads.  Each appends its
-// steps through PlanBuilder, which checks every step as it is added.  The
-// same plan is consumed by three back-ends:
+// build_multi_car_plan and build_multi_rr_plan (recovery/multi.h), which
+// instantiate the plan templates of recovery/plan_template.h, for node
+// failures, and the degraded-read builders (recovery/degraded.h) for reads.
+// Each appends its steps through PlanBuilder, which checks every step as it
+// is added.  The same plan is consumed by three back-ends:
 //   * byte accounting (cross_rack_bytes and friends below),
 //   * simnet::simulate_plan (flow-level timing model),
 //   * emul::Cluster::execute (real bytes through rate-limited links).

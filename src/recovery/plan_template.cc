@@ -1,6 +1,7 @@
 #include "recovery/plan_template.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "util/check.h"
@@ -64,9 +65,9 @@ void seal_template(PlanTemplate& tmpl) {
   }
 }
 
-/// Mirror of build_multi_car_plan's per-solution structure with survivor
-/// positions as symbols (the differential suite proves the instantiation
-/// identical).
+/// The CAR repair of one stripe, with survivor positions as symbols: per
+/// pick, gathers onto its aggregator, one partial per lost chunk and its
+/// ship to the replacement; then one final sum per lost chunk.
 PlanTemplate build_car_template(std::size_t num_lost,
                                 std::span<const std::size_t> pick_sizes) {
   PlanTemplate tmpl;
@@ -137,7 +138,8 @@ PlanTemplate build_car_template(std::size_t num_lost,
   return tmpl;
 }
 
-/// Mirror of build_multi_rr_plan's per-solution structure.
+/// The RR repair of one stripe: fetch every survivor the replacement does
+/// not already host, then decode each lost chunk there.
 PlanTemplate build_rr_template(std::size_t num_lost, std::size_t num_chunks,
                                std::uint64_t skip_position_mask) {
   PlanTemplate tmpl;
@@ -194,7 +196,7 @@ std::uint64_t skip_mask(const cluster::Placement& placement,
 }
 
 /// Per-stripe instantiation scratch, reused across every stripe of a
-/// build_multi_*_cached / build_multi_*_arena call.
+/// build_multi_*_plan / build_multi_*_arena call.
 struct BindingScratch {
   std::vector<std::span<const std::uint8_t>> coeffs;
 
@@ -262,98 +264,123 @@ PlanTemplate& PlanTemplateCache::rr(std::size_t num_lost,
       .first->second;
 }
 
-void append_instantiated(RecoveryPlan& plan, const PlanTemplate& tmpl,
+namespace {
+
+/// Append one instantiated template to the plan `builder` holds, through
+/// PlanBuilder's per-step checks.
+void append_instantiated(PlanBuilder& builder, const PlanTemplate& tmpl,
                          const StripeBinding& binding,
-                         const cluster::Placement& placement,
-                         cluster::NodeId replacement) {
-  const auto& topology = placement.topology();
+                         const cluster::Placement& placement) {
   const cluster::StripeId stripe = binding.stripe;
   const auto hosts = placement.stripe(stripe);
-  const std::size_t base = plan.steps.size();
+  const std::size_t base = builder.plan.steps.size();
   auto resolve = [&](std::uint32_t sym) {
     return sym == TemplateStep::kReplacementSym
-               ? replacement
+               ? builder.plan.replacement
                : hosts[binding.survivors[sym]];
   };
+  auto chunk = [&](std::uint32_t position) {
+    return BufferRef::chunk(stripe, binding.survivors[position]);
+  };
   for (const TemplateStep& ts : tmpl.steps) {
-    PlanStep step;
-    step.id = plan.steps.size();
-    step.kind = ts.kind;
-    step.stripe = stripe;
-    step.deps.reserve(ts.deps.size());
-    for (const std::uint32_t dep : ts.deps) step.deps.push_back(base + dep);
+    std::vector<std::size_t> deps;
+    deps.reserve(ts.deps.size());
+    for (const std::uint32_t dep : ts.deps) deps.push_back(base + dep);
     if (ts.kind == StepKind::kTransfer) {
-      step.src = resolve(ts.src_sym);
-      step.dst = resolve(ts.dst_sym);
-      step.payload =
-          ts.payload_is_step
-              ? BufferRef::step(base + ts.payload_ref)
-              : BufferRef::chunk(stripe, binding.survivors[ts.payload_ref]);
-      step.cross_rack =
-          topology.rack_of(step.src) != topology.rack_of(step.dst);
-      step.bytes = plan.chunk_size;
+      builder.add_transfer(stripe, resolve(ts.src_sym), resolve(ts.dst_sym),
+                           ts.payload_is_step
+                               ? BufferRef::step(base + ts.payload_ref)
+                               : chunk(ts.payload_ref),
+                           std::move(deps));
     } else {
-      step.node = resolve(ts.src_sym);
-      step.inputs.reserve(ts.inputs.size());
+      std::vector<ComputeInput> inputs;
+      inputs.reserve(ts.inputs.size());
       for (const TemplateStep::Input& in : ts.inputs) {
         if (in.is_step) {
-          step.inputs.push_back({BufferRef::step(base + in.ref), 1});
+          inputs.push_back({BufferRef::step(base + in.ref), 1});
         } else {
-          const std::size_t chunk = binding.survivors[in.ref];
-          step.inputs.push_back({BufferRef::chunk(stripe, chunk),
-                                 binding.coeffs[ts.coeff_lost][chunk]});
+          inputs.push_back(
+              {chunk(in.ref),
+               binding.coeffs[ts.coeff_lost][binding.survivors[in.ref]]});
         }
       }
-      step.bytes = plan.chunk_size * step.inputs.size();
+      builder.add_compute(stripe, resolve(ts.src_sym), std::move(inputs),
+                          std::move(deps));
     }
-    plan.steps.push_back(std::move(step));
   }
   for (const PlanTemplate::Output& out : tmpl.outputs) {
-    plan.outputs.push_back({stripe, binding.lost_chunks[out.lost_pos],
-                            base + out.final_step});
+    builder.plan.outputs.push_back(
+        {stripe, binding.lost_chunks[out.lost_pos], base + out.final_step});
   }
 }
 
-RecoveryPlan build_multi_car_plan_cached(
+PlanBuilder plan_builder(const cluster::Placement& placement,
+                         std::uint64_t chunk_size,
+                         cluster::NodeId replacement, const char* who) {
+  CAR_CHECK(chunk_size > 0, std::string(who) + ": chunk_size must be > 0");
+  const auto& topology = placement.topology();
+  PlanBuilder builder{{}, topology};
+  builder.plan.replacement = replacement;
+  builder.plan.replacement_rack = topology.rack_of(replacement);
+  builder.plan.chunk_size = chunk_size;
+  return builder;
+}
+
+}  // namespace
+
+RecoveryPlan build_multi_car_plan(
     const cluster::Placement& placement, const rs::Code& code,
     std::span<const MultiStripeSolution> solutions, std::uint64_t chunk_size,
     cluster::NodeId replacement, PlanTemplateCache& cache) {
-  CAR_CHECK(chunk_size > 0,
-            "build_multi_car_plan_cached: chunk_size must be > 0");
-  RecoveryPlan plan;
-  plan.replacement = replacement;
-  plan.replacement_rack = placement.topology().rack_of(replacement);
-  plan.chunk_size = chunk_size;
+  PlanBuilder builder = plan_builder(placement, chunk_size, replacement,
+                                     "build_multi_car_plan");
   BindingScratch scratch;
   for (const MultiStripeSolution& solution : solutions) {
     const PlanTemplate& tmpl = cache.car(solution);
-    append_instantiated(plan, tmpl,
+    append_instantiated(builder, tmpl,
                         scratch.bind_car(code, solution, cache.repair_memo()),
-                        placement, replacement);
+                        placement);
   }
-  return plan;
+  return std::move(builder.plan);
 }
 
-RecoveryPlan build_multi_rr_plan_cached(
+RecoveryPlan build_multi_car_plan(
     const cluster::Placement& placement, const rs::Code& code,
-    std::span<const MultiRrSolution> solutions, std::uint64_t chunk_size,
-    cluster::NodeId replacement, PlanTemplateCache& cache) {
-  CAR_CHECK(chunk_size > 0,
-            "build_multi_rr_plan_cached: chunk_size must be > 0");
-  RecoveryPlan plan;
-  plan.replacement = replacement;
-  plan.replacement_rack = placement.topology().rack_of(replacement);
-  plan.chunk_size = chunk_size;
+    std::span<const MultiStripeSolution> solutions, std::uint64_t chunk_size,
+    cluster::NodeId replacement) {
+  PlanTemplateCache cache;
+  return build_multi_car_plan(placement, code, solutions, chunk_size,
+                              replacement, cache);
+}
+
+RecoveryPlan build_multi_rr_plan(const cluster::Placement& placement,
+                                 const rs::Code& code,
+                                 std::span<const MultiRrSolution> solutions,
+                                 std::uint64_t chunk_size,
+                                 cluster::NodeId replacement,
+                                 PlanTemplateCache& cache) {
+  PlanBuilder builder = plan_builder(placement, chunk_size, replacement,
+                                     "build_multi_rr_plan");
   BindingScratch scratch;
   for (const MultiRrSolution& solution : solutions) {
     const PlanTemplate& tmpl =
         cache.rr(solution.lost_chunks.size(), solution.chunk_indices.size(),
                  skip_mask(placement, solution, replacement));
-    append_instantiated(plan, tmpl,
+    append_instantiated(builder, tmpl,
                         scratch.bind_rr(code, solution, cache.repair_memo()),
-                        placement, replacement);
+                        placement);
   }
-  return plan;
+  return std::move(builder.plan);
+}
+
+RecoveryPlan build_multi_rr_plan(const cluster::Placement& placement,
+                                 const rs::Code& code,
+                                 std::span<const MultiRrSolution> solutions,
+                                 std::uint64_t chunk_size,
+                                 cluster::NodeId replacement) {
+  PlanTemplateCache cache;
+  return build_multi_rr_plan(placement, code, solutions, chunk_size,
+                             replacement, cache);
 }
 
 // --- arena instantiation (defined here so plan_arena.cc need not know the

@@ -1,15 +1,26 @@
-// Plan-template cache: plan each structural signature once, instantiate
-// per stripe.
+// Plan templates: the one definition of a CAR or RR repair DAG.
 //
-// At fleet scale a full-rack rebuild touches hundreds of thousands of
-// stripes, but the *shape* of a stripe's repair plan is a pure function of
-// a tiny structural signature — how many chunks were lost and how the
-// chosen survivor picks group by size (recovery/multi.h).  Two stripes
-// sharing that signature get plans that differ only in concrete node ids
-// (resolved through the placement), the stripe id stamped on buffer refs,
-// the concrete chunk indices behind each survivor position, the decode
-// coefficients, and step-id offsets.  The step topology, dependency
-// structure, and byte contract are identical, because:
+// A stripe's CAR repair has a fixed shape (Theorem 1 plus partial
+// decoding): in each contributing rack, every picked survivor but the
+// first is gathered onto the first (the rack's aggregator), which decodes
+// one partial per lost chunk and ships each to the replacement; there one
+// final compute per lost chunk sums that chunk's partials.  The RR shape
+// fetches every survivor not already on the replacement and decodes each
+// lost chunk there.  build_car_template / build_rr_template (the .cc) lay
+// those shapes out with survivor positions as symbols, and every plan the
+// library builds for a node failure is an instantiation of one: the
+// RecoveryPlans of build_multi_car_plan / build_multi_rr_plan
+// (recovery/multi.h, defined here) and the arenas of the arena builders
+// below.
+//
+// The shape is a pure function of a tiny structural signature — how many
+// chunks were lost and how the chosen survivor picks group by size
+// (recovery/multi.h).  Two stripes sharing that signature get plans that
+// differ only in concrete node ids (resolved through the placement), the
+// stripe id stamped on buffer refs, the concrete chunk indices behind each
+// survivor position, the decode coefficients, and step-id offsets.  The
+// step topology, dependency structure, and byte contract are identical,
+// because:
 //
 //   * every pick's aggregator is the host of its first chunk and all
 //     chunks of a stripe live on distinct nodes, so gather transfers are
@@ -32,9 +43,9 @@
 // the structural planner once per signature and instantiates every other
 // stripe by remapping ids — either straight into the columnar PlanArena
 // (PlanArena::append_instantiated, zero per-stripe heap RecoveryPlan
-// objects: the scale path) or into a RecoveryPlan (the rebuild control
-// plane's per-batch path, which still validates and executes
-// chunk-granular plans).
+// objects: the scale path) or into a RecoveryPlan through PlanBuilder,
+// which checks every step as it lands (the figures, carctl, and the
+// rebuild control plane's per-batch re-plans).
 //
 // When must a stripe MISS the cache?  Exactly when its signature differs:
 // a different lost-chunk count, a different pick-size profile (e.g.
@@ -168,30 +179,10 @@ class PlanTemplateCache {
   TemplateStats stats_;
 };
 
-/// Append one instantiated template to a chunk-granular RecoveryPlan —
-/// the exact steps build_multi_car_plan/build_multi_rr_plan would emit for
-/// this stripe (proven by the differential suite).
-void append_instantiated(RecoveryPlan& plan, const PlanTemplate& tmpl,
-                         const StripeBinding& binding,
-                         const cluster::Placement& placement,
-                         cluster::NodeId replacement);
-
-/// Template-cached equivalents of the recovery/multi plan builders: same
-/// RecoveryPlan, bit for bit, with the structural planner run once per
-/// signature.
-RecoveryPlan build_multi_car_plan_cached(
-    const cluster::Placement& placement, const rs::Code& code,
-    std::span<const MultiStripeSolution> solutions, std::uint64_t chunk_size,
-    cluster::NodeId replacement, PlanTemplateCache& cache);
-RecoveryPlan build_multi_rr_plan_cached(
-    const cluster::Placement& placement, const rs::Code& code,
-    std::span<const MultiRrSolution> solutions, std::uint64_t chunk_size,
-    cluster::NodeId replacement, PlanTemplateCache& cache);
-
-/// Template-direct arena builders: lower every solution straight into a
-/// columnar PlanArena without materialising a single per-stripe PlanStep.
-/// Bit-identical to PlanArena::build(build_multi_*_plan(...), slice_size)
-/// — the scale path's planner.
+/// Arena builders: lower every solution straight into a columnar PlanArena
+/// without materialising a single per-stripe PlanStep.  Bit-identical to
+/// PlanArena::build(build_multi_*_plan(...), slice_size) — the scale
+/// path's planner.
 PlanArena build_multi_car_arena(
     const cluster::Placement& placement, const rs::Code& code,
     std::span<const MultiStripeSolution> solutions, std::uint64_t chunk_size,

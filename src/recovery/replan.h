@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "cluster/placement.h"
@@ -26,6 +27,12 @@ enum class Strategy : std::uint8_t {
 
 [[nodiscard]] const char* to_string(Strategy strategy) noexcept;
 
+/// The strategy `text` names: "car" or "rr", exactly.  Throws
+/// std::invalid_argument naming `text` for anything else.  Scenario specs
+/// and carctl's --strategy both parse through here, so a run never holds
+/// an unchecked strategy name.
+[[nodiscard]] Strategy parse_strategy(std::string_view text);
+
 struct MultiReplan {
   RecoveryPlan plan;
   ValidationReport validation;  // always ok() when returned
@@ -33,9 +40,9 @@ struct MultiReplan {
 
 /// Plan the stripes of `censuses` onto `replacement` — CAR: balance_multi
 /// and partial decoding; RR: plan_multi_rr, drawing survivors from
-/// `rr_rng` — through the plan-template cache (bit-identical to the
-/// uncached builders), then gate the plan with validate_plan; a CAR plan
-/// must also ship exactly the cross-rack chunks its rack sets claim.
+/// `rr_rng` — building from `cache`'s templates, then gate the plan with
+/// validate_plan; a CAR plan must also ship exactly the cross-rack chunks
+/// its rack sets claim.
 /// Throws util::StateError when the plan fails validation.
 MultiReplan plan_multi_failure(const cluster::Placement& placement,
                                const rs::Code& code,

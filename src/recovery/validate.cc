@@ -329,25 +329,23 @@ ValidationReport validate_plan(const RecoveryPlan& plan,
   // --- one aggregator per rack per stripe ---------------------------------
   // CAR's partial decoding funnels each contributing rack through a single
   // aggregator; two distinct non-replacement compute nodes in one rack for
-  // the same stripe means the plan split a rack's partial sum.
-  if (options.require_single_aggregator_per_rack) {
-    std::map<std::pair<cluster::StripeId, cluster::RackId>,
-             std::set<cluster::NodeId>>
-        aggregators;
-    for (const PlanStep& step : plan.steps) {
-      if (step.kind != StepKind::kCompute) continue;
-      if (step.node == plan.replacement) continue;
-      if (step.node >= topology.num_nodes()) continue;  // already reported
-      aggregators[{step.stripe, topology.rack_of(step.node)}].insert(
-          step.node);
-    }
-    for (const auto& [key, nodes] : aggregators) {
-      if (nodes.size() > 1) {
-        error("stripe " + std::to_string(key.first) + ": rack " +
-              std::to_string(key.second) + " has " +
-              std::to_string(nodes.size()) +
-              " aggregator nodes, expected exactly one");
-      }
+  // the same stripe means the plan split a rack's partial sum.  RR plans
+  // compute only on the replacement, so they pass vacuously.
+  std::map<std::pair<cluster::StripeId, cluster::RackId>,
+           std::set<cluster::NodeId>>
+      aggregators;
+  for (const PlanStep& step : plan.steps) {
+    if (step.kind != StepKind::kCompute) continue;
+    if (step.node == plan.replacement) continue;
+    if (step.node >= topology.num_nodes()) continue;  // already reported
+    aggregators[{step.stripe, topology.rack_of(step.node)}].insert(step.node);
+  }
+  for (const auto& [key, nodes] : aggregators) {
+    if (nodes.size() > 1) {
+      error("stripe " + std::to_string(key.first) + ": rack " +
+            std::to_string(key.second) + " has " +
+            std::to_string(nodes.size()) +
+            " aggregator nodes, expected exactly one");
     }
   }
 

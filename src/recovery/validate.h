@@ -48,9 +48,6 @@ struct ValidationReport {
 struct ValidateOptions {
   /// Enables data-flow validation (chunk homes, buffer availability).
   const cluster::Placement* placement = nullptr;
-  /// Enforce the one-aggregator-per-rack-per-stripe invariant (CAR partial
-  /// decoding).  Vacuously true for RR plans; disable for exotic plans.
-  bool require_single_aggregator_per_rack = true;
   /// When set, the plan's cross-rack transfer total must equal exactly
   /// this many chunk-sized units (e.g. Theorem 1's Σ_j d_j from the
   /// planner's rack sets; see expected_cross_rack_chunks).

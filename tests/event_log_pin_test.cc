@@ -174,7 +174,7 @@ TEST(PinnedRuns, CannedInjectScenarios) {
     for (const char* strategy : {"car", "rr"}) {
       for (const std::uint64_t slice_kib : {0, 16}) {
         auto scenario = inject::canned_scenario(name);
-        scenario.strategy = strategy;
+        scenario.strategy = recovery::parse_strategy(strategy);
         scenario.slice_bytes = slice_kib * 1024;
         const auto outcome = inject::run_scenario(scenario);
         const std::string key = "inject/" + name + "/" + strategy + "/" +
@@ -233,7 +233,7 @@ TEST(PinnedRuns, CannedRebuildScenarios) {
   for (const auto& name : rebuild::canned_rebuild_scenario_names()) {
     for (const char* strategy : {"car", "rr"}) {
       auto scenario = rebuild::canned_rebuild_scenario(name);
-      scenario.strategy = strategy;
+      scenario.strategy = recovery::parse_strategy(strategy);
       const auto outcome = rebuild::run_rebuild_scenario(scenario);
       const auto& r = outcome.result;
       const std::string key = "rebuild/" + name + "/" + strategy;

@@ -10,6 +10,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "recovery/replan.h"
+
 namespace car::inject {
 namespace {
 
@@ -47,7 +49,7 @@ fault crash node=3 at-time=1.5
   EXPECT_EQ(scenario.chunk_bytes, 32u * 1024u);
   EXPECT_EQ(scenario.page_bytes, 8u * 1024u);
   EXPECT_EQ(scenario.seed, 99u);
-  EXPECT_EQ(scenario.strategy, "rr");
+  EXPECT_EQ(scenario.strategy, recovery::Strategy::kRr);
   ASSERT_TRUE(scenario.fail_node.has_value());
   EXPECT_EQ(*scenario.fail_node, 1u);
   EXPECT_DOUBLE_EQ(scenario.node_bps, 250e6);
@@ -91,6 +93,32 @@ TEST(ParseScenario, RejectsMalformedSpecs) {
                std::invalid_argument);
   EXPECT_THROW(parse_scenario("fault drop step\n"), std::invalid_argument);
   EXPECT_NO_THROW(parse_scenario(""));  // empty spec = defaults
+}
+
+TEST(ParseStrategy, AcceptsCarAndRrAndRejectsAnythingElseNamingIt) {
+  EXPECT_EQ(recovery::parse_strategy("car"), recovery::Strategy::kCar);
+  EXPECT_EQ(recovery::parse_strategy("rr"), recovery::Strategy::kRr);
+  for (const char* bad : {"", "CAR", "car ", "xyz", "weighted", "all"}) {
+    try {
+      (void)recovery::parse_strategy(bad);
+      ADD_FAILURE() << "accepted \"" << bad << "\"";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find('"' + std::string(bad) + '"'),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  // The spec parser reports the same error against its line.
+  try {
+    (void)parse_scenario("strategy xyz\n");
+    ADD_FAILURE() << "accepted strategy xyz";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("unknown strategy \"xyz\""), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("in line: \"strategy xyz\""), std::string::npos)
+        << what;
+  }
 }
 
 TEST(ParseScenario, RejectsDuplicateKeysNamingTheLine) {
@@ -216,7 +244,7 @@ TEST(RunScenario, SlowStragglerRackRecoversDespiteDrops) {
 
 TEST(RunScenario, RrStrategyAlsoSurvivesTheCrash) {
   auto scenario = canned_scenario("mid-recovery-crash");
-  scenario.strategy = "rr";
+  scenario.strategy = recovery::Strategy::kRr;
   const auto outcome = run_scenario(scenario);
   EXPECT_TRUE(outcome.run.replanned);
   EXPECT_TRUE(outcome.run.replan_validation.ok());

@@ -1,28 +1,34 @@
 // Template-cache differential tests: plans instantiated from cached
-// signatures must be the *same function* as the classic per-stripe
-// planners — bit-equal RecoveryPlans, bit-equal arenas (columns, reverse
-// CSR, outputs, accounting), a collapsing signature space, canonical
-// decode-coefficient memoisation, shard-invariant scans, and real-byte
-// decode through a template-cached arena.
+// signatures must be the *same function* as the per-stripe oracle
+// (plan_oracle.h) — bit-equal RecoveryPlans for every solution source a
+// caller builds from, bit-equal arenas (columns, reverse CSR, outputs,
+// accounting), a collapsing signature space, canonical decode-coefficient
+// memoisation, shard-invariant scans, and real-byte decode through a
+// template-cached arena.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "cluster/configs.h"
 #include "cluster/failure.h"
 #include "cluster/placement.h"
 #include "emul/cluster.h"
+#include "recovery/balancer.h"
 #include "recovery/exposure.h"
 #include "recovery/multi.h"
 #include "recovery/plan_arena.h"
 #include "recovery/plan_template.h"
+#include "recovery/scheduler.h"
+#include "recovery/weighted.h"
 #include "rs/code.h"
 #include "util/rng.h"
 
+#include "plan_oracle.h"
 #include "slice_oracle.h"
 
 namespace car {
@@ -164,11 +170,11 @@ TEST(PlanTemplateCache, CarCachedPlanMatchesClassicAcrossConfigs) {
           make_fixture(cfg_index, seed, /*stripes=*/40, racks, nodes);
       const auto balanced =
           recovery::balance_multi(fx.placement, fx.censuses);
-      const auto classic = recovery::build_multi_car_plan(
+      const auto classic = reference::build_multi_car_plan(
           fx.placement, fx.code, balanced.solutions, kChunk,
           fx.scenario.replacement);
       PlanTemplateCache cache;
-      const auto cached = recovery::build_multi_car_plan_cached(
+      const auto cached = recovery::build_multi_car_plan(
           fx.placement, fx.code, balanced.solutions, kChunk,
           fx.scenario.replacement, cache);
       expect_plan_equal(cached, classic);
@@ -185,10 +191,10 @@ TEST(PlanTemplateCache, RrCachedPlanMatchesClassic) {
     util::Rng rr_rng(77);
     const auto solutions =
         recovery::plan_multi_rr(fx.placement, fx.censuses, rr_rng);
-    const auto classic = recovery::build_multi_rr_plan(
+    const auto classic = reference::build_multi_rr_plan(
         fx.placement, fx.code, solutions, kChunk, fx.scenario.replacement);
     PlanTemplateCache cache;
-    const auto cached = recovery::build_multi_rr_plan_cached(
+    const auto cached = recovery::build_multi_rr_plan(
         fx.placement, fx.code, solutions, kChunk, fx.scenario.replacement,
         cache);
     expect_plan_equal(cached, classic);
@@ -214,12 +220,171 @@ TEST(PlanTemplateCache, OntoReplacementMatchesClassic) {
   const auto censuses = recovery::build_multi_censuses(placement, scenario);
   const auto balanced = recovery::balance_multi(placement, censuses);
   rs::Code code(cfg.k, cfg.m);
-  const auto classic = recovery::build_multi_car_plan(
+  const auto classic = reference::build_multi_car_plan(
       placement, code, balanced.solutions, kChunk, replacement);
   PlanTemplateCache cache;
-  const auto cached = recovery::build_multi_car_plan_cached(
+  const auto cached = recovery::build_multi_car_plan(
       placement, code, balanced.solutions, kChunk, replacement, cache);
   expect_plan_equal(cached, classic);
+}
+
+// --- every solution source a caller builds from ---------------------------
+
+/// One solution list built three ways: by the per-stripe oracle, by the
+/// production builder on a fresh cache, and on a cache shared across
+/// calls.
+struct Built {
+  RecoveryPlan oracle;
+  RecoveryPlan fresh;
+  RecoveryPlan warm;
+};
+
+Built build_all(const cluster::Placement& placement, const rs::Code& code,
+                std::span<const recovery::MultiStripeSolution> solutions,
+                cluster::NodeId replacement, PlanTemplateCache& warm) {
+  return {reference::build_multi_car_plan(placement, code, solutions, kChunk,
+                                          replacement),
+          recovery::build_multi_car_plan(placement, code, solutions, kChunk,
+                                         replacement),
+          recovery::build_multi_car_plan(placement, code, solutions, kChunk,
+                                         replacement, warm)};
+}
+
+Built build_all(const cluster::Placement& placement, const rs::Code& code,
+                std::span<const recovery::MultiRrSolution> solutions,
+                cluster::NodeId replacement, PlanTemplateCache& warm) {
+  return {reference::build_multi_rr_plan(placement, code, solutions, kChunk,
+                                         replacement),
+          recovery::build_multi_rr_plan(placement, code, solutions, kChunk,
+                                        replacement),
+          recovery::build_multi_rr_plan(placement, code, solutions, kChunk,
+                                        replacement, warm)};
+}
+
+/// The builders agree with the oracle field for field, and still do once
+/// schedule_windowed has serialised the stripes into lanes.
+void expect_matches_oracle(const Built& built, const std::string& source) {
+  SCOPED_TRACE(source);
+  ASSERT_FALSE(built.oracle.steps.empty());
+  expect_plan_equal(built.fresh, built.oracle);
+  expect_plan_equal(built.warm, built.oracle);
+  for (const std::size_t window : {1u, 3u}) {
+    SCOPED_TRACE("schedule_windowed " + std::to_string(window));
+    expect_plan_equal(recovery::schedule_windowed(built.fresh, window),
+                      recovery::schedule_windowed(built.oracle, window));
+  }
+}
+
+/// Solutions materialised from one rack set per stripe.
+std::vector<recovery::MultiStripeSolution> materialize_all(
+    const cluster::Placement& placement,
+    std::span<const MultiStripeCensus> censuses,
+    std::span<const recovery::RackSet> sets) {
+  std::vector<recovery::MultiStripeSolution> solutions;
+  for (std::size_t j = 0; j < censuses.size(); ++j) {
+    solutions.push_back(
+        recovery::materialize_multi(placement, censuses[j], sets[j]));
+  }
+  return solutions;
+}
+
+void expect_every_source_matches(const cluster::Placement& placement,
+                                 const rs::Code& code,
+                                 const MultiFailureScenario& scenario,
+                                 PlanTemplateCache& warm) {
+  const auto censuses = recovery::build_multi_censuses(placement, scenario);
+  const cluster::NodeId replacement = scenario.replacement;
+  for (const std::size_t iterations : {0u, 50u}) {
+    const auto balanced =
+        recovery::balance_multi(placement, censuses, iterations);
+    expect_matches_oracle(
+        build_all(placement, code, balanced.solutions, replacement, warm),
+        "balance_multi " + std::to_string(iterations));
+  }
+  // Uneven uplinks, so the weighted pass picks its own rack sets.
+  std::vector<double> bandwidth(placement.topology().num_racks());
+  for (std::size_t rack = 0; rack < bandwidth.size(); ++rack) {
+    bandwidth[rack] = 1.0 + static_cast<double>(rack % 3);
+  }
+  const auto weighted =
+      recovery::balance_weighted(placement, censuses, bandwidth);
+  expect_matches_oracle(
+      build_all(placement, code, weighted.solutions, replacement, warm),
+      "balance_weighted");
+  std::vector<recovery::RackSet> defaults;
+  for (const auto& census : censuses) {
+    defaults.push_back(recovery::default_rack_set(
+        census.k, census.replacement_rack, census.surviving.ranked()));
+  }
+  expect_matches_oracle(
+      build_all(placement, code, materialize_all(placement, censuses, defaults),
+                replacement, warm),
+      "materialize_multi(default_rack_set)");
+  util::Rng rr_rng(replacement + 17);
+  const auto rr = recovery::plan_multi_rr(placement, censuses, rr_rng);
+  expect_matches_oracle(build_all(placement, code, rr, replacement, warm),
+                        "plan_multi_rr");
+}
+
+TEST(PlanTemplateCache, EverySolutionSourceMatchesOracle) {
+  // Whole-rack and scattered multi-node failures on every paper config,
+  // one warm cache across all of them (the rebuild control plane's reuse).
+  PlanTemplateCache warm;
+  for (const int cfg_index : {0, 1, 2}) {
+    for (const std::size_t racks : {0u, 1u}) {
+      SCOPED_TRACE("cfs" + std::to_string(cfg_index + 1) + " racks " +
+                   std::to_string(racks));
+      const auto fx = make_fixture(cfg_index, 71 + cfg_index, /*stripes=*/36,
+                                   racks, racks > 0 ? 0 : 2);
+      expect_every_source_matches(fx.placement, fx.code, fx.scenario, warm);
+    }
+  }
+  EXPECT_GT(warm.stats().hits, 0u);
+}
+
+TEST(PlanTemplateCache, OntoReplacementSourcesMatchOracle) {
+  // A live replacement that hosts survivors of some stripes: RR reads those
+  // in place (the skip mask) and a CAR pick may aggregate on it.
+  const auto cfg = cluster::paper_configs()[1];
+  util::Rng rng(83);
+  const auto placement =
+      cluster::Placement::random(cfg.topology(), cfg.k, cfg.m, 40, rng);
+  const auto& topology = placement.topology();
+  std::vector<cluster::NodeId> failed;
+  for (const auto node : topology.nodes_in_rack(2)) {
+    failed.push_back(node);
+    if (failed.size() >= cfg.m) break;
+  }
+  const cluster::NodeId replacement = topology.nodes_in_rack(0).front();
+  const auto scenario =
+      recovery::make_multi_failure_onto(placement, failed, replacement);
+  const rs::Code code(cfg.k, cfg.m);
+  PlanTemplateCache warm;
+  expect_every_source_matches(placement, code, scenario, warm);
+}
+
+TEST(PlanTemplateCache, ExhaustiveSolutionsMatchOracle) {
+  // balance_exhaustive's optimum on the small instances the ablation runs.
+  const auto cfg = cluster::cfs1();
+  const rs::Code code(cfg.k, cfg.m);
+  PlanTemplateCache warm;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    util::Rng rng(seed);
+    const auto placement =
+        cluster::Placement::random(cfg.topology(), cfg.k, cfg.m, 8, rng);
+    const auto failure = cluster::inject_random_failure(placement, rng);
+    const auto scenario =
+        recovery::make_multi_failure(placement, {failure.failed_node});
+    const auto censuses = recovery::build_multi_censuses(placement, scenario);
+    const auto exact =
+        recovery::balance_exhaustive(placement, censuses, 5'000'000);
+    ASSERT_TRUE(exact.has_value()) << "seed " << seed;
+    expect_matches_oracle(
+        build_all(placement, code,
+                  materialize_all(placement, censuses, exact->chosen),
+                  scenario.replacement, warm),
+        "balance_exhaustive seed " + std::to_string(seed));
+  }
 }
 
 // --- templated arena == classic lowering, including the reverse CSR ------
@@ -228,7 +393,7 @@ TEST(PlanTemplateCache, TemplatedCarArenaMatchesClassicLowering) {
   const auto fx =
       make_fixture(1, 41, /*stripes=*/50, /*failed_racks=*/1, 0);
   const auto balanced = recovery::balance_multi(fx.placement, fx.censuses);
-  const auto classic_plan = recovery::build_multi_car_plan(
+  const auto classic_plan = reference::build_multi_car_plan(
       fx.placement, fx.code, balanced.solutions, kChunk,
       fx.scenario.replacement);
   for (const std::uint64_t slice : {std::uint64_t{16 * 1024}, kChunk}) {
@@ -247,7 +412,7 @@ TEST(PlanTemplateCache, TemplatedRrArenaMatchesClassicLowering) {
   util::Rng rr_rng(5);
   const auto solutions =
       recovery::plan_multi_rr(fx.placement, fx.censuses, rr_rng);
-  const auto classic_plan = recovery::build_multi_rr_plan(
+  const auto classic_plan = reference::build_multi_rr_plan(
       fx.placement, fx.code, solutions, kChunk, fx.scenario.replacement);
   const auto classic = PlanArena::build(classic_plan, 16 * 1024);
   PlanTemplateCache cache;

@@ -48,6 +48,7 @@
 #include "recovery/multi.h"
 #include "recovery/plan_arena.h"
 #include "recovery/plan_template.h"
+#include "recovery/replan.h"
 #include "recovery/scheduler.h"
 #include "recovery/validate.h"
 #include "recovery/weighted.h"
@@ -117,6 +118,18 @@ std::uint64_t chunk_bytes(const util::Flags& flags, double fallback_mib) {
 std::uint64_t slice_kib_bytes(const util::Flags& flags) {
   return static_cast<std::uint64_t>(flags.get_int("slice-kib", 0)) *
          util::kKiB;
+}
+
+/// --strategy of a subcommand that runs one planner (car|rr), parsed before
+/// the command does any work.
+recovery::Strategy strategy_flag(std::string_view command,
+                                 const util::Flags& flags) {
+  try {
+    return recovery::parse_strategy(flags.get("strategy", "car"));
+  } catch (const std::invalid_argument& error) {
+    throw std::invalid_argument(std::string(command) +
+                                ": --strategy: " + error.what());
+  }
 }
 
 /// The censuses of a single-node failure, planned as the one-node case of
@@ -269,7 +282,8 @@ int cmd_emulate_scale(const util::Flags& flags) {
   const auto iterations =
       static_cast<std::size_t>(flags.get_int("iterations", 0));
   const std::uint64_t slice_bytes = slice_kib_bytes(flags);
-  const std::string strategy = flags.get("strategy", "car");
+  const recovery::Strategy strategy = strategy_flag("emulate", flags);
+  const bool car = strategy == recovery::Strategy::kCar;
   const bool stream = flags.get_bool("stream", false);
   const rs::Code code(cfg.k, cfg.m);
 
@@ -326,21 +340,19 @@ int cmd_emulate_scale(const util::Flags& flags) {
   double plan_s = 0.0;
   std::vector<recovery::MultiStripeSolution> car_solutions;
   std::vector<recovery::MultiRrSolution> rr_solutions;
-  if (strategy == "car") {
+  if (car) {
     t = phase_clock();
     auto balanced = recovery::balance_multi(placement, censuses, iterations);
     plan_s = phase_s(t, phase_clock());
     car_solutions = std::move(balanced.solutions);
-  } else if (strategy == "rr") {
+  } else {
     util::Rng rr_rng(seed + 2);
     t = phase_clock();
     rr_solutions = recovery::plan_multi_rr(placement, censuses, rr_rng);
     plan_s = phase_s(t, phase_clock());
-  } else {
-    throw std::invalid_argument("--strategy must be car or rr");
   }
   const std::size_t num_solutions =
-      strategy == "car" ? car_solutions.size() : rr_solutions.size();
+      car ? car_solutions.size() : rr_solutions.size();
 
   // Stripes that carry real bytes: the first --sample distinct output
   // stripes under --metadata-only, every stripe otherwise (survivors of
@@ -352,8 +364,8 @@ int cmd_emulate_scale(const util::Flags& flags) {
   if (metadata_only) {
     for (std::size_t i = 0; i < num_solutions && materialise.size() < sample;
          ++i) {
-      materialise.push_back(strategy == "car" ? car_solutions[i].stripe
-                                              : rr_solutions[i].stripe);
+      materialise.push_back(car ? car_solutions[i].stripe
+                                : rr_solutions[i].stripe);
     }
   } else {
     materialise.resize(stripes);
@@ -374,8 +386,7 @@ int cmd_emulate_scale(const util::Flags& flags) {
   emul::ExecutionReport report;
   if (!stream) {
     t = phase_clock();
-    arena = strategy == "car"
-                ? recovery::build_multi_car_arena(placement, code,
+    arena = car ? recovery::build_multi_car_arena(placement, code,
                                                   car_solutions, chunk, slice,
                                                   mf.replacement, cache)
                 : recovery::build_multi_rr_arena(placement, code, rr_solutions,
@@ -393,8 +404,7 @@ int cmd_emulate_scale(const util::Flags& flags) {
     // append) even though the append overlaps replay wall-clock time.
     t = phase_clock();
     recovery::ArenaStreamBuild build =
-        strategy == "car"
-            ? recovery::reserve_multi_car_arena(placement, car_solutions,
+        car ? recovery::reserve_multi_car_arena(placement, car_solutions,
                                                 chunk, slice, mf.replacement,
                                                 cache)
             : recovery::reserve_multi_rr_arena(placement, rr_solutions, chunk,
@@ -413,7 +423,7 @@ int cmd_emulate_scale(const util::Flags& flags) {
         const auto publish = [&feed](std::uint64_t rows) {
           feed.publish(rows);
         };
-        if (strategy == "car") {
+        if (car) {
           recovery::stream_multi_car_arena(build, placement, code,
                                            car_solutions, cache, publish);
         } else {
@@ -489,8 +499,9 @@ int cmd_emulate_scale(const util::Flags& flags) {
         "    \"template_cache_misses\": %zu\n"
         "  }\n"
         "}\n",
-        strategy.c_str(), stripes, topology.num_racks(), topology.num_nodes(),
-        fail_rack ? "full-rack" : "single-node", censuses.size(),
+        recovery::to_string(strategy), stripes, topology.num_racks(),
+        topology.num_nodes(), fail_rack ? "full-rack" : "single-node",
+        censuses.size(),
         static_cast<unsigned long long>(arena.num_base_steps()),
         outputs.size(), metadata_only ? "true" : "false", shards,
         report.wall_s,
@@ -504,7 +515,7 @@ int cmd_emulate_scale(const util::Flags& flags) {
   }
 
   std::printf("%s | %zu racks x %zu nodes | %zu stripes | %s failure\n",
-              strategy.c_str(), topology.num_racks(),
+              recovery::to_string(strategy), topology.num_racks(),
               topology.num_nodes() / topology.num_racks(), stripes,
               fail_rack ? "full-rack" : "single-node");
   std::printf("  affected stripes %zu | plan steps %llu | outputs %zu\n",
@@ -849,7 +860,9 @@ int cmd_inject_run(const util::Flags& flags) {
     scenario =
         inject::canned_scenario(flags.get("scenario", "mid-recovery-crash"));
   }
-  if (flags.has("strategy")) scenario.strategy = flags.get("strategy", "car");
+  if (flags.has("strategy")) {
+    scenario.strategy = strategy_flag("inject-run", flags);
+  }
   if (flags.has("seed")) {
     scenario.seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   }
@@ -872,7 +885,7 @@ int cmd_inject_run(const util::Flags& flags) {
   }
 
   std::printf("scenario %s (%s): failed node %zu%s\n", scenario.name.c_str(),
-              scenario.strategy.c_str(),
+              recovery::to_string(scenario.strategy),
               static_cast<std::size_t>(outcome.failed_node),
               run.replanned ? ", re-planned after mid-recovery crash" : "");
   std::printf("  events: %s\n", run.log.summary().c_str());
@@ -925,7 +938,9 @@ int cmd_rebuild_run(const util::Flags& flags) {
     scenario = rebuild::canned_rebuild_scenario(
         flags.get("scenario", "rolling-two-rack"));
   }
-  if (flags.has("strategy")) scenario.strategy = flags.get("strategy", "car");
+  if (flags.has("strategy")) {
+    scenario.strategy = strategy_flag("rebuild-run", flags);
+  }
   if (flags.has("seed")) {
     scenario.seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   }
@@ -982,7 +997,7 @@ int cmd_rebuild_run(const util::Flags& flags) {
   }
   std::printf("scenario %s (%s): %zu rolling failures [%s] -> replacement "
               "%zu\n",
-              scenario.name.c_str(), scenario.strategy.c_str(),
+              scenario.name.c_str(), recovery::to_string(scenario.strategy),
               result.failed_nodes.size(), failed.c_str(),
               static_cast<std::size_t>(result.replacement));
   std::printf("  events: %s\n", result.log.summary().c_str());
