@@ -30,6 +30,7 @@
 #include "cluster/configs.h"
 #include "cluster/failure.h"
 #include "emul/cluster.h"
+#include "emul/recover.h"
 #include "rebuild/scenario.h"
 #include "recovery/multi.h"
 #include "recovery/plan_arena.h"
@@ -220,7 +221,7 @@ struct ScaleSweepRow {
   // Replay phase: the stripe-sharded payload pass plus the sequential
   // calendar-queue timing replay.
   double replay_s = 0.0;
-  double end_to_end_s = 0.0;  // scan + solve + cached build + replay
+  double end_to_end_s = 0.0;  // emul::recover's recover_s
   std::size_t template_cache_misses = 0;
 
   [[nodiscard]] double plan_speedup() const {
@@ -246,7 +247,6 @@ ScaleSweepRow measure_scale_point(ScaleSweepRow row) {
     return std::chrono::duration<double>(b - a).count();
   };
 
-  emul::Cluster cluster(cfg.topology(), fig9_emul(1.0));
   util::Rng place_rng(kSeed);
   const auto placement = cluster::Placement::random(
       cfg.topology(), cfg.k, cfg.m, row.stripes, place_rng);
@@ -263,25 +263,51 @@ ScaleSweepRow measure_scale_point(ScaleSweepRow row) {
     }
   }
   const auto mf = recovery::make_multi_failure(placement, failed_nodes);
-  auto t = tick();
-  const auto censuses =
-      recovery::build_multi_censuses(placement, mf, row.shards);
-  row.scan_s = secs(t, tick());
-  t = tick();
-  const auto balanced = recovery::balance_multi(placement, censuses, 0);
-  row.solve_s = secs(t, tick());
 
-  // Both planning paths are timed as the min over two builds.  The first
-  // build of a few-hundred-MB plan pays first-touch page faults on every
-  // fresh column, which is an allocator artifact rather than planning
-  // cost — the rebuild control plane reuses its pools (and its template
-  // cache) across batches, so steady-state cost is what the speedup
-  // ratio should compare.
+  // The recovery itself, as carctl runs it: its counts, its modelled
+  // timeline and its phase timings.
+  {
+    emul::Cluster cluster(topology, fig9_emul(1.0));
+    emul::RecoverOptions options;
+    options.chunk_bytes = kChunk;
+    options.exec.shards = row.shards;
+    options.exec.metadata_only = true;
+    options.exec.sampled_stripes =
+        emul::first_affected_stripes(placement, mf.failed_nodes, row.sample);
+    const auto originals = cluster.populate_sampled(
+        placement, code, kChunk, kSeed, options.exec.sampled_stripes);
+    for (const auto node : mf.failed_nodes) cluster.erase_node(node);
+    const auto run = emul::recover(cluster, placement, code, mf, options);
+    row.scan_s = run.census_s;
+    row.solve_s = run.solve_s;
+    row.replay_s = run.replay_s;
+    row.end_to_end_s = run.recover_s;
+    row.template_cache_misses = run.template_stats.misses;
+    row.affected_stripes = run.affected_stripes;
+    row.plan_steps = static_cast<std::size_t>(run.arena.num_base_steps());
+    row.makespan_s = run.report.wall_s;
+    row.cross_rack_bytes = run.report.cross_rack_bytes;
+    const auto counts = emul::verify_outputs(cluster, mf.replacement,
+                                             run.arena.outputs(), originals);
+    row.expected_outputs = counts.expected;
+    row.verified_outputs = counts.verified;
+  }
+
+  // Plan speedup: the per-stripe oracle build + lowering against the
+  // template-cached build, on the same solutions.  Both are timed as the
+  // min over repeated builds.  The first build of a few-hundred-MB plan
+  // pays first-touch page faults on every fresh column, which is an
+  // allocator artifact rather than planning cost — the rebuild control
+  // plane reuses its pools (and its template cache) across batches, so
+  // steady-state cost is what the speedup ratio should compare.
+  const auto balanced = recovery::balance_multi(
+      placement, recovery::build_multi_censuses(placement, mf, row.shards),
+      0);
   std::optional<recovery::RecoveryPlan> classic_plan;
   row.classic_plan_s = std::numeric_limits<double>::infinity();
   row.classic_lower_s = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 2; ++rep) {
-    t = tick();
+    auto t = tick();
     auto built = reference::build_multi_car_plan(
         placement, code, balanced.solutions, kChunk, mf.replacement);
     row.classic_plan_s = std::min(row.classic_plan_s, secs(t, tick()));
@@ -300,51 +326,12 @@ ScaleSweepRow measure_scale_point(ScaleSweepRow row) {
   std::optional<recovery::PlanArena> arena_opt;
   row.arena_s = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 3; ++rep) {
-    t = tick();
+    const auto t = tick();
     auto built = recovery::build_multi_car_arena(
         placement, code, balanced.solutions, kChunk, kChunk, mf.replacement,
         cache);
     row.arena_s = std::min(row.arena_s, secs(t, tick()));
     arena_opt.emplace(std::move(built));
-  }
-  const recovery::PlanArena& arena = *arena_opt;
-  row.template_cache_misses = cache.stats().misses;
-
-  const auto outputs = arena.outputs();
-  std::vector<cluster::StripeId> sampled;
-  for (const auto& out : outputs) {
-    if (sampled.size() >= row.sample) break;
-    if (std::find(sampled.begin(), sampled.end(), out.stripe) ==
-        sampled.end()) {
-      sampled.push_back(out.stripe);
-    }
-  }
-  const auto originals = cluster.populate_sampled(placement, code, kChunk,
-                                                  kSeed, sampled);
-  for (const auto node : mf.failed_nodes) cluster.erase_node(node);
-
-  emul::ArenaExecOptions options;
-  options.shards = row.shards;
-  options.metadata_only = true;
-  options.sampled_stripes = sampled;
-
-  t = tick();
-  const auto report = cluster.execute_arena(arena, options);
-  row.replay_s = secs(t, tick());
-  row.end_to_end_s = row.scan_s + row.solve_s + row.arena_s + row.replay_s;
-
-  row.affected_stripes = censuses.size();
-  row.plan_steps = static_cast<std::size_t>(arena.num_base_steps());
-  row.makespan_s = report.wall_s;
-  row.cross_rack_bytes = report.cross_rack_bytes;
-  for (const auto& out : outputs) {
-    const auto it = originals.find(out.stripe);
-    if (it == originals.end()) continue;
-    ++row.expected_outputs;
-    const auto* rec =
-        cluster.find_chunk(mf.replacement, out.stripe, out.chunk_index);
-    row.verified_outputs +=
-        rec != nullptr && *rec == it->second[out.chunk_index];
   }
   return row;
 }

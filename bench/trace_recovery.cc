@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "cluster/configs.h"
+#include "recovery/replan.h"
 #include "util/bytes.h"
 #include "util/table.h"
 #include "workload/trace.h"
@@ -37,12 +38,12 @@ int main() {
 
     const simnet::NetConfig net;
     for (const auto strategy :
-         {workload::Strategy::kRr, workload::Strategy::kCar}) {
+         {recovery::Strategy::kRr, recovery::Strategy::kCar}) {
       util::Rng replay_rng = rng.split();
       const auto report = workload::run_failure_trace(
           placement, events, strategy, kChunkSize, net, replay_rng);
       table.add_row(
-          {cfg.name, strategy == workload::Strategy::kCar ? "CAR" : "RR",
+          {cfg.name, strategy == recovery::Strategy::kCar ? "CAR" : "RR",
            std::to_string(report.chunks_rebuilt),
            util::format_bytes(report.cross_rack_bytes),
            util::fmt_double(report.total_recovery_s, 1),

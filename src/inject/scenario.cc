@@ -9,13 +9,13 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "cluster/failure.h"
 #include "cluster/placement.h"
 #include "cluster/topology.h"
 #include "emul/cluster.h"
+#include "emul/recover.h"
 #include "recovery/multi.h"
 #include "recovery/plan.h"
 #include "recovery/plan_template.h"
@@ -501,7 +501,7 @@ ScenarioOutcome run_scenario(const Scenario& scenario) {
   // "metadata" runs of one spec agree on placement, failure, and plan;
   // stripes are materialised further down from per-stripe seeds once the
   // plan says which ones matter.
-  std::unordered_map<cluster::StripeId, std::vector<rs::Chunk>> originals;
+  emul::Originals originals;
   if (!seeded_data) {
     auto all = cluster.populate(placement, code, scenario.chunk_bytes, rng);
     originals.reserve(all.size());
@@ -575,17 +575,11 @@ ScenarioOutcome run_scenario(const Scenario& scenario) {
   // failed node(s) held before the run.  Metadata-only stripes carry no
   // bytes — they are measured, not checked.
   outcome.stripes_materialised = originals.size();
-  for (const auto& out : outcome.run.final_plan.outputs) {
-    const auto it = originals.find(out.stripe);
-    if (it == originals.end()) continue;
-    ++outcome.chunks_expected;
-    const rs::Chunk* recovered = cluster.find_chunk(
-        outcome.run.final_plan.replacement, out.stripe, out.chunk_index);
-    if (recovered != nullptr &&
-        *recovered == it->second[out.chunk_index]) {
-      ++outcome.chunks_verified;
-    }
-  }
+  const auto counts =
+      emul::verify_outputs(cluster, outcome.run.final_plan.replacement,
+                           outcome.run.final_plan.outputs, originals);
+  outcome.chunks_expected = counts.expected;
+  outcome.chunks_verified = counts.verified;
   outcome.bit_exact = outcome.chunks_verified == outcome.chunks_expected;
   return outcome;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -10,6 +9,7 @@
 #include "cluster/placement.h"
 #include "cluster/topology.h"
 #include "emul/cluster.h"
+#include "emul/recover.h"
 #include "rs/code.h"
 #include "util/check.h"
 #include "util/for_each_shard.h"
@@ -157,15 +157,13 @@ RebuildScenarioOutcome run_rebuild_scenario(const inject::Scenario& scenario,
   for (std::size_t i = 0; i < materialise.size(); ++i) {
     subsets[i % populate_shards].push_back(materialise[i]);
   }
-  std::vector<std::unordered_map<cluster::StripeId, std::vector<rs::Chunk>>>
-      partials(populate_shards);
+  std::vector<emul::Originals> partials(populate_shards);
   util::for_each_shard(populate_shards, [&](std::size_t shard) {
     partials[shard] =
         cluster.populate_sampled(placement, code, scenario.chunk_bytes,
                                  scenario.seed, subsets[shard]);
   });
-  std::unordered_map<cluster::StripeId, std::vector<rs::Chunk>> originals =
-      std::move(partials.front());
+  emul::Originals originals = std::move(partials.front());
   for (std::size_t shard = 1; shard < populate_shards; ++shard) {
     originals.merge(partials[shard]);
   }
@@ -211,20 +209,11 @@ RebuildScenarioOutcome run_rebuild_scenario(const inject::Scenario& scenario,
 
   // Bit-exactness: every materialised recovered chunk must match the
   // original encoding byte for byte.
-  const std::unordered_set<cluster::StripeId> real(materialise.begin(),
-                                                   materialise.end());
-  for (const inject::PublishedChunk& chunk : outcome.result.recovered) {
-    if (!real.contains(chunk.stripe)) continue;
-    ++outcome.chunks_expected;
-    const rs::Chunk* got = cluster.find_chunk(
-        outcome.result.replacement, chunk.stripe, chunk.chunk_index);
-    const auto it = originals.find(chunk.stripe);
-    if (got != nullptr && it != originals.end() &&
-        chunk.chunk_index < it->second.size() &&
-        *got == it->second[chunk.chunk_index]) {
-      ++outcome.chunks_verified;
-    }
-  }
+  const auto counts =
+      emul::verify_outputs(cluster, outcome.result.replacement,
+                           outcome.result.recovered, originals);
+  outcome.chunks_expected = counts.expected;
+  outcome.chunks_verified = counts.verified;
   outcome.bit_exact = outcome.chunks_verified == outcome.chunks_expected;
   return outcome;
 }

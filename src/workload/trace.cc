@@ -31,7 +31,8 @@ std::vector<FailureEvent> generate_failure_trace(
 
 TraceReport run_failure_trace(const cluster::Placement& placement,
                               const std::vector<FailureEvent>& events,
-                              Strategy strategy, std::uint64_t chunk_size,
+                              recovery::Strategy strategy,
+                              std::uint64_t chunk_size,
                               const simnet::NetConfig& net, util::Rng& rng) {
   CAR_CHECK(chunk_size > 0, "run_failure_trace: chunk_size must be > 0");
   const rs::Code code(placement.k(), placement.m());
@@ -46,7 +47,7 @@ TraceReport run_failure_trace(const cluster::Placement& placement,
 
     recovery::RecoveryPlan plan;
     recovery::TrafficSummary summary;
-    if (strategy == Strategy::kCar) {
+    if (strategy == recovery::Strategy::kCar) {
       const auto balanced = recovery::balance_multi(placement, censuses, 50);
       summary = recovery::multi_traffic(balanced.solutions,
                                         placement.topology().num_racks(),

@@ -14,6 +14,7 @@
 #include "cluster/placement.h"
 #include "cluster/topology.h"
 #include "cluster/types.h"
+#include "recovery/replan.h"
 #include "simnet/config.h"
 #include "util/rng.h"
 
@@ -36,8 +37,6 @@ std::vector<FailureEvent> generate_failure_trace(
     const cluster::Topology& topology, const TraceConfig& config,
     util::Rng& rng);
 
-enum class Strategy { kCar, kRr };
-
 struct TraceReport {
   std::size_t failures_processed = 0;  // events that actually lost chunks
   std::size_t chunks_rebuilt = 0;
@@ -57,7 +56,8 @@ struct TraceReport {
 /// store nothing are skipped.  The placement is not mutated.
 TraceReport run_failure_trace(const cluster::Placement& placement,
                               const std::vector<FailureEvent>& events,
-                              Strategy strategy, std::uint64_t chunk_size,
+                              recovery::Strategy strategy,
+                              std::uint64_t chunk_size,
                               const simnet::NetConfig& net, util::Rng& rng);
 
 }  // namespace car::workload

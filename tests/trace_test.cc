@@ -7,6 +7,8 @@
 namespace car::workload {
 namespace {
 
+using recovery::Strategy;
+
 TEST(FailureTrace, EventsAreOrderedAndInRange) {
   const auto topo = cluster::cfs2().topology();
   util::Rng rng(1);

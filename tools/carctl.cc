@@ -34,20 +34,21 @@
 #include <fstream>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "cluster/configs.h"
 #include "cluster/failure.h"
 #include "emul/cluster.h"
+#include "emul/recover.h"
 #include "inject/scenario.h"
 #include "rebuild/scenario.h"
 #include "recovery/multi.h"
 #include "recovery/plan_arena.h"
-#include "recovery/plan_template.h"
 #include "recovery/replan.h"
 #include "recovery/scheduler.h"
 #include "recovery/validate.h"
@@ -130,6 +131,25 @@ recovery::Strategy strategy_flag(std::string_view command,
     throw std::invalid_argument(std::string(command) +
                                 ": --strategy: " + error.what());
   }
+}
+
+/// --`flag`'s value (`fallback` when absent), which must be one of
+/// `choices`; checked before the command does any work, naming the
+/// command, the flag and the value.
+std::string choice_flag(std::string_view command, const util::Flags& flags,
+                        const std::string& flag, const std::string& fallback,
+                        std::span<const std::string_view> choices,
+                        std::string_view what) {
+  const std::string value = flags.get(flag, fallback);
+  if (std::ranges::find(choices, value) != choices.end()) return value;
+  std::string expected;
+  for (std::size_t i = 0; i < choices.size(); ++i) {
+    if (i > 0) expected += i + 1 == choices.size() ? " or " : ", ";
+    expected += choices[i];
+  }
+  throw std::invalid_argument(std::string(command) + ": --" + flag +
+                              ": unknown " + std::string(what) + " \"" +
+                              value + "\" (expected " + expected + ")");
 }
 
 /// The censuses of a single-node failure, planned as the one-node case of
@@ -260,31 +280,32 @@ int cmd_simulate(const util::Flags& flags) {
   return 0;
 }
 
-// Arena-backed scale path for `carctl emulate`, engaged by --metadata-only,
-// --shards, or --fail-rack.  Plans through recovery/multi (a full-rack
-// failure is just a multi-failure whose node set is one rack), lowers the
-// plan into a columnar PlanArena, materialises real bytes only for the
-// sampled stripes under --metadata-only, and executes it on the virtual
-// clock: a stripe-sharded payload pass, then one sequential timing replay.
-// The reported timeline is invariant in both the shard count and the
-// payload mode; the sampled stripes are verified bit-exactly against their
+// Arena-backed scale path for `carctl emulate`, engaged by any scale-only
+// flag (see find_command).  Populates the cluster (under --metadata-only
+// only the first --sample affected stripes carry bytes), erases the failed
+// nodes and runs emul::recover: the census, the solve, the template-cached
+// lowering into a PlanArena and the virtual-clock replay.  The reported
+// timeline is invariant in the shard count, the payload mode and
+// --stream; the stripes with bytes are verified bit-exactly against their
 // seeded originals.
 int cmd_emulate_scale(const util::Flags& flags) {
   const auto cfg = config_from(flags);
   const auto stripes = static_cast<std::size_t>(flags.get_int("stripes", 20));
-  const std::uint64_t chunk = chunk_bytes(flags, 0.25);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
-  const auto shards = static_cast<std::size_t>(flags.get_int("shards", 1));
   const bool metadata_only = flags.get_bool("metadata-only", false);
   const auto sample = static_cast<std::size_t>(flags.get_int("sample", 4));
   const bool fail_rack = flags.get_bool("fail-rack", false);
   const bool json = flags.get_bool("json", false);
-  const auto iterations =
+  emul::RecoverOptions options;
+  options.strategy = strategy_flag("emulate", flags);
+  options.balance_iterations =
       static_cast<std::size_t>(flags.get_int("iterations", 0));
-  const std::uint64_t slice_bytes = slice_kib_bytes(flags);
-  const recovery::Strategy strategy = strategy_flag("emulate", flags);
-  const bool car = strategy == recovery::Strategy::kCar;
-  const bool stream = flags.get_bool("stream", false);
+  options.chunk_bytes = chunk_bytes(flags, 0.25);
+  options.slice_bytes = slice_kib_bytes(flags);
+  options.stream = flags.get_bool("stream", false);
+  options.rr_seed = seed + 2;
+  options.exec.shards = static_cast<std::size_t>(flags.get_int("shards", 1));
+  options.exec.metadata_only = metadata_only;
   const rs::Code code(cfg.k, cfg.m);
 
   emul::EmulConfig emul_cfg;
@@ -313,159 +334,39 @@ int cmd_emulate_scale(const util::Flags& flags) {
   }
   const auto mf = recovery::make_multi_failure(placement, failed_nodes);
 
-  // Per-phase host timing: scan (census), plan (rack selection +
-  // balancing), lower (template-cached plan instantiation straight into
-  // the columnar arena), replay (payload pass + virtual-clock timing
-  // replay).  Each phase is timed around exactly one call.
-  const auto phase_clock = [] { return std::chrono::steady_clock::now(); };
-  const auto phase_s = [](auto since, auto until) {
-    return std::chrono::duration<double>(until - since).count();
-  };
-
-  const auto pipeline_start = phase_clock();
-  auto t = pipeline_start;
-  const auto censuses = recovery::build_multi_censuses(placement, mf, shards);
-  const double scan_s = phase_s(t, phase_clock());
-  if (censuses.empty()) {
-    std::puts("no stripe lost a chunk — nothing to recover");
-    return 0;
-  }
-
-  // Solve first in both modes: CAR's load balancing is a global barrier
-  // (Algorithm 2 iterates over every census), so the streamed pipeline
-  // overlaps the phases downstream of it — lowering against replay.
-  const std::uint64_t slice =
-      slice_bytes > 0 ? slice_bytes : std::max<std::uint64_t>(chunk, 1);
-  recovery::PlanTemplateCache cache;
-  double plan_s = 0.0;
-  std::vector<recovery::MultiStripeSolution> car_solutions;
-  std::vector<recovery::MultiRrSolution> rr_solutions;
-  if (car) {
-    t = phase_clock();
-    auto balanced = recovery::balance_multi(placement, censuses, iterations);
-    plan_s = phase_s(t, phase_clock());
-    car_solutions = std::move(balanced.solutions);
-  } else {
-    util::Rng rr_rng(seed + 2);
-    t = phase_clock();
-    rr_solutions = recovery::plan_multi_rr(placement, censuses, rr_rng);
-    plan_s = phase_s(t, phase_clock());
-  }
-  const std::size_t num_solutions =
-      car ? car_solutions.size() : rr_solutions.size();
-
-  // Stripes that carry real bytes: the first --sample distinct output
-  // stripes under --metadata-only, every stripe otherwise (survivors of
-  // affected stripes must hold bytes for the transfers to read).  Output
-  // stripe order is exactly solution order, so the selection is known
-  // before a single plan row is lowered — which is what lets the streamed
-  // mode seed payloads up front.
+  // Stripes that carry real bytes: the first --sample affected stripes
+  // under --metadata-only, every stripe otherwise (survivors of affected
+  // stripes must hold bytes for the transfers to read).
   std::vector<cluster::StripeId> materialise;
   if (metadata_only) {
-    for (std::size_t i = 0; i < num_solutions && materialise.size() < sample;
-         ++i) {
-      materialise.push_back(car ? car_solutions[i].stripe
-                                : rr_solutions[i].stripe);
-    }
+    materialise = emul::first_affected_stripes(placement, mf.failed_nodes,
+                                               sample);
+    options.exec.sampled_stripes = materialise;
   } else {
     materialise.resize(stripes);
     std::iota(materialise.begin(), materialise.end(), cluster::StripeId{0});
   }
-  const auto originals = cluster.populate_sampled(placement, code, chunk,
-                                                  seed, materialise);
+  const auto originals = cluster.populate_sampled(
+      placement, code, options.chunk_bytes, seed, materialise);
   for (const auto node : mf.failed_nodes) cluster.erase_node(node);
 
-  emul::ArenaExecOptions options;
-  options.shards = shards;
-  options.metadata_only = metadata_only;
-  if (metadata_only) options.sampled_stripes = materialise;
-
-  double lower_s = 0.0;
-  double replay_s = 0.0;
-  recovery::PlanArena arena;
-  emul::ExecutionReport report;
-  if (!stream) {
-    t = phase_clock();
-    arena = car ? recovery::build_multi_car_arena(placement, code,
-                                                  car_solutions, chunk, slice,
-                                                  mf.replacement, cache)
-                : recovery::build_multi_rr_arena(placement, code, rr_solutions,
-                                                 chunk, slice, mf.replacement,
-                                                 cache);
-    lower_s = phase_s(t, phase_clock());
-    t = phase_clock();
-    report = cluster.execute_arena(arena, options);
-    replay_s = phase_s(t, phase_clock());
-  } else {
-    // Streamed pipeline: the reserve pass fixes the arena's extents, then
-    // a producer thread instantiates templates and publishes its
-    // stripe-closed row watermark while the executor replays published
-    // rows concurrently.  lower_s is the producer's host effort (reserve +
-    // append) even though the append overlaps replay wall-clock time.
-    t = phase_clock();
-    recovery::ArenaStreamBuild build =
-        car ? recovery::reserve_multi_car_arena(placement, car_solutions,
-                                                chunk, slice, mf.replacement,
-                                                cache)
-            : recovery::reserve_multi_rr_arena(placement, rr_solutions, chunk,
-                                               slice, mf.replacement, cache);
-    const double reserve_s = phase_s(t, phase_clock());
-    emul::ArenaStreamFeed feed;
-    std::exception_ptr produce_error;
-    double append_s = 0.0;
-    std::thread producer([&] {
-      // Closes the feed on every exit, so the executor's ingest loop
-      // terminates (its closed-before-published check turns an early close
-      // into a failure there).
-      const emul::ArenaStreamFeed::ProducerGuard close_feed(feed);
-      const auto p0 = phase_clock();
-      try {
-        const auto publish = [&feed](std::uint64_t rows) {
-          feed.publish(rows);
-        };
-        if (car) {
-          recovery::stream_multi_car_arena(build, placement, code,
-                                           car_solutions, cache, publish);
-        } else {
-          recovery::stream_multi_rr_arena(build, placement, code,
-                                          rr_solutions, cache, publish);
-        }
-      } catch (...) {
-        produce_error = std::current_exception();
-      }
-      append_s = phase_s(p0, phase_clock());
-    });
-    t = phase_clock();
-    try {
-      report = cluster.execute_arena_streaming(build.arena, options, feed);
-    } catch (...) {
-      producer.join();
-      if (produce_error) std::rethrow_exception(produce_error);
-      throw;
-    }
-    replay_s = phase_s(t, phase_clock());
-    producer.join();
-    if (produce_error) std::rethrow_exception(produce_error);
-    lower_s = reserve_s + append_s;
-    arena = std::move(build.arena);
+  const auto run = emul::recover(cluster, placement, code, mf, options);
+  if (run.affected_stripes == 0) {
+    std::puts("no stripe lost a chunk — nothing to recover");
+    return 0;
   }
-  const double end_to_end_s = phase_s(pipeline_start, phase_clock());
-  const auto outputs = arena.outputs();
-
-  std::size_t expected = 0;
-  std::size_t verified = 0;
-  for (const auto& out : outputs) {
-    const auto it = originals.find(out.stripe);
-    if (it == originals.end()) continue;
-    ++expected;
-    const auto* rec =
-        cluster.find_chunk(mf.replacement, out.stripe, out.chunk_index);
-    verified += rec != nullptr && *rec == it->second[out.chunk_index];
-  }
+  const auto outputs = run.arena.outputs();
+  const auto [expected, verified] =
+      emul::verify_outputs(cluster, mf.replacement, outputs, originals);
   const double host_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     host_start)
           .count();
+  const double peak_rss_mib = static_cast<double>(util::peak_rss_bytes()) /
+                              static_cast<double>(util::kMiB);
+  const char* strategy = recovery::to_string(options.strategy);
+  const auto plan_steps =
+      static_cast<unsigned long long>(run.arena.num_base_steps());
 
   if (json) {
     std::printf(
@@ -499,43 +400,37 @@ int cmd_emulate_scale(const util::Flags& flags) {
         "    \"template_cache_misses\": %zu\n"
         "  }\n"
         "}\n",
-        recovery::to_string(strategy), stripes, topology.num_racks(),
-        topology.num_nodes(), fail_rack ? "full-rack" : "single-node",
-        censuses.size(),
-        static_cast<unsigned long long>(arena.num_base_steps()),
-        outputs.size(), metadata_only ? "true" : "false", shards,
-        report.wall_s,
-        static_cast<unsigned long long>(report.cross_rack_bytes), verified,
-        expected, shards, stream ? "true" : "false", scan_s, plan_s,
-        lower_s, replay_s, end_to_end_s, host_s,
-        static_cast<double>(util::peak_rss_bytes()) /
-            static_cast<double>(util::kMiB),
-        cache.stats().hits, cache.stats().misses);
+        strategy, stripes, topology.num_racks(), topology.num_nodes(),
+        fail_rack ? "full-rack" : "single-node", run.affected_stripes,
+        plan_steps, outputs.size(), metadata_only ? "true" : "false",
+        options.exec.shards, run.report.wall_s,
+        static_cast<unsigned long long>(run.report.cross_rack_bytes),
+        verified, expected, options.exec.shards,
+        options.stream ? "true" : "false", run.census_s, run.solve_s,
+        run.lower_s, run.replay_s, run.recover_s, host_s, peak_rss_mib,
+        run.template_stats.hits, run.template_stats.misses);
     return verified == expected && expected > 0 ? 0 : 1;
   }
 
   std::printf("%s | %zu racks x %zu nodes | %zu stripes | %s failure\n",
-              recovery::to_string(strategy), topology.num_racks(),
+              strategy, topology.num_racks(),
               topology.num_nodes() / topology.num_racks(), stripes,
               fail_rack ? "full-rack" : "single-node");
   std::printf("  affected stripes %zu | plan steps %llu | outputs %zu\n",
-              censuses.size(),
-              static_cast<unsigned long long>(arena.num_base_steps()),
-              outputs.size());
+              run.affected_stripes, plan_steps, outputs.size());
   std::printf("  mode %s%s | shards %zu | sampled stripes %zu\n",
               metadata_only ? "metadata-only" : "real-bytes",
-              stream ? " (streamed)" : "", shards, materialise.size());
+              options.stream ? " (streamed)" : "", options.exec.shards,
+              materialise.size());
   std::printf("  timing: scan %.3f s | plan %.3f s | lower %.3f s | replay "
               "%.3f s (templates: %zu planned, %zu reused)\n",
-              scan_s, plan_s, lower_s, replay_s, cache.stats().misses,
-              cache.stats().hits);
+              run.census_s, run.solve_s, run.lower_s, run.replay_s,
+              run.template_stats.misses, run.template_stats.hits);
   std::printf("  makespan %.3f s | cross-rack %s | end-to-end %.2f s | host "
               "%.2f s | peak rss %.0f MiB\n",
-              report.wall_s,
-              util::format_bytes(report.cross_rack_bytes).c_str(),
-              end_to_end_s, host_s,
-              static_cast<double>(util::peak_rss_bytes()) /
-                  static_cast<double>(util::kMiB));
+              run.report.wall_s,
+              util::format_bytes(run.report.cross_rack_bytes).c_str(),
+              run.recover_s, host_s, peak_rss_mib);
   std::printf("  verified %zu/%zu sampled outputs bit-exact\n", verified,
               expected);
   return verified == expected && expected > 0 ? 0 : 1;
@@ -651,10 +546,14 @@ void inject_fault(recovery::RecoveryPlan& plan,
     }
     return;
   }
-  throw std::invalid_argument(
-      "--inject must be one of cycle, dangling-dep, byte-mismatch, "
-      "double-aggregator");
+  throw std::logic_error("inject_fault: unknown fault " + fault);
 }
+
+constexpr std::string_view kValidateStrategies[] = {"car", "rr", "weighted",
+                                                    "multi", "all"};
+constexpr std::string_view kPlanFaults[] = {"cycle", "dangling-dep",
+                                            "byte-mismatch",
+                                            "double-aggregator"};
 
 int cmd_validate(const util::Flags& flags) {
   const auto cfg = config_from(flags);
@@ -663,8 +562,12 @@ int cmd_validate(const util::Flags& flags) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   const auto window = static_cast<std::size_t>(flags.get_int("window", 0));
   const std::uint64_t slice_bytes = slice_kib_bytes(flags);
-  const std::string strategy = flags.get("strategy", "all");
-  const std::string inject = flags.get("inject", "");
+  const std::string strategy = choice_flag(
+      "validate", flags, "strategy", "all", kValidateStrategies, "strategy");
+  const std::string inject =
+      flags.has("inject") ? choice_flag("validate", flags, "inject", "",
+                                        kPlanFaults, "fault")
+                          : "";
   const rs::Code code(cfg.k, cfg.m);
 
   util::Rng rng(seed);
@@ -730,10 +633,6 @@ int cmd_validate(const util::Flags& flags) {
                                         chunk, multi_scenario.replacement),
          recovery::claimed_cross_rack_chunks(balanced.solutions,
                                              multi_scenario.replacement_rack)});
-  }
-  if (candidates.empty()) {
-    throw std::invalid_argument(
-        "--strategy must be car, rr, weighted, multi, or all");
   }
 
   util::TextTable table({"plan", "steps", "verdict", "errors"});
@@ -813,12 +712,12 @@ int cmd_trace(const util::Flags& flags) {
   util::TextTable table({"strategy", "chunks rebuilt", "cross-rack",
                          "exposure (s)", "trace lambda"});
   for (const auto strategy :
-       {workload::Strategy::kRr, workload::Strategy::kCar}) {
+       {recovery::Strategy::kRr, recovery::Strategy::kCar}) {
     util::Rng replay = rng.split();
     const auto report = workload::run_failure_trace(placement, events,
                                                     strategy, chunk, net,
                                                     replay);
-    table.add_row({strategy == workload::Strategy::kCar ? "CAR" : "RR",
+    table.add_row({strategy == recovery::Strategy::kCar ? "CAR" : "RR",
                    std::to_string(report.chunks_rebuilt),
                    util::format_bytes(report.cross_rack_bytes),
                    util::fmt_double(report.total_recovery_s, 1),
@@ -1105,8 +1004,13 @@ std::vector<std::string_view> with_cluster_flags(
   return flags;
 }
 
+/// Flags only `emulate`'s scale path reads: any of them selects it.
+constexpr const char* kScaleOnlyFlags[] = {
+    "metadata-only", "shards", "fail-rack", "sample",
+    "iterations",    "json",   "stream",    "strategy"};
+
 /// The subcommand `name` names, or nullptr.  `emulate` has two entries:
-/// its scale path runs when a scale-only switch is present.
+/// its scale path runs when a scale-only flag is present.
 const Command* find_command(std::string_view name, const util::Flags& flags) {
   static const std::vector<Command> commands = {
       {"traffic", cmd_traffic,
@@ -1137,8 +1041,9 @@ const Command* find_command(std::string_view name, const util::Flags& flags) {
        {"list", "spec", "scenario", "strategy", "seed", "slice-kib",
         "batch-stripes", "concurrency", "shards", "log-out", "json"}},
   };
-  const bool scale = flags.has("metadata-only") || flags.has("shards") ||
-                     flags.has("fail-rack");
+  const bool scale =
+      std::ranges::any_of(kScaleOnlyFlags,
+                          [&](const char* flag) { return flags.has(flag); });
   for (const Command& command : commands) {
     if (command.name != name) continue;
     if (name == "emulate" && (command.run == cmd_emulate_scale) != scale) {
