@@ -30,13 +30,6 @@ std::size_t Topology::nodes_in_rack_count(RackId rack) const {
   return nodes_per_rack_[rack];
 }
 
-RackId Topology::rack_of(NodeId node) const {
-  if (node >= total_nodes_) {
-    throw std::out_of_range("Topology::rack_of: bad node id");
-  }
-  return rack_by_node_[node];
-}
-
 std::pair<NodeId, NodeId> Topology::rack_range(RackId rack) const {
   if (rack >= num_racks()) {
     throw std::out_of_range("Topology::rack_range: bad rack id");

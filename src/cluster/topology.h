@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,12 @@ class Topology {
   [[nodiscard]] std::size_t nodes_in_rack_count(RackId rack) const;
 
   /// Rack that hosts `node`; throws std::out_of_range for bad ids.
-  [[nodiscard]] RackId rack_of(NodeId node) const;
+  [[nodiscard]] RackId rack_of(NodeId node) const {
+    if (node >= total_nodes_) {
+      throw std::out_of_range("Topology::rack_of: bad node id");
+    }
+    return rack_by_node_[node];
+  }
 
   /// Global node-id range [first, last) of a rack.
   [[nodiscard]] std::pair<NodeId, NodeId> rack_range(RackId rack) const;

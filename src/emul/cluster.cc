@@ -236,7 +236,6 @@ struct Cluster::Impl {
   // it outlives the last buffer whose deleter recycles into it.
   util::BufferPool pool;
 
-  EmulClock clock;
   std::vector<NodeStore> stores;
   LinkTable links;  // layout: see Cluster::links()
   std::vector<util::Mutex> cpu;  // serialises arena compute per node
@@ -410,8 +409,6 @@ Cluster::Cluster(cluster::Topology topology, EmulConfig config)
 }
 
 Cluster::~Cluster() = default;
-
-EmulClock& Cluster::clock() noexcept { return impl_->clock; }
 
 void Cluster::store_chunk(cluster::NodeId node, cluster::StripeId stripe,
                           std::size_t chunk_index, rs::Chunk data) {
@@ -681,7 +678,7 @@ ExecutionReport Cluster::execute_arena_impl(const recovery::PlanArena& plan,
   // after the workers join.
 
   // Stage 1 — guard the recovery destination for the whole run.
-  EmulClock& clock = impl_->clock;
+  EmulClock& clock = clock_;
   struct GuardScope {
     Cluster* cluster;
     cluster::NodeId node;

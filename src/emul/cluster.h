@@ -181,7 +181,7 @@ class Cluster {
 
   /// The shared timeline every link reservation is expressed on.  Exposed
   /// for runtimes that drive step timing themselves (src/inject).
-  [[nodiscard]] EmulClock& clock() noexcept;
+  [[nodiscard]] EmulClock& clock() noexcept { return clock_; }
 
   /// Store a chunk replica on a node (overwrites an existing copy).
   /// Throws std::out_of_range for a bad node id or when the buffer key
@@ -401,6 +401,7 @@ class Cluster {
   std::unique_ptr<Impl> impl_;
   cluster::Topology topology_;
   EmulConfig config_;
+  EmulClock clock_;
 };
 
 }  // namespace car::emul

@@ -71,13 +71,11 @@ std::string slicing_note(const PlanArena& arena) {
 
 BatchDriver::BatchDriver(emul::Cluster& cluster, const FaultPlan& faults,
                          const RetryPolicy& policy, std::uint64_t seed,
-                         std::uint64_t slice_bytes, DataPolicy data,
-                         EventLog& log, LogFraming framing)
+                         DataPolicy data, EventLog& log, LogFraming framing)
     : cluster_(cluster),
       faults_(faults),
       policy_(policy),
       seed_(seed),
-      slice_bytes_(slice_bytes),
       data_(std::move(data)),
       log_(log),
       framing_(framing),
@@ -135,34 +133,37 @@ struct BatchDriver::Policy {
   }
 };
 
-const PlanArena& BatchDriver::admit(std::size_t batch_id,
-                                    const recovery::RecoveryPlan& plan) {
-  CAR_CHECK(!plan.steps.empty(), "BatchDriver: empty plan admitted");
-  CAR_CHECK_LT(plan.steps.size(), kBatchIdStride,
+const PlanArena& BatchDriver::admit(std::size_t batch_id, PlanArena arena) {
+  CAR_CHECK(arena.num_base_steps() > 0, "BatchDriver: empty plan admitted");
+  CAR_CHECK_LT(arena.num_base_steps(), kBatchIdStride,
                "BatchDriver: plan exceeds the per-batch step-id range");
   Batch batch;
   batch.id = batch_id;
-  batch.arena = std::make_unique<const PlanArena>(PlanArena::build(
-      plan, slice_bytes_ > 0 ? slice_bytes_
-                             : std::max<std::uint64_t>(plan.chunk_size, 1)));
-  const PlanArena& arena = *batch.arena;
-  batch.done.assign(arena.num_sliced_steps(), 0);
+  batch.arena = std::make_unique<const PlanArena>(std::move(arena));
+  const PlanArena& admitted = *batch.arena;
+  batch.paths.resize(admitted.num_base_steps());
+  for (std::uint64_t base = 0; base < admitted.num_base_steps(); ++base) {
+    if (admitted.kind(base) == StepKind::kTransfer) {
+      batch.paths[base] = cluster_.path(admitted.src(base), admitted.dst(base));
+    }
+  }
+  batch.done.assign(admitted.num_sliced_steps(), 0);
   batch.buffer_base = static_cast<std::uint64_t>(admitted_) * kBatchIdStride;
   batch.log_context = log_.add_context({batch_id,
                                         framing_ == LogFraming::kBatches,
-                                        arena.num_slices(),
-                                        arena.slice_size()});
+                                        admitted.num_slices(),
+                                        admitted.slice_size()});
   ++admitted_;
   if (framing_ == LogFraming::kBatches) {
     log_.record(now_, EventKind::kRunStart, -1, -1,
-                static_cast<std::int64_t>(plan.replacement), 0,
-                std::to_string(plan.steps.size()) + " steps, " +
-                    std::to_string(plan.outputs.size()) + " outputs" +
-                    slicing_note(arena) + tag(batch));
+                static_cast<std::int64_t>(admitted.replacement()), 0,
+                std::to_string(admitted.num_base_steps()) + " steps, " +
+                    std::to_string(admitted.outputs().size()) + " outputs" +
+                    slicing_note(admitted) + tag(batch));
   }
-  Core::Segment& segment = core_.open(arena, now_, std::move(batch));
-  core_.ingest(segment, arena.num_base_steps());
-  return arena;
+  Core::Segment& segment = core_.open(admitted, now_, std::move(batch));
+  core_.ingest(segment, admitted.num_base_steps());
+  return admitted;
 }
 
 RunOutcome BatchDriver::run_until(std::optional<double> deadline,
@@ -351,8 +352,9 @@ std::optional<double> BatchDriver::run_transfer_attempt(
   // One walk of the path's links: the attempt commits them only when it
   // delivers by the deadline.
   const double deadline = t + policy_.transfer_timeout_s;
-  const double finish = cluster_.path(src, dst).reserve_by(
-      t, bytes, cluster_.config().page_bytes, deadline);
+  emul::LinkPath path = batch.paths[base];  // a handle: the table changes
+  const double finish =
+      path.reserve_by(t, bytes, cluster_.config().page_bytes, deadline);
 
   double failed_at = 0.0;
   if (finish > deadline) {

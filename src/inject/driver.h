@@ -1,8 +1,10 @@
 // The fault-aware policy of the one step engine.
 //
-// BatchDriver runs recovery plans under injected faults.  It lowers each
-// admitted plan ("batch") into a PlanArena on a slice grid and opens it as
-// a segment of the step engine (emul/step_core.h), which owns the event
+// BatchDriver runs recovery plans under injected faults.  Each admitted
+// batch is a PlanArena, already lowered on its slice grid by the client
+// (the rebuild coordinator straight from the plan-template cache, the
+// resilient runtime with PlanArena::build), and the driver opens it as a
+// segment of the step engine (emul/step_core.h), which owns the event
 // order, dependency counts and dependents release.  The driver is the
 // per-event policy: per-slice transfer timeouts (one walk of the path's
 // links, committed only when the attempt delivers by its deadline), bounded
@@ -19,16 +21,19 @@
 //   * ResilientRuntime (inject/runtime.h) runs one plan as a single batch
 //     and turns node crashes into stops — a time-triggered crash is a
 //     run_until deadline, a fraction-triggered one a step limit — then
-//     cancels, re-plans, and admits the next plan on the same timeline.
+//     cancels, re-plans, and admits the next plan's lowering on the same
+//     timeline.
 //   * RebuildCoordinator (rebuild/coordinator.h) keeps several batches in
 //     flight so cross-rack shipping of one overlaps partial decoding of
 //     another, and injects membership changes between run_until calls.
 //
 // Events pop in (time, batch, step, attempt) order, a pure function of
-// the admitted plans; a finished batch's arena and step state are freed at
-// once.  Plans use dense step ids from 0, so step-output buffer refs are
-// biased by a per-batch base (the k-th admitted batch gets ids k << 32);
-// chunk refs are globally unique already (batches own disjoint stripes).
+// the admitted arenas; a finished batch's arena and step state are freed at
+// once.  Each transfer row's link path is resolved once, at admit, not per
+// slice attempt.  Arenas use dense step ids from 0, so step-output buffer
+// refs are biased by a per-batch base (the k-th admitted batch gets ids
+// k << 32); chunk refs are globally unique already (batches own disjoint
+// stripes).
 //
 // Node crashes are NOT handled here (the FaultPlan must not contain any):
 // they are the clients' business.
@@ -152,21 +157,18 @@ class BatchDriver {
  public:
   /// `faults` must contain no node crashes (util::CheckError otherwise) —
   /// link and transfer faults only; link fault windows are armed relative
-  /// to the cluster clock's time at construction.  `slice_bytes` == 0 means
-  /// chunk-granular (one slice per step).
+  /// to the cluster clock's time at construction.
   BatchDriver(emul::Cluster& cluster, const FaultPlan& faults,
-              const RetryPolicy& policy, std::uint64_t seed,
-              std::uint64_t slice_bytes, DataPolicy data, EventLog& log,
-              LogFraming framing = LogFraming::kBatches);
+              const RetryPolicy& policy, std::uint64_t seed, DataPolicy data,
+              EventLog& log, LogFraming framing = LogFraming::kBatches);
 
-  /// Admit a non-empty plan as batch `batch_id` at the current virtual
-  /// time.  All of its outputs must target plan.replacement, which must be
-  /// alive, and it must meet PlanArena::build's contract (forward
-  /// dependencies among them; util::CheckError otherwise).  The id labels
-  /// the batch in outcomes and log details.  Returns the batch's lowering
-  /// (valid until the batch finishes or cancel_all).
+  /// Admit a non-empty, finalized arena as batch `batch_id` at the current
+  /// virtual time; its slice grid is the batch's.  All of its outputs must
+  /// target arena.replacement(), which must be alive.  The id labels the
+  /// batch in outcomes and log details.  Returns the batch's arena (valid
+  /// until the batch finishes or cancel_all).
   const recovery::PlanArena& admit(std::size_t batch_id,
-                                   const recovery::RecoveryPlan& plan);
+                                   recovery::PlanArena arena);
 
   /// Drive the shared event loop.  With a deadline (absolute virtual
   /// seconds), execution stops before processing any event scheduled at or
@@ -209,6 +211,9 @@ class BatchDriver {
     /// The lowering (it carries the plan's outputs too); the engine
     /// segment points into it.
     std::unique_ptr<const recovery::PlanArena> arena;
+    /// Per base step: a transfer's link path (loopback for computes and
+    /// same-node transfers), resolved once at admit.
+    std::vector<emul::LinkPath> paths;
     std::vector<char> done;  // per sliced step: completed
     std::uint64_t buffer_base = 0;  // added to step-output buffer ids
     std::uint32_t log_context = 0;  // its EventLog step context
@@ -240,7 +245,6 @@ class BatchDriver {
   FaultPlan faults_;
   RetryPolicy policy_;
   std::uint64_t seed_;
-  std::uint64_t slice_bytes_;
   DataPolicy data_;
   EventLog& log_;
   LogFraming framing_;

@@ -54,12 +54,13 @@ class Run {
         replan_rng_(seed ^ 0x5bd1e9955bd1e995ULL),
         crash_fired_(faults.node_crashes.size(), false),
         failed_nodes_(ctx.failed_nodes),
+        slice_bytes_(slice_bytes),
         t0_(cluster.clock().now()),
-        driver_(cluster, without_crashes(faults), policy, seed, slice_bytes,
+        driver_(cluster, without_crashes(faults), policy, seed,
                 std::move(data), result_.log, LogFraming::kClient) {}
 
   RunResult run(const RecoveryPlan& plan) {
-    const recovery::PlanArena& lowered = driver_.admit(0, plan);
+    const recovery::PlanArena& lowered = admit(plan);
     auto total = static_cast<std::size_t>(lowered.num_sliced_steps());
     result_.log.record(t0_, EventKind::kRunStart, -1, -1,
                        static_cast<std::int64_t>(plan.replacement), 0,
@@ -74,10 +75,9 @@ class Run {
       const auto [crash, tc] = run_to_crash(total);
       if (!crash) break;
       current = escalate(*crash, tc, current);
-      // Crash escalations re-plan at chunk granularity; the driver lowers
-      // the fresh plan onto the same slice grid.
-      total = static_cast<std::size_t>(
-          driver_.admit(0, current).num_sliced_steps());
+      // Crash escalations re-plan at chunk granularity; the fresh plan is
+      // lowered onto the same slice grid.
+      total = static_cast<std::size_t>(admit(current).num_sliced_steps());
     }
 
     result_.report = driver_.report();
@@ -94,6 +94,11 @@ class Run {
   }
 
  private:
+  /// Lower `plan` onto the run's slice grid and admit it as the batch.
+  const recovery::PlanArena& admit(const RecoveryPlan& plan) {
+    return driver_.admit(0, recovery::PlanArena::build(plan, slice_bytes_));
+  }
+
   static FaultPlan without_crashes(FaultPlan faults) {
     faults.node_crashes.clear();
     return faults;
@@ -216,6 +221,7 @@ class Run {
   std::vector<bool> crash_fired_;
   /// The original failures, then every crashed node in firing order.
   std::vector<cluster::NodeId> failed_nodes_;
+  std::uint64_t slice_bytes_;
   std::size_t replans_ = 0;
   double t0_;
   RunResult result_;

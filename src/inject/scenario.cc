@@ -437,7 +437,9 @@ Scenario parse_scenario(const std::string& text) {
       }
       scenario.data_mode = value;
     } else if (key == "sample") {
-      scenario.sample_stripes = parse_u64_in(line, value, 0, 1 << 20);
+      // At least one stripe: 0 has no sampled subset to verify, and the two
+      // runners would read it differently (one stripe vs every stripe).
+      scenario.sample_stripes = parse_u64_in(line, value, 1, 1 << 20);
     } else if (key == "node-mbps") {
       scenario.node_bps = parse_f64(line, value) * 1e6;
     } else if (key == "oversub") {

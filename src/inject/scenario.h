@@ -87,7 +87,7 @@ struct Scenario {
   std::optional<std::string> data_mode;
   /// Sampled (real-byte, bit-exact-verified) stripes under data-mode
   /// metadata: the first `sample` distinct stripes among the plan's
-  /// outputs (spec key `sample`, default 4).
+  /// outputs (spec key `sample`, default 4, at least 1).
   std::size_t sample_stripes = 4;
   double node_bps = 100e6;
   double oversubscription = 5.0;

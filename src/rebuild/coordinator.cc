@@ -88,7 +88,7 @@ RebuildResult RebuildCoordinator::run(std::span<const FailureEvent> events) {
   const double t0 = cluster_.clock().now();
 
   BatchDriver driver(cluster_, options_.faults, options_.retry, options_.seed,
-                     options_.slice_bytes, options_.data, result_.log);
+                     options_.data, result_.log);
 
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FailureEvent& event = events[i];
@@ -256,17 +256,17 @@ bool RebuildCoordinator::dispatch_one(BatchDriver& driver) {
                   "rebuild: batch scan census does not cover every queued "
                   "stripe of the batch signature");
 
-  // The validation gate inside plan_multi_failure: no plan reaches the
-  // driver unchecked.
+  // Solve, lower straight into the batch's arena from the template cache,
+  // and gate it with validate_arena (plan_multi_failure_arena): no arena
+  // reaches the driver unchecked.
   const auto plan_start = std::chrono::steady_clock::now();
-  const recovery::RecoveryPlan plan =
-      recovery::plan_multi_failure(placement_, code_, censuses,
-                                   options_.strategy, options_.chunk_bytes,
-                                   replacement_, rr_rng_, template_cache_)
-          .plan;
+  recovery::PlanArena arena = recovery::plan_multi_failure_arena(
+      placement_, code_, censuses, options_.strategy, options_.chunk_bytes,
+      options_.slice_bytes > 0 ? options_.slice_bytes : options_.chunk_bytes,
+      replacement_, rr_rng_, template_cache_);
   result_.metrics.plan_host_s += host_seconds_since(plan_start);
 
-  for (const auto& out : plan.outputs) {
+  for (const auto& out : arena.outputs()) {
     outputs.push_back({out.stripe, out.chunk_index});
   }
 
@@ -290,8 +290,8 @@ bool RebuildCoordinator::dispatch_one(BatchDriver& driver) {
           " stripes, tier " + std::to_string(tier) + ", signature [" +
           join_nodes(signature) + "], strategy " +
           to_string(options_.strategy) + ", " +
-          std::to_string(plan.steps.size()) + " steps");
-  driver.admit(id, plan);
+          std::to_string(arena.num_base_steps()) + " steps");
+  driver.admit(id, std::move(arena));
   inflight_batches_[id].outputs = std::move(outputs);
   return true;
 }

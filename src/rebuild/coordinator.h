@@ -19,13 +19,16 @@
 //      into a most-exposed one preempts everything behind it.
 //   4. Overlap — up to max_inflight same-signature batches run concurrently
 //      on one inject::BatchDriver timeline (the fault-aware policy of the
-//      step engine the resilient runtime also runs on); each batch is
-//      planned and statically gated by recovery/replan (CAR partial
-//      decoding or the RR baseline, then recovery/validate), and admitted
-//      only when the gate passes.  A batch's multi-failure census covers only the batch's own
-//      stripes (recovery::build_multi_censuses' stripe-list form), so the
-//      whole placement is scanned once per epoch, never once per batch —
-//      DAOS's scan-once-then-pull split.
+//      step engine the resilient runtime also runs on).  Each batch is
+//      planned by recovery::plan_multi_failure_arena: CAR partial decoding
+//      or the RR baseline, lowered straight into the batch's PlanArena
+//      from the run's warm template cache on the run's slice grid, then
+//      gated by recovery::validate_arena.  The arena is admitted only when
+//      the gate passes; no RecoveryPlan is built for a batch.  A batch's
+//      multi-failure census covers only the batch's own stripes
+//      (recovery::build_multi_censuses' stripe-list form), so the whole
+//      placement is scanned once per epoch, never once per batch — DAOS's
+//      scan-once-then-pull split.
 //   5. Re-plan — when a failure lands mid-rebuild the driver cancels every
 //      in-flight batch, publishes the outputs that fully delivered, and the
 //      coordinator re-scans and re-dispatches the remainder at the new
@@ -127,8 +130,8 @@ struct RebuildMetrics {
   /// Planning-path host time (std::chrono, NOT virtual seconds — the only
   /// host-clock numbers in the result): metadata scans (one exposure census
   /// of the whole placement per epoch, plus each batch's census of its own
-  /// stripes) and plan construction (balancing, the template-cached plan
-  /// build, and its validation).
+  /// stripes) and plan construction (balancing, the template lowering into
+  /// the batch's arena, and validate_arena).
   double scan_host_s = 0.0;
   double plan_host_s = 0.0;
   /// Plan-template cache counters across every batch of the run
@@ -175,8 +178,8 @@ class RebuildCoordinator {
 
   /// Re-scan at a membership epoch: census -> windows -> queue.reset.
   void scan_epoch(std::size_t epoch) CAR_EXCLUDES(state_mu_);
-  /// Pop one batch, plan it, validate it, admit it.  False when the queue
-  /// is empty.
+  /// Pop one batch, lower it into an arena, validate it, admit it.  False
+  /// when the queue is empty.
   bool dispatch_one(inject::BatchDriver& driver) CAR_EXCLUDES(state_mu_);
   /// Drive the loop until the deadline (or drained, with nullopt),
   /// refilling batch slots as they free up.

@@ -247,6 +247,10 @@ class PlanArena {
       const cluster::Topology& topology) const;
 
  private:
+  /// Reaches the columns to build malformed arenas for the arena
+  /// validator's tests (tests/validate_test.cc); src/ never uses it.
+  friend struct PlanArenaTestPeer;
+
   void build_reverse_deps();
 
   static constexpr std::uint8_t kComputeFlag = 1;

@@ -223,15 +223,13 @@ struct BindingScratch {
 
 }  // namespace
 
-PlanTemplate& PlanTemplateCache::car(const MultiStripeSolution& solution) {
+const PlanTemplate& PlanTemplateCache::car(
+    const MultiStripeSolution& solution) {
   build_car_key(scratch_, solution);
   if (cache_.empty()) cache_.reserve(256);
   const auto it = cache_.find(std::string_view(scratch_));
   if (it != cache_.end()) {
     ++stats_.hits;
-    // A release_template_rdeps()d entry re-seals on its next hit, so the
-    // reverse CSR is present whenever a build can observe it.
-    if (it->second.rdep_off.empty()) seal_template(it->second);
     return it->second;
   }
   ++stats_.misses;
@@ -246,15 +244,14 @@ PlanTemplate& PlanTemplateCache::car(const MultiStripeSolution& solution) {
       .first->second;
 }
 
-PlanTemplate& PlanTemplateCache::rr(std::size_t num_lost,
-                                    std::size_t num_chunks,
-                                    std::uint64_t skip_position_mask) {
+const PlanTemplate& PlanTemplateCache::rr(std::size_t num_lost,
+                                          std::size_t num_chunks,
+                                          std::uint64_t skip_position_mask) {
   build_rr_key(scratch_, num_lost, num_chunks, skip_position_mask);
   if (cache_.empty()) cache_.reserve(256);
   const auto it = cache_.find(std::string_view(scratch_));
   if (it != cache_.end()) {
     ++stats_.hits;
-    if (it->second.rdep_off.empty()) seal_template(it->second);
     return it->second;
   }
   ++stats_.misses;
@@ -517,12 +514,6 @@ void PlanArena::append_instantiated(const PlanTemplate& tmpl,
   // appending never breaks stripe closure.
 }
 
-void release_template_rdeps(PlanTemplate& tmpl) {
-  // swap-with-empty actually returns the memory (clear() keeps capacity).
-  std::vector<std::uint32_t>().swap(tmpl.rdep_off);
-  std::vector<std::uint32_t>().swap(tmpl.rdep_entries);
-}
-
 namespace {
 
 /// Shared reserve pass: resolve one template per solution (hitting the
@@ -543,7 +534,7 @@ ArenaStreamBuild reserve_arena(const cluster::Placement& placement,
   build.templates.reserve(num_solutions);
   std::uint64_t steps = 0, deps = 0, inputs = 0, outputs = 0;
   for (std::size_t i = 0; i < num_solutions; ++i) {
-    PlanTemplate& tmpl = resolve(i);
+    const PlanTemplate& tmpl = resolve(i);
     build.templates.push_back(&tmpl);
     steps += tmpl.steps.size();
     deps += tmpl.num_deps;
@@ -554,9 +545,8 @@ ArenaStreamBuild reserve_arena(const cluster::Placement& placement,
   return build;
 }
 
-/// Shared append pass: instantiate in solution order, publish the
-/// stripe-closed row watermark after each append, and drop each
-/// signature's reverse-CSR copy the moment its last stripe is down.
+/// Shared append pass: instantiate in solution order and publish the
+/// stripe-closed row watermark after each append.
 template <typename Bind>
 void stream_arena(ArenaStreamBuild& build, std::size_t num_solutions,
                   const cluster::Placement& placement, Bind&& bind,
@@ -564,15 +554,8 @@ void stream_arena(ArenaStreamBuild& build, std::size_t num_solutions,
   CAR_CHECK(build.templates.size() == num_solutions,
             "stream_multi_*_arena: the reserve pass saw a different "
             "solution list");
-  std::unordered_map<const PlanTemplate*, std::size_t> last_use;
-  last_use.reserve(64);
-  for (std::size_t i = 0; i < build.templates.size(); ++i) {
-    last_use[build.templates[i]] = i;
-  }
   for (std::size_t i = 0; i < num_solutions; ++i) {
-    PlanTemplate& tmpl = *build.templates[i];
-    build.arena.append_instantiated(tmpl, bind(i), placement);
-    if (last_use.find(&tmpl)->second == i) release_template_rdeps(tmpl);
+    build.arena.append_instantiated(*build.templates[i], bind(i), placement);
     if (publish) publish(build.arena.appended_base_steps());
   }
   build.arena.finalize();
@@ -587,7 +570,7 @@ ArenaStreamBuild reserve_multi_car_arena(
     PlanTemplateCache& cache) {
   return reserve_arena(placement, solutions.size(), chunk_size, slice_size,
                        replacement,
-                       [&](std::size_t i) -> PlanTemplate& {
+                       [&](std::size_t i) -> const PlanTemplate& {
                          return cache.car(solutions[i]);
                        });
 }
@@ -599,7 +582,7 @@ ArenaStreamBuild reserve_multi_rr_arena(
     PlanTemplateCache& cache) {
   return reserve_arena(
       placement, solutions.size(), chunk_size, slice_size, replacement,
-      [&](std::size_t i) -> PlanTemplate& {
+      [&](std::size_t i) -> const PlanTemplate& {
         return cache.rr(solutions[i].lost_chunks.size(),
                         solutions[i].chunk_indices.size(),
                         skip_mask(placement, solutions[i], replacement));

@@ -43,9 +43,10 @@
 // the structural planner once per signature and instantiates every other
 // stripe by remapping ids — either straight into the columnar PlanArena
 // (PlanArena::append_instantiated, zero per-stripe heap RecoveryPlan
-// objects: the scale path) or into a RecoveryPlan through PlanBuilder,
-// which checks every step as it lands (the figures, carctl, and the
-// rebuild control plane's per-batch re-plans).
+// objects: the scale path and the rebuild control plane's per-batch
+// re-plans) or into a RecoveryPlan through PlanBuilder, which checks every
+// step as it lands (the figures, carctl, and the fault-injection runtime's
+// crash escalation).
 //
 // When must a stripe MISS the cache?  Exactly when its signature differs:
 // a different lost-chunk count, a different pick-size profile (e.g.
@@ -142,18 +143,18 @@ struct TemplateStats {
 class PlanTemplateCache {
  public:
   /// Template for a CAR multi-failure solution's signature
-  /// (lost count, pick size sequence), built on miss.  The reference is
-  /// mutable so arena builders can release_template_rdeps() after a
-  /// signature's last instantiation; a hit on a released template re-seals
-  /// it transparently.
-  PlanTemplate& car(const MultiStripeSolution& solution);
+  /// (lost count, pick size sequence), built on miss.  Templates stay
+  /// sealed (reverse CSR included) for the cache's lifetime, so a warm
+  /// cache serves every later build without redoing any per-signature
+  /// work.
+  const PlanTemplate& car(const MultiStripeSolution& solution);
 
   /// Template for an RR signature.  `skip_position_mask` is a bitmask (by
   /// fetch POSITION, not chunk index) of survivors already hosted on the
   /// replacement — they skip their transfer, so they are part of the
   /// signature.
-  PlanTemplate& rr(std::size_t num_lost, std::size_t num_chunks,
-                   std::uint64_t skip_position_mask);
+  const PlanTemplate& rr(std::size_t num_lost, std::size_t num_chunks,
+                         std::uint64_t skip_position_mask);
 
   /// Decode-coefficient memo shared by every instantiation off this cache.
   [[nodiscard]] RepairMemo& repair_memo() noexcept { return repair_memo_; }
@@ -181,8 +182,8 @@ class PlanTemplateCache {
 
 /// Arena builders: lower every solution straight into a columnar PlanArena
 /// without materialising a single per-stripe PlanStep.  Bit-identical to
-/// PlanArena::build(build_multi_*_plan(...), slice_size) — the scale
-/// path's planner.
+/// PlanArena::build(build_multi_*_plan(...), slice_size) — the planner of
+/// the scale path and of every rebuild batch (recovery/replan.h).
 PlanArena build_multi_car_arena(
     const cluster::Placement& placement, const rs::Code& code,
     std::span<const MultiStripeSolution> solutions, std::uint64_t chunk_size,
@@ -193,13 +194,6 @@ PlanArena build_multi_rr_arena(
     std::span<const MultiRrSolution> solutions, std::uint64_t chunk_size,
     std::uint64_t slice_size, cluster::NodeId replacement,
     PlanTemplateCache& cache);
-
-/// Drop a sealed template's local reverse-CSR copy.  The arena builders
-/// call this the moment a signature's last stripe is instantiated —
-/// at fleet scale the copies are pure dead weight from then on — and the
-/// cache re-seals lazily on the next hit, so cross-build reuse (the
-/// rebuild control plane's warm cache) keeps working.
-void release_template_rdeps(PlanTemplate& tmpl);
 
 /// Two-phase streaming form of the arena builders, for overlapping
 /// lowering with the virtual-clock replay (Cluster::
@@ -212,15 +206,14 @@ void release_template_rdeps(PlanTemplate& tmpl);
 ///   2. stream_multi_*_arena appends in solution order, invoking
 ///      `publish(rows)` with the monotone count of fully appended base
 ///      steps after each stripe (every published prefix is stripe-closed),
-///      releases each template's reverse-CSR copy after its last use, and
-///      finalizes the arena.
+///      and finalizes the arena.
 ///
 /// build_multi_*_arena is exactly phase 1 + phase 2 with no publisher, so
 /// the streamed arena is the barrier build's bit for bit.
 struct ArenaStreamBuild {
   PlanArena arena;
   /// Cache-owned template per solution, resolved by the reserve pass.
-  std::vector<PlanTemplate*> templates;
+  std::vector<const PlanTemplate*> templates;
 };
 ArenaStreamBuild reserve_multi_car_arena(
     const cluster::Placement& placement,

@@ -1,13 +1,16 @@
-// Static validation of recovery plans.
+// Static validation of recovery plans and of their arena lowerings.
 //
-// recovery::validate_plan checks a RecoveryPlan without executing it, so
-// every emitted plan can be machine-checked (carctl validate) before it is
-// handed to the metrics counter, the flow simulator, or the emulator:
+// recovery::validate_arena checks a PlanArena without executing it, so
+// every arena an executor is handed can be machine-checked first (the
+// rebuild coordinator's batches, carctl validate --slice-kib):
 //
-//   * structure   — dense step ids, in-range dependency ids, no self-deps,
-//                   acyclic dependency DAG;
-//   * sizing      — every transfer moves exactly chunk_size bytes and every
-//                   compute touches chunk_size * |inputs| bytes;
+//   * structure   — forward dependencies (every dep an earlier row),
+//                   endpoints inside the topology, compute inputs that
+//                   exist and name compute steps, unique (stripe, chunk)
+//                   outputs of compute steps of their own stripe;
+//   * sizing      — the slice grid tiles chunk_size, so every transfer row
+//                   moves exactly chunk_size bytes and every compute row
+//                   touches chunk_size * |inputs| bytes;
 //   * data flow   — with a Placement, every transfer's payload and every
 //                   compute's input provably exists on the right node by the
 //                   time the step may run (its producer is a dependency
@@ -16,8 +19,20 @@
 //   * aggregation — per stripe, at most one aggregator node per rack (the
 //                   paper's partial-decoding structure: each contributing
 //                   rack funnels through a single aggregator);
-//   * traffic     — the plan's total cross-rack bytes match the planner's
-//                   claimed rack counts (Theorem 1's Σ_j d_j chunks).
+//   * traffic     — cross-rack flags match the endpoints, and the total
+//                   cross-rack bytes match the planner's claimed rack counts
+//                   (Theorem 1's Σ_j d_j chunks).
+//
+// The data-flow pass works on each stripe's rows alone: ancestor sets over
+// that stripe's own edges, and producers looked up among its own rows.  A
+// dependency or buffer reference that leaves its stripe therefore never
+// satisfies a check — it can only make the verdict stricter — and the cost
+// is linear in the rows for any bounded stripe size.
+//
+// recovery::validate_plan checks what only a RecoveryPlan can get wrong
+// (dense ids, dependency ids, per-step byte counts) and hands everything
+// else to validate_arena on PlanArena::build(plan): there is one
+// data-flow checker.
 #pragma once
 
 #include <cstddef>
@@ -31,11 +46,12 @@
 #include "cluster/topology.h"
 #include "recovery/multi.h"
 #include "recovery/plan.h"
+#include "recovery/plan_arena.h"
 
 namespace car::recovery {
 
-/// Result of validate_plan: empty errors == valid plan.  `notes` records
-/// checks that were skipped (e.g. data-flow analysis without a placement).
+/// Result of a validation: empty errors == valid.  `notes` records checks
+/// that were skipped (e.g. data-flow analysis without a placement).
 struct ValidationReport {
   std::vector<std::string> errors;
   std::vector<std::string> notes;
@@ -48,17 +64,25 @@ struct ValidationReport {
 struct ValidateOptions {
   /// Enables data-flow validation (chunk homes, buffer availability).
   const cluster::Placement* placement = nullptr;
-  /// When set, the plan's cross-rack transfer total must equal exactly
-  /// this many chunk-sized units (e.g. Theorem 1's Σ_j d_j from the
-  /// planner's rack sets; see expected_cross_rack_chunks).
+  /// When set, the cross-rack transfer total must equal exactly this many
+  /// chunk-sized units (e.g. Theorem 1's Σ_j d_j from the planner's rack
+  /// sets; see claimed_cross_rack_chunks).
   std::optional<std::uint64_t> expected_cross_rack_chunks;
-  /// Plans above this step count skip the quadratic ancestor analysis
-  /// (noted in the report) but keep all structural checks.
+  /// A stripe with more rows than this skips the ancestor analysis, which
+  /// is quadratic in one stripe's rows (noted in the report); every other
+  /// check still runs.
   std::size_t max_flow_analysis_steps = 50'000;
 };
 
-/// Statically check `plan` against `topology`.  Never throws on malformed
-/// plans — every defect is reported as an error string.
+/// Statically check `arena` against `topology`.  Never throws on malformed
+/// arenas — every defect is reported as an error string.
+ValidationReport validate_arena(const PlanArena& arena,
+                                const cluster::Topology& topology,
+                                const ValidateOptions& options = {});
+
+/// Statically check `plan` against `topology`: its ids, dependency ids and
+/// byte counts, then validate_arena on its chunk-granular lowering.  Never
+/// throws on malformed plans.
 ValidationReport validate_plan(const RecoveryPlan& plan,
                                const cluster::Topology& topology,
                                const ValidateOptions& options = {});

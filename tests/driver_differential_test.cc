@@ -72,9 +72,10 @@ TEST_P(DriverDifferential, FaultFreeDriverMatchesTheReferenceReplay) {
       inject::RetryPolicy patient;
       patient.transfer_timeout_s = 1e9;
       inject::EventLog log;
-      inject::BatchDriver driver(driven, {}, patient, seed, slice, {}, log);
+      inject::BatchDriver driver(driven, {}, patient, seed, {}, log);
       const double t0 = driver.now();
-      driver.admit(0, plan);
+      driver.admit(0, recovery::PlanArena::build(
+                          plan, slice > 0 ? slice : kOddChunk));
       while (driver.run_until(std::nullopt).stop !=
              inject::StopReason::kIdle) {
       }

@@ -141,9 +141,11 @@ EventLog run_every_step_kind(LogFraming framing, std::uint64_t slice_bytes,
   data.metadata_only = metadata_only;
 
   EventLog log;
-  BatchDriver driver(cluster, faults, RetryPolicy{}, 11, slice_bytes,
-                     std::move(data), log, framing);
-  driver.admit(3, builder.plan);
+  BatchDriver driver(cluster, faults, RetryPolicy{}, 11, std::move(data), log,
+                     framing);
+  const std::uint64_t slice =
+      slice_bytes > 0 ? slice_bytes : builder.plan.chunk_size;
+  driver.admit(3, recovery::PlanArena::build(builder.plan, slice));
   while (driver.run_until(std::nullopt).stop != StopReason::kIdle) {
   }
   return log;

@@ -68,8 +68,9 @@ TEST(BatchDriverCausality, StepsStartAfterEveryDependencyFinishes) {
       DataPolicy data;
       data.metadata_only = true;
       EventLog log;
-      BatchDriver driver(cluster, {}, {}, seed, slice_bytes, data, log);
-      driver.admit(0, plan);
+      BatchDriver driver(cluster, {}, {}, seed, data, log);
+      driver.admit(0, recovery::PlanArena::build(
+                          plan, slice_bytes > 0 ? slice_bytes : kChunk));
       while (driver.run_until(std::nullopt).stop != StopReason::kIdle) {
       }
 
@@ -132,10 +133,10 @@ TEST(BatchDriverLifetime, SeventyThousandSequentialBatchesAllComplete) {
   plan.steps.push_back(transfer);
 
   EventLog log;
-  BatchDriver driver(cluster, {}, {}, 1, 0, {}, log, LogFraming::kClient);
+  BatchDriver driver(cluster, {}, {}, 1, {}, log, LogFraming::kClient);
   std::size_t completed = 0;
   for (std::size_t batch = 0; batch < kBatches; ++batch) {
-    driver.admit(batch, plan);
+    driver.admit(batch, recovery::PlanArena::build(plan, kChunk));
     const RunOutcome outcome = driver.run_until(std::nullopt);
     ASSERT_EQ(outcome.stop, StopReason::kBatchDone) << "batch " << batch;
     ASSERT_EQ(outcome.finished, std::vector<std::size_t>{batch});

@@ -174,6 +174,21 @@ TEST(ParseScenario, RejectsZeroOrWrappingKibSizes) {
   EXPECT_EQ(parse_scenario("page-kib 1\n").page_bytes, 1024u);
 }
 
+// `sample 0` used to mean one stripe to inject-run and every affected
+// stripe to rebuild-run.  Both parse specs here, so the parser rejects it,
+// naming the line; one sampled stripe is the smallest sample.
+TEST(ParseScenario, RejectsAZeroSampleNamingTheLine) {
+  std::string what;
+  try {
+    parse_scenario("data-mode metadata\nsample 0\n");
+  } catch (const std::invalid_argument& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("in line: \"sample 0\""), std::string::npos) << what;
+  EXPECT_NE(what.find("out of range"), std::string::npos) << what;
+  EXPECT_EQ(parse_scenario("sample 1\n").sample_stripes, 1u);
+}
+
 TEST(ParseScenario, ReadsDataModeKeys) {
   const auto scenario = parse_scenario("data-mode metadata\nsample 6\n");
   ASSERT_TRUE(scenario.data_mode.has_value());

@@ -56,8 +56,8 @@ TEST(NdebugLayout, BatchDriverRunsAPlanToCompletion) {
   cluster.erase_node(failure.failed_node);
 
   EventLog log;
-  BatchDriver driver(cluster, {}, {}, 7, 1024, {}, log);
-  driver.admit(0, plan);
+  BatchDriver driver(cluster, {}, {}, 7, {}, log);
+  driver.admit(0, recovery::PlanArena::build(plan, 1024));
   EXPECT_EQ(driver.inflight(), 1u);
   while (driver.run_until(std::nullopt).stop != StopReason::kIdle) {
   }

@@ -422,6 +422,49 @@ TEST(PlanTemplateCache, TemplatedRrArenaMatchesClassicLowering) {
   expect_arena_equal(templated, classic);
 }
 
+TEST(PlanTemplateCache, TemplatedArenaMatchesClassicLoweringOntoReplacement) {
+  // The rebuild coordinator's batch after a second failure: the first
+  // failed node is the replacement and its chunks are already recovered
+  // onto it, so they survive there — CAR may aggregate on the replacement
+  // (its ships are loopbacks) and RR reads them in place (the skip mask).
+  const auto cfg = cluster::paper_configs()[1];
+  util::Rng rng(89);
+  const auto placement =
+      cluster::Placement::random(cfg.topology(), cfg.k, cfg.m, 60, rng);
+  const auto& topology = placement.topology();
+  const cluster::NodeId replacement = topology.nodes_in_rack(0).front();
+  const cluster::NodeId second = topology.nodes_in_rack(1).front();
+  const auto scenario =
+      recovery::make_multi_failure_onto(placement, {second}, replacement);
+  const auto censuses = recovery::build_multi_censuses(placement, scenario);
+  std::size_t hosted = 0;  // planned stripes with a chunk on the replacement
+  for (const auto& census : censuses) {
+    const auto hosts = placement.stripe(census.stripe);
+    hosted += std::find(hosts.begin(), hosts.end(), replacement) != hosts.end();
+  }
+  ASSERT_GT(hosted, 0u);
+  const rs::Code code(cfg.k, cfg.m);
+  const auto balanced = recovery::balance_multi(placement, censuses);
+  util::Rng rr_rng(5);
+  const auto rr = recovery::plan_multi_rr(placement, censuses, rr_rng);
+  const auto car_plan = reference::build_multi_car_plan(
+      placement, code, balanced.solutions, kChunk, replacement);
+  const auto rr_plan = reference::build_multi_rr_plan(placement, code, rr,
+                                                      kChunk, replacement);
+  PlanTemplateCache cache;  // warm on the second slice size, as in a rebuild
+  for (const std::uint64_t slice : {std::uint64_t{16 * 1024}, kChunk}) {
+    SCOPED_TRACE("slice " + std::to_string(slice));
+    expect_arena_equal(
+        recovery::build_multi_car_arena(placement, code, balanced.solutions,
+                                        kChunk, slice, replacement, cache),
+        PlanArena::build(car_plan, slice));
+    expect_arena_equal(
+        recovery::build_multi_rr_arena(placement, code, rr, kChunk, slice,
+                                       replacement, cache),
+        PlanArena::build(rr_plan, slice));
+  }
+}
+
 // --- signature space collapses, and stays collapsed on reuse -------------
 
 TEST(PlanTemplateCache, SignatureSpaceCollapses) {

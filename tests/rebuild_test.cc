@@ -330,12 +330,12 @@ TEST(BatchDriver, AdmitAfterDeadlinePauseExecutesBeforeFarFutureRetry) {
   policy.backoff = util::BackoffSchedule(kRetryDelay, 1.0, kRetryDelay, 0.0);
 
   inject::EventLog log;
-  inject::BatchDriver driver(cluster, faults, policy, 7, 0, {}, log);
-  driver.admit(0, plan_a);
+  inject::BatchDriver driver(cluster, faults, policy, 7, {}, log);
+  driver.admit(0, recovery::PlanArena::build(plan_a, plan_a.chunk_size));
   const auto paused = driver.run_until(100.0);
   ASSERT_EQ(paused.stop, inject::StopReason::kDeadline);
   ASSERT_LT(driver.now(), 100.0);
-  driver.admit(1, plan_b);
+  driver.admit(1, recovery::PlanArena::build(plan_b, plan_b.chunk_size));
   std::vector<std::size_t> finished;
   for (;;) {
     const auto outcome = driver.run_until(std::nullopt);

@@ -88,9 +88,9 @@ Observed run_emul(int cfg_index, std::uint64_t seed, std::uint64_t chunk,
     inject::RetryPolicy patient;
     patient.transfer_timeout_s = 1e9;  // no fault, so no attempt may fail
     inject::EventLog log;
-    inject::BatchDriver driver(cluster, {}, patient, seed, slice_size, {},
-                               log);
-    driver.admit(0, plan);
+    inject::BatchDriver driver(cluster, {}, patient, seed, {}, log);
+    driver.admit(0, recovery::PlanArena::build(
+                        plan, slice_size > 0 ? slice_size : plan.chunk_size));
     while (driver.run_until(std::nullopt).stop != inject::StopReason::kIdle) {
     }
     out.report = driver.report();

@@ -2,17 +2,46 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "cluster/configs.h"
 #include "cluster/failure.h"
 #include "recovery/multi.h"
 #include "recovery/degraded.h"
 #include "recovery/metrics.h"
+#include "recovery/plan_arena.h"
+#include "recovery/plan_template.h"
 #include "recovery/scheduler.h"
 #include "recovery/weighted.h"
 
 namespace car::recovery {
+
+/// Column access for building malformed arenas (PlanArena befriends it).
+struct PlanArenaTestPeer {
+  static void set_dst(PlanArena& arena, std::uint64_t row,
+                      cluster::NodeId node) {
+    arena.endpoint_b_[row] = static_cast<std::uint32_t>(node);
+  }
+  static void set_node(PlanArena& arena, std::uint64_t row,
+                       cluster::NodeId node) {
+    arena.endpoint_a_[row] = static_cast<std::uint32_t>(node);
+  }
+  static void set_first_dep(PlanArena& arena, std::uint64_t row,
+                            std::uint64_t dep) {
+    arena.dep_entries_[arena.dep_off_[row]] = dep;
+  }
+  static void set_chunk_size(PlanArena& arena, std::uint64_t bytes) {
+    arena.chunk_size_ = bytes;
+  }
+  static void add_output(PlanArena& arena, const RecoveryPlan::Output& out) {
+    arena.outputs_.push_back(out);
+  }
+};
+
 namespace {
 
 using cluster::Placement;
@@ -156,6 +185,46 @@ TEST_P(PlannerSweep, WindowedScheduleStaysValid) {
   for (const std::size_t window : {1UL, 2UL, 4UL}) {
     expect_valid(validate_plan(schedule_windowed(plan, window),
                                f.placement.topology(), f.options()));
+  }
+}
+
+// --- acceptance: every arena the template builders emit validates -------
+
+TEST_P(PlannerSweep, ArenaBuildersEmitValidArenas) {
+  Fixture f(std::get<0>(GetParam()), std::get<1>(GetParam()));
+  const auto& topology = f.placement.topology();
+  const cluster::NodeId first = f.scenario.failed_node;
+  const cluster::NodeId second = (first + 1) % topology.num_nodes();
+  // A two-node failure, and the rebuild coordinator's re-plan after the
+  // second one: the first failed node is the replacement and its chunks are
+  // already recovered onto it.
+  const std::vector<MultiFailureScenario> scenarios = {
+      make_multi_failure(f.placement, {first, second}),
+      make_multi_failure_onto(f.placement, {second}, first)};
+  for (const MultiFailureScenario& scenario : scenarios) {
+    const auto censuses = build_multi_censuses(f.placement, scenario);
+    ASSERT_FALSE(censuses.empty());
+    const auto balanced = balance_multi(f.placement, censuses);
+    util::Rng rng(5);
+    const auto rr = plan_multi_rr(f.placement, censuses, rng);
+    PlanTemplateCache cache;  // warm for the second slice size
+    for (const std::uint64_t slice : {std::uint64_t{16 * 1024}, kChunk}) {
+      SCOPED_TRACE("slice " + std::to_string(slice));
+      auto opts = f.options();
+      opts.expected_cross_rack_chunks = claimed_cross_rack_chunks(
+          balanced.solutions, scenario.replacement_rack);
+      expect_valid(validate_arena(
+          build_multi_car_arena(f.placement, f.code, balanced.solutions,
+                                kChunk, slice, scenario.replacement, cache),
+          topology, opts));
+      opts.expected_cross_rack_chunks =
+          multi_rr_traffic(f.placement, rr, scenario.replacement_rack)
+              .total_chunks();
+      expect_valid(validate_arena(
+          build_multi_rr_arena(f.placement, f.code, rr, kChunk, slice,
+                               scenario.replacement, cache),
+          topology, opts));
+    }
   }
 }
 
@@ -326,6 +395,180 @@ TEST(ValidateRejects, ZeroChunkSize) {
   Malformed m;
   m.plan.chunk_size = 0;
   EXPECT_FALSE(m.validate().ok());
+}
+
+// --- rejection: mutated template arenas ----------------------------------
+
+/// A CAR arena straight from the template builder for two failed nodes of
+/// one rack, so stripes that lose both decode two partials per aggregator.
+struct MutatedArena {
+  Fixture fixture{1, 42};
+  MultiFailureScenario scenario;
+  PlanArena arena;
+  ValidateOptions options = fixture.options();
+
+  explicit MutatedArena(std::uint64_t slice) {
+    const auto& topology = fixture.placement.topology();
+    const auto rack =
+        topology.nodes_in_rack(topology.rack_of(fixture.scenario.failed_node));
+    scenario = make_multi_failure(fixture.placement, {rack[0], rack[1]});
+    const auto balanced = balance_multi(
+        fixture.placement, build_multi_censuses(fixture.placement, scenario));
+    PlanTemplateCache cache;
+    arena = build_multi_car_arena(fixture.placement, fixture.code,
+                                  balanced.solutions, kChunk, slice,
+                                  scenario.replacement, cache);
+    options.expected_cross_rack_chunks = claimed_cross_rack_chunks(
+        balanced.solutions, scenario.replacement_rack);
+  }
+
+  [[nodiscard]] const Topology& topology() const {
+    return fixture.placement.topology();
+  }
+  [[nodiscard]] ValidationReport validate() const {
+    return validate_arena(arena, topology(), options);
+  }
+  /// A node of `node`'s rack other than `node`, `other` and the
+  /// replacement, if the rack has one.
+  [[nodiscard]] std::optional<cluster::NodeId> sibling(
+      cluster::NodeId node, cluster::NodeId other) const {
+    for (const auto candidate :
+         topology().nodes_in_rack(topology().rack_of(node))) {
+      if (candidate != node && candidate != other &&
+          candidate != scenario.replacement) {
+        return candidate;
+      }
+    }
+    return std::nullopt;
+  }
+};
+
+constexpr std::uint64_t kSlices[] = {16 * 1024, kChunk};
+
+void expect_rejected(const ValidationReport& report,
+                     const std::string& needle) {
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.to_string().find(needle), std::string::npos)
+      << report.to_string();
+}
+
+TEST(ValidateArena, AcceptsTheUnmutatedArena) {
+  for (const std::uint64_t slice : kSlices) {
+    const MutatedArena m(slice);
+    ASSERT_GT(m.arena.num_base_steps(), 0u);
+    expect_valid(m.validate());
+  }
+}
+
+TEST(ValidateArenaRejects, TransferRedirectedWithinItsRack) {
+  for (const std::uint64_t slice : kSlices) {
+    MutatedArena m(slice);
+    // A gather lands on a sibling of its aggregator (same rack, so the
+    // cross-rack flag still holds): the partial decode lacks its chunk.
+    bool mutated = false;
+    for (std::uint64_t row = 0; row < m.arena.num_base_steps(); ++row) {
+      if (m.arena.kind(row) != StepKind::kTransfer ||
+          m.arena.cross_rack(row) || m.arena.src(row) == m.arena.dst(row)) {
+        continue;
+      }
+      const auto sibling = m.sibling(m.arena.dst(row), m.arena.src(row));
+      if (!sibling) continue;
+      PlanArenaTestPeer::set_dst(m.arena, row, *sibling);
+      mutated = true;
+      break;
+    }
+    ASSERT_TRUE(mutated);
+    expect_rejected(m.validate(), "when the step may run");
+  }
+}
+
+TEST(ValidateArenaRejects, SliceGridThatDoesNotTileTheChunk) {
+  // A row's bytes are its slice lengths (times its input count for a
+  // compute), so a byte defect in an arena is a grid that no longer tiles
+  // chunk_size: every transfer row would move a chunk minus one byte.
+  for (const std::uint64_t slice : kSlices) {
+    MutatedArena m(slice);
+    PlanArenaTestPeer::set_chunk_size(m.arena, kChunk + 1);
+    expect_rejected(m.validate(), "does not tile chunk_size");
+  }
+}
+
+TEST(ValidateArenaRejects, MutatedDependency) {
+  for (const std::uint64_t slice : kSlices) {
+    // A partial decode that depends on itself instead of its first gather.
+    MutatedArena back(slice);
+    std::optional<std::uint64_t> partial;
+    for (std::uint64_t row = 0; row < back.arena.num_base_steps(); ++row) {
+      if (back.arena.kind(row) == StepKind::kCompute &&
+          back.arena.stripe(row) != back.arena.stripe(0) &&
+          !back.arena.deps(row).empty() &&
+          back.arena.kind(back.arena.deps(row).front()) ==
+              StepKind::kTransfer) {
+        partial = row;
+        break;
+      }
+    }
+    ASSERT_TRUE(partial.has_value());
+    PlanArenaTestPeer::set_first_dep(back.arena, *partial, *partial);
+    expect_rejected(back.validate(), "which is not an earlier step");
+
+    // The same dependency pointed at another stripe's first row: forward,
+    // but an edge that leaves the stripe never proves data is in place.
+    MutatedArena away(slice);
+    PlanArenaTestPeer::set_first_dep(away.arena, *partial, 0);
+    expect_rejected(away.validate(), "when the step may run");
+  }
+}
+
+TEST(ValidateArenaRejects, DuplicatedOutput) {
+  for (const std::uint64_t slice : kSlices) {
+    MutatedArena m(slice);
+    ASSERT_FALSE(m.arena.outputs().empty());
+    PlanArenaTestPeer::add_output(m.arena, m.arena.outputs().back());
+    expect_rejected(m.validate(), "duplicate output");
+  }
+}
+
+TEST(ValidateArenaRejects, SecondAggregatorInARack) {
+  for (const std::uint64_t slice : kSlices) {
+    MutatedArena m(slice);
+    // Two partial decodes of one stripe on one aggregator; move the second
+    // to a sibling in the same rack.
+    bool mutated = false;
+    const std::uint64_t n = m.arena.num_base_steps();
+    for (std::uint64_t a = 0; a < n && !mutated; ++a) {
+      if (m.arena.kind(a) != StepKind::kCompute ||
+          m.arena.node(a) == m.scenario.replacement) {
+        continue;
+      }
+      for (std::uint64_t b = a + 1;
+           b < n && m.arena.stripe(b) == m.arena.stripe(a); ++b) {
+        if (m.arena.kind(b) != StepKind::kCompute ||
+            m.arena.node(b) != m.arena.node(a)) {
+          continue;
+        }
+        const auto sibling = m.sibling(m.arena.node(a), m.arena.node(a));
+        if (!sibling) break;
+        PlanArenaTestPeer::set_node(m.arena, b, *sibling);
+        mutated = true;
+        break;
+      }
+    }
+    ASSERT_TRUE(mutated);
+    expect_rejected(m.validate(), "aggregator nodes, expected exactly one");
+  }
+}
+
+TEST(ValidateArenaRejects, CrossRackClaimOffByOne) {
+  for (const std::uint64_t slice : kSlices) {
+    for (const bool more : {false, true}) {
+      MutatedArena m(slice);
+      std::uint64_t& claim = *m.options.expected_cross_rack_chunks;
+      ASSERT_GT(claim, 0u);
+      claim = more ? claim + 1 : claim - 1;
+      expect_rejected(m.validate(), "do not match the planner's claim");
+    }
+  }
 }
 
 // --- misc behaviour ------------------------------------------------------

@@ -651,11 +651,15 @@ int cmd_validate(const util::Flags& flags) {
     if (slice_bytes > 0) {
       // Also check the sliced form the executors run.  PlanArena::build
       // throws on plans that break the slicing contract (e.g. an injected
-      // byte-mismatch), which counts as a validation failure, and the
-      // arena must move exactly the plan's bytes.
+      // byte-mismatch), which counts as a validation failure; the arena
+      // must pass validate_arena and move exactly the plan's bytes.
       try {
         const auto arena =
             recovery::PlanArena::build(candidate.plan, slice_bytes);
+        for (const std::string& error :
+             recovery::validate_arena(arena, topology, options).errors) {
+          report.errors.push_back("sliced: " + error);
+        }
         const auto same = [&](const char* what, std::uint64_t sliced,
                               std::uint64_t base) {
           if (sliced != base) {
