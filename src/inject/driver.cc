@@ -86,6 +86,10 @@ BatchDriver::BatchDriver(emul::Cluster& cluster, const FaultPlan& faults,
   CAR_CHECK(faults_.node_crashes.empty(),
             "BatchDriver: node crashes are handled by the driver's client, "
             "not the step loop — strip them from the driver's FaultPlan");
+  CAR_CHECK(policy_.transfer_timeout_s > 0,
+            "BatchDriver: RetryPolicy::transfer_timeout_s must be positive");
+  CAR_CHECK(policy_.max_attempts > 0,
+            "BatchDriver: RetryPolicy::max_attempts must be at least 1");
   faults_.validate(cluster_.topology());
   std::sort(data_.sampled_stripes.begin(), data_.sampled_stripes.end());
   report_.per_rack_cross_bytes.assign(cluster_.topology().num_racks(), 0);

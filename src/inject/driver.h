@@ -2,8 +2,8 @@
 //
 // BatchDriver runs recovery plans under injected faults.  Each admitted
 // batch is a PlanArena, already lowered on its slice grid by the client
-// (the rebuild coordinator straight from the plan-template cache, the
-// resilient runtime with PlanArena::build), and the driver opens it as a
+// (both clients plan with recovery::plan_multi_failure_arena, straight
+// from the plan-template cache), and the driver opens it as a
 // segment of the step engine (emul/step_core.h), which owns the event
 // order, dependency counts and dependents release.  The driver is the
 // per-event policy: per-slice transfer timeouts (one walk of the path's
@@ -18,11 +18,11 @@
 // published output shares its step-output buffer.
 //
 // It has two clients:
-//   * ResilientRuntime (inject/runtime.h) runs one plan as a single batch
+//   * ResilientRuntime (inject/runtime.h) runs one arena as a single batch
 //     and turns node crashes into stops — a time-triggered crash is a
 //     run_until deadline, a fraction-triggered one a step limit — then
-//     cancels, re-plans, and admits the next plan's lowering on the same
-//     timeline.
+//     cancels, re-plans onto the same grid, and admits the new arena on
+//     the same timeline.
 //   * RebuildCoordinator (rebuild/coordinator.h) keeps several batches in
 //     flight so cross-rack shipping of one overlaps partial decoding of
 //     another, and injects membership changes between run_until calls.
@@ -51,17 +51,19 @@
 #include "emul/step_core.h"
 #include "inject/event_log.h"
 #include "inject/fault.h"
-#include "recovery/plan.h"
 #include "recovery/plan_arena.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
 namespace car::inject {
 
-/// Per-transfer failure handling knobs.
+/// Per-transfer failure handling knobs.  BatchDriver rejects a timeout
+/// that is not positive (NaN included) and max_attempts == 0.
 struct RetryPolicy {
   /// A transfer attempt that has not delivered after this many virtual
-  /// seconds is abandoned and retried.
+  /// seconds is abandoned and retried.  +inf never times out: a transfer
+  /// waits out any link blackout, but a dropped attempt is never detected
+  /// (its retry would land at +inf, which the step engine rejects).
   double transfer_timeout_s = 0.5;
   /// Total tries per transfer (first attempt included).  Exhaustion is a
   /// permanent failure: the run throws util::StateError.
@@ -155,9 +157,10 @@ void log_link_faults(EventLog& log, const FaultPlan& faults, double t);
 
 class BatchDriver {
  public:
-  /// `faults` must contain no node crashes (util::CheckError otherwise) —
-  /// link and transfer faults only; link fault windows are armed relative
-  /// to the cluster clock's time at construction.
+  /// `faults` must contain no node crashes and `policy` must pass
+  /// RetryPolicy's rules (util::CheckError otherwise) — link and transfer
+  /// faults only; link fault windows are armed relative to the cluster
+  /// clock's time at construction.
   BatchDriver(emul::Cluster& cluster, const FaultPlan& faults,
               const RetryPolicy& policy, std::uint64_t seed, DataPolicy data,
               EventLog& log, LogFraming framing = LogFraming::kBatches);

@@ -14,7 +14,7 @@ namespace car::inject {
 
 namespace {
 
-using recovery::RecoveryPlan;
+using recovery::PlanArena;
 
 std::string describe_nodes(const std::vector<cluster::NodeId>& nodes) {
   std::string out = "{";
@@ -45,8 +45,8 @@ std::size_t steps_to_reach(double fraction, std::size_t total) {
 class Run {
  public:
   Run(emul::Cluster& cluster, const FaultPlan& faults,
-      const RetryPolicy& policy, std::uint64_t seed,
-      std::uint64_t slice_bytes, const ReplanContext& ctx, DataPolicy data)
+      const RetryPolicy& policy, std::uint64_t seed, const ReplanContext& ctx,
+      DataPolicy data)
       : cluster_(cluster),
         faults_(faults),
         seed_(seed),
@@ -54,30 +54,25 @@ class Run {
         replan_rng_(seed ^ 0x5bd1e9955bd1e995ULL),
         crash_fired_(faults.node_crashes.size(), false),
         failed_nodes_(ctx.failed_nodes),
-        slice_bytes_(slice_bytes),
         t0_(cluster.clock().now()),
         driver_(cluster, without_crashes(faults), policy, seed,
                 std::move(data), result_.log, LogFraming::kClient) {}
 
-  RunResult run(const RecoveryPlan& plan) {
-    const recovery::PlanArena& lowered = admit(plan);
-    auto total = static_cast<std::size_t>(lowered.num_sliced_steps());
+  RunResult run(PlanArena plan) {
+    auto total = admit(plan);
     result_.log.record(t0_, EventKind::kRunStart, -1, -1,
-                       static_cast<std::int64_t>(plan.replacement), 0,
-                       std::to_string(plan.steps.size()) + " steps, " +
-                           std::to_string(plan.outputs.size()) +
+                       static_cast<std::int64_t>(plan.replacement()), 0,
+                       std::to_string(plan.num_base_steps()) + " steps, " +
+                           std::to_string(plan.outputs().size()) +
                            " outputs, seed " + std::to_string(seed_) +
-                           slicing_note(lowered));
+                           slicing_note(plan));
     log_link_faults(result_.log, faults_, t0_);
 
-    RecoveryPlan current = plan;
     for (;;) {
       const auto [crash, tc] = run_to_crash(total);
       if (!crash) break;
-      current = escalate(*crash, tc, current);
-      // Crash escalations re-plan at chunk granularity; the fresh plan is
-      // lowered onto the same slice grid.
-      total = static_cast<std::size_t>(admit(current).num_sliced_steps());
+      plan = escalate(*crash, tc, plan);
+      total = admit(plan);
     }
 
     result_.report = driver_.report();
@@ -89,14 +84,17 @@ class Run {
                            "s, " + std::to_string(result_.stats.attempts) +
                            " transfer attempts, " +
                            std::to_string(replans_) + " re-plans");
-    result_.final_plan = std::move(current);
+    result_.final_plan = std::move(plan);
     return std::move(result_);
   }
 
  private:
-  /// Lower `plan` onto the run's slice grid and admit it as the batch.
-  const recovery::PlanArena& admit(const RecoveryPlan& plan) {
-    return driver_.admit(0, recovery::PlanArena::build(plan, slice_bytes_));
+  /// Admit a copy of `plan` as the batch (the driver frees its copy when
+  /// the batch finishes; the run keeps `plan` as its final plan) and
+  /// return its slice-step count.
+  std::size_t admit(const PlanArena& plan) {
+    return static_cast<std::size_t>(
+        driver_.admit(0, PlanArena(plan)).num_sliced_steps());
   }
 
   static FaultPlan without_crashes(FaultPlan faults) {
@@ -166,10 +164,10 @@ class Run {
 
   /// Crash escalation: log the crash, cancel the plan (publishing every
   /// output whose producing step delivered all slices), drop the node,
-  /// re-plan the (now multi-)failure, validate, and return the plan to
-  /// resume with.
-  RecoveryPlan escalate(std::size_t crash_index, double tc,
-                        const RecoveryPlan& plan) {
+  /// re-plan the (now multi-)failure onto `plan`'s slice grid, validate,
+  /// and return the arena to resume with.
+  PlanArena escalate(std::size_t crash_index, double tc,
+                     const PlanArena& plan) {
     const NodeCrash& crash = faults_.node_crashes[crash_index];
     crash_fired_[crash_index] = true;
     driver_.advance_to(tc);
@@ -192,24 +190,23 @@ class Run {
                            "), failed nodes " + describe_nodes(failed_nodes_));
 
     const auto scenario = recovery::make_multi_failure_onto(
-        *ctx_.placement, failed_nodes_, plan.replacement);
-    recovery::MultiReplan next = recovery::plan_multi_failure(
+        *ctx_.placement, failed_nodes_, plan.replacement());
+    PlanArena next = recovery::plan_multi_failure_arena(
         *ctx_.placement, *ctx_.code,
         recovery::build_multi_censuses(*ctx_.placement, scenario),
-        ctx_.strategy, plan.chunk_size, plan.replacement, replan_rng_,
-        template_cache_);
+        ctx_.strategy, plan.chunk_size(), plan.slice_size(),
+        plan.replacement(), replan_rng_, template_cache_);
     result_.log.record(now, EventKind::kReplanValidated, -1, -1, -1, 0,
-                       std::to_string(next.plan.steps.size()) + " steps, " +
-                           std::to_string(next.plan.outputs.size()) +
+                       std::to_string(next.num_base_steps()) + " steps, " +
+                           std::to_string(next.outputs().size()) +
                            " outputs, 0 errors");
     result_.log.record(now, EventKind::kResume, -1, -1,
-                       static_cast<std::int64_t>(plan.replacement), 0,
+                       static_cast<std::int64_t>(plan.replacement()), 0,
                        "resuming recovery on the re-planned DAG");
 
     ++replans_;
     result_.replanned = true;
-    result_.replan_validation = std::move(next.validation);
-    return std::move(next.plan);
+    return next;
   }
 
   emul::Cluster& cluster_;
@@ -221,7 +218,6 @@ class Run {
   std::vector<bool> crash_fired_;
   /// The original failures, then every crashed node in firing order.
   std::vector<cluster::NodeId> failed_nodes_;
-  std::uint64_t slice_bytes_;
   std::size_t replans_ = 0;
   double t0_;
   RunResult result_;
@@ -237,23 +233,14 @@ ResilientRuntime::ResilientRuntime(emul::Cluster& cluster, FaultPlan faults,
       policy_(std::move(policy)),
       seed_(seed) {}
 
-RunResult ResilientRuntime::execute(const recovery::RecoveryPlan& plan,
-                                    const ReplanContext& context) {
-  // Degenerate lowering: one slice per step reproduces the chunk-granular
-  // engine's events, bytes, and timeline exactly.
-  return execute_sliced(plan, std::max<std::uint64_t>(plan.chunk_size, 1),
-                        context);
-}
-
-RunResult ResilientRuntime::execute_sliced(const recovery::RecoveryPlan& plan,
-                                           std::uint64_t slice_bytes,
-                                           const ReplanContext& context,
-                                           const DataPolicy& data) {
-  CAR_CHECK(slice_bytes > 0, "inject: slice_bytes must be positive");
-  CAR_CHECK(!plan.steps.empty(), "inject: empty plan — nothing to recover");
+RunResult ResilientRuntime::execute(PlanArena plan,
+                                    const ReplanContext& context,
+                                    const DataPolicy& data) {
+  CAR_CHECK(plan.num_base_steps() > 0,
+            "inject: empty plan — nothing to recover");
   faults_.validate(cluster_.topology());
   for (const auto& crash : faults_.node_crashes) {
-    CAR_CHECK(crash.node != plan.replacement,
+    CAR_CHECK(crash.node != plan.replacement(),
               "inject: a NodeCrash targets the replacement node — that is "
               "not a recoverable scenario");
   }
@@ -266,14 +253,14 @@ RunResult ResilientRuntime::execute_sliced(const recovery::RecoveryPlan& plan,
   // Guards are counted per node (emul::Cluster::add_replacement_guard), so
   // this composes with guards held by outer runtimes; released on every
   // exit path.
-  cluster_.add_replacement_guard(plan.replacement);
+  cluster_.add_replacement_guard(plan.replacement());
   struct Release {
     emul::Cluster& cluster;
     cluster::NodeId node;
     ~Release() { cluster.remove_replacement_guard(node); }
-  } release{cluster_, plan.replacement};
-  Run run(cluster_, faults_, policy_, seed_, slice_bytes, context, data);
-  return run.run(plan);
+  } release{cluster_, plan.replacement()};
+  Run run(cluster_, faults_, policy_, seed_, context, data);
+  return run.run(std::move(plan));
 }
 
 }  // namespace car::inject

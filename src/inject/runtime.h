@@ -1,13 +1,15 @@
 // Resilient recovery-plan execution under injected faults.
 //
-// ResilientRuntime executes a RecoveryPlan against emul::Cluster the way a
-// production repair pipeline would run it on a misbehaving network: every
+// ResilientRuntime executes a recovery plan, lowered into a PlanArena on its
+// slice grid, against emul::Cluster the way a production repair pipeline
+// would run it on a misbehaving network: every
 // transfer has a timeout, failed attempts (drop, corruption, timeout) are
 // retried with seeded exponential backoff + jitter (util::BackoffSchedule),
 // and when a FaultPlan kills a *second* node mid-plan the runtime escalates
 // — cancels the outstanding steps, drops the node, re-plans the remaining
-// work through recovery/replan (census -> CAR/RR plan -> validate), and
-// resumes on the same virtual timeline.
+// work through recovery::plan_multi_failure_arena (census -> CAR/RR arena
+// on the same slice grid -> validate_arena), and resumes on the same
+// virtual timeline.
 //
 // The steps themselves run on BatchDriver (inject/driver.h), the
 // fault-aware policy of the one step engine, with the plan as a single
@@ -15,7 +17,7 @@
 // runtime adds is its own: the replacement guard, the crash triggers (a
 // time-triggered crash is a run_until deadline, a fraction-triggered one a
 // step limit), the escalation, and the run's framing in the EventLog.
-// A run is a pure function of (plan, FaultPlan, seed): the EventLog two
+// A run is a pure function of (arena, FaultPlan, seed): the EventLog two
 // identical runs produce is byte-identical.  Real bytes still move and the
 // real GF kernels still run — recovered chunks are bit-exact, not
 // simulated.
@@ -35,9 +37,8 @@
 #include "inject/driver.h"
 #include "inject/event_log.h"
 #include "inject/fault.h"
-#include "recovery/plan.h"
+#include "recovery/plan_arena.h"
 #include "recovery/replan.h"
-#include "recovery/validate.h"
 #include "rs/code.h"
 
 namespace car::inject {
@@ -59,11 +60,10 @@ struct RunResult {
   EventLog log;
   RunStats stats;
   bool replanned = false;
-  /// The plan that actually finished: the re-plan after the last crash
-  /// escalation, or a copy of the input plan when no crash fired.
-  recovery::RecoveryPlan final_plan;
-  /// Validation report of the last re-plan (empty when !replanned).
-  recovery::ValidationReport replan_validation;
+  /// The arena that actually finished: the re-plan after the last crash
+  /// escalation (it passed validate_arena: the planner throws otherwise),
+  /// or a copy of the input arena when no crash fired.
+  recovery::PlanArena final_plan;
 };
 
 class ResilientRuntime {
@@ -72,32 +72,22 @@ class ResilientRuntime {
   ResilientRuntime(emul::Cluster& cluster, FaultPlan faults,
                    RetryPolicy policy, std::uint64_t seed);
 
-  /// Run `plan` to completion under the fault schedule.  Throws
-  /// util::StateError when a transfer exhausts its retry budget, a re-plan
-  /// fails validation, or a crash targets the replacement node; propagates
-  /// util::CheckError from malformed plans/faults (an empty plan has
-  /// nothing to recover and is rejected).  On success every plan output is
-  /// published on the replacement as a regular chunk replica.  Runs
-  /// chunk-granular (a degenerate one-slice lowering of the sliced variant
-  /// below — identical events, bytes, and timeline).
-  RunResult execute(const recovery::RecoveryPlan& plan,
-                    const ReplanContext& context);
-
-  /// Slice-pipelined variant: lower `plan` onto a `slice_bytes` grid
-  /// (recovery/plan_arena.h) and run it with timeouts, retries, fault matching,
-  /// and crash escalation at slice granularity.  Cross-rack shipping of
-  /// slice s overlaps partial decoding of slice s+1 on the virtual
-  /// timeline, so the makespan approaches max(transfer, compute).
-  /// At-most-once accounting is preserved per slice (slices of one
-  /// transfer sum to exactly chunk_size), recovered bytes are bit-identical
-  /// to the chunk-granular run, and same-seed runs stay byte-identical in
-  /// the EventLog.  Crash escalations re-plan at chunk granularity and
-  /// re-lower the new plan onto the same grid.  `data` selects what
-  /// payload moves (see DataPolicy; the default is all real bytes).
-  RunResult execute_sliced(const recovery::RecoveryPlan& plan,
-                           std::uint64_t slice_bytes,
-                           const ReplanContext& context,
-                           const DataPolicy& data = {});
+  /// Run `plan` to completion under the fault schedule, at its slice
+  /// granularity: timeouts, retries, fault matching and crash escalation
+  /// act per slice, so cross-rack shipping of slice s overlaps partial
+  /// decoding of slice s+1 (a one-slice grid is the chunk-granular run).
+  /// At-most-once accounting holds per slice (slices of one transfer sum
+  /// to exactly chunk_size), and same-seed runs stay byte-identical in the
+  /// EventLog.  Crash escalations re-plan onto the same grid.  `data`
+  /// selects what payload moves (see DataPolicy; the default is all real
+  /// bytes).  Throws util::StateError when a transfer exhausts its retry
+  /// budget, a re-plan fails validation, or a crash targets the
+  /// replacement node; propagates util::CheckError from malformed
+  /// arenas/faults (an empty arena has nothing to recover and is
+  /// rejected).  On success every output is published on the replacement
+  /// as a regular chunk replica.
+  RunResult execute(recovery::PlanArena plan, const ReplanContext& context,
+                    const DataPolicy& data = {});
 
  private:
   emul::Cluster& cluster_;

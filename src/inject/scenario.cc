@@ -1,12 +1,12 @@
 #include "inject/scenario.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -17,7 +17,6 @@
 #include "emul/cluster.h"
 #include "emul/recover.h"
 #include "recovery/multi.h"
-#include "recovery/plan.h"
 #include "recovery/plan_template.h"
 #include "recovery/replan.h"
 #include "rs/code.h"
@@ -432,10 +431,13 @@ Scenario parse_scenario(const std::string& text) {
     } else if (key == "concurrency") {
       scenario.rebuild_concurrency = parse_u64_in(line, value, 1, 64);
     } else if (key == "data-mode") {
-      if (value != "real" && value != "metadata") {
+      if (value == "real") {
+        scenario.data_mode = DataMode::kReal;
+      } else if (value == "metadata") {
+        scenario.data_mode = DataMode::kMetadata;
+      } else {
         bad_spec(line, "data-mode must be real or metadata");
       }
-      scenario.data_mode = value;
     } else if (key == "sample") {
       // At least one stripe: 0 has no sampled subset to verify, and the two
       // runners would read it differently (one stripe vs every stripe).
@@ -445,9 +447,16 @@ Scenario parse_scenario(const std::string& text) {
     } else if (key == "oversub") {
       scenario.oversubscription = parse_f64(line, value);
     } else if (key == "timeout") {
-      scenario.retry.transfer_timeout_s = parse_f64(line, value);
+      // NaN would switch timeouts off and a non-positive timeout expires
+      // before the attempt starts; inf means "never time out".
+      const double timeout = parse_f64(line, value);
+      if (!(timeout > 0)) bad_spec(line, "timeout must be positive");
+      scenario.retry.transfer_timeout_s = timeout;
     } else if (key == "max-attempts") {
       scenario.retry.max_attempts = parse_u64(line, value);
+      if (scenario.retry.max_attempts == 0) {
+        bad_spec(line, "max-attempts must be at least 1");
+      }
     } else if (key == "backoff-base" || key == "backoff-factor" ||
                key == "backoff-cap" || key == "backoff-jitter") {
       const auto& old = scenario.retry.backoff;
@@ -491,7 +500,7 @@ ScenarioOutcome run_scenario(const Scenario& scenario) {
   emul::Cluster cluster(topology, config);
 
   const bool seeded_data = scenario.data_mode.has_value();
-  const bool metadata = seeded_data && *scenario.data_mode == "metadata";
+  const bool metadata = scenario.data_mode == DataMode::kMetadata;
 
   util::Rng rng(scenario.seed);
   const auto placement = cluster::Placement::random(
@@ -501,8 +510,7 @@ ScenarioOutcome run_scenario(const Scenario& scenario) {
   // failure is drawn.  Seeded-data flow (`data-mode`): the failure is drawn
   // from the same stream *without* populating first, so "real" and
   // "metadata" runs of one spec agree on placement, failure, and plan;
-  // stripes are materialised further down from per-stripe seeds once the
-  // plan says which ones matter.
+  // stripes are materialised further down from per-stripe seeds.
   emul::Originals originals;
   if (!seeded_data) {
     auto all = cluster.populate(placement, code, scenario.chunk_bytes, rng);
@@ -520,33 +528,28 @@ ScenarioOutcome run_scenario(const Scenario& scenario) {
 
   util::Rng rr_rng(scenario.seed + 1);
   recovery::PlanTemplateCache template_cache;
-  recovery::MultiReplan initial = recovery::plan_multi_failure(
+  recovery::PlanArena plan = recovery::plan_multi_failure_arena(
       placement, code,
       recovery::build_multi_censuses(
           placement,
           recovery::make_multi_failure(placement, {failure.failed_node})),
-      scenario.strategy, scenario.chunk_bytes, failure.failed_node, rr_rng,
-      template_cache);
-  const recovery::RecoveryPlan& plan = initial.plan;
+      scenario.strategy, scenario.chunk_bytes,
+      scenario.slice_bytes > 0 ? scenario.slice_bytes : scenario.chunk_bytes,
+      failure.failed_node, rr_rng, template_cache);
 
   ScenarioOutcome outcome;
   outcome.failed_node = failure.failed_node;
-  outcome.initial_validation = std::move(initial.validation);
 
   DataPolicy data;
   if (seeded_data) {
     // Materialise stripes from per-stripe seeds: all of them under
-    // data-mode real, the first `sample` distinct output stripes under
-    // data-mode metadata.
+    // data-mode real, the first `sample` affected ones under data-mode
+    // metadata.
     std::vector<cluster::StripeId> materialise;
     if (metadata) {
-      for (const auto& out : plan.outputs) {
-        if (std::find(materialise.begin(), materialise.end(), out.stripe) ==
-            materialise.end()) {
-          materialise.push_back(out.stripe);
-          if (materialise.size() >= scenario.sample_stripes) break;
-        }
-      }
+      materialise = emul::first_affected_stripes(
+          placement, std::span(&failure.failed_node, 1),
+          scenario.sample_stripes);
       data.metadata_only = true;
       data.sampled_stripes = materialise;
     } else {
@@ -566,11 +569,7 @@ ScenarioOutcome run_scenario(const Scenario& scenario) {
   context.code = &code;
   context.failed_nodes = {failure.failed_node};
   context.strategy = scenario.strategy;
-  outcome.run = runtime.execute_sliced(
-      plan,
-      scenario.slice_bytes > 0 ? scenario.slice_bytes
-                               : std::max<std::uint64_t>(plan.chunk_size, 1),
-      context, data);
+  outcome.run = runtime.execute(std::move(plan), context, data);
 
   // Bit-exactness: every output of the plan that actually finished (the
   // re-plan after a crash, otherwise the original) must match the bytes the
@@ -578,8 +577,8 @@ ScenarioOutcome run_scenario(const Scenario& scenario) {
   // bytes — they are measured, not checked.
   outcome.stripes_materialised = originals.size();
   const auto counts =
-      emul::verify_outputs(cluster, outcome.run.final_plan.replacement,
-                           outcome.run.final_plan.outputs, originals);
+      emul::verify_outputs(cluster, outcome.run.final_plan.replacement(),
+                           outcome.run.final_plan.outputs(), originals);
   outcome.chunks_expected = counts.expected;
   outcome.chunks_verified = counts.verified;
   outcome.bit_exact = outcome.chunks_verified == outcome.chunks_expected;

@@ -19,8 +19,8 @@
 //   node-mbps 100
 //   oversub 5
 //   page-kib 16
-//   timeout 0.25           # per-transfer timeout, seconds
-//   max-attempts 6
+//   timeout 0.25           # per-transfer timeout, seconds (> 0; inf: never)
+//   max-attempts 6         # tries per transfer, >= 1
 //   backoff-base 0.02      # backoff-factor / backoff-cap / backoff-jitter
 //   data-mode metadata     # optional; real | metadata (see Scenario)
 //   sample 4               # sampled real-byte stripes under data-mode
@@ -53,9 +53,11 @@
 #include "inject/fault.h"
 #include "inject/runtime.h"
 #include "recovery/replan.h"
-#include "recovery/validate.h"
 
 namespace car::inject {
+
+/// Payload policy of a spec's `data-mode` key (see Scenario::data_mode).
+enum class DataMode : std::uint8_t { kReal, kMetadata };
 
 struct Scenario {
   std::string name = "custom";
@@ -76,18 +78,19 @@ struct Scenario {
   recovery::Strategy strategy = recovery::Strategy::kCar;
   /// Node to fail initially; unset = seeded random data-bearing node.
   std::optional<cluster::NodeId> fail_node;
-  /// Payload policy (spec key `data-mode`).  Unset = the classic flow: one
-  /// shared rng stream populates every stripe.  "real" and "metadata" both
-  /// switch to per-stripe seeded data (emul::Cluster::stripe_seed) with the
-  /// failure drawn *before* any population, so the two modes see identical
-  /// placement, failure, plan, and event log; "metadata" then materialises
-  /// only the sampled stripes (inject::DataPolicy) while "real"
-  /// materialises all of them — the differential pair behind the
-  /// metadata-mode tests.
-  std::optional<std::string> data_mode;
+  /// Payload policy (spec key `data-mode`: real | metadata).  Unset = the
+  /// classic flow: one shared rng stream populates every stripe.  kReal
+  /// and kMetadata both switch to per-stripe seeded data
+  /// (emul::Cluster::stripe_seed) with the failure drawn *before* any
+  /// population, so the two modes see identical placement, failure, plan,
+  /// and event log; kMetadata then materialises only the sampled stripes
+  /// (inject::DataPolicy) while kReal materialises all of them — the
+  /// differential pair behind the metadata-mode tests.
+  std::optional<DataMode> data_mode;
   /// Sampled (real-byte, bit-exact-verified) stripes under data-mode
-  /// metadata: the first `sample` distinct stripes among the plan's
-  /// outputs (spec key `sample`, default 4, at least 1).
+  /// metadata: the first `sample` affected stripes in stripe-id order
+  /// (emul::first_affected_stripes; spec key `sample`, default 4, at least
+  /// 1).
   std::size_t sample_stripes = 4;
   double node_bps = 100e6;
   double oversubscription = 5.0;
@@ -123,15 +126,16 @@ struct ScenarioOutcome {
   /// Stripes materialised with real bytes: every stripe outside data-mode
   /// metadata, the sampled subset under it.
   std::size_t stripes_materialised = 0;
-  recovery::ValidationReport initial_validation;
   RunResult run;
 };
 
 /// Build the emulated cluster, populate it, fail a node, plan recovery with
-/// the scenario's strategy, validate the plan, and execute it under the
-/// scenario's FaultPlan via ResilientRuntime.  Recovered chunks are compared
-/// byte-for-byte against the originals.  Deterministic: the same scenario
-/// yields the same ScenarioOutcome (including a byte-identical EventLog).
+/// the scenario's strategy straight into a validated arena on the
+/// scenario's slice grid (recovery::plan_multi_failure_arena), and execute
+/// it under the scenario's FaultPlan via ResilientRuntime.  Recovered
+/// chunks are compared byte-for-byte against the originals.
+/// Deterministic: the same scenario yields the same ScenarioOutcome
+/// (including a byte-identical EventLog).
 ScenarioOutcome run_scenario(const Scenario& scenario);
 
 }  // namespace car::inject

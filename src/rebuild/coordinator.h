@@ -24,7 +24,7 @@
 //      or the RR baseline, lowered straight into the batch's PlanArena
 //      from the run's warm template cache on the run's slice grid, then
 //      gated by recovery::validate_arena.  The arena is admitted only when
-//      the gate passes; no RecoveryPlan is built for a batch.  A batch's
+//      the gate passes; no chunk-granular plan is built.  A batch's
 //      multi-failure census covers only the batch's own stripes
 //      (recovery::build_multi_censuses' stripe-list form), so the whole
 //      placement is scanned once per epoch, never once per batch — DAOS's

@@ -1,7 +1,6 @@
 #include "rebuild/scenario.h"
 
 #include <algorithm>
-#include <set>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -110,11 +109,7 @@ RebuildScenarioOutcome run_rebuild_scenario(const inject::Scenario& scenario,
               "run_rebuild_scenario: rolling failures need `at=` virtual "
               "times (at-fraction is a single-plan trigger)");
   }
-  const bool metadata =
-      scenario.data_mode.has_value() && *scenario.data_mode == "metadata";
-  CAR_CHECK(!scenario.data_mode.has_value() ||
-                *scenario.data_mode == "real" || metadata,
-            "run_rebuild_scenario: data-mode must be real or metadata");
+  const bool metadata = scenario.data_mode == inject::DataMode::kMetadata;
 
   const cluster::Topology topology(scenario.racks);
   const rs::Code code(scenario.k, scenario.m);
@@ -130,12 +125,10 @@ RebuildScenarioOutcome run_rebuild_scenario(const inject::Scenario& scenario,
       topology, scenario.k, scenario.m, scenario.stripes, rng);
 
   std::vector<FailureEvent> events;
-  std::set<cluster::StripeId> affected;
+  std::vector<cluster::NodeId> crashed;
   for (const inject::NodeCrash& crash : scenario.faults.node_crashes) {
     events.push_back({crash.node, *crash.at_time_s});
-    for (const cluster::ChunkRef& ref : placement.chunks_on_node(crash.node)) {
-      affected.insert(ref.stripe);
-    }
+    crashed.push_back(crash.node);
   }
 
   // Per-stripe seeded data (emul::Cluster::stripe_seed) makes the stored
@@ -143,10 +136,8 @@ RebuildScenarioOutcome run_rebuild_scenario(const inject::Scenario& scenario,
   // change without changing a byte anywhere.
   std::vector<cluster::StripeId> materialise;
   if (metadata) {
-    for (const cluster::StripeId stripe : affected) {
-      materialise.push_back(stripe);
-      if (materialise.size() == scenario.sample_stripes) break;
-    }
+    materialise = emul::first_affected_stripes(placement, crashed,
+                                               scenario.sample_stripes);
   } else {
     for (cluster::StripeId stripe = 0; stripe < scenario.stripes; ++stripe) {
       materialise.push_back(stripe);

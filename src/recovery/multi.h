@@ -221,22 +221,18 @@ class RepairMemo {
   std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> memo_;
 };
 
-class PlanTemplateCache;  // recovery/plan_template.h
-
 /// Compile into an executable plan: per contributing rack, the aggregator
 /// computes one partial per lost chunk and ships each to the replacement.
 /// Each stripe is an instance of its signature's plan template
-/// (recovery/plan_template.h, where these builders are defined); a caller
-/// that plans repeatedly passes its `cache`, the other form uses a fresh
-/// one.  Throws util::CheckError when chunk_size is 0.
+/// (recovery/plan_template.h, where these builders are defined), off a
+/// fresh template cache.  carctl, workload/trace, cfs and the figure
+/// benches read this form; a caller that plans repeatedly lowers into an
+/// arena off its own cache instead (build_multi_*_arena).  Throws
+/// util::CheckError when chunk_size is 0.
 RecoveryPlan build_multi_car_plan(
     const cluster::Placement& placement, const rs::Code& code,
     std::span<const MultiStripeSolution> solutions, std::uint64_t chunk_size,
     cluster::NodeId replacement);
-RecoveryPlan build_multi_car_plan(
-    const cluster::Placement& placement, const rs::Code& code,
-    std::span<const MultiStripeSolution> solutions, std::uint64_t chunk_size,
-    cluster::NodeId replacement, PlanTemplateCache& cache);
 
 /// RR-style baseline: fetch k random survivors per stripe to the
 /// replacement, which decodes all lost chunks there.
@@ -258,11 +254,5 @@ RecoveryPlan build_multi_rr_plan(const cluster::Placement& placement,
                                  std::span<const MultiRrSolution> solutions,
                                  std::uint64_t chunk_size,
                                  cluster::NodeId replacement);
-RecoveryPlan build_multi_rr_plan(const cluster::Placement& placement,
-                                 const rs::Code& code,
-                                 std::span<const MultiRrSolution> solutions,
-                                 std::uint64_t chunk_size,
-                                 cluster::NodeId replacement,
-                                 PlanTemplateCache& cache);
 
 }  // namespace car::recovery

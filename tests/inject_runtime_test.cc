@@ -15,6 +15,8 @@
 #include "emul/cluster.h"
 #include "recovery/multi.h"
 #include "recovery/plan.h"
+#include "recovery/plan_arena.h"
+#include "recovery/validate.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -55,6 +57,11 @@ struct Env {
                                           kChunk, kFailed);
   }
 
+  /// The plan lowered chunk-granular: the arena the runtime executes.
+  [[nodiscard]] recovery::PlanArena arena() const {
+    return recovery::PlanArena::build(plan, kChunk);
+  }
+
   [[nodiscard]] ReplanContext context() const {
     ReplanContext ctx;
     ctx.placement = &*placement;
@@ -64,11 +71,11 @@ struct Env {
   }
 
   /// Chunks recovered onto the replacement, verified byte-for-byte.
-  [[nodiscard]] std::size_t verified(const recovery::RecoveryPlan& done) const {
+  [[nodiscard]] std::size_t verified(const recovery::PlanArena& done) const {
     std::size_t ok = 0;
-    for (const auto& out : done.outputs) {
+    for (const auto& out : done.outputs()) {
       const rs::Chunk* rec =
-          cluster->find_chunk(done.replacement, out.stripe, out.chunk_index);
+          cluster->find_chunk(done.replacement(), out.stripe, out.chunk_index);
       ok += rec != nullptr && *rec == originals[out.stripe][out.chunk_index];
     }
     return ok;
@@ -78,7 +85,7 @@ struct Env {
 TEST(ResilientRuntime, FaultFreeRunRecoversBitExactly) {
   Env env;
   ResilientRuntime runtime(*env.cluster, {}, {}, 7);
-  const auto result = runtime.execute(env.plan, env.context());
+  const auto result = runtime.execute(env.arena(), env.context());
 
   EXPECT_FALSE(result.replanned);
   EXPECT_EQ(env.verified(result.final_plan), env.plan.outputs.size());
@@ -103,7 +110,7 @@ TEST(ResilientRuntime, DroppedFirstAttemptsAreRetriedAndCountedOnce) {
   faults.transfer_faults.push_back(drop);
 
   ResilientRuntime runtime(*env.cluster, faults, {}, 7);
-  const auto result = runtime.execute(env.plan, env.context());
+  const auto result = runtime.execute(env.arena(), env.context());
 
   EXPECT_EQ(env.verified(result.final_plan), env.plan.outputs.size());
   EXPECT_GT(result.stats.drops, 0u);
@@ -125,7 +132,7 @@ TEST(ResilientRuntime, CorruptedPayloadsAreDetectedAndRetried) {
   faults.transfer_faults.push_back(corrupt);
 
   ResilientRuntime runtime(*env.cluster, faults, {}, 7);
-  const auto result = runtime.execute(env.plan, env.context());
+  const auto result = runtime.execute(env.arena(), env.context());
 
   EXPECT_EQ(env.verified(result.final_plan), env.plan.outputs.size());
   EXPECT_GT(result.stats.corruptions, 0u);
@@ -149,7 +156,7 @@ TEST(ResilientRuntime, BlackoutCausesTimeoutsThenRecovery) {
   policy.max_attempts = 10;
 
   ResilientRuntime runtime(*env.cluster, faults, policy, 7);
-  const auto result = runtime.execute(env.plan, env.context());
+  const auto result = runtime.execute(env.arena(), env.context());
 
   EXPECT_EQ(env.verified(result.final_plan), env.plan.outputs.size());
   EXPECT_GT(result.stats.timeouts, 0u);
@@ -169,7 +176,7 @@ TEST(ResilientRuntime, ExhaustedRetriesFailLoudly) {
   policy.max_attempts = 2;
 
   ResilientRuntime runtime(*env.cluster, faults, policy, 7);
-  EXPECT_THROW(runtime.execute(env.plan, env.context()), util::StateError);
+  EXPECT_THROW(runtime.execute(env.arena(), env.context()), util::StateError);
 }
 
 TEST(ResilientRuntime, MidRecoveryCrashReplansAndFinishes) {
@@ -181,20 +188,23 @@ TEST(ResilientRuntime, MidRecoveryCrashReplansAndFinishes) {
   faults.node_crashes.push_back(crash);
 
   ResilientRuntime runtime(*env.cluster, faults, {}, 7);
-  const auto result = runtime.execute(env.plan, env.context());
+  const auto result = runtime.execute(env.arena(), env.context());
 
   ASSERT_TRUE(result.replanned);
-  EXPECT_TRUE(result.replan_validation.ok());
+  recovery::ValidateOptions options;
+  options.placement = &*env.placement;
+  EXPECT_TRUE(
+      recovery::validate_arena(result.final_plan, env.topology, options).ok());
   EXPECT_EQ(result.stats.replans, 1u);
   EXPECT_TRUE(env.cluster->is_dropped(5));
 
   // The re-plan rebuilds every chunk of BOTH failed nodes, bit-exactly.
   const auto crashed_loss =
       cluster::inject_node_failure(*env.placement, 5);
-  EXPECT_EQ(result.final_plan.outputs.size(),
+  EXPECT_EQ(result.final_plan.outputs().size(),
             env.failure.lost.size() + crashed_loss.lost.size());
   EXPECT_EQ(env.verified(result.final_plan),
-            result.final_plan.outputs.size());
+            result.final_plan.outputs().size());
 
   // Escalation event order: crash -> cancel -> replan -> validate -> resume.
   std::vector<EventKind> order;
@@ -229,11 +239,11 @@ TEST(ResilientRuntime, TimeTriggeredCrashAlsoEscalates) {
   faults.node_crashes.push_back(crash);
 
   ResilientRuntime runtime(*env.cluster, faults, {}, 7);
-  const auto result = runtime.execute(env.plan, env.context());
+  const auto result = runtime.execute(env.arena(), env.context());
   ASSERT_TRUE(result.replanned);
   EXPECT_EQ(env.verified(result.final_plan),
-            result.final_plan.outputs.size());
-  EXPECT_GT(result.final_plan.outputs.size(), 0u);
+            result.final_plan.outputs().size());
+  EXPECT_GT(result.final_plan.outputs().size(), 0u);
 }
 
 TEST(ResilientRuntime, CrashTargetingReplacementIsRejected) {
@@ -244,7 +254,7 @@ TEST(ResilientRuntime, CrashTargetingReplacementIsRejected) {
   crash.at_fraction = 0.5;
   faults.node_crashes.push_back(crash);
   ResilientRuntime runtime(*env.cluster, faults, {}, 7);
-  EXPECT_THROW(runtime.execute(env.plan, env.context()), util::CheckError);
+  EXPECT_THROW(runtime.execute(env.arena(), env.context()), util::CheckError);
 }
 
 TEST(ResilientRuntime, CrashWithoutReplanContextIsRejected) {
@@ -256,7 +266,7 @@ TEST(ResilientRuntime, CrashWithoutReplanContextIsRejected) {
   faults.node_crashes.push_back(crash);
   ResilientRuntime runtime(*env.cluster, faults, {}, 7);
   ReplanContext empty;
-  EXPECT_THROW(runtime.execute(env.plan, empty), util::CheckError);
+  EXPECT_THROW(runtime.execute(env.arena(), empty), util::CheckError);
 }
 
 TEST(ResilientRuntime, SameSeedRunsProduceByteIdenticalLogs) {
@@ -274,7 +284,7 @@ TEST(ResilientRuntime, SameSeedRunsProduceByteIdenticalLogs) {
   auto run_once = [&] {
     Env env(21);
     ResilientRuntime runtime(*env.cluster, faults, {}, 21);
-    return runtime.execute(env.plan, env.context());
+    return runtime.execute(env.arena(), env.context());
   };
   const auto a = run_once();
   const auto b = run_once();

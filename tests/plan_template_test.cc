@@ -174,10 +174,10 @@ TEST(PlanTemplateCache, CarCachedPlanMatchesClassicAcrossConfigs) {
           fx.placement, fx.code, balanced.solutions, kChunk,
           fx.scenario.replacement);
       PlanTemplateCache cache;
-      const auto cached = recovery::build_multi_car_plan(
-          fx.placement, fx.code, balanced.solutions, kChunk,
+      const auto cached = recovery::build_multi_car_arena(
+          fx.placement, fx.code, balanced.solutions, kChunk, kChunk,
           fx.scenario.replacement, cache);
-      expect_plan_equal(cached, classic);
+      expect_arena_equal(cached, PlanArena::build(classic, kChunk));
       EXPECT_EQ(cache.stats().hits + cache.stats().misses,
                 balanced.solutions.size());
     }
@@ -194,10 +194,10 @@ TEST(PlanTemplateCache, RrCachedPlanMatchesClassic) {
     const auto classic = reference::build_multi_rr_plan(
         fx.placement, fx.code, solutions, kChunk, fx.scenario.replacement);
     PlanTemplateCache cache;
-    const auto cached = recovery::build_multi_rr_plan(
-        fx.placement, fx.code, solutions, kChunk, fx.scenario.replacement,
-        cache);
-    expect_plan_equal(cached, classic);
+    const auto cached = recovery::build_multi_rr_arena(
+        fx.placement, fx.code, solutions, kChunk, kChunk,
+        fx.scenario.replacement, cache);
+    expect_arena_equal(cached, PlanArena::build(classic, kChunk));
   }
 }
 
@@ -223,20 +223,23 @@ TEST(PlanTemplateCache, OntoReplacementMatchesClassic) {
   const auto classic = reference::build_multi_car_plan(
       placement, code, balanced.solutions, kChunk, replacement);
   PlanTemplateCache cache;
-  const auto cached = recovery::build_multi_car_plan(
-      placement, code, balanced.solutions, kChunk, replacement, cache);
-  expect_plan_equal(cached, classic);
+  const auto cached = recovery::build_multi_car_arena(
+      placement, code, balanced.solutions, kChunk, kChunk, replacement, cache);
+  expect_arena_equal(cached, PlanArena::build(classic, kChunk));
 }
 
 // --- every solution source a caller builds from ---------------------------
 
+/// Warm-cache arenas are lowered on this grid (no slice divides kChunk).
+constexpr std::uint64_t kWarmSlice = 16 * 1024;
+
 /// One solution list built three ways: by the per-stripe oracle, by the
-/// production builder on a fresh cache, and on a cache shared across
-/// calls.
+/// production builder on a fresh cache, and as an arena off a cache shared
+/// across calls.
 struct Built {
   RecoveryPlan oracle;
   RecoveryPlan fresh;
-  RecoveryPlan warm;
+  PlanArena warm;
 };
 
 Built build_all(const cluster::Placement& placement, const rs::Code& code,
@@ -246,8 +249,8 @@ Built build_all(const cluster::Placement& placement, const rs::Code& code,
                                           replacement),
           recovery::build_multi_car_plan(placement, code, solutions, kChunk,
                                          replacement),
-          recovery::build_multi_car_plan(placement, code, solutions, kChunk,
-                                         replacement, warm)};
+          recovery::build_multi_car_arena(placement, code, solutions, kChunk,
+                                          kWarmSlice, replacement, warm)};
 }
 
 Built build_all(const cluster::Placement& placement, const rs::Code& code,
@@ -257,8 +260,8 @@ Built build_all(const cluster::Placement& placement, const rs::Code& code,
                                          replacement),
           recovery::build_multi_rr_plan(placement, code, solutions, kChunk,
                                         replacement),
-          recovery::build_multi_rr_plan(placement, code, solutions, kChunk,
-                                        replacement, warm)};
+          recovery::build_multi_rr_arena(placement, code, solutions, kChunk,
+                                         kWarmSlice, replacement, warm)};
 }
 
 /// The builders agree with the oracle field for field, and still do once
@@ -267,7 +270,7 @@ void expect_matches_oracle(const Built& built, const std::string& source) {
   SCOPED_TRACE(source);
   ASSERT_FALSE(built.oracle.steps.empty());
   expect_plan_equal(built.fresh, built.oracle);
-  expect_plan_equal(built.warm, built.oracle);
+  expect_arena_equal(built.warm, PlanArena::build(built.oracle, kWarmSlice));
   for (const std::size_t window : {1u, 3u}) {
     SCOPED_TRACE("schedule_windowed " + std::to_string(window));
     expect_plan_equal(recovery::schedule_windowed(built.fresh, window),

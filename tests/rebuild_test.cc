@@ -446,7 +446,7 @@ TEST(RebuildScenario, EventLogIsInvariantUnderPopulateShardCount) {
 
 TEST(RebuildScenario, MetadataModeSamplesAndVerifiesAffectedStripes) {
   auto scenario = canned_rebuild_scenario("rolling-two-rack");
-  scenario.data_mode = "metadata";
+  scenario.data_mode = inject::DataMode::kMetadata;
   scenario.sample_stripes = 4;
   const auto outcome = run_rebuild_scenario(scenario);
   EXPECT_TRUE(outcome.bit_exact);

@@ -804,9 +804,9 @@ int cmd_inject_run(const util::Flags& flags) {
               util::format_bytes(run.report.cross_rack_bytes).c_str(),
               outcome.chunks_verified, outcome.chunks_expected);
 
-  const bool ok = outcome.bit_exact && outcome.chunks_expected > 0 &&
-                  outcome.initial_validation.ok() &&
-                  (!run.replanned || run.replan_validation.ok());
+  // Every plan the run executed passed validation: the planner throws on a
+  // failed report.
+  const bool ok = outcome.bit_exact && outcome.chunks_expected > 0;
   std::printf("  result: %s\n", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }
