@@ -689,12 +689,7 @@ ExecutionReport Cluster::execute_arena_impl(const recovery::PlanArena& plan,
   impl_->check_alive(plan.replacement(),
                      "Cluster::execute_arena: replacement");
 
-  std::vector<cluster::StripeId> sampled = options.sampled_stripes;
-  std::sort(sampled.begin(), sampled.end());
-  auto is_real = [&](cluster::StripeId s) {
-    return !options.metadata_only ||
-           std::binary_search(sampled.begin(), sampled.end(), s);
-  };
+  const DataPolicy data = options.sorted();
 
   // Liveness snapshot: shards check it lock-free per step; a node dropped
   // *during* execution bumps the drop epoch instead, which the shards poll
@@ -786,7 +781,7 @@ ExecutionReport Cluster::execute_arena_impl(const recovery::PlanArena& plan,
               acc.intra += chunk;
             }
           }
-          if (!is_real(plan.stripe(base))) continue;
+          if (!data.is_real(plan.stripe(base))) continue;
           // The destination shares the source's buffer: in-process nodes
           // have one address space, so no byte moves.  Slices of a
           // transfer carry disjoint ranges of these same bytes, so handing
@@ -808,7 +803,7 @@ ExecutionReport Cluster::execute_arena_impl(const recovery::PlanArena& plan,
         } else {
           const cluster::NodeId node = plan.node(base);
           check_alive_fast(node, "Cluster::execute_arena: compute node");
-          if (!is_real(plan.stripe(base))) continue;
+          if (!data.is_real(plan.stripe(base))) continue;
           const std::size_t n_in = plan.num_inputs(base);
           CAR_CHECK_STATE(n_in <= kMaxComputeInputs,
                           "Cluster::execute_arena: compute arity exceeds the "
@@ -901,7 +896,7 @@ ExecutionReport Cluster::execute_arena_impl(const recovery::PlanArena& plan,
   // output buffer.  Metadata-only stripes have nothing to publish (their
   // recovery is accounted, not materialised).
   for (const auto& out : plan.outputs()) {
-    CAR_CHECK_STATE(!is_real(out.stripe) ||
+    CAR_CHECK_STATE(!data.is_real(out.stripe) ||
                         share_buffer(plan.replacement(),
                                      BufferRef::step(out.step_id),
                                      plan.replacement(),

@@ -29,6 +29,7 @@
 // to the buffer pool when the last slot holding a buffer lets it go.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -78,8 +79,36 @@ struct EmulConfig {
   double virtual_gf_bps = 1.9e10;
 };
 
-/// Options for Cluster::execute_arena.
-struct ArenaExecOptions {
+/// What payload actually moves through an executor (Cluster::execute_arena
+/// and the fault-injection BatchDriver).  The default carries real bytes
+/// for every stripe.  Metadata-only mode keeps the identical event order,
+/// virtual timeline and byte accounting, but steps of stripes outside
+/// sampled_stripes move no payload and run no GF compute: their recoveries
+/// are measured, not materialised.  Sampled stripes carry real bytes end to
+/// end, so a seeded sample of the recovery is still verified bit-exactly.
+struct DataPolicy {
+  bool metadata_only = false;
+  /// Stripes that stay real-byte in metadata-only mode (order/duplicates
+  /// irrelevant).  Ignored — every stripe is real — when metadata_only is
+  /// false.
+  std::vector<cluster::StripeId> sampled_stripes;
+
+  /// A copy whose sample is sorted, as is_real needs.
+  [[nodiscard]] DataPolicy sorted() const {
+    DataPolicy out = *this;
+    std::ranges::sort(out.sampled_stripes);
+    return out;
+  }
+  /// True when this stripe's payload moves (a binary search of a sorted()
+  /// sample: no allocation, as it runs per event).
+  [[nodiscard]] bool is_real(cluster::StripeId stripe) const noexcept {
+    return !metadata_only || std::binary_search(sampled_stripes.begin(),
+                                                sampled_stripes.end(), stripe);
+  }
+};
+
+/// Options for Cluster::execute_arena: the payload policy plus sharding.
+struct ArenaExecOptions : DataPolicy {
   /// Stripe shards for the payload pass: base steps are partitioned by
   /// stripe % shards and the shards run concurrently.  shards > 1 requires
   /// a stripe-closed arena (PlanArena::stripe_closed) — windowed schedules
@@ -91,18 +120,6 @@ struct ArenaExecOptions {
   /// calling thread; the field stays only while the e2e benchmark still
   /// sets it, and goes with the benchmark change that drops that line.
   std::size_t replay_shards = 1;
-
-  /// Metadata-only mode: steps of unsampled stripes move no payload and
-  /// run no GF compute — only byte *counts* flow through accounting and
-  /// the timing replay, which are identical to real-byte execution.
-  /// Stripes listed in sampled_stripes still carry real bytes end to end,
-  /// so a seeded sample of the recovery can be verified bit-exactly.
-  bool metadata_only = false;
-
-  /// Stripes that stay real-byte in metadata-only mode (order/duplicates
-  /// irrelevant).  Ignored — every stripe is real — when metadata_only is
-  /// false.
-  std::vector<cluster::StripeId> sampled_stripes;
 };
 
 /// Producer-side watermark for Cluster::execute_arena_streaming: the plan

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -71,29 +72,35 @@ std::string slicing_note(const PlanArena& arena) {
 
 BatchDriver::BatchDriver(emul::Cluster& cluster, const FaultPlan& faults,
                          const RetryPolicy& policy, std::uint64_t seed,
-                         DataPolicy data, EventLog& log, LogFraming framing)
+                         const DataPolicy& data, EventLog& log,
+                         LogFraming framing)
     : cluster_(cluster),
       faults_(faults),
       policy_(policy),
       seed_(seed),
-      data_(std::move(data)),
+      data_(data.sorted()),
       log_(log),
       framing_(framing),
       backoff_rng_(seed ^ 0x8badf00ddeadbeefULL),
       t0_(cluster.clock().now()),
       now_(t0_),
       core_(t0_) {
-  CAR_CHECK(faults_.node_crashes.empty(),
-            "BatchDriver: node crashes are handled by the driver's client, "
-            "not the step loop — strip them from the driver's FaultPlan");
   CAR_CHECK(policy_.transfer_timeout_s > 0,
             "BatchDriver: RetryPolicy::transfer_timeout_s must be positive");
   CAR_CHECK(policy_.max_attempts > 0,
             "BatchDriver: RetryPolicy::max_attempts must be at least 1");
-  faults_.validate(cluster_.topology());
-  std::sort(data_.sampled_stripes.begin(), data_.sampled_stripes.end());
+  // A dropped attempt fails at its timeout, so +inf would queue its retry
+  // at +inf, which the step engine cannot schedule.
+  CAR_CHECK(std::isfinite(policy_.transfer_timeout_s) ||
+                std::none_of(faults_.transfer_faults.begin(),
+                             faults_.transfer_faults.end(),
+                             [](const TransferFault& fault) {
+                               return fault.kind == TransferFault::Kind::kDrop;
+                             }),
+            "BatchDriver: a drop fault needs a finite "
+            "RetryPolicy::transfer_timeout_s");
   report_.per_rack_cross_bytes.assign(cluster_.topology().num_racks(), 0);
-  arm_link_faults(cluster_, faults_, t0_);
+  arm_link_faults(cluster_, faults_, t0_);  // validates every fault first
   if (framing_ == LogFraming::kBatches) log_link_faults(log_, faults_, now_);
 }
 
@@ -225,12 +232,6 @@ std::vector<CancelledBatch> BatchDriver::cancel_all() {
   return out;
 }
 
-bool BatchDriver::is_real(cluster::StripeId stripe) const {
-  return !data_.metadata_only ||
-         std::binary_search(data_.sampled_stripes.begin(),
-                            data_.sampled_stripes.end(), stripe);
-}
-
 std::string BatchDriver::tag(const Batch& batch) const {
   if (framing_ == LogFraming::kClient) return {};
   return ", batch " + std::to_string(batch.id);
@@ -263,7 +264,7 @@ double BatchDriver::run_compute(const Core::Event& event) {
   const cluster::NodeId node = arena.node(base);
   const std::size_t n_in = arena.num_inputs(base);
   const std::uint64_t bytes = arena.step_bytes(base, slice);
-  if (is_real(arena.stripe(base))) {
+  if (data_.is_real(arena.stripe(base))) {
     CAR_CHECK_STATE(n_in <= kMaxComputeInputs,
                     "BatchDriver: compute arity exceeds the GF(2^8) bound");
     std::array<const rs::Chunk*, kMaxComputeInputs> inputs{};
@@ -318,7 +319,7 @@ std::optional<double> BatchDriver::run_transfer_attempt(
   ++stats_.attempts;
   if (attempt > 1) ++stats_.retries;
 
-  const bool real = is_real(arena.stripe(base));
+  const bool real = data_.is_real(arena.stripe(base));
   std::span<const std::uint8_t> wire;
   if (real) {
     const rs::Chunk* payload = cluster_.find_buffer(src, stored);
@@ -441,7 +442,7 @@ std::vector<PublishedChunk> BatchDriver::publish_outputs(const Batch& batch,
     // Metadata-only stripes count as published (their recovery is
     // accounted, and the log must match a real-byte run's) but have no
     // bytes to store.  A real one's chunk key shares the step output.
-    if (is_real(out.stripe)) {
+    if (data_.is_real(out.stripe)) {
       CAR_CHECK_STATE(
           cluster_.share_buffer(
               arena.replacement(),

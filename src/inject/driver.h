@@ -35,8 +35,8 @@
 // k << 32); chunk refs are globally unique already (batches own disjoint
 // stripes).
 //
-// Node crashes are NOT handled here (the FaultPlan must not contain any):
-// they are the clients' business.
+// Node crashes are not faults (FaultPlan has no such member): they are the
+// clients' membership events, fired between run_until calls.
 #pragma once
 
 #include <cstddef>
@@ -58,12 +58,13 @@
 namespace car::inject {
 
 /// Per-transfer failure handling knobs.  BatchDriver rejects a timeout
-/// that is not positive (NaN included) and max_attempts == 0.
+/// that is not positive (NaN included), max_attempts == 0, and an
+/// infinite timeout under a drop fault.
 struct RetryPolicy {
   /// A transfer attempt that has not delivered after this many virtual
   /// seconds is abandoned and retried.  +inf never times out: a transfer
-  /// waits out any link blackout, but a dropped attempt is never detected
-  /// (its retry would land at +inf, which the step engine rejects).
+  /// waits out any link blackout, but a dropped attempt is detected only at
+  /// its timeout, so +inf cannot run with a drop fault.
   double transfer_timeout_s = 0.5;
   /// Total tries per transfer (first attempt included).  Exhaustion is a
   /// permanent failure: the run throws util::StateError.
@@ -73,26 +74,15 @@ struct RetryPolicy {
   util::BackoffSchedule backoff{0.01, 2.0, 0.25, 0.2};
 };
 
-/// What payload actually moves during a run.  The default carries real
-/// bytes for every stripe.  A metadata-only run keeps the *identical*
-/// event loop, virtual timeline, fault matching, retry schedule, and byte
-/// accounting — every event lands at the same time with the same declared
-/// bytes — but skips payload sharing, GF compute, and buffer writes for
-/// stripes not listed in sampled_stripes: their recoveries are measured,
-/// not materialised.  Sampled stripes carry real bytes end to end, so a
-/// seeded sample of a datacenter-scale run is still verified bit-exactly.
+/// What payload moves during a run (emul::DataPolicy): metadata-only
+/// stripes keep every event, time and byte count of a real-byte run.
 ///
 /// Caveat: a corrupt-fault checksum detail requires payload bytes, so
 /// kTransferCorrupt events on *unsampled* stripes log a metadata-only
 /// placeholder instead of real checksums.  When comparing a metadata run's
 /// log byte-for-byte against a real-byte run, aim corrupt faults at
 /// sampled stripes.
-struct DataPolicy {
-  bool metadata_only = false;
-  /// Stripes that stay real-byte (order/duplicates irrelevant); ignored
-  /// when metadata_only is false.
-  std::vector<cluster::StripeId> sampled_stripes;
-};
+using DataPolicy = emul::DataPolicy;
 
 struct RunStats {
   std::size_t attempts = 0;      // transfer attempts issued
@@ -157,13 +147,13 @@ void log_link_faults(EventLog& log, const FaultPlan& faults, double t);
 
 class BatchDriver {
  public:
-  /// `faults` must contain no node crashes and `policy` must pass
-  /// RetryPolicy's rules (util::CheckError otherwise) — link and transfer
-  /// faults only; link fault windows are armed relative to the cluster
-  /// clock's time at construction.
+  /// `policy` must pass RetryPolicy's rules (util::CheckError otherwise);
+  /// link fault windows are armed relative to the cluster clock's time at
+  /// construction.
   BatchDriver(emul::Cluster& cluster, const FaultPlan& faults,
-              const RetryPolicy& policy, std::uint64_t seed, DataPolicy data,
-              EventLog& log, LogFraming framing = LogFraming::kBatches);
+              const RetryPolicy& policy, std::uint64_t seed,
+              const DataPolicy& data, EventLog& log,
+              LogFraming framing = LogFraming::kBatches);
 
   /// Admit a non-empty, finalized arena as batch `batch_id` at the current
   /// virtual time; its slice grid is the batch's.  All of its outputs must
@@ -224,9 +214,6 @@ class BatchDriver {
   using Core = emul::StepCore<Batch>;
   struct Policy;  // the per-event hook run_until hands the engine
 
-  /// True when this stripe's payload actually moves (every stripe in a
-  /// real-byte run; only the sampled ones in a metadata-only run).
-  [[nodiscard]] bool is_real(cluster::StripeId stripe) const;
   /// ", batch N" under LogFraming::kBatches, empty under kClient.
   [[nodiscard]] std::string tag(const Batch& batch) const;
   /// True when every slice of base step `base_step` has delivered.
@@ -248,7 +235,7 @@ class BatchDriver {
   FaultPlan faults_;
   RetryPolicy policy_;
   std::uint64_t seed_;
-  DataPolicy data_;
+  DataPolicy data_;  // sorted(), for is_real
   EventLog& log_;
   LogFraming framing_;
   util::Rng backoff_rng_;

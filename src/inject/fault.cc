@@ -50,20 +50,19 @@ void FaultPlan::validate(const cluster::Topology& topology) const {
       CAR_CHECK(attempt > 0, "TransferFault: attempts are 1-based");
     }
   }
-  for (const auto& crash : node_crashes) {
-    CAR_CHECK_LT(crash.node, topology.num_nodes(),
-                 "NodeCrash: node id out of range");
-    CAR_CHECK(crash.at_fraction.has_value() != crash.at_time_s.has_value(),
-              "NodeCrash: exactly one of at_fraction / at_time_s must be "
-              "set");
-    if (crash.at_fraction) {
-      CAR_CHECK(*crash.at_fraction >= 0.0 && *crash.at_fraction <= 1.0,
-                "NodeCrash: at_fraction must be in [0, 1]");
-    }
-    if (crash.at_time_s) {
-      CAR_CHECK(std::isfinite(*crash.at_time_s) && *crash.at_time_s >= 0.0,
-                "NodeCrash: at_time_s must be finite and non-negative");
-    }
+}
+
+void NodeCrash::validate(const cluster::Topology& topology) const {
+  CAR_CHECK_LT(node, topology.num_nodes(), "NodeCrash: node id out of range");
+  CAR_CHECK(at_fraction.has_value() != at_time_s.has_value(),
+            "NodeCrash: exactly one of at_fraction / at_time_s must be set");
+  if (at_fraction) {
+    CAR_CHECK(*at_fraction >= 0.0 && *at_fraction <= 1.0,
+              "NodeCrash: at_fraction must be in [0, 1]");
+  }
+  if (at_time_s) {
+    CAR_CHECK(std::isfinite(*at_time_s) && *at_time_s >= 0.0,
+              "NodeCrash: at_time_s must be finite and non-negative");
   }
 }
 

@@ -1,7 +1,7 @@
 // Deterministic, seedable fault model for the cluster emulator.
 //
-// A FaultPlan is a declarative schedule of adversity, expressed in virtual
-// seconds relative to the start of a run:
+// A FaultPlan is a declarative schedule of the adversity the step engine
+// executes, expressed in virtual seconds relative to the start of a run:
 //
 //   * LinkFault   — a rate window on one emulated link: factor 0 blacks the
 //                   link out, 0 < factor < 1 degrades it (armed as a
@@ -10,9 +10,12 @@
 //   * TransferFault — drop (payload lost in flight, receiver times out) or
 //                   corrupt (payload arrives, checksum mismatch) applied to
 //                   matching transfer attempts, optionally probabilistic;
-//   * NodeCrash   — a node dies mid-recovery, triggered at a plan-completion
-//                   fraction or a virtual time; the resilient runtime
-//                   escalates to a recovery/multi re-plan.
+//
+// A NodeCrash (a node dies mid-recovery, at a plan-completion fraction or a
+// virtual time) is not a fault but a membership event of the scenario
+// (inject::Scenario::crashes): the resilient runtime fires it as a trigger
+// and escalates to a recovery/multi re-plan, and the rebuild runner turns
+// it into a rebuild::FailureEvent.
 //
 // Everything is deterministic: probabilistic transfer faults are decided by
 // a hash of (seed, fault index, step id, attempt), never by execution
@@ -78,21 +81,20 @@ struct NodeCrash {
   std::optional<double> at_fraction;
   /// Fires once the virtual clock reaches this offset from run start.
   std::optional<double> at_time_s;
+
+  /// Check the node id against the topology and the trigger (exactly one
+  /// set, fraction in [0, 1], time finite and non-negative).  Throws
+  /// util::CheckError on the first violation.
+  void validate(const cluster::Topology& topology) const;
 };
 
 struct FaultPlan {
   std::vector<LinkFault> link_faults;
   std::vector<TransferFault> transfer_faults;
-  std::vector<NodeCrash> node_crashes;
-
-  [[nodiscard]] bool empty() const noexcept {
-    return link_faults.empty() && transfer_faults.empty() &&
-           node_crashes.empty();
-  }
 
   /// Check every fault against the topology (ids in range, windows ordered,
-  /// factors/probabilities sane, crash triggers well-formed).  Throws
-  /// util::CheckError on the first violation.
+  /// factors/probabilities sane).  Throws util::CheckError on the first
+  /// violation.
   void validate(const cluster::Topology& topology) const;
 };
 

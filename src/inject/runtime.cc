@@ -46,17 +46,17 @@ class Run {
  public:
   Run(emul::Cluster& cluster, const FaultPlan& faults,
       const RetryPolicy& policy, std::uint64_t seed, const ReplanContext& ctx,
-      DataPolicy data)
+      const DataPolicy& data)
       : cluster_(cluster),
         faults_(faults),
         seed_(seed),
         ctx_(ctx),
         replan_rng_(seed ^ 0x5bd1e9955bd1e995ULL),
-        crash_fired_(faults.node_crashes.size(), false),
+        crash_fired_(ctx.crashes.size(), false),
         failed_nodes_(ctx.failed_nodes),
         t0_(cluster.clock().now()),
-        driver_(cluster, without_crashes(faults), policy, seed,
-                std::move(data), result_.log, LogFraming::kClient) {}
+        driver_(cluster, faults, policy, seed, data, result_.log,
+                LogFraming::kClient) {}
 
   RunResult run(PlanArena plan) {
     auto total = admit(plan);
@@ -97,11 +97,6 @@ class Run {
         driver_.admit(0, PlanArena(plan)).num_sliced_steps());
   }
 
-  static FaultPlan without_crashes(FaultPlan faults) {
-    faults.node_crashes.clear();
-    return faults;
-  }
-
   /// Run the admitted plan (`total` slice steps) until it completes
   /// (returns no crash) or a crash trigger fires (returns the crash and its
   /// virtual time).  A time trigger fires the moment the timeline would
@@ -113,8 +108,8 @@ class Run {
     const std::size_t base = driver_.completed_steps();
     std::optional<std::size_t> steps;
     std::optional<double> deadline;
-    for (std::size_t i = 0; i < faults_.node_crashes.size(); ++i) {
-      const NodeCrash& crash = faults_.node_crashes[i];
+    for (std::size_t i = 0; i < ctx_.crashes.size(); ++i) {
+      const NodeCrash& crash = ctx_.crashes[i];
       if (crash_fired_[i]) continue;
       if (crash.at_fraction) {
         const std::size_t k = steps_to_reach(*crash.at_fraction, total);
@@ -135,8 +130,8 @@ class Run {
               driver_.now()};
     }
     if (outcome.stop == StopReason::kDeadline) {
-      for (std::size_t i = 0; i < faults_.node_crashes.size(); ++i) {
-        const NodeCrash& crash = faults_.node_crashes[i];
+      for (std::size_t i = 0; i < ctx_.crashes.size(); ++i) {
+        const NodeCrash& crash = ctx_.crashes[i];
         if (crash_fired_[i] || !crash.at_time_s) continue;
         const double at = t0_ + *crash.at_time_s;
         if (at <= outcome.next_event_s) {
@@ -154,8 +149,8 @@ class Run {
   /// completion ratio satisfies.
   std::optional<std::size_t> due_fraction_crash(std::size_t completed,
                                                 std::size_t total) const {
-    for (std::size_t i = 0; i < faults_.node_crashes.size(); ++i) {
-      const NodeCrash& crash = faults_.node_crashes[i];
+    for (std::size_t i = 0; i < ctx_.crashes.size(); ++i) {
+      const NodeCrash& crash = ctx_.crashes[i];
       if (crash_fired_[i] || !crash.at_fraction) continue;
       if (completion_ratio(completed, total) >= *crash.at_fraction) return i;
     }
@@ -168,7 +163,7 @@ class Run {
   /// and return the arena to resume with.
   PlanArena escalate(std::size_t crash_index, double tc,
                      const PlanArena& plan) {
-    const NodeCrash& crash = faults_.node_crashes[crash_index];
+    const NodeCrash& crash = ctx_.crashes[crash_index];
     crash_fired_[crash_index] = true;
     driver_.advance_to(tc);
     const double now = driver_.now();
@@ -239,15 +234,16 @@ RunResult ResilientRuntime::execute(PlanArena plan,
   CAR_CHECK(plan.num_base_steps() > 0,
             "inject: empty plan — nothing to recover");
   faults_.validate(cluster_.topology());
-  for (const auto& crash : faults_.node_crashes) {
+  for (const NodeCrash& crash : context.crashes) {
+    crash.validate(cluster_.topology());
     CAR_CHECK(crash.node != plan.replacement(),
               "inject: a NodeCrash targets the replacement node — that is "
               "not a recoverable scenario");
   }
-  if (!faults_.node_crashes.empty()) {
+  if (!context.crashes.empty()) {
     CAR_CHECK(context.placement != nullptr && context.code != nullptr,
-              "inject: FaultPlan contains node crashes; ReplanContext needs "
-              "placement and code");
+              "inject: ReplanContext has node crashes but no placement or "
+              "code");
   }
 
   // Guards are counted per node (emul::Cluster::add_replacement_guard), so

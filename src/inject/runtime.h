@@ -2,11 +2,11 @@
 //
 // ResilientRuntime executes a recovery plan, lowered into a PlanArena on its
 // slice grid, against emul::Cluster the way a production repair pipeline
-// would run it on a misbehaving network: every
-// transfer has a timeout, failed attempts (drop, corruption, timeout) are
-// retried with seeded exponential backoff + jitter (util::BackoffSchedule),
-// and when a FaultPlan kills a *second* node mid-plan the runtime escalates
-// — cancels the outstanding steps, drops the node, re-plans the remaining
+// would run it on a misbehaving network: every transfer has a timeout,
+// failed attempts (drop, corruption, timeout) are retried with seeded
+// exponential backoff + jitter (util::BackoffSchedule), and when a crash of
+// its ReplanContext kills a *second* node mid-plan the runtime escalates —
+// cancels the outstanding steps, drops the node, re-plans the remaining
 // work through recovery::plan_multi_failure_arena (census -> CAR/RR arena
 // on the same slice grid -> validate_arena), and resumes on the same
 // virtual timeline.
@@ -17,10 +17,10 @@
 // runtime adds is its own: the replacement guard, the crash triggers (a
 // time-triggered crash is a run_until deadline, a fraction-triggered one a
 // step limit), the escalation, and the run's framing in the EventLog.
-// A run is a pure function of (arena, FaultPlan, seed): the EventLog two
-// identical runs produce is byte-identical.  Real bytes still move and the
-// real GF kernels still run — recovered chunks are bit-exact, not
-// simulated.
+// A run is a pure function of (arena, FaultPlan, crashes, seed): the
+// EventLog two identical runs produce is byte-identical.  Real bytes still
+// move and the real GF kernels still run — recovered chunks are bit-exact,
+// not simulated.
 //
 // Accounting is at-most-once: ExecutionReport traffic counts a transfer's
 // payload exactly once, no matter how many attempts it took (failed
@@ -43,9 +43,13 @@
 
 namespace car::inject {
 
-/// Everything the runtime needs to re-plan after a mid-recovery crash.
-/// placement/code may be null when the FaultPlan contains no node crashes.
+/// The run's mid-recovery crashes and everything the runtime needs to
+/// re-plan after one.  placement/code may be null when there are no
+/// crashes.
 struct ReplanContext {
+  /// Crash triggers, checked with NodeCrash::validate; none may target the
+  /// replacement.  Fraction triggers that tie fire in declaration order.
+  std::vector<NodeCrash> crashes;
   const cluster::Placement* placement = nullptr;
   const rs::Code* code = nullptr;
   /// Nodes whose data was already lost before this run (the original
@@ -72,10 +76,11 @@ class ResilientRuntime {
   ResilientRuntime(emul::Cluster& cluster, FaultPlan faults,
                    RetryPolicy policy, std::uint64_t seed);
 
-  /// Run `plan` to completion under the fault schedule, at its slice
-  /// granularity: timeouts, retries, fault matching and crash escalation
-  /// act per slice, so cross-rack shipping of slice s overlaps partial
-  /// decoding of slice s+1 (a one-slice grid is the chunk-granular run).
+  /// Run `plan` to completion under the fault schedule and the context's
+  /// crashes, at its slice granularity: timeouts, retries, fault matching
+  /// and crash escalation act per slice, so cross-rack shipping of slice s
+  /// overlaps partial decoding of slice s+1 (a one-slice grid is the
+  /// chunk-granular run).
   /// At-most-once accounting holds per slice (slices of one transfer sum
   /// to exactly chunk_size), and same-seed runs stay byte-identical in the
   /// EventLog.  Crash escalations re-plan onto the same grid.  `data`

@@ -22,6 +22,7 @@
 #include "rs/code.h"
 #include "util/bytes.h"
 #include "util/check.h"
+#include "util/for_each_shard.h"
 #include "util/rng.h"
 
 namespace car::inject {
@@ -121,7 +122,8 @@ LinkSide parse_side(const std::string& line, const std::string& value) {
 }
 
 void parse_fault(const std::string& line,
-                 const std::vector<std::string>& tokens, FaultPlan& plan) {
+                 const std::vector<std::string>& tokens, Scenario& scenario) {
+  FaultPlan& plan = scenario.faults;
   if (tokens.size() < 2) bad_spec(line, "fault needs a type");
   const std::string& type = tokens[1];
   const auto kv = parse_kv(line, tokens, 2);
@@ -181,7 +183,7 @@ void parse_fault(const std::string& line,
         bad_spec(line, "unknown crash key \"" + key + "\"");
       }
     }
-    plan.node_crashes.push_back(crash);
+    scenario.crashes.push_back(crash);
     return;
   }
 
@@ -307,6 +309,14 @@ constexpr CannedEntry kCanned[] = {
     {"degraded-core", kDegradedCore},
 };
 
+emul::EmulConfig fabric_of(const Scenario& scenario) {
+  emul::EmulConfig config;
+  config.node_bps = scenario.node_bps;
+  config.oversubscription = scenario.oversubscription;
+  config.page_bytes = scenario.page_bytes;
+  return config;
+}
+
 }  // namespace
 
 Scenario parse_scenario(const std::string& text) {
@@ -318,6 +328,9 @@ Scenario parse_scenario(const std::string& text) {
   // and the initially failed node cannot also crash later.
   std::set<cluster::NodeId> crashed_nodes;
   std::optional<double> last_crash_at;
+  // A dropped attempt is detected only at its timeout, so a drop fault
+  // needs a finite one; checked after the loop, whatever the line order.
+  std::optional<std::string> drop_line;
   const auto note_crash_node = [&](const std::string& line,
                                    cluster::NodeId node) {
     if (scenario.fail_node && *scenario.fail_node == node) {
@@ -340,9 +353,11 @@ Scenario parse_scenario(const std::string& text) {
     const std::string& key = tokens.front();
 
     if (key == "fault") {
-      parse_fault(line, tokens, scenario.faults);
-      if (tokens.size() >= 2 && tokens[1] == "crash") {
-        note_crash_node(line, scenario.faults.node_crashes.back().node);
+      parse_fault(line, tokens, scenario);
+      if (tokens[1] == "crash") {
+        note_crash_node(line, scenario.crashes.back().node);
+      } else if (tokens[1] == "drop" && !drop_line) {
+        drop_line = line;
       }
       continue;
     }
@@ -376,7 +391,7 @@ Scenario parse_scenario(const std::string& text) {
       }
       last_crash_at = *crash.at_time_s;
       note_crash_node(line, crash.node);
-      scenario.faults.node_crashes.push_back(crash);
+      scenario.crashes.push_back(crash);
       continue;
     }
     if (tokens.size() != 2) bad_spec(line, "expected \"key value\"");
@@ -470,6 +485,10 @@ Scenario parse_scenario(const std::string& text) {
       bad_spec(line, "unknown key \"" + key + "\"");
     }
   }
+  if (drop_line && std::isinf(scenario.retry.transfer_timeout_s)) {
+    bad_spec(*drop_line, "a drop fault needs a finite timeout (a dropped "
+                         "attempt is detected only when it times out)");
+  }
   return scenario;
 }
 
@@ -489,100 +508,89 @@ Scenario canned_scenario(const std::string& name) {
                               "\" (have: " + have + ")");
 }
 
+Testbed::Testbed(const Scenario& spec)
+    : scenario(spec),
+      code(spec.k, spec.m),
+      cluster(cluster::Topology(spec.racks), fabric_of(spec)),
+      rng(spec.seed),
+      placement(cluster::Placement::random(cluster.topology(), spec.k, spec.m,
+                                           spec.stripes, rng)) {}
+
+void Testbed::materialise(std::span<const cluster::NodeId> failed,
+                          std::size_t shards) {
+  std::vector<cluster::StripeId> stripes;
+  if (scenario.data_mode == DataMode::kMetadata) {
+    stripes = emul::first_affected_stripes(placement, failed,
+                                           scenario.sample_stripes);
+    data.metadata_only = true;
+    data.sampled_stripes = stripes;
+  } else {
+    stripes.resize(scenario.stripes);
+    std::iota(stripes.begin(), stripes.end(), 0);
+  }
+  // Per-stripe seeds (emul::Cluster::stripe_seed) make the stored bytes a
+  // pure function of (seed, stripe), so shard assignment is free.
+  std::vector<std::vector<cluster::StripeId>> subsets(shards);
+  for (std::size_t i = 0; i < stripes.size(); ++i) {
+    subsets[i % shards].push_back(stripes[i]);
+  }
+  std::vector<emul::Originals> partials(shards);
+  util::for_each_shard(shards, [&](std::size_t shard) {
+    partials[shard] = cluster.populate_sampled(
+        placement, code, scenario.chunk_bytes, scenario.seed, subsets[shard]);
+  });
+  for (emul::Originals& partial : partials) originals.merge(partial);
+}
+
 ScenarioOutcome run_scenario(const Scenario& scenario) {
-  const cluster::Topology topology(scenario.racks);
-  const rs::Code code(scenario.k, scenario.m);
-
-  emul::EmulConfig config;
-  config.node_bps = scenario.node_bps;
-  config.oversubscription = scenario.oversubscription;
-  config.page_bytes = scenario.page_bytes;
-  emul::Cluster cluster(topology, config);
-
-  const bool seeded_data = scenario.data_mode.has_value();
-  const bool metadata = scenario.data_mode == DataMode::kMetadata;
-
-  util::Rng rng(scenario.seed);
-  const auto placement = cluster::Placement::random(
-      topology, scenario.k, scenario.m, scenario.stripes, rng);
+  Testbed bed(scenario);
 
   // Classic flow: one shared rng stream populates everything before the
   // failure is drawn.  Seeded-data flow (`data-mode`): the failure is drawn
   // from the same stream *without* populating first, so "real" and
-  // "metadata" runs of one spec agree on placement, failure, and plan;
-  // stripes are materialised further down from per-stripe seeds.
-  emul::Originals originals;
-  if (!seeded_data) {
-    auto all = cluster.populate(placement, code, scenario.chunk_bytes, rng);
-    originals.reserve(all.size());
+  // "metadata" runs of one spec agree on placement, failure, and plan.
+  if (!scenario.data_mode) {
+    auto all = bed.cluster.populate(bed.placement, bed.code,
+                                    scenario.chunk_bytes, bed.rng);
     for (cluster::StripeId s = 0; s < all.size(); ++s) {
-      originals.emplace(s, std::move(all[s]));
+      bed.originals.emplace(s, std::move(all[s]));
     }
   }
-
   const auto failure =
       scenario.fail_node
-          ? cluster::inject_node_failure(placement, *scenario.fail_node)
-          : cluster::inject_random_failure(placement, rng);
-  if (!seeded_data) cluster.erase_node(failure.failed_node);
+          ? cluster::inject_node_failure(bed.placement, *scenario.fail_node)
+          : cluster::inject_random_failure(bed.placement, bed.rng);
+  if (scenario.data_mode) bed.materialise({&failure.failed_node, 1}, 1);
+  bed.cluster.erase_node(failure.failed_node);
 
   util::Rng rr_rng(scenario.seed + 1);
   recovery::PlanTemplateCache template_cache;
   recovery::PlanArena plan = recovery::plan_multi_failure_arena(
-      placement, code,
+      bed.placement, bed.code,
       recovery::build_multi_censuses(
-          placement,
-          recovery::make_multi_failure(placement, {failure.failed_node})),
+          bed.placement,
+          recovery::make_multi_failure(bed.placement, {failure.failed_node})),
       scenario.strategy, scenario.chunk_bytes,
       scenario.slice_bytes > 0 ? scenario.slice_bytes : scenario.chunk_bytes,
       failure.failed_node, rr_rng, template_cache);
 
-  ScenarioOutcome outcome;
-  outcome.failed_node = failure.failed_node;
-
-  DataPolicy data;
-  if (seeded_data) {
-    // Materialise stripes from per-stripe seeds: all of them under
-    // data-mode real, the first `sample` affected ones under data-mode
-    // metadata.
-    std::vector<cluster::StripeId> materialise;
-    if (metadata) {
-      materialise = emul::first_affected_stripes(
-          placement, std::span(&failure.failed_node, 1),
-          scenario.sample_stripes);
-      data.metadata_only = true;
-      data.sampled_stripes = materialise;
-    } else {
-      materialise.resize(scenario.stripes);
-      std::iota(materialise.begin(), materialise.end(), 0);
-    }
-    originals = cluster.populate_sampled(placement, code,
-                                         scenario.chunk_bytes, scenario.seed,
-                                         materialise);
-    cluster.erase_node(failure.failed_node);
-  }
-
-  ResilientRuntime runtime(cluster, scenario.faults, scenario.retry,
+  ResilientRuntime runtime(bed.cluster, scenario.faults, scenario.retry,
                            scenario.seed);
   ReplanContext context;
-  context.placement = &placement;
-  context.code = &code;
+  context.crashes = scenario.crashes;
+  context.placement = &bed.placement;
+  context.code = &bed.code;
   context.failed_nodes = {failure.failed_node};
   context.strategy = scenario.strategy;
-  outcome.run = runtime.execute(std::move(plan), context, data);
+  RunResult run = runtime.execute(std::move(plan), context, bed.data);
 
   // Bit-exactness: every output of the plan that actually finished (the
   // re-plan after a crash, otherwise the original) must match the bytes the
   // failed node(s) held before the run.  Metadata-only stripes carry no
   // bytes — they are measured, not checked.
-  outcome.stripes_materialised = originals.size();
-  const auto counts =
-      emul::verify_outputs(cluster, outcome.run.final_plan.replacement(),
-                           outcome.run.final_plan.outputs(), originals);
-  outcome.chunks_expected = counts.expected;
-  outcome.chunks_verified = counts.verified;
-  outcome.bit_exact = outcome.chunks_verified == outcome.chunks_expected;
-  return outcome;
+  const Verdict verdict =
+      bed.verdict(run.final_plan.replacement(), run.final_plan.outputs());
+  return {verdict, failure.failed_node, std::move(run)};
 }
 
 }  // namespace car::inject

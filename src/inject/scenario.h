@@ -1,9 +1,10 @@
 // Declarative fault-injection scenarios.
 //
-// A Scenario bundles everything one resilient-recovery experiment needs —
-// topology, code, workload, strategy, retry policy, and a FaultPlan — and
-// can be written as a small line-oriented text spec (`carctl inject-run
-// --spec file`).  The spec grammar:
+// A Scenario bundles everything one recovery experiment needs — topology,
+// code, workload, strategy, retry policy, a FaultPlan, and the node crashes
+// — and can be written as a small line-oriented text spec (`carctl
+// inject-run --spec file`, `carctl rebuild-run --spec file`).  The spec
+// grammar:
 //
 //   # comment
 //   name mid-recovery-crash
@@ -19,7 +20,8 @@
 //   node-mbps 100
 //   oversub 5
 //   page-kib 16
-//   timeout 0.25           # per-transfer timeout, seconds (> 0; inf: never)
+//   timeout 0.25           # per-transfer timeout, seconds (> 0; inf:
+//                          # never, which no drop fault may use)
 //   max-attempts 6         # tries per transfer, >= 1
 //   backoff-base 0.02      # backoff-factor / backoff-cap / backoff-jitter
 //   data-mode metadata     # optional; real | metadata (see Scenario)
@@ -33,10 +35,17 @@
 //   batch-stripes 4        # rebuild control plane: stripes per batch
 //   concurrency 2          # ... and concurrent in-flight batches
 //
-// `crash node=N at=T` is the declarative rolling-failure form: each line
-// appends one NodeCrash (at virtual time T) to the fault plan, in spec
-// order.  A node named twice (by any crash line or by fail-node) or an
-// out-of-order time is a parse error naming the offending line.
+// Node crashes are scenario events, not faults: `fault crash` and the
+// declarative rolling-failure form `crash node=N at=T` each append one
+// NodeCrash to Scenario::crashes, in spec order.  A node named twice (by
+// any crash line or by fail-node) or an out-of-order `crash` time is a
+// parse error naming the offending line.
+//
+// Both runners share one testbed (Testbed: the spec's cluster and random
+// placement, seeded materialisation, and the byte-exact Verdict).
+// run_scenario executes one plan through ResilientRuntime, which fires the
+// crashes as triggers; rebuild::run_rebuild_scenario turns them into
+// membership events of the rebuild coordinator.
 //
 // Canned scenarios (link-flap, mid-recovery-crash, slow-straggler-rack,
 // degraded-core) are embedded specs parsed through the same grammar, so the
@@ -46,13 +55,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "cluster/placement.h"
 #include "cluster/types.h"
+#include "emul/cluster.h"
+#include "emul/recover.h"
 #include "inject/fault.h"
 #include "inject/runtime.h"
 #include "recovery/replan.h"
+#include "rs/code.h"
+#include "util/rng.h"
 
 namespace car::inject {
 
@@ -84,7 +99,7 @@ struct Scenario {
   /// (emul::Cluster::stripe_seed) with the failure drawn *before* any
   /// population, so the two modes see identical placement, failure, plan,
   /// and event log; kMetadata then materialises only the sampled stripes
-  /// (inject::DataPolicy) while kReal materialises all of them — the
+  /// (Testbed::data) while kReal materialises all of them — the
   /// differential pair behind the metadata-mode tests.
   std::optional<DataMode> data_mode;
   /// Sampled (real-byte, bit-exact-verified) stripes under data-mode
@@ -101,6 +116,8 @@ struct Scenario {
   std::size_t rebuild_concurrency = 2;
   RetryPolicy retry;
   FaultPlan faults;
+  /// Node crashes (`fault crash`, `crash`), in spec order.
+  std::vector<NodeCrash> crashes;
 };
 
 /// Parse a text spec (see the grammar above).  Throws std::invalid_argument
@@ -115,24 +132,60 @@ Scenario parse_scenario(const std::string& text);
 /// unknown names; see canned_scenario_names).
 Scenario canned_scenario(const std::string& name);
 
-/// Everything a scenario run produced, for assertions and reporting.
-struct ScenarioOutcome {
-  cluster::NodeId failed_node = 0;   // the initial failure
-  /// Outputs whose bytes were checked: all of them, except under data-mode
-  /// metadata where only sampled stripes carry bytes to check.
-  std::size_t chunks_expected = 0;
-  std::size_t chunks_verified = 0;   // ... that matched the original bytes
-  bool bit_exact = false;            // chunks_verified == chunks_expected
-  /// Stripes materialised with real bytes: every stripe outside data-mode
-  /// metadata, the sampled subset under it.
+/// A run's byte check of the recovered chunks against the originals.
+struct Verdict {
+  /// Stripes materialised with real bytes: all of them, or the sample
+  /// under data-mode metadata (only those carry bytes to check).
   std::size_t stripes_materialised = 0;
+  std::size_t chunks_expected = 0;  // outputs of materialised stripes
+  std::size_t chunks_verified = 0;  // ... that matched the original bytes
+  bool bit_exact = false;           // chunks_verified == chunks_expected
+};
+
+/// The paper's testbed for one scenario: the spec's fabric as an emulated
+/// cluster and a random rack-fault-tolerant placement drawn from the
+/// scenario's seeded stream.  A runner fills it with bytes, fails nodes,
+/// recovers them onto one replacement, and takes its verdict.
+struct Testbed {
+  explicit Testbed(const Scenario& scenario);
+
+  /// Seeded materialisation (emul::Cluster::populate_sampled) of every
+  /// stripe, or under data-mode metadata of the first `sample` stripes hit
+  /// by `failed` (emul::first_affected_stripes), which become data's
+  /// sample.  Split over `shards` threads; no byte depends on the count.
+  void materialise(std::span<const cluster::NodeId> failed,
+                   std::size_t shards);
+
+  /// Byte-compare the recovered `outputs` (items with .stripe and
+  /// .chunk_index) held by `replacement` against the originals.
+  template <typename Outputs>
+  [[nodiscard]] Verdict verdict(cluster::NodeId replacement,
+                                const Outputs& outputs) const {
+    const auto counts =
+        emul::verify_outputs(cluster, replacement, outputs, originals);
+    return {originals.size(), counts.expected, counts.verified,
+            counts.verified == counts.expected};
+  }
+
+  const Scenario& scenario;
+  rs::Code code;
+  emul::Cluster cluster;
+  util::Rng rng;  // the scenario's stream, past the placement draw
+  cluster::Placement placement;
+  emul::Originals originals;  // the bytes of every materialised stripe
+  DataPolicy data;  // all real, or metadata-only but for the sample
+};
+
+/// Everything a scenario run produced, for assertions and reporting.
+struct ScenarioOutcome : Verdict {
+  cluster::NodeId failed_node = 0;  // the initial failure
   RunResult run;
 };
 
-/// Build the emulated cluster, populate it, fail a node, plan recovery with
-/// the scenario's strategy straight into a validated arena on the
-/// scenario's slice grid (recovery::plan_multi_failure_arena), and execute
-/// it under the scenario's FaultPlan via ResilientRuntime.  Recovered
+/// Build the testbed, populate it, fail a node, plan recovery with the
+/// scenario's strategy straight into a validated arena on the scenario's
+/// slice grid (recovery::plan_multi_failure_arena), and execute it under
+/// the scenario's FaultPlan and crashes via ResilientRuntime.  Recovered
 /// chunks are compared byte-for-byte against the originals.
 /// Deterministic: the same scenario yields the same ScenarioOutcome
 /// (including a byte-identical EventLog).

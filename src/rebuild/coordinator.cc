@@ -51,9 +51,6 @@ RebuildResult RebuildCoordinator::run(std::span<const FailureEvent> events) {
   CAR_CHECK_STATE(!ran_, "RebuildCoordinator::run: one-shot — construct a "
                          "fresh coordinator per failure schedule");
   CAR_CHECK(!events.empty(), "RebuildCoordinator::run: no failure events");
-  CAR_CHECK(options_.faults.node_crashes.empty(),
-            "RebuildCoordinator::run: node crashes belong in the events "
-            "schedule, not in options.faults");
   CAR_CHECK_GT(options_.batch_stripes, std::size_t{0},
                "RebuildCoordinator::run: batch_stripes must be >= 1");
   CAR_CHECK_GT(options_.max_inflight, std::size_t{0},

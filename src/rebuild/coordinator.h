@@ -1,7 +1,8 @@
 // Self-healing rebuild control plane: scan, prioritize, overlap.
 //
 // RebuildCoordinator turns a schedule of membership events (node failures
-// at virtual times) into a finished rebuild:
+// at virtual times; run_rebuild_scenario builds them from a scenario's node
+// crashes, which are never part of the FaultPlan) into a finished rebuild:
 //
 //   1. Membership — the first failed node becomes the primary replacement
 //      (its slot is wiped and re-used as the rebuild target, the paper's
@@ -92,8 +93,8 @@ struct RebuildOptions {
   /// on the calling thread.
   std::size_t scan_shards = 1;
   inject::RetryPolicy retry;
-  /// Link/transfer adversity for the driver.  Node crashes are NOT allowed
-  /// here — failures are the `events` argument of run().
+  /// Link/transfer adversity for the driver; failures are the `events`
+  /// argument of run().
   inject::FaultPlan faults;
   inject::DataPolicy data;
 };

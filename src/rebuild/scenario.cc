@@ -1,28 +1,16 @@
 #include "rebuild/scenario.h"
 
-#include <algorithm>
-#include <unordered_set>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "cluster/placement.h"
-#include "cluster/topology.h"
-#include "emul/cluster.h"
-#include "emul/recover.h"
-#include "rs/code.h"
+#include "recovery/exposure.h"
 #include "util/check.h"
-#include "util/for_each_shard.h"
-#include "util/rng.h"
 
 namespace car::rebuild {
 
 namespace {
-
-/// (stripe, chunk index) key matching recovery/exposure.cc's packing.
-std::uint64_t chunk_key(cluster::StripeId stripe, std::size_t chunk_index) {
-  return (static_cast<std::uint64_t>(stripe) << 16) |
-         static_cast<std::uint64_t>(chunk_index);
-}
 
 struct CannedSpec {
   const char* name;
@@ -99,65 +87,23 @@ inject::Scenario canned_rebuild_scenario(const std::string& name) {
 
 RebuildScenarioOutcome run_rebuild_scenario(const inject::Scenario& scenario,
                                             std::size_t populate_shards) {
-  CAR_CHECK(!scenario.faults.node_crashes.empty(),
+  CAR_CHECK(!scenario.crashes.empty(),
             "run_rebuild_scenario: the spec needs at least one `crash "
             "node=N at=T` event");
   CAR_CHECK_GT(populate_shards, std::size_t{0},
                "run_rebuild_scenario: populate_shards must be >= 1");
-  for (const inject::NodeCrash& crash : scenario.faults.node_crashes) {
+  std::vector<FailureEvent> events;
+  std::vector<cluster::NodeId> crashed;
+  for (const inject::NodeCrash& crash : scenario.crashes) {
     CAR_CHECK(crash.at_time_s.has_value(),
               "run_rebuild_scenario: rolling failures need `at=` virtual "
               "times (at-fraction is a single-plan trigger)");
-  }
-  const bool metadata = scenario.data_mode == inject::DataMode::kMetadata;
-
-  const cluster::Topology topology(scenario.racks);
-  const rs::Code code(scenario.k, scenario.m);
-
-  emul::EmulConfig config;
-  config.node_bps = scenario.node_bps;
-  config.oversubscription = scenario.oversubscription;
-  config.page_bytes = scenario.page_bytes;
-  emul::Cluster cluster(topology, config);
-
-  util::Rng rng(scenario.seed);
-  const auto placement = cluster::Placement::random(
-      topology, scenario.k, scenario.m, scenario.stripes, rng);
-
-  std::vector<FailureEvent> events;
-  std::vector<cluster::NodeId> crashed;
-  for (const inject::NodeCrash& crash : scenario.faults.node_crashes) {
     events.push_back({crash.node, *crash.at_time_s});
     crashed.push_back(crash.node);
   }
 
-  // Per-stripe seeded data (emul::Cluster::stripe_seed) makes the stored
-  // bytes a pure function of (seed, stripe) — shard assignment is free to
-  // change without changing a byte anywhere.
-  std::vector<cluster::StripeId> materialise;
-  if (metadata) {
-    materialise = emul::first_affected_stripes(placement, crashed,
-                                               scenario.sample_stripes);
-  } else {
-    for (cluster::StripeId stripe = 0; stripe < scenario.stripes; ++stripe) {
-      materialise.push_back(stripe);
-    }
-  }
-
-  std::vector<std::vector<cluster::StripeId>> subsets(populate_shards);
-  for (std::size_t i = 0; i < materialise.size(); ++i) {
-    subsets[i % populate_shards].push_back(materialise[i]);
-  }
-  std::vector<emul::Originals> partials(populate_shards);
-  util::for_each_shard(populate_shards, [&](std::size_t shard) {
-    partials[shard] =
-        cluster.populate_sampled(placement, code, scenario.chunk_bytes,
-                                 scenario.seed, subsets[shard]);
-  });
-  emul::Originals originals = std::move(partials.front());
-  for (std::size_t shard = 1; shard < populate_shards; ++shard) {
-    originals.merge(partials[shard]);
-  }
+  inject::Testbed bed(scenario);
+  bed.materialise(crashed, populate_shards);
 
   RebuildOptions options;
   options.strategy = scenario.strategy;
@@ -171,42 +117,33 @@ RebuildScenarioOutcome run_rebuild_scenario(const inject::Scenario& scenario,
   options.scan_shards = populate_shards;
   options.retry = scenario.retry;
   options.faults = scenario.faults;
-  options.faults.node_crashes.clear();  // membership events, not faults
-  if (metadata) {
-    options.data.metadata_only = true;
-    options.data.sampled_stripes = materialise;
-  }
+  options.data = bed.data;
 
-  RebuildCoordinator coordinator(cluster, placement, code, options);
-  RebuildScenarioOutcome outcome;
-  outcome.result = coordinator.run(events);
-  outcome.stripes_materialised = materialise.size();
+  RebuildCoordinator coordinator(bed.cluster, bed.placement, bed.code,
+                                 options);
+  RebuildResult result = coordinator.run(events);
 
   // Completeness: every chunk that lived on a crashed node must have been
   // recovered, whether or not its stripe carried real bytes.
-  std::unordered_set<std::uint64_t> recovered;
-  for (const inject::PublishedChunk& chunk : outcome.result.recovered) {
-    recovered.insert(chunk_key(chunk.stripe, chunk.chunk_index));
+  recovery::RecoveredSet recovered;
+  for (const inject::PublishedChunk& chunk : result.recovered) {
+    recovered.mark(chunk.stripe, chunk.chunk_index);
   }
-  for (const FailureEvent& event : events) {
-    for (const cluster::ChunkRef& ref : placement.chunks_on_node(event.node)) {
+  for (const cluster::NodeId node : crashed) {
+    for (const cluster::ChunkRef& ref : bed.placement.chunks_on_node(node)) {
       CAR_CHECK_STATE(
-          recovered.contains(chunk_key(ref.stripe, ref.chunk_index)),
+          recovered.contains(ref.stripe, ref.chunk_index),
           "run_rebuild_scenario: chunk s" + std::to_string(ref.stripe) + "#" +
               std::to_string(ref.chunk_index) + " lost on node " +
-              std::to_string(event.node) + " was never recovered");
+              std::to_string(node) + " was never recovered");
     }
   }
 
   // Bit-exactness: every materialised recovered chunk must match the
   // original encoding byte for byte.
-  const auto counts =
-      emul::verify_outputs(cluster, outcome.result.replacement,
-                           outcome.result.recovered, originals);
-  outcome.chunks_expected = counts.expected;
-  outcome.chunks_verified = counts.verified;
-  outcome.bit_exact = outcome.chunks_verified == outcome.chunks_expected;
-  return outcome;
+  const inject::Verdict verdict =
+      bed.verdict(result.replacement, result.recovered);
+  return {verdict, std::move(result)};
 }
 
 }  // namespace car::rebuild

@@ -8,12 +8,15 @@
 // are scanned and prioritized by exposure, and batches overlap on one
 // virtual timeline.
 //
-// Population always uses per-stripe seeds (emul::Cluster::stripe_seed), so
-// it can be sharded across `populate_shards` threads with byte-identical
-// results — shard count never changes a single stored byte, a recovered
-// byte, or an event-log byte.  Under `data-mode metadata` only the first
-// `sample` affected stripes are materialised (inject::DataPolicy); all
-// other recoveries are measured, not materialised.
+// It builds the same inject::Testbed as inject::run_scenario and takes the
+// same Verdict; what it adds is the crash -> FailureEvent conversion, the
+// completeness check, and the coordinator call.  Population always uses
+// per-stripe seeds (inject::Testbed::materialise), so it can be sharded
+// across `populate_shards` threads with byte-identical results — shard
+// count never changes a single stored byte, a recovered byte, or an
+// event-log byte.  Under `data-mode metadata` only the first `sample`
+// affected stripes are materialised; all other recoveries are measured,
+// not materialised.
 //
 // Canned scenarios:
 //   rolling-two-rack — RS(4,2), two failures in two different racks, the
@@ -31,22 +34,16 @@
 
 namespace car::rebuild {
 
-struct RebuildScenarioOutcome {
+struct RebuildScenarioOutcome : inject::Verdict {
   RebuildResult result;
-  /// Recovered chunks whose bytes were checked against the original
-  /// encoding: all of them, except under data-mode metadata where only
-  /// sampled stripes carry bytes.
-  std::size_t chunks_expected = 0;
-  std::size_t chunks_verified = 0;
-  bool bit_exact = false;  // chunks_verified == chunks_expected
-  std::size_t stripes_materialised = 0;
 };
 
-/// Build the cluster, populate it (`populate_shards` threads over disjoint
-/// stripe sets), run the coordinator over the spec's crash schedule, and
-/// byte-verify every materialised recovered chunk.  The scenario must
-/// contain at least one node crash and every crash must use an `at=` time
-/// (util::CheckError otherwise).  Deterministic: the same scenario yields
+/// Build the testbed, populate it (`populate_shards` threads over disjoint
+/// stripe sets), run the coordinator over the spec's crashes as failure
+/// events, check that every lost chunk was recovered, and byte-verify every
+/// materialised recovered chunk.  The scenario must contain at least one
+/// node crash and every crash must use an `at=` time (util::CheckError
+/// otherwise).  Deterministic: the same scenario yields
 /// the same outcome — including a byte-identical EventLog — for any
 /// populate_shards >= 1.
 RebuildScenarioOutcome run_rebuild_scenario(const inject::Scenario& scenario,

@@ -311,13 +311,12 @@ struct Stage {
 
   void run(const std::string& key, const inject::NodeCrash& crash,
            std::uint64_t slice_bytes) {
-    inject::FaultPlan faults;
-    faults.node_crashes.push_back(crash);
     inject::ReplanContext context;
+    context.crashes = {crash};
     context.placement = &*placement;
     context.code = &code;
     context.failed_nodes = {kFailed};
-    inject::ResilientRuntime runtime(*cluster, faults, {}, 7);
+    inject::ResilientRuntime runtime(*cluster, {}, {}, 7);
     const auto result = runtime.execute(
         recovery::PlanArena::build(plan, slice_bytes), context);
     ASSERT_TRUE(result.replanned) << key;

@@ -179,5 +179,25 @@ TEST(BatchDriverPolicy, RejectsAnUnusableRetryPolicy) {
   EXPECT_NO_THROW(make(never_times_out));
 }
 
+// A dropped attempt fails at its timeout, so +inf would queue its retry at
+// +inf; a corrupt attempt fails on delivery and runs under any timeout.
+TEST(BatchDriverPolicy, RejectsADropFaultUnderAnInfiniteTimeout) {
+  emul::Cluster cluster(cluster::Topology({2, 2}), emul::EmulConfig{});
+  EventLog log;
+  FaultPlan faults;
+  faults.transfer_faults.emplace_back();
+  faults.transfer_faults.front().kind = TransferFault::Kind::kDrop;
+  const auto make = [&](double timeout) {
+    RetryPolicy policy;
+    policy.transfer_timeout_s = timeout;
+    BatchDriver driver(cluster, faults, policy, 1, {}, log);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(make(inf), util::CheckError);
+  EXPECT_NO_THROW(make(0.5));
+  faults.transfer_faults.front().kind = TransferFault::Kind::kCorrupt;
+  EXPECT_NO_THROW(make(inf));
+}
+
 }  // namespace
 }  // namespace car::inject

@@ -1,4 +1,5 @@
-// Fault-model and event-log unit tests: FaultPlan validation, the
+// Fault-model and event-log unit tests: FaultPlan and NodeCrash validation,
+// the
 // order-independent per-attempt fault decision, link-fault arming, and the
 // canonical (byte-stable) EventLog JSON.
 #include "inject/fault.h"
@@ -25,7 +26,7 @@ const Topology& topo() {
 
 TEST(FaultPlan, EmptyPlanIsValid) {
   const FaultPlan plan;
-  EXPECT_TRUE(plan.empty());
+  EXPECT_TRUE(plan.link_faults.empty() && plan.transfer_faults.empty());
   EXPECT_NO_THROW(plan.validate(topo()));
 }
 
@@ -63,21 +64,19 @@ TEST(FaultPlan, RejectsBadTransferProbabilityAndAttempts) {
   EXPECT_THROW(plan.validate(topo()), util::CheckError);
 }
 
-TEST(FaultPlan, RejectsCrashWithBadTriggerOrNode) {
-  FaultPlan plan;
+TEST(NodeCrash, RejectsBadTriggerOrNode) {
   NodeCrash crash;
-  crash.node = 3;
-  plan.node_crashes.push_back(crash);  // neither trigger set
-  EXPECT_THROW(plan.validate(topo()), util::CheckError);
-  plan.node_crashes.front().at_fraction = 0.5;
-  plan.node_crashes.front().at_time_s = 1.0;  // both set
-  EXPECT_THROW(plan.validate(topo()), util::CheckError);
-  plan.node_crashes.front().at_time_s.reset();
-  plan.node_crashes.front().at_fraction = 1.5;
-  EXPECT_THROW(plan.validate(topo()), util::CheckError);
-  plan.node_crashes.front().at_fraction = 0.5;
-  plan.node_crashes.front().node = 10;  // out of range
-  EXPECT_THROW(plan.validate(topo()), util::CheckError);
+  crash.node = 3;  // neither trigger set
+  EXPECT_THROW(crash.validate(topo()), util::CheckError);
+  crash.at_fraction = 0.5;
+  crash.at_time_s = 1.0;  // both set
+  EXPECT_THROW(crash.validate(topo()), util::CheckError);
+  crash.at_time_s.reset();
+  crash.at_fraction = 1.5;
+  EXPECT_THROW(crash.validate(topo()), util::CheckError);
+  crash.at_fraction = 0.5;
+  crash.node = 10;  // out of range
+  EXPECT_THROW(crash.validate(topo()), util::CheckError);
 }
 
 TEST(TransferFaultApplies, FiltersByStepAndAttempt) {

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "cluster/failure.h"
@@ -62,8 +63,10 @@ struct Env {
     return recovery::PlanArena::build(plan, kChunk);
   }
 
-  [[nodiscard]] ReplanContext context() const {
+  [[nodiscard]] ReplanContext context(
+      std::vector<NodeCrash> crashes = {}) const {
     ReplanContext ctx;
+    ctx.crashes = std::move(crashes);
     ctx.placement = &*placement;
     ctx.code = &code;
     ctx.failed_nodes = {kFailed};
@@ -181,14 +184,12 @@ TEST(ResilientRuntime, ExhaustedRetriesFailLoudly) {
 
 TEST(ResilientRuntime, MidRecoveryCrashReplansAndFinishes) {
   Env env;
-  FaultPlan faults;
   NodeCrash crash;
   crash.node = 5;
   crash.at_fraction = 0.4;
-  faults.node_crashes.push_back(crash);
 
-  ResilientRuntime runtime(*env.cluster, faults, {}, 7);
-  const auto result = runtime.execute(env.arena(), env.context());
+  ResilientRuntime runtime(*env.cluster, {}, {}, 7);
+  const auto result = runtime.execute(env.arena(), env.context({crash}));
 
   ASSERT_TRUE(result.replanned);
   recovery::ValidateOptions options;
@@ -230,16 +231,14 @@ TEST(ResilientRuntime, MidRecoveryCrashReplansAndFinishes) {
 
 TEST(ResilientRuntime, TimeTriggeredCrashAlsoEscalates) {
   Env env;
-  FaultPlan faults;
   NodeCrash crash;
   crash.node = 8;
   // Early in the run: the 8 KiB-chunk plan finishes in a few hundred
   // microseconds of virtual time, so trigger within the first transfers.
   crash.at_time_s = 0.0001;
-  faults.node_crashes.push_back(crash);
 
-  ResilientRuntime runtime(*env.cluster, faults, {}, 7);
-  const auto result = runtime.execute(env.arena(), env.context());
+  ResilientRuntime runtime(*env.cluster, {}, {}, 7);
+  const auto result = runtime.execute(env.arena(), env.context({crash}));
   ASSERT_TRUE(result.replanned);
   EXPECT_EQ(env.verified(result.final_plan),
             result.final_plan.outputs().size());
@@ -248,25 +247,23 @@ TEST(ResilientRuntime, TimeTriggeredCrashAlsoEscalates) {
 
 TEST(ResilientRuntime, CrashTargetingReplacementIsRejected) {
   Env env;
-  FaultPlan faults;
   NodeCrash crash;
   crash.node = kFailed;  // the replacement itself
   crash.at_fraction = 0.5;
-  faults.node_crashes.push_back(crash);
-  ResilientRuntime runtime(*env.cluster, faults, {}, 7);
-  EXPECT_THROW(runtime.execute(env.arena(), env.context()), util::CheckError);
+  ResilientRuntime runtime(*env.cluster, {}, {}, 7);
+  EXPECT_THROW(runtime.execute(env.arena(), env.context({crash})),
+               util::CheckError);
 }
 
 TEST(ResilientRuntime, CrashWithoutReplanContextIsRejected) {
   Env env;
-  FaultPlan faults;
   NodeCrash crash;
   crash.node = 5;
   crash.at_fraction = 0.5;
-  faults.node_crashes.push_back(crash);
-  ResilientRuntime runtime(*env.cluster, faults, {}, 7);
-  ReplanContext empty;
-  EXPECT_THROW(runtime.execute(env.arena(), empty), util::CheckError);
+  ResilientRuntime runtime(*env.cluster, {}, {}, 7);
+  ReplanContext no_placement;  // crashes, but no placement or code
+  no_placement.crashes = {crash};
+  EXPECT_THROW(runtime.execute(env.arena(), no_placement), util::CheckError);
 }
 
 TEST(ResilientRuntime, SameSeedRunsProduceByteIdenticalLogs) {
@@ -279,12 +276,11 @@ TEST(ResilientRuntime, SameSeedRunsProduceByteIdenticalLogs) {
   NodeCrash crash;
   crash.node = 5;
   crash.at_fraction = 0.5;
-  faults.node_crashes.push_back(crash);
 
   auto run_once = [&] {
     Env env(21);
     ResilientRuntime runtime(*env.cluster, faults, {}, 21);
-    return runtime.execute(env.arena(), env.context());
+    return runtime.execute(env.arena(), env.context({crash}));
   };
   const auto a = run_once();
   const auto b = run_once();

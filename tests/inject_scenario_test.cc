@@ -90,9 +90,9 @@ fault crash node=3 at-time=1.5
   EXPECT_EQ(scenario.faults.transfer_faults[1].kind,
             TransferFault::Kind::kCorrupt);
 
-  ASSERT_EQ(scenario.faults.node_crashes.size(), 2u);
-  EXPECT_DOUBLE_EQ(*scenario.faults.node_crashes[0].at_fraction, 0.25);
-  EXPECT_DOUBLE_EQ(*scenario.faults.node_crashes[1].at_time_s, 1.5);
+  ASSERT_EQ(scenario.crashes.size(), 2u);
+  EXPECT_DOUBLE_EQ(*scenario.crashes[0].at_fraction, 0.25);
+  EXPECT_DOUBLE_EQ(*scenario.crashes[1].at_time_s, 1.5);
 }
 
 TEST(ParseScenario, RejectsMalformedSpecs) {
@@ -236,13 +236,40 @@ TEST(ParseScenario, RejectsAnUnusableRetryPolicyNamingTheLine) {
   EXPECT_EQ(parse_scenario("max-attempts 1\n").retry.max_attempts, 1u);
 }
 
+// A dropped attempt is detected only when it times out, so under `timeout
+// inf` its retry was queued at +inf and the run aborted inside the step
+// engine.  The parser rejects the pair in either line order, naming the
+// drop line.
+TEST(ParseScenario, RejectsADropFaultUnderAnInfiniteTimeoutNamingTheLine) {
+  const std::string drop = "fault drop attempts=1";
+  for (const std::string& spec :
+       {"timeout inf\n" + drop + "\n", drop + "\ntimeout inf\n"}) {
+    try {
+      parse_scenario(spec);
+      FAIL() << "accepted: " << spec;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("a drop fault needs a finite timeout"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("in line: \"" + drop + "\""), std::string::npos)
+          << what;
+    }
+  }
+  // A corrupt attempt fails on delivery, and a finite timeout sees a drop.
+  EXPECT_NO_THROW(parse_scenario("timeout inf\nfault corrupt attempts=1\n"));
+  EXPECT_NO_THROW(parse_scenario("timeout 1\n" + drop + "\n"));
+}
+
 TEST(CannedScenarios, AllParseAndAreListed) {
   const auto names = canned_scenario_names();
   ASSERT_EQ(names.size(), 4u);
   for (const auto& name : names) {
     const auto scenario = canned_scenario(name);
     EXPECT_EQ(scenario.name, name);
-    EXPECT_FALSE(scenario.faults.empty());
+    EXPECT_FALSE(scenario.faults.link_faults.empty() &&
+                 scenario.faults.transfer_faults.empty() &&
+                 scenario.crashes.empty());
   }
   EXPECT_THROW(canned_scenario("no-such-scenario"), std::invalid_argument);
 }
@@ -272,6 +299,20 @@ TEST(RunScenario, RejectsAnInfiniteLinkFaultFactor) {
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("LinkFault: factor must be finite"), std::string::npos)
+        << what;
+  }
+}
+
+// A scenario built without the parser meets the same rule in the driver.
+TEST(RunScenario, RejectsADropFaultUnderAnInfiniteTimeout) {
+  auto scenario = canned_scenario("slow-straggler-rack");  // drops attempts
+  scenario.retry.transfer_timeout_s = std::numeric_limits<double>::infinity();
+  try {
+    (void)run_scenario(scenario);
+    FAIL() << "an infinite timeout ran with a drop fault";
+  } catch (const std::exception& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("a drop fault needs a finite"), std::string::npos)
         << what;
   }
 }

@@ -153,11 +153,11 @@ crash node=4 at=0.5
 batch-stripes 3
 concurrency 4
 )");
-  ASSERT_EQ(scenario.faults.node_crashes.size(), 2u);
-  EXPECT_EQ(scenario.faults.node_crashes[0].node, 1u);
-  EXPECT_DOUBLE_EQ(*scenario.faults.node_crashes[0].at_time_s, 0.0);
-  EXPECT_EQ(scenario.faults.node_crashes[1].node, 4u);
-  EXPECT_DOUBLE_EQ(*scenario.faults.node_crashes[1].at_time_s, 0.5);
+  ASSERT_EQ(scenario.crashes.size(), 2u);
+  EXPECT_EQ(scenario.crashes[0].node, 1u);
+  EXPECT_DOUBLE_EQ(*scenario.crashes[0].at_time_s, 0.0);
+  EXPECT_EQ(scenario.crashes[1].node, 4u);
+  EXPECT_DOUBLE_EQ(*scenario.crashes[1].at_time_s, 0.5);
   EXPECT_EQ(scenario.rebuild_batch_stripes, 3u);
   EXPECT_EQ(scenario.rebuild_concurrency, 4u);
 }
@@ -238,9 +238,6 @@ TEST(Coordinator, RejectsMalformedFailureSchedules) {
   // A node cannot fail twice — which also covers a later failure aimed at
   // the guarded replacement.
   EXPECT_THROW(run_events({{1, 0.0}, {1, 0.5}}), util::CheckError);
-  RebuildOptions with_crash;
-  with_crash.faults.node_crashes.push_back({2, std::nullopt, 0.1});
-  EXPECT_THROW(run_events({{1, 0.0}}, with_crash), util::CheckError);
 }
 
 TEST(Coordinator, NonFiniteFailureTimeNamesTheEvent) {
@@ -422,6 +419,26 @@ TEST(RebuildScenario, SecondFailurePreemptsFreshDegradedWork) {
   // Both tiers must be present: most-exposed work preempted queued
   // fresh-degraded work, it did not replace it.
   EXPECT_EQ(epoch2_tiers.back(), 1u);
+}
+
+// A dropped attempt is detected only when it times out: the coordinator's
+// driver rejects a drop fault under an infinite timeout instead of queueing
+// the retry at +inf.
+TEST(RebuildScenario, RejectsADropFaultUnderAnInfiniteTimeout) {
+  auto scenario = canned_rebuild_scenario("rolling-two-rack");
+  scenario.retry.transfer_timeout_s = std::numeric_limits<double>::infinity();
+  inject::TransferFault drop;
+  drop.kind = inject::TransferFault::Kind::kDrop;
+  drop.attempts = {1};
+  scenario.faults.transfer_faults.push_back(drop);
+  try {
+    (void)run_rebuild_scenario(scenario);
+    FAIL() << "an infinite timeout ran with a drop fault";
+  } catch (const std::exception& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("a drop fault needs a finite"), std::string::npos)
+        << what;
+  }
 }
 
 TEST(RebuildScenario, RollingTripleConsumesFullToleranceBitExact) {

@@ -234,7 +234,7 @@ TEST_P(CannedScenarioSliced, RecoversBitExactlyAtEverySliceSize) {
 
 TEST_P(CannedScenarioSliced, TrafficTotalsMatchChunkGranularRun) {
   auto base = inject::canned_scenario(GetParam());
-  if (!base.faults.node_crashes.empty()) {
+  if (!base.crashes.empty()) {
     // A crash cancels different in-flight work at different granularities,
     // so delivered-byte totals legitimately differ; bit-exactness (above)
     // is the invariant there.

@@ -133,6 +133,46 @@ recovery::Strategy strategy_flag(std::string_view command,
   }
 }
 
+/// The scenario `command` runs: --spec FILE, else the canned --scenario
+/// (`fallback` when absent) looked up by `canned`, then the --strategy,
+/// --seed and --slice-kib overrides.
+inject::Scenario load_scenario(std::string_view command,
+                               const util::Flags& flags,
+                               inject::Scenario (*canned)(const std::string&),
+                               const std::string& fallback) {
+  inject::Scenario scenario;
+  if (flags.has("spec")) {
+    std::ifstream in(flags.get("spec", ""));
+    if (!in) {
+      throw std::invalid_argument(std::string(command) +
+                                  ": cannot open --spec file");
+    }
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    scenario = inject::parse_scenario(buffer.str());
+  } else {
+    scenario = canned(flags.get("scenario", fallback));
+  }
+  if (flags.has("strategy")) scenario.strategy = strategy_flag(command, flags);
+  if (flags.has("seed")) {
+    scenario.seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+  }
+  if (flags.has("slice-kib")) scenario.slice_bytes = slice_kib_bytes(flags);
+  return scenario;
+}
+
+/// Write a fault run's event log to --log-out, when given.
+void write_log(std::string_view command, const util::Flags& flags,
+               const inject::EventLog& log) {
+  if (!flags.has("log-out")) return;
+  std::ofstream out(flags.get("log-out", ""));
+  if (!out) {
+    throw std::invalid_argument(std::string(command) +
+                                ": cannot open --log-out file");
+  }
+  out << log.to_json();
+}
+
 /// --`flag`'s value (`fallback` when absent), which must be one of
 /// `choices`; checked before the command does any work, naming the
 /// command, the flag and the value.
@@ -745,44 +785,16 @@ int cmd_inject_run(const util::Flags& flags) {
                   scenario.stripes,
                   scenario.faults.link_faults.size() +
                       scenario.faults.transfer_faults.size() +
-                      scenario.faults.node_crashes.size());
+                      scenario.crashes.size());
     }
     return 0;
   }
 
-  inject::Scenario scenario;
-  if (flags.has("spec")) {
-    std::ifstream in(flags.get("spec", ""));
-    if (!in) {
-      throw std::invalid_argument("inject-run: cannot open --spec file");
-    }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    scenario = inject::parse_scenario(buffer.str());
-  } else {
-    scenario =
-        inject::canned_scenario(flags.get("scenario", "mid-recovery-crash"));
-  }
-  if (flags.has("strategy")) {
-    scenario.strategy = strategy_flag("inject-run", flags);
-  }
-  if (flags.has("seed")) {
-    scenario.seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
-  }
-  if (flags.has("slice-kib")) {
-    scenario.slice_bytes = slice_kib_bytes(flags);
-  }
-
+  const inject::Scenario scenario = load_scenario(
+      "inject-run", flags, inject::canned_scenario, "mid-recovery-crash");
   const auto outcome = inject::run_scenario(scenario);
   const auto& run = outcome.run;
-
-  if (flags.has("log-out")) {
-    std::ofstream out(flags.get("log-out", ""));
-    if (!out) {
-      throw std::invalid_argument("inject-run: cannot open --log-out file");
-    }
-    out << run.log.to_json();
-  }
+  write_log("inject-run", flags, run.log);
   if (flags.get_bool("json")) {
     std::fputs(run.log.to_json().c_str(), stdout);
   }
@@ -823,33 +835,14 @@ int cmd_rebuild_run(const util::Flags& flags) {
       std::printf(
           "%-22s %zu racks, k=%zu m=%zu, %zu stripes, %zu rolling failures\n",
           name.c_str(), scenario.racks.size(), scenario.k, scenario.m,
-          scenario.stripes, scenario.faults.node_crashes.size());
+          scenario.stripes, scenario.crashes.size());
     }
     return 0;
   }
 
-  inject::Scenario scenario;
-  if (flags.has("spec")) {
-    std::ifstream in(flags.get("spec", ""));
-    if (!in) {
-      throw std::invalid_argument("rebuild-run: cannot open --spec file");
-    }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    scenario = inject::parse_scenario(buffer.str());
-  } else {
-    scenario = rebuild::canned_rebuild_scenario(
-        flags.get("scenario", "rolling-two-rack"));
-  }
-  if (flags.has("strategy")) {
-    scenario.strategy = strategy_flag("rebuild-run", flags);
-  }
-  if (flags.has("seed")) {
-    scenario.seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
-  }
-  if (flags.has("slice-kib")) {
-    scenario.slice_bytes = slice_kib_bytes(flags);
-  }
+  inject::Scenario scenario =
+      load_scenario("rebuild-run", flags, rebuild::canned_rebuild_scenario,
+                    "rolling-two-rack");
   if (flags.has("batch-stripes")) {
     scenario.rebuild_batch_stripes =
         static_cast<std::size_t>(flags.get_int("batch-stripes", 4));
@@ -863,14 +856,7 @@ int cmd_rebuild_run(const util::Flags& flags) {
 
   const auto outcome = rebuild::run_rebuild_scenario(scenario, shards);
   const auto& result = outcome.result;
-
-  if (flags.has("log-out")) {
-    std::ofstream out(flags.get("log-out", ""));
-    if (!out) {
-      throw std::invalid_argument("rebuild-run: cannot open --log-out file");
-    }
-    out << result.log.to_json();
-  }
+  write_log("rebuild-run", flags, result.log);
   if (flags.get_bool("json")) {
     // The event log stays a pure function of (scenario, seed) — host
     // timing lives only in this wrapper, never in the log (CI diffs
